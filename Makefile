@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install check test fuzz-smoke fuzz-campaign fuzz-distill bench bench-json bench-shards bench-partition bench-telemetry bench-tiled bench-replay bench-probes bench-quick examples lint clean
+.PHONY: install check test fuzz-campaign fuzz-distill bench bench-quick examples lint clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || \
@@ -12,8 +12,10 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # The pre-merge gate: byte-compile everything, run the tier-1 suite,
-# and import-smoke every benchmark module (catches drift in the
-# benchmark drivers without paying for a timed run).
+# import-smoke every benchmark module (catches drift in the benchmark
+# drivers without paying for a timed run), run the repository
+# benchmark's own tests, and run the fixed-seed fuzz campaign.  Writes
+# nothing into the tree.
 check:
 	PYTHONPATH=src $(PYTHON) -m compileall -q src
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q
@@ -25,43 +27,21 @@ check:
 			     os.path.splitext(os.path.basename('$$bench'))[0])" \
 			|| exit 1; \
 	done
-	$(MAKE) bench-json REPRO_BENCH_SCALE=0.1
-	$(MAKE) bench-shards REPRO_BENCH_SCALE=0.05 REPRO_BENCH_VECTORS=32 \
-		REPRO_BENCH_FAULTS=96 REPRO_BENCH_WORKERS=1,2
-	$(MAKE) bench-partition REPRO_BENCH_SCALE=0.05 \
-		REPRO_BENCH_VECTORS=32 REPRO_BENCH_PARTITIONS=1,2,4
-	$(MAKE) bench-telemetry
-	$(MAKE) bench-tiled REPRO_BENCH_SCALE=0.05
-	$(MAKE) bench-replay REPRO_BENCH_REPLAY_CYCLES=4000
-	$(MAKE) bench-probes REPRO_BENCH_VECTORS=4096
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/suite -q
 	$(MAKE) fuzz-campaign
 	@echo "check passed"
 
-# Short differential-fuzzing campaign at a fixed seed; the exit code
-# asserts that no technique/backend/execution-shape disagreement was
-# found (a failure writes its shrunk reproducer to a temp corpus and
-# fails the target).  The sampled lattice includes the partitioned
-# execution axis (monolithic vs. barrier-engine identity).
-fuzz-smoke:
-	@tmp=$$(mktemp -d) && \
-	PYTHONPATH=src $(PYTHON) -m repro.cli fuzz --seed 1990 \
-		--budget-seconds 20 --corpus $$tmp/corpus && \
-	rm -rf $$tmp
-
-# The continuous campaign (~120 s budget): deterministic coverage
+# The continuous campaign (~90 s budget): deterministic coverage
 # preamble over every execution surface (scalar, batched, packed,
 # tiled, laned-shift, partitioned, sequential replay w/ restore,
-# probed, faults), random lattice exploration for the rest of the
-# budget, then the perf oracles against a machine-calibrated envelope.
-# --perf auto enforces the throughput floors except under CI=1 or on
-# <4-CPU machines, where measurements reflect contention, not code —
-# there the oracle still measures and prints flags (observe-only).
+# probed, faults), then random lattice exploration for the rest of
+# the budget.  The exit code asserts that no technique/backend/
+# execution-shape disagreement was found (a failure writes its shrunk
+# reproducer to a temp corpus and fails the target).
 fuzz-campaign:
 	@tmp=$$(mktemp -d) && \
 	PYTHONPATH=src $(PYTHON) -m repro.cli fuzz campaign --seed 1990 \
-		--budget-seconds 90 --corpus $$tmp/corpus --perf auto \
-		--envelope $$tmp/envelope.json \
-		--perf-artifacts $$tmp/artifacts && \
+		--budget-seconds 90 --corpus $$tmp/corpus && \
 	rm -rf $$tmp
 
 # Dry-run corpus distillation: shows which committed reproducers are
@@ -73,68 +53,6 @@ fuzz-distill:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Reduced-scale packed-throughput measurement: refreshes
-# benchmarks/results/packed_throughput.{txt,json} and the repo-root
-# BENCH_packed.json snapshot, then schema-validates the emitted JSON.
-# Scale/vector knobs pass through the REPRO_BENCH_* environment.
-bench-json:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_packed_throughput.py
-
-# Reduced-scale sharded fault grading: refreshes
-# benchmarks/results/sharded_faults.{txt,json} and the repo-root
-# BENCH_shards.json snapshot, asserting every merged report is
-# bit-identical to the single-process run (the speedup floor applies
-# only on hosts with >= 4 CPUs).  Knobs: REPRO_BENCH_{SCALE,VECTORS,
-# FAULTS,WORKERS,BACKEND}.
-bench-shards:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_sharded_faults.py
-
-# Reduced-scale partitioned-simulation measurement: refreshes
-# benchmarks/results/partition.{txt,json} and the repo-root
-# BENCH_partition.json snapshot, asserting every partitioned run is
-# bit-identical to the monolithic engine and the cut is deterministic
-# (the speedup floor applies only on >= 4 CPUs with the C backend).
-# Knobs: REPRO_BENCH_{SCALE,VECTORS,PARTITIONS,BACKEND} and
-# REPRO_BENCH_PARTITION_CIRCUIT.
-bench-partition:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_partition.py
-
-# Telemetry overhead budgets: refreshes
-# benchmarks/results/telemetry_overhead.{txt,json} and the repo-root
-# BENCH_telemetry.json snapshot, asserting disabled instrumentation
-# costs <= 2% and enabled <= 5% on the packed C-backend workload.
-bench-telemetry:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_telemetry_overhead.py
-
-# Lane-tiling measurement: refreshes
-# benchmarks/results/tiled_throughput.{txt,json} and the repo-root
-# BENCH_tiled.json snapshot, asserting the K-tile packed and laned
-# shift runs are bit-identical to the untiled ones on every backend
-# (the speedup floors — tiled >= single-word packed, laned shift
-# >= 2x the scalar chain — apply on the C backend only).
-bench-tiled:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_tiled.py
-
-# Sequential replay measurement: refreshes
-# benchmarks/results/replay.{txt,json} and the repo-root
-# BENCH_replay.json snapshot, asserting replay throughput clears the
-# cycles/s floor, checkpoint -> restore -> continue is bit-identical
-# to the uninterrupted run on every engine and backend, and a
-# single-gate edit recompiles only its own fanin cone (warm rebuild
-# faster than cold on the C backend).  Knobs:
-# REPRO_BENCH_REPLAY_{CYCLES,BITS} and REPRO_BENCH_BACKEND.
-bench-replay:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_replay.py
-
-# Compiled-in probe overhead: refreshes
-# benchmarks/results/probes.{txt,json} and the repo-root
-# BENCH_probes.json snapshot, asserting the probes-off (<= 2%) and
-# probes-on (<= 25%) budgets on the batched C path and that the
-# instrumented fast path's ActivityReport is bit-identical to the
-# history-based scalar reference.  Knobs: REPRO_BENCH_{SCALE,VECTORS}.
-bench-probes:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_probes.py
 
 bench-quick:
 	REPRO_BENCH_SUITE=c432,c880 REPRO_BENCH_VECTORS=64 \

@@ -110,21 +110,4 @@ def test_batch_dispatch_report(benchmark):
         title=f"Batch dispatch — {NUM_VECTORS} vectors",
         float_format="{:.6f}",
     )
-    write_report(
-        "batch_dispatch",
-        table,
-        backend="+".join(BACKENDS),
-        metrics={
-            "num_vectors": NUM_VECTORS,
-            "per_target": {
-                row[0]: {
-                    "loop_s": row[1],
-                    "batch_s": row[2],
-                    "prepared_s": row[3],
-                    "batch_speedup": row[4],
-                    "prepared_speedup": row[5],
-                }
-                for row in rows
-            },
-        },
-    )
+    write_report("batch_dispatch", table)

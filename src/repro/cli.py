@@ -540,9 +540,6 @@ def _cmd_fuzz_campaign(args: argparse.Namespace) -> int:
         max_gates=args.max_gates,
         include_faults=not args.no_faults,
         progress=print,
-        perf=args.perf,
-        envelope_path=args.envelope,
-        perf_artifacts=args.perf_artifacts,
     )
     if args.inject_bug:
         with _fuzz_injection(args.inject_bug) as description:
@@ -573,18 +570,8 @@ def _cmd_fuzz_campaign(args: argparse.Namespace) -> int:
             print(f"  [{failure.config.label()}] {failure.error}"
                   f" ({failure.num_gates} gates, "
                   f"{failure.num_vectors} vectors){where}")
-    flags = result.perf_flags
-    if result.perf is not None:
-        mode = "observe" if result.perf.observe_only else "enforce"
-        print(f"perf oracle ({mode}): "
-              f"{len(result.perf.samples)} points measured, "
-              f"{len(flags)} flagged")
-        for flag in flags:
-            where = f" -> {flag.artifact}" if flag.artifact else ""
-            print(f"  PERF {flag.describe()}{where}")
-            print(f"       replay: {flag.replay}")
     passed = result.configs_checked - len(result.failures)
-    print(f"campaign summary: {passed} pass, {len(flags)} flagged, "
+    print(f"campaign summary: {passed} pass, "
           f"{len(result.failures)} failed")
     return 0 if result.ok else 1
 
@@ -602,63 +589,6 @@ def _cmd_fuzz_distill(args: argparse.Namespace) -> int:
         verb = "dropped" if result.applied else "would drop"
         print(f"  {verb} {path.name}  {entry.config.lattice_key()}")
     return 0 if result.lossless else 1
-
-
-def _cmd_fuzz_perf(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.fuzz import (
-        PerfEnvelope,
-        PerfPoint,
-        calibrate_envelope,
-        run_perf_phase,
-    )
-
-    points = (
-        [PerfPoint.from_key(key) for key in args.point]
-        if args.point else None
-    )
-    if (args.envelope and os.path.isfile(args.envelope)
-            and not args.recalibrate):
-        envelope = PerfEnvelope.load(args.envelope)
-        if points is not None:
-            wanted = {p.key() for p in points}
-            envelope.floors = {
-                key: row for key, row in envelope.floors.items()
-                if key in wanted
-            }
-            absent = wanted - set(envelope.floors)
-            for key in sorted(absent):
-                print(f"point {key} not in envelope; calibrating")
-            if absent:
-                fresh = calibrate_envelope(
-                    [PerfPoint.from_key(k) for k in sorted(absent)],
-                    margin=envelope.margin, vectors=envelope.vectors,
-                )
-                envelope.floors.update(fresh.floors)
-    else:
-        envelope = calibrate_envelope(
-            points, margin=args.margin, vectors=args.vectors
-        )
-        if args.envelope:
-            envelope.save(args.envelope)
-            print(f"calibrated envelope -> {args.envelope}")
-    report = run_perf_phase(
-        envelope,
-        observe_only=args.observe,
-        artifacts_dir=args.artifacts,
-    )
-    for key, sample in sorted(report.samples.items()):
-        floor = envelope.floors[key]["floor_vectors_per_s"]
-        print(f"  {key}: {sample.vectors_per_s:,.0f} vectors/s "
-              f"(floor {floor:,.0f}), "
-              f"compile {sample.compile_seconds:.3f}s")
-    for flag in report.flags:
-        print(f"  PERF {flag.describe()}")
-    print(f"perf: {len(report.samples)} points, "
-          f"{len(report.flags)} flagged"
-          f"{' (observe-only)' if report.observe_only else ''}")
-    return 0 if report.ok else 1
 
 
 def _cmd_tape(args: argparse.Namespace) -> int:
@@ -975,7 +905,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing of the compiled techniques against "
-             "the event-driven reference, with performance oracles",
+             "the event-driven reference",
     )
     fuzz_sub = p_fuzz.add_subparsers(dest="fuzz_command",
                                      required=True)
@@ -1022,23 +952,6 @@ def main(argv: Optional[list[str]] = None) -> int:
              "nand-as-and, not-as-buf, partition-exchange, "
              "tile-boundary) and verify the campaign catches it",
     )
-    p_fc.add_argument(
-        "--perf", default="off",
-        choices=["off", "observe", "enforce", "auto"],
-        help="performance oracles: observe measures and reports, "
-             "enforce fails the campaign on below-envelope points, "
-             "auto enforces except under CI=1 or <4 CPUs "
-             "(default off)",
-    )
-    p_fc.add_argument(
-        "--envelope", default=None, metavar="FILE",
-        help="persist/load the calibrated perf envelope (an existing "
-             "file is loaded instead of recalibrating)",
-    )
-    p_fc.add_argument(
-        "--perf-artifacts", default=None, metavar="DIR",
-        help="write replayable JSON artifacts for perf flags here",
-    )
     _add_telemetry_args(p_fc)
     p_fc.set_defaults(func=_cmd_fuzz_campaign)
 
@@ -1061,44 +974,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     _add_telemetry_args(p_fd)
     p_fd.set_defaults(func=_cmd_fuzz_distill)
-
-    p_fp = fuzz_sub.add_parser(
-        "perf",
-        help="measure perf points against the calibrated envelope "
-             "(the replay command named in perf artifacts)",
-    )
-    p_fp.add_argument(
-        "--point", action="append", default=None, metavar="KEY",
-        help="measure only this point (repeatable; e.g. "
-             "packed:zero-lcc:c:w32)",
-    )
-    p_fp.add_argument(
-        "--envelope", default=None, metavar="FILE",
-        help="load floors from this envelope file (calibrate and "
-             "save when absent)",
-    )
-    p_fp.add_argument(
-        "--recalibrate", action="store_true",
-        help="ignore an existing envelope file and recalibrate",
-    )
-    p_fp.add_argument(
-        "--margin", type=float, default=0.6,
-        help="floor = margin x calibrated throughput (default 0.6)",
-    )
-    p_fp.add_argument(
-        "--vectors", type=int, default=1024,
-        help="vectors per measurement (default 1024)",
-    )
-    p_fp.add_argument(
-        "--artifacts", default=None, metavar="DIR",
-        help="write replayable JSON artifacts for flags here",
-    )
-    p_fp.add_argument(
-        "--observe", action="store_true",
-        help="report flags without a failing exit status",
-    )
-    _add_telemetry_args(p_fp)
-    p_fp.set_defaults(func=_cmd_fuzz_perf)
 
     p_tape = sub.add_parser(
         "tape", help="write a seeded random clocked stimulus tape"
@@ -1181,15 +1056,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         argv = sys.argv[1:]
     argv = list(argv)
     # Back-compat: ``repro-sim fuzz --seed ...`` predates the verb
-    # split (campaign/distill/perf); a bare ``fuzz`` means campaign.
+    # split (campaign/distill); a bare ``fuzz`` means campaign.  Any
+    # other word after ``fuzz`` is left for argparse to accept or
+    # reject as a verb.
     for index, token in enumerate(argv):
         if token in sub.choices:
             if token == "fuzz":
                 following = (
                     argv[index + 1] if index + 1 < len(argv) else None
                 )
-                if following not in fuzz_sub.choices and (
-                    following not in ("-h", "--help")
+                if following is None or (
+                    following.startswith("-")
+                    and following not in ("-h", "--help")
                 ):
                     argv.insert(index + 1, "campaign")
             break

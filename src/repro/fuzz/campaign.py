@@ -16,27 +16,18 @@ decides how far along the stream the run gets).
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro import telemetry
-from repro.errors import SimulationError
 from repro.fuzz.corpus import entry_from_failure, save_entry
 from repro.fuzz.lattice import (
     FuzzConfig,
     coverage_configs,
     run_check,
     sample_configs,
-)
-from repro.fuzz.oracles import (
-    PerfEnvelope,
-    PerfReport,
-    available_backends,
-    calibrate_envelope,
-    run_perf_phase,
 )
 from repro.fuzz.shrink import shrink
 from repro.harness.vectors import vectors_for
@@ -50,11 +41,21 @@ from repro.netlist.random_circuits import (
 __all__ = [
     "CampaignFailure",
     "CampaignResult",
-    "PERF_MODES",
+    "available_backends",
     "run_campaign",
 ]
 
-PERF_MODES = ("off", "observe", "enforce", "auto")
+
+def available_backends() -> tuple:
+    """Backends usable on this machine, production-preferred order."""
+    from repro.codegen.runtime import have_c_compiler, have_numpy
+
+    backends = ["python"]
+    if have_c_compiler():
+        backends.insert(0, "c")
+    if have_numpy():
+        backends.append("numpy")
+    return tuple(backends)
 
 
 @dataclass
@@ -84,18 +85,10 @@ class CampaignResult:
     failures: list[CampaignFailure] = field(default_factory=list)
     #: execution surface -> number of drawn configs touching it.
     surface_coverage: dict = field(default_factory=dict)
-    #: the perf-oracle phase, when one ran (``perf != "off"``).
-    perf: Optional[PerfReport] = None
-
-    @property
-    def perf_flags(self) -> list:
-        return [] if self.perf is None else list(self.perf.flags)
 
     @property
     def ok(self) -> bool:
-        if self.failures:
-            return False
-        return self.perf is None or self.perf.ok
+        return not self.failures
 
     def note_config(self, config: FuzzConfig) -> None:
         for surface in config.surfaces():
@@ -156,29 +149,6 @@ def _draw_circuit(rng: random.Random, max_gates: int) -> Circuit:
             seed=rng.getrandbits(32),
         )
     return circuit
-
-
-def _resolve_perf_mode(perf: str) -> tuple[bool, bool]:
-    """``perf`` mode -> (run a perf phase at all, observe-only).
-
-    ``auto`` enforces floors only on machines where throughput
-    measurement is trustworthy: not under CI (``CI=1``) and with at
-    least 4 CPUs — a loaded single-core box measures its own
-    contention, not the code.  Observe-only still measures and prints
-    flags; it just never fails the campaign on them.
-    """
-    if perf not in PERF_MODES:
-        raise SimulationError(
-            f"unknown perf mode {perf!r}; choose from {PERF_MODES}"
-        )
-    if perf == "off":
-        return False, True
-    if perf == "auto":
-        constrained = (
-            os.environ.get("CI") == "1" or (os.cpu_count() or 1) < 4
-        )
-        return True, constrained
-    return True, perf == "observe"
 
 
 def _coverage_tape(
@@ -255,9 +225,6 @@ def run_campaign(
     shrink_attempts: int = 2000,
     check: Callable = run_check,
     progress: Optional[Callable[[str], None]] = None,
-    perf: str = "off",
-    envelope_path: Optional[str] = None,
-    perf_artifacts: Optional[str] = None,
 ) -> CampaignResult:
     """Run a seeded fuzz campaign over the configuration lattice.
 
@@ -267,30 +234,11 @@ def run_campaign(
     usable backend (C when a compiler is present, numpy when
     importable).  ``check`` is the differential predicate —
     overridable for testing the campaign machinery itself.
-
-    ``perf`` turns on the performance oracles (:mod:`~repro.fuzz.
-    oracles`): ``observe`` measures and reports flags without failing
-    the campaign, ``enforce`` fails it, ``auto`` picks by machine
-    (observe under CI or <4 CPUs).  ``envelope_path`` persists the
-    calibrated envelope between runs — an existing file is loaded
-    instead of recalibrating, which is what lets a regression that
-    predates the *current* process still flag (calibrate on healthy
-    code, measure forever after).
     """
     if iterations is None and budget_seconds is None:
         iterations = 50
     if backends is None:
         backends = available_backends()
-    perf_enabled, observe_only = _resolve_perf_mode(perf)
-    envelope: Optional[PerfEnvelope] = None
-    if perf_enabled:
-        if envelope_path is not None and os.path.isfile(envelope_path):
-            envelope = PerfEnvelope.load(envelope_path)
-        else:
-            with telemetry.span("fuzz.perf.calibrate"):
-                envelope = calibrate_envelope(vectors=1024)
-            if envelope_path is not None:
-                envelope.save(envelope_path)
     rng = random.Random(seed)
     result = CampaignResult(seed=seed)
     start = time.monotonic()
@@ -357,16 +305,6 @@ def run_campaign(
                     f"{result.configs_checked} configs, "
                     f"{result.comparisons} comparisons, "
                     f"{len(result.failures)} failures"
-                )
-        if perf_enabled and envelope is not None:
-            # Perf runs after the functional sweep: the differential
-            # checks warm every backend, so the oracle measurements
-            # see steady-state code paths, not cold caches.
-            with telemetry.span("fuzz.perf"):
-                result.perf = run_perf_phase(
-                    envelope,
-                    observe_only=observe_only,
-                    artifacts_dir=perf_artifacts,
                 )
     result.seconds = time.monotonic() - start
     return result

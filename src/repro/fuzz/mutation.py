@@ -31,7 +31,6 @@ __all__ = [
     "inject_emitter_bug",
     "inject_partition_bug",
     "inject_tile_bug",
-    "inject_slowdown",
 ]
 
 #: Mutation name -> (gate type whose emission is corrupted, description).
@@ -144,70 +143,6 @@ def inject_tile_bug():
     finally:
         for module, original in zip(modules, saved):
             module.tile_groups = original
-
-
-#: ``inject_slowdown`` patch points: (backend, path) -> machine methods.
-#: The C packed fast path has two entries — ``run_packed`` (marshalled
-#: buffers, the prepared-program timing path) and ``run_packed_block``
-#: (group rows) — so both are wrapped together.
-_SLOWDOWN_SITES = {
-    ("c", "packed"): (
-        ("CMachine", "run_packed"),
-        ("CMachine", "run_packed_block"),
-    ),
-    ("c", "block"): (("CMachine", "run_block"),),
-    ("python", "packed"): (("PythonMachine", "run_packed_block"),),
-    ("python", "block"): (("PythonMachine", "run_block"),),
-}
-
-
-@contextmanager
-def inject_slowdown(factor: float = 2.0, *, backend: str = "c",
-                    path: str = "packed"):
-    """Context manager: slow one machine entry point by ``factor``.
-
-    Wraps the chosen backend's batch entry so every call sleeps for
-    ``(factor - 1)`` times its own elapsed time — a clean synthetic
-    throughput regression with no functional change, used to prove the
-    perf oracle flags what the differential checks cannot see.
-    ``NumpyMachine`` subclasses ``PythonMachine``, so the python sites
-    cover the numpy backend too.  Self-test only.
-    """
-    import time as _time
-
-    from repro.codegen import runtime
-
-    if factor < 1.0:
-        raise SimulationError(
-            f"slowdown factor must be >= 1.0: {factor}"
-        )
-    try:
-        sites = _SLOWDOWN_SITES[(backend, path)]
-    except KeyError:
-        raise SimulationError(
-            f"unknown slowdown site {(backend, path)!r}; choose from "
-            f"{sorted(_SLOWDOWN_SITES)}"
-        ) from None
-
-    def _slow(original):
-        def slowed(self, *args, **kwargs):
-            start = _time.perf_counter()
-            result = original(self, *args, **kwargs)
-            _time.sleep((_time.perf_counter() - start) * (factor - 1.0))
-            return result
-        return slowed
-
-    saved = []
-    for cls_name, method in sites:
-        cls = getattr(runtime, cls_name)
-        original = getattr(cls, method)
-        saved.append((cls, method, original))
-        setattr(cls, method, _slow(original))
-    try:
-        yield f"{backend} {path} path slowed {factor:g}x"
-    finally:
-        for cls, method, original in saved:
-            setattr(cls, method, original)
 
 
 @contextmanager

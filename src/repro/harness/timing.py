@@ -35,22 +35,6 @@ class TimingResult:
         return min(self.samples)
 
     @property
-    def stddev(self) -> float:
-        """Population standard deviation of the samples (0.0 for one).
-
-        Population rather than sample variance: the five repeats *are*
-        the whole measured population, and a single-trial run must
-        report a defined (zero) spread rather than divide by zero.
-        """
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        mean = self.mean
-        return (
-            sum((s - mean) ** 2 for s in self.samples) / n
-        ) ** 0.5
-
-    @property
     def per_vector(self) -> float:
         """Mean seconds per vector."""
         return self.mean / max(1, self.num_vectors)
@@ -71,19 +55,6 @@ class TimingResult:
         if self.per_vector == 0:
             return float("inf")
         return other.per_vector / self.per_vector
-
-    def as_dict(self) -> dict:
-        """JSON-friendly summary (what benchmark reports serialize)."""
-        return {
-            "label": self.label,
-            "samples": list(self.samples),
-            "num_vectors": self.num_vectors,
-            "mean": self.mean,
-            "best": self.best,
-            "stddev": self.stddev,
-            "per_vector": self.per_vector,
-            "vectors_per_second": self.vectors_per_second,
-        }
 
     def __repr__(self) -> str:
         return (

@@ -7,7 +7,7 @@ incremental: external outputs stream to an output tape (same fixed-width
 line format as the stimulus, so runs are compared with a byte compare),
 per-output toggle counts accumulate as coverage, and a rolling checksum
 folds every output of every cycle — the one-number bit-identity witness
-used by the tests and ``make bench-replay``.
+used by the tests.
 
 Chunk boundaries are aligned to checkpoint boundaries, so a checkpoint
 always lands *exactly* after its cycle regardless of chunk size — the

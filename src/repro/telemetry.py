@@ -394,17 +394,11 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
             "glitches": counters.get("activity.glitches", 0),
         },
         "fuzz": {
-            # The fuzz campaign and its oracles — see repro.fuzz.
+            # The fuzz campaign and corpus distillation — see
+            # repro.fuzz.
             "circuits": counters.get("fuzz.circuits", 0),
             "configs": counters.get("fuzz.configs", 0),
             "failures": counters.get("fuzz.failures", 0),
-            "perf": {
-                "points": counters.get("fuzz.perf.points", 0),
-                "escalations": counters.get(
-                    "fuzz.perf.escalations", 0
-                ),
-                "flags": counters.get("fuzz.perf.flags", 0),
-            },
             "distill": {
                 "kept": counters.get("fuzz.distill.kept", 0),
                 "dropped": counters.get("fuzz.distill.dropped", 0),

@@ -8,6 +8,7 @@ few gates, persisted, and replayable.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.fuzz import (
     SURFACES,
     FuzzConfig,
     coverage_configs,
+    distill_corpus,
     entry_from_failure,
     inject_emitter_bug,
     inject_partition_bug,
@@ -39,6 +41,7 @@ from repro.netlist.generators import (
 )
 from repro.netlist.random_circuits import random_dag_circuit
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 class TestFuzzConfig:
     def test_round_trip(self):
@@ -403,6 +406,91 @@ class TestFuzzCLI:
         out = capsys.readouterr().out
         assert "injected bug" in out
         assert list(corpus.glob("*.json"))
+
+    def test_unknown_verb_names_the_choices(self, capsys):
+        from repro.cli import main
+
+        # A typo is rejected as a verb, not rewritten into campaign
+        # arguments.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fuzz", "distil"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "campaign" in err and "distill" in err
+
+
+def _healthy_entry(num_gates, config, seed):
+    circuit = random_dag_circuit(seed, num_inputs=3,
+                                 num_gates=num_gates)
+    vectors = vectors_for(circuit, 3, seed=seed)
+    return entry_from_failure(circuit, vectors, config, error="test")
+
+
+class TestDistill:
+    SCALAR = FuzzConfig(check="history", technique="parallel-best")
+    BATCHED = FuzzConfig(check="batched", technique="parallel",
+                         batch_size=2)
+
+    def test_subsumed_entry_dropped(self, tmp_path):
+        small = _healthy_entry(4, self.SCALAR, seed=1)
+        large = _healthy_entry(12, self.SCALAR, seed=2)
+        save_entry(small, tmp_path)
+        save_entry(large, tmp_path)
+        result = distill_corpus(tmp_path)
+        assert result.lossless
+        assert len(result.kept) == 1
+        assert result.kept[0][1].entry_id == small.entry_id
+        assert result.dropped[0][1].entry_id == large.entry_id
+
+    def test_sole_witness_never_dropped(self, tmp_path):
+        # The large entry is the only witness for the batched lattice
+        # point: no matter how big, it must survive.
+        small = _healthy_entry(4, self.SCALAR, seed=1)
+        large = _healthy_entry(12, self.BATCHED, seed=2)
+        save_entry(small, tmp_path)
+        save_entry(large, tmp_path)
+        result = distill_corpus(tmp_path)
+        assert result.lossless
+        assert len(result.kept) == 2
+        assert not result.dropped
+
+    def test_dry_run_deletes_nothing(self, tmp_path):
+        for seed in (1, 2):
+            save_entry(_healthy_entry(4 + 8 * seed, self.SCALAR,
+                                      seed=seed), tmp_path)
+        before = sorted(tmp_path.glob("*.json"))
+        result = distill_corpus(tmp_path)
+        assert result.dropped
+        assert sorted(tmp_path.glob("*.json")) == before
+
+    def test_apply_deletes_subsumed_files(self, tmp_path):
+        small = _healthy_entry(4, self.SCALAR, seed=1)
+        large = _healthy_entry(12, self.SCALAR, seed=2)
+        save_entry(small, tmp_path)
+        large_path = save_entry(large, tmp_path)
+        result = distill_corpus(tmp_path, apply=True)
+        assert result.applied
+        assert not large_path.exists()
+        assert len(list(tmp_path.glob("*.json"))) == 1
+        # Idempotent: a second pass keeps everything.
+        again = distill_corpus(tmp_path, apply=True)
+        assert not again.dropped
+
+    def test_committed_corpus_distills_lossless(self):
+        # The acceptance criterion: distilling the committed corpus
+        # preserves every covered lattice point.  Dry run, no replay —
+        # tests/test_fuzz_corpus.py already replays each entry.
+        result = distill_corpus(REPO_ROOT / "fuzz-corpus",
+                                check=False)
+        assert result.lossless
+        assert result.points_after == result.points_before
+        assert result.kept
+
+    def test_empty_corpus(self, tmp_path):
+        result = distill_corpus(tmp_path / "nothing")
+        assert result.lossless
+        assert not result.kept and not result.dropped
 
 
 class TestSequentialAxis:

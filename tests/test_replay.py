@@ -215,27 +215,39 @@ class TestReplay:
         )
         cpdir = tmp_path / f"cp_{engine}_{backend}"
         cpdir.mkdir()
+        head_out = str(tmp_path / f"head_{engine}_{backend}.out")
         first = replay_tape(
             CompiledSequentialSimulator(
                 binary_counter(4), engine=engine, backend=backend
             ),
             tape, chunk_cycles=50, checkpoint_every=48,
-            checkpoint_dir=str(cpdir), limit=70,
+            checkpoint_dir=str(cpdir), limit=70, outputs_path=head_out,
         )
         assert first.cycle == 70
         assert len(first.checkpoints) == 1
         # A *fresh* simulator resumes from the mid-stream checkpoint and
         # must reproduce both the remaining cycles and the summary.
+        tail_out = str(tmp_path / f"tail_{engine}_{backend}.out")
         resumed = replay_tape(
             CompiledSequentialSimulator(
                 binary_counter(4), engine=engine, backend=backend
             ),
             tape, chunk_cycles=50, resume_from=first.checkpoints[0],
+            outputs_path=tail_out,
         )
         assert resumed.resumed_from == 48
         assert resumed.cycle == 120
         assert resumed.checksum == full.checksum
         assert resumed.toggles == full.toggles
+
+        # The output streams agree too: the head's cycles up to the
+        # checkpoint plus the resumed tail are the full run's stream
+        # (tape-format files: the first two lines are the header).
+        def body(path):
+            with open(path) as handle:
+                return handle.read().splitlines()[2:]
+
+        assert body(head_out)[:48] + body(tail_out) == body(full_out)
 
     def test_resumed_output_segments_concatenate(self, tmp_path):
         seq, tape = _replay_setup(tmp_path, cycles=90)

@@ -151,7 +151,7 @@ class TestPackedTiledExecution:
     """Tiled packed apply_vectors vs the single-word packed path."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("tiles", [2, 4, "auto"])
+    @pytest.mark.parametrize("tiles", [2, 4, MAX_TILES, "auto"])
     def test_lcc_batch_identity(self, backend, tiles):
         circuit = random_dag_circuit(21, num_inputs=5, num_gates=24)
         # 37 is not a multiple of word_width*K for any K under test.
@@ -195,7 +195,7 @@ class TestLanedShiftExecution:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("optimization",
                              ["none", "pathtrace+trim"])
-    @pytest.mark.parametrize("tiles", [2, 3])
+    @pytest.mark.parametrize("tiles", [2, 3, MAX_TILES])
     def test_outputs_and_final_state(self, backend, optimization, tiles):
         circuit = random_dag_circuit(31, num_inputs=5, num_gates=25)
         vectors = vectors_for(circuit, 41, seed=31)
