@@ -33,11 +33,11 @@ check:
 
 # The continuous campaign (~90 s budget): deterministic coverage
 # preamble over every execution surface (scalar, batched, packed,
-# tiled, laned-shift, partitioned, sequential replay w/ restore,
-# probed, faults), then random lattice exploration for the rest of
-# the budget.  The exit code asserts that no technique/backend/
-# execution-shape disagreement was found (a failure writes its shrunk
-# reproducer to a temp corpus and fails the target).
+# tiled, laned-shift, sequential replay w/ restore, probed, faults),
+# then random lattice exploration for the rest of the budget.  The
+# exit code asserts that no technique/backend/execution-shape
+# disagreement was found (a failure writes its shrunk reproducer to a
+# temp corpus and fails the target).
 fuzz-campaign:
 	@tmp=$$(mktemp -d) && \
 	PYTHONPATH=src $(PYTHON) -m repro.cli fuzz campaign --seed 1990 \

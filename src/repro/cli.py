@@ -116,11 +116,7 @@ def resolve_sequential(spec: str, scale: float = 1.0):
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.codegen.runtime import (
-        have_c_compiler,
-        have_numpy,
-        program_cache,
-    )
+    from repro.codegen.runtime import have_c_compiler, program_cache
 
     circuit = resolve_circuit(args.circuit, args.scale)
     report = circuit_report(circuit, include_alignments=not args.fast)
@@ -132,9 +128,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     )
     compiler = have_c_compiler()
     report["c compiler"] = compiler if compiler else "none (python backend only)"
-    report["numpy backend"] = (
-        "available" if have_numpy() is not None else "not installed"
-    )
     if args.cones:
         report.update(_cone_report(circuit, args.backend))
     width = max(len(k) for k in report)
@@ -224,21 +217,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _partition_options(args: argparse.Namespace) -> dict:
-    """Partition kwargs for the harness factories.
-
-    Empty when ``--partitions`` is 1 so the default invocation stays
-    byte-for-byte the historical code path (and so techniques that
-    never grew the kwargs — the interpreters — are not disturbed).
-    """
-    if getattr(args, "partitions", 1) > 1:
-        return {
-            "partitions": args.partitions,
-            "partition_workers": args.partition_workers,
-        }
-    return {}
-
-
 def _tiles_option(args: argparse.Namespace) -> dict:
     """Tile kwargs for the harness factories.
 
@@ -258,12 +236,11 @@ def _tiles_option(args: argparse.Namespace) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     circuit = resolve_circuit(args.circuit, args.scale)
     vectors = vectors_for(circuit, args.vectors, args.seed)
-    options = _partition_options(args)
-    options.update(_tiles_option(args))
+    options = _tiles_option(args)
     if options and args.technique in ("interp2", "interp3",
                                       "zero-interp"):
         raise SystemExit(
-            f"--partitions/--tiles apply to compiled techniques only, "
+            f"--tiles applies to compiled techniques only, "
             f"not {args.technique!r}"
         )
     sim = build_simulator(
@@ -405,7 +382,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         word_width=args.word_width, backend=args.backend,
         workers=args.workers, shards=args.shards,
         mp_start=args.mp_start, shard_timeout=args.shard_timeout,
-        **_partition_options(args),
         **_tiles_option(args),
     )
     print(f"{circuit.name}: {report.num_faults} stuck-at faults, "
@@ -443,12 +419,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     vectors = vectors_for(circuit, args.vectors, args.seed)
     rows = []
     baseline: Optional[float] = None
-    partition_options = _partition_options(args)
-    partition_options.update(_tiles_option(args))
+    tiles_option = _tiles_option(args)
     for technique in args.techniques:
-        options = dict(partition_options)
-        if technique in ("interp2", "interp3", "zero-interp"):
-            options = {}
+        options = (
+            {} if technique in ("interp2", "interp3", "zero-interp")
+            else tiles_option
+        )
         run = run_technique(
             circuit, technique, vectors,
             backend=args.backend, word_width=args.word_width,
@@ -505,30 +481,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fuzz_injection(name: str):
-    """Resolve an ``--inject-bug`` value to its context manager."""
-    from repro.fuzz import (
-        MUTATIONS,
-        inject_emitter_bug,
-        inject_partition_bug,
-        inject_tile_bug,
-    )
-
-    if name in MUTATIONS:
-        return inject_emitter_bug(name)
-    if name == "partition-exchange":
-        return inject_partition_bug()
-    if name == "tile-boundary":
-        return inject_tile_bug()
-    choices = sorted(MUTATIONS) + ["partition-exchange",
-                                   "tile-boundary"]
-    raise SystemExit(
-        f"unknown --inject-bug {name!r}; choose from {choices}"
-    )
-
-
 def _cmd_fuzz_campaign(args: argparse.Namespace) -> int:
-    from repro.fuzz import SURFACES, run_campaign
+    from repro.fuzz import SURFACES, inject_bug, run_campaign
 
     kwargs = dict(
         seed=args.seed,
@@ -542,7 +496,7 @@ def _cmd_fuzz_campaign(args: argparse.Namespace) -> int:
         progress=print,
     )
     if args.inject_bug:
-        with _fuzz_injection(args.inject_bug) as description:
+        with inject_bug(args.inject_bug) as description:
             print(f"injected bug: {description}")
             result = run_campaign(**kwargs)
     else:
@@ -612,8 +566,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     seq = resolve_sequential(args.circuit, args.scale)
     tape = Tape(args.tape)
-    options = _partition_options(args)
-    options.update(_tiles_option(args))
+    options = _tiles_option(args)
     cache = program_cache()
     before = cache.stats()
     sim = CompiledSequentialSimulator(
@@ -669,6 +622,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    from repro.fuzz.mutation import INJECTIONS
+
     parser = argparse.ArgumentParser(
         prog="repro-sim",
         description="Unit-delay compiled simulation (Maurer, DAC 1990)",
@@ -678,21 +633,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="scale factor for synthetic ISCAS85 analogs (default 1.0)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def _add_partition_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--partitions", type=int, default=1,
-            help="split the netlist into N balanced fanin-cone "
-                 "clusters and run them through the level-band "
-                 "barrier engine (default 1: monolithic; results "
-                 "are bit-identical either way)",
-        )
-        p.add_argument(
-            "--partition-workers", type=int, default=None,
-            metavar="N",
-            help="threads driving the partition segments "
-                 "(default: one per partition)",
-        )
 
     def _add_tiles_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -730,7 +670,7 @@ def main(argv: Optional[list[str]] = None) -> int:
              "rebuilding after a synthetic single-gate edit",
     )
     p_stats.add_argument("-b", "--backend", default="python",
-                         choices=["python", "c", "numpy"])
+                         choices=["python", "c"])
     _add_telemetry_args(p_stats)
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -757,11 +697,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_sim.add_argument("-n", "--vectors", type=int, default=10)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("-b", "--backend", default="python",
-                       choices=["python", "c", "numpy"])
+                       choices=["python", "c"])
     p_sim.add_argument("-w", "--word-width", type=int, default=32,
                        choices=[8, 16, 32, 64])
     _add_tiles_arg(p_sim)
-    _add_partition_args(p_sim)
     _add_telemetry_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -835,7 +774,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_faults.add_argument("--seed", type=int, default=0)
     p_faults.add_argument("--show-undetected", action="store_true")
     p_faults.add_argument("-b", "--backend", default="python",
-                          choices=["python", "c", "numpy"])
+                          choices=["python", "c"])
     p_faults.add_argument("-w", "--word-width", type=int, default=32,
                           choices=[8, 16, 32, 64])
     _add_tiles_arg(p_faults)
@@ -858,7 +797,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="per-shard result timeout in seconds; late shards are "
              "regraded in-process",
     )
-    _add_partition_args(p_faults)
     _add_telemetry_args(p_faults)
     p_faults.set_defaults(func=_cmd_faults)
 
@@ -873,11 +811,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--repeat", type=int, default=3)
     p_bench.add_argument("-b", "--backend", default="python",
-                         choices=["python", "c", "numpy"])
+                         choices=["python", "c"])
     p_bench.add_argument("-w", "--word-width", type=int, default=32,
                          choices=[8, 16, 32, 64])
     _add_tiles_arg(p_bench)
-    _add_partition_args(p_bench)
     _add_telemetry_args(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -931,8 +868,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_fc.add_argument(
         "--backends", default=None,
         help="comma-separated backends (default: every usable one — "
-             "python, plus c with a compiler, plus numpy when "
-             "importable)",
+             "python, plus c with a compiler)",
     )
     p_fc.add_argument(
         "--configs-per-circuit", type=int, default=4,
@@ -948,9 +884,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     p_fc.add_argument(
         "--inject-bug", default=None, metavar="MUTATION",
-        help="self-test: inject a known bug (nor-as-or, xnor-as-xor, "
-             "nand-as-and, not-as-buf, partition-exchange, "
-             "tile-boundary) and verify the campaign catches it",
+        choices=INJECTIONS,
+        help="self-test: inject a known bug (%(choices)s) and verify "
+             "the campaign catches it",
     )
     _add_telemetry_args(p_fc)
     p_fc.set_defaults(func=_cmd_fuzz_campaign)
@@ -996,11 +932,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_replay.add_argument("-e", "--engine", default="lcc",
                           choices=["lcc", "parallel", "pcset"])
     p_replay.add_argument("-b", "--backend", default="python",
-                          choices=["python", "c", "numpy"])
+                          choices=["python", "c"])
     p_replay.add_argument("-w", "--word-width", type=int, default=32,
                           choices=[8, 16, 32, 64])
     _add_tiles_arg(p_replay)
-    _add_partition_args(p_replay)
     p_replay.add_argument(
         "--incremental", action="store_true",
         help="evaluate the core through per-fanin-cone programs "

@@ -5,7 +5,7 @@ simulation program and a :class:`ProbeSpec`, the ``instrument_*``
 functions append *probe statements* to the program body: per-net
 toggle counters accumulated with ``popcount`` over whole lane words,
 so counting costs one or two extra instructions per net per pass on
-every backend (Python, C, numpy) instead of a host-side decode of the
+every backend (Python, C) instead of a host-side decode of the
 full history.
 
 Per technique:
@@ -59,7 +59,7 @@ PC-set method (§2)
 Counters are persistent state variables *appended after* the
 technique's own state, so a steady-state encoding extends with zero
 padding, and they accumulate modulo ``2**word_width`` identically on
-every backend (Python masks at ``dump_state``; C and numpy wrap).
+every backend (Python masks at ``dump_state``; C wraps).
 :class:`ProbeRuntime` drains them into unbounded Python accumulators
 often enough that no counter can wrap between drains.
 """
@@ -225,19 +225,9 @@ class ProbeRuntime:
     in (checkpoints, lane handoffs) or building a report.
     """
 
-    def __init__(
-        self,
-        plan: ProbePlan,
-        program: Program,
-        *,
-        emit_vectors: bool = True,
-    ) -> None:
+    def __init__(self, plan: ProbePlan, program: Program) -> None:
         self.plan = plan
         self.word_mask = program.word_mask
-        #: The partition executor runs one runtime per segment over the
-        #: same vector stream; only one party may report the stream's
-        #: vector count to telemetry.
-        self._emit_vectors = emit_vectors
         self.toggles: dict[str, int] = {net: 0 for net in plan.nets}
         self.functional: Optional[dict[str, int]] = (
             None if plan.functional_slots is None
@@ -307,7 +297,7 @@ class ProbeRuntime:
         if emit:
             vectors_delta = self.vectors - self._vectors_reported
             self._vectors_reported = self.vectors
-            if vectors_delta and self._emit_vectors:
+            if vectors_delta:
                 telemetry.counter("activity.vectors", vectors_delta)
             if toggle_delta:
                 telemetry.counter("activity.toggles", toggle_delta)
@@ -399,9 +389,6 @@ def instrument_lcc_program(
     program: Program,
     circuit,
     spec: ProbeSpec,
-    *,
-    nets: Optional[Sequence[str]] = None,
-    net_vars: Optional[Mapping[str, str]] = None,
 ) -> ProbePlan:
     """Append lane-word toggle counting to a zero-delay LCC program.
 
@@ -411,17 +398,11 @@ def instrument_lcc_program(
     the uninstrumented program's packing mode first — the probe
     statements use shifts and popcounts, which are lane-safe here by
     construction but would classify the program ``"none"``.
-
-    ``nets``/``net_vars`` override the monolithic defaults for segment
-    programs (the partition executor), which cover only a subset of
-    the circuit under their own variable names.
     """
-    if nets is None:
-        nets = spec.resolve(circuit)
-    if net_vars is None:
-        # State order is one variable per net in circuit order (that
-        # is what LCCSimulator.evaluate_all_nets already relies on).
-        net_vars = dict(zip(circuit.nets, program.state_vars))
+    nets = spec.resolve(circuit)
+    # State order is one variable per net in circuit order (that is
+    # what LCCSimulator.evaluate_all_nets already relies on).
+    net_vars = dict(zip(circuit.nets, program.state_vars))
     en_slot = len(program.inputs)
     program.inputs.append("__probe_en")
     en: Expr = Input(en_slot)

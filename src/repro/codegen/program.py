@@ -496,11 +496,6 @@ class Program:
 
         return emit_c(self, tiles=tiles)
 
-    def numpy_source(self, tiles: int = 1) -> str:
-        from repro.codegen.numpy_emitter import emit_numpy
-
-        return emit_numpy(self, tiles=tiles)
-
     def __repr__(self) -> str:
         return (
             f"Program({self.name!r}, W={self.word_width}, "

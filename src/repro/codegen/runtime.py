@@ -1,6 +1,6 @@
 """Compile and execute generated programs.
 
-Three backends share the :class:`Machine` interface:
+Two backends share the :class:`Machine` interface:
 
 - :class:`PythonMachine` — ``compile()``/``exec`` of the generated
   Python coroutine.  Always available; this is what the test suite and
@@ -9,9 +9,6 @@ Three backends share the :class:`Machine` interface:
   system C compiler into a shared library, and calls it through
   ``ctypes``.  This restores the genuinely compiled character of the
   original work; use it for absolute performance numbers.
-- :class:`NumpyMachine` — evaluates the same program IR over
-  fixed-width numpy arrays (optional: present only when numpy is
-  importable, see :func:`have_numpy`).
 
 ``compile_program(program, backend=...)`` picks one.  Every backend
 accepts ``tiles=K`` (tiled execution: each net holds K words, one pass
@@ -81,7 +78,6 @@ __all__ = [
     "Machine",
     "PythonMachine",
     "CMachine",
-    "NumpyMachine",
     "BatchCounters",
     "ProgramCache",
     "program_cache",
@@ -90,34 +86,10 @@ __all__ = [
     "cache_fingerprint",
     "compile_program",
     "have_c_compiler",
-    "have_numpy",
 ]
 
 _C_COMPILER: Optional[str] = None
 _C_COMPILER_PROBED = False
-
-_NUMPY = None
-_NUMPY_PROBED = False
-
-
-def have_numpy(force: bool = False):
-    """The ``numpy`` module if importable, else ``None`` (cached probe).
-
-    The numpy backend is optional: nothing in the core library imports
-    numpy at module level, so environments without it lose only
-    ``backend="numpy"``.
-    """
-    global _NUMPY, _NUMPY_PROBED
-    if _NUMPY_PROBED and not force:
-        return _NUMPY
-    _NUMPY_PROBED = True
-    try:
-        import numpy
-    except ImportError:
-        _NUMPY = None
-    else:
-        _NUMPY = numpy
-    return _NUMPY
 
 
 def have_c_compiler(force: bool = False) -> Optional[str]:
@@ -641,50 +613,6 @@ class PythonMachine(Machine):
         self._gen.send((2, [value & mask for value in values]))
 
 
-class NumpyMachine(PythonMachine):
-    """Generated numpy backend: the IR evaluated over fixed-width arrays.
-
-    Shares the coroutine protocol (and therefore every driver method)
-    with :class:`PythonMachine`; only the generated source differs —
-    each state variable is an array of ``tiles`` unsigned words, so
-    the array operations carry the tile loop.  State crosses the
-    boundary as flat Python-int lists, keeping the ``Machine``
-    interface backend-agnostic.
-    """
-
-    def __init__(
-        self, program: Program, *, tiles: int = 1, use_cache: bool = True
-    ) -> None:
-        np = have_numpy()
-        if np is None:
-            raise BackendError(
-                "numpy is not installed; use the python or c backend"
-            )
-        Machine.__init__(self, program, tiles)
-        self.source = program.numpy_source(tiles=tiles)
-        filename = f"<repro:{program.name}:numpy>"
-        code = None
-        key = None
-        if use_cache:
-            key = (cache_fingerprint(program, self.source, tiles),
-                   "numpy", "")
-            code = _PROGRAM_CACHE.get(key)
-        if code is None:
-            with telemetry.span("cc", backend="numpy",
-                                program=program.name):
-                code = compile(self.source, filename, "exec")
-            if key is not None:
-                _PROGRAM_CACHE.put(key, code)
-        namespace: dict = {}
-        exec(code, namespace)
-        self._gen = namespace["machine"](np)
-        next(self._gen)  # prime
-
-    def dump_state(self) -> list[int]:
-        # tolist() of unsigned arrays already yields Python ints.
-        return list(self._gen.send((1,)))
-
-
 class CMachine(Machine):
     """Generated C + system compiler + ctypes backend.
 
@@ -962,17 +890,13 @@ def compile_program(
 ) -> Machine:
     """Compile a program with the chosen backend.
 
-    ``python`` and ``c`` are always candidates; ``numpy`` needs the
-    numpy module importable (see :func:`have_numpy`).  All backends
-    accept ``tiles=K`` for tiled execution — every net becomes K words
-    and one pass carries ``word_width * K`` lanes — and
-    ``use_cache=False`` to bypass the process-wide
-    :class:`ProgramCache`.
+    ``backend`` is ``"python"`` or ``"c"``.  Both accept ``tiles=K``
+    for tiled execution — every net becomes K words and one pass
+    carries ``word_width * K`` lanes — and ``use_cache=False`` to
+    bypass the process-wide :class:`ProgramCache`.
     """
     if backend == "python":
         return PythonMachine(program, **kwargs)
     if backend == "c":
         return CMachine(program, **kwargs)
-    if backend == "numpy":
-        return NumpyMachine(program, **kwargs)
     raise BackendError(f"unknown backend: {backend!r}")

@@ -73,8 +73,7 @@ class GradingConfig:
     __slots__ = (
         "circuit", "vectors", "word_width", "backend", "patterns",
         "tiles", "instrument", "initial", "drop_detected", "telemetry",
-        "fail_shards", "fail_mode", "delay_shards",
-        "partitions", "partition_workers", "probes",
+        "fail_shards", "fail_mode", "delay_shards", "probes",
     )
 
     def __init__(
@@ -92,8 +91,6 @@ class GradingConfig:
         fail_shards: frozenset = frozenset(),
         fail_mode: str = "raise",
         delay_shards: Optional[dict] = None,
-        partitions: int = 1,
-        partition_workers: Optional[int] = None,
         probes=None,
     ) -> None:
         self.circuit = circuit
@@ -111,8 +108,6 @@ class GradingConfig:
         self.fail_shards = fail_shards
         self.fail_mode = fail_mode
         self.delay_shards = delay_shards or {}
-        self.partitions = partitions
-        self.partition_workers = partition_workers
         self.probes = probes
 
     def build_simulator(self) -> ParallelFaultSimulator:
@@ -123,8 +118,6 @@ class GradingConfig:
             instrument=self.instrument,
             patterns=self.patterns,
             tiles=self.tiles,
-            partitions=self.partitions,
-            partition_workers=self.partition_workers,
             probes=self.probes,
         )
 
@@ -471,8 +464,6 @@ def run_sharded_fault_simulation(
     shards: Optional[int] = None,
     mp_start: str = "auto",
     shard_timeout: Optional[float] = None,
-    partitions: int = 1,
-    partition_workers: Optional[int] = None,
     probes=None,
     _fail_shards: frozenset = frozenset(),
     _fail_mode: str = "raise",
@@ -524,9 +515,7 @@ def run_sharded_fault_simulation(
         tiles=tiles, instrument=instrument, initial=initial,
         drop_detected=drop_detected,
         fail_shards=frozenset(_fail_shards), fail_mode=_fail_mode,
-        delay_shards=_delay_shards,
-        partitions=partitions, partition_workers=partition_workers,
-        probes=probes,
+        delay_shards=_delay_shards, probes=probes,
     )
     shard_lists = shard_faults(
         faults, shards if shards is not None else max(1, 2 * workers)

@@ -66,6 +66,7 @@ from repro.eventsim.zerodelay import steady_state
 from repro.faults.model import Fault, full_fault_list, inject_stuck_at
 from repro.netlist.circuit import Circuit
 from repro.pcset.codegen import generate_pcset_program
+from repro.simbase import check_partitions
 
 __all__ = [
     "FaultReport",
@@ -196,9 +197,9 @@ class ParallelFaultSimulator:
         patterns: str = "auto",
         tiles: "int | str" = 1,
         partitions: int = 1,
-        partition_workers: Optional[int] = None,
         probes=None,
     ) -> None:
+        check_partitions(partitions)
         if tiles != "auto":
             tiles = int(tiles)
             if tiles < 1:
@@ -261,36 +262,9 @@ class ParallelFaultSimulator:
                 "primary inputs"
             )
         self.patterns = patterns
-        if partitions < 1:
-            raise SimulationError(f"partitions must be >= 1: {partitions}")
-        self.partitions = partitions
-        self.partition_workers = partition_workers
-        self._partition_settler = None
         #: Good-machine switching probes (see :meth:`good_activity`).
         self.probes = ProbeSpec.coerce(probes)
         self._activity_memo = None
-
-    def _steady_state(self, initial: Sequence[int]) -> Mapping[str, int]:
-        """The pre-existing steady state every grading run seeds from.
-
-        With ``partitions > 1`` the settle runs on the partitioned
-        compiled engine — bit-identical values (the zero-delay steady
-        state of an acyclic circuit is unique), so the fault report is
-        unchanged; otherwise the interpreted settle is used.
-        """
-        if self.partitions <= 1:
-            return steady_state(self.circuit, initial)
-        if self._partition_settler is None:
-            from repro.partition.executor import PartitionedSimulator
-
-            self._partition_settler = PartitionedSimulator(
-                self.circuit,
-                partitions=self.partitions,
-                partition_workers=self.partition_workers,
-                backend=self.backend,
-                word_width=self.word_width,
-            )
-        return self._partition_settler.evaluate_all_nets(initial)
 
     def warm_up(self) -> None:
         """Pre-build and compile the shared all-nets machine.
@@ -515,7 +489,7 @@ class ParallelFaultSimulator:
                 raise SimulationError(f"no such net: {fault.net!r}")
         if initial is None:
             initial = [0] * len(self.circuit.inputs)
-        settled = self._steady_state(initial)
+        settled = steady_state(self.circuit, initial)
         mask = (1 << self.word_width) - 1
         packed = self.patterns == "packed" or (
             self.patterns == "auto" and self._pack_eligible
@@ -857,7 +831,6 @@ def run_fault_simulation(
     mp_start: str = "auto",
     shard_timeout: Optional[float] = None,
     partitions: int = 1,
-    partition_workers: Optional[int] = None,
     probes=None,
 ) -> FaultReport:
     """Convenience wrapper around :class:`ParallelFaultSimulator`.
@@ -867,11 +840,11 @@ def run_fault_simulation(
     :class:`~repro.faults.sharding.ShardedFaultReport` — is
     bit-identical to the single-process run.  ``shards``, ``mp_start``
     and ``shard_timeout`` tune that path and are ignored otherwise.
-    ``partitions``/``partition_workers`` run the steady-state settle on
-    the partitioned compiled engine (bit-identical report; see
-    :mod:`repro.partition`).  ``tiles`` widens the packed-pattern
-    screens to K pattern groups per compiled pass (``"auto"`` picks K
-    from the vector count; bit-identical report at every K).
+    ``partitions`` must be 1 (see
+    :func:`~repro.simbase.check_partitions`).  ``tiles`` widens the
+    packed-pattern screens to K pattern groups per compiled pass
+    (``"auto"`` picks K from the vector count; bit-identical report at
+    every K).
 
     An explicitly empty fault list short-circuits to an empty report —
     no simulator is built, no program compiled, no pool spun up (the
@@ -885,6 +858,7 @@ def run_fault_simulation(
     per-net counters ride the shard outcomes and the parent keeps the
     lowest-indexed copy, bit-identical to the single-process run.
     """
+    check_partitions(partitions)
     if faults is not None:
         faults = list(faults)
         if not faults and workers <= 1:
@@ -897,14 +871,11 @@ def run_fault_simulation(
             word_width=word_width, backend=backend, initial=initial,
             patterns=patterns, tiles=tiles, workers=workers, shards=shards,
             mp_start=mp_start, shard_timeout=shard_timeout,
-            partitions=partitions, partition_workers=partition_workers,
             probes=probes,
         )
     simulator = ParallelFaultSimulator(
         circuit, word_width=word_width, backend=backend, patterns=patterns,
-        tiles=tiles,
-        partitions=partitions, partition_workers=partition_workers,
-        probes=probes,
+        tiles=tiles, probes=probes,
     )
     report = simulator.run(vectors, faults, initial=initial)
     report.counters = simulator.batch_counters()

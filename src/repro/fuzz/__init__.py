@@ -1,9 +1,9 @@
 """Differential fuzzing: campaign, shrinker, failure corpus.
 
 The execution paths of this library (event-driven reference, PC-set,
-parallel variants, zero-delay LCC; Python, C and numpy backends;
-scalar / batched / packed / tiled / partitioned / sequential-replay /
-probed execution) must agree bit for bit.  This package keeps them
+parallel variants, zero-delay LCC; Python and C backends; scalar /
+batched / packed / tiled / laned / sequential-replay / probed / fault
+execution) must agree bit for bit.  This package keeps them
 honest at scale: :func:`run_campaign` explores random circuits
 against a sampled slice of the configuration lattice (with a
 deterministic coverage preamble so every surface is drawn even in
@@ -40,9 +40,10 @@ from repro.fuzz.lattice import (
     sample_configs,
 )
 from repro.fuzz.mutation import (
+    INJECTIONS,
     MUTATIONS,
+    inject_bug,
     inject_emitter_bug,
-    inject_partition_bug,
     inject_tile_bug,
 )
 from repro.fuzz.shrink import ShrinkResult, shrink
@@ -51,6 +52,7 @@ __all__ = [
     "BACKENDS",
     "CHECKS",
     "CONFIG_SCHEMA",
+    "INJECTIONS",
     "MUTATIONS",
     "SURFACES",
     "CampaignFailure",
@@ -63,8 +65,8 @@ __all__ = [
     "coverage_configs",
     "distill_corpus",
     "entry_from_failure",
+    "inject_bug",
     "inject_emitter_bug",
-    "inject_partition_bug",
     "inject_tile_bug",
     "load_corpus",
     "load_entry",

@@ -48,14 +48,9 @@ __all__ = [
 
 def available_backends() -> tuple:
     """Backends usable on this machine, production-preferred order."""
-    from repro.codegen.runtime import have_c_compiler, have_numpy
+    from repro.codegen.runtime import have_c_compiler
 
-    backends = ["python"]
-    if have_c_compiler():
-        backends.insert(0, "c")
-    if have_numpy():
-        backends.append("numpy")
-    return tuple(backends)
+    return ("c", "python") if have_c_compiler() else ("python",)
 
 
 @dataclass
@@ -231,9 +226,9 @@ def run_campaign(
     Stops at ``iterations`` circuits or after ``budget_seconds``,
     whichever comes first (default: 50 iterations when neither is
     given).  ``backends=None`` probes the machine and fuzzes every
-    usable backend (C when a compiler is present, numpy when
-    importable).  ``check`` is the differential predicate —
-    overridable for testing the campaign machinery itself.
+    usable backend (C when a compiler is present).  ``check`` is the
+    differential predicate — overridable for testing the campaign
+    machinery itself.
     """
     if iterations is None and budget_seconds is None:
         iterations = 50

@@ -19,12 +19,7 @@ from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from repro.errors import SimulationError
-from repro.harness.compare import (
-    PACKED_TECHNIQUES,
-    PARTITIONED_TECHNIQUES,
-    Mismatch,
-    cross_validate,
-)
+from repro.harness.compare import PACKED_TECHNIQUES, Mismatch, cross_validate
 from repro.netlist.circuit import Circuit
 
 __all__ = [
@@ -43,10 +38,7 @@ __all__ = [
 ]
 
 #: The differential comparisons the fuzzer knows how to run.
-CHECKS = (
-    "history", "batched", "packed", "faults", "partitioned",
-    "sequential",
-)
+CHECKS = ("history", "batched", "packed", "faults", "sequential")
 
 #: Version of the serialized :class:`FuzzConfig` shape.  Corpus entries
 #: record it so a build can tell "written by an older library — refill
@@ -55,10 +47,8 @@ CHECKS = (
 #: axes it does not understand).
 CONFIG_SCHEMA = 2
 
-#: Compiled backends the lattice can draw.  ``numpy`` is optional at
-#: runtime (:func:`repro.codegen.runtime.have_numpy`); configuration
-#: validation accepts it unconditionally so corpus entries always load.
-BACKENDS = ("python", "c", "numpy")
+#: Compiled backends the lattice can draw.
+BACKENDS = ("python", "c")
 
 #: The execution surfaces a campaign is expected to cover — the
 #: printed lattice-coverage summary counts drawn configs per surface.
@@ -67,7 +57,7 @@ BACKENDS = ("python", "c", "numpy")
 #: the K-lane execution of shift programs on the batched path.
 SURFACES = (
     "scalar", "batched", "packed", "tiled", "laned-shift",
-    "partitioned", "replay-restore", "probed", "faults",
+    "replay-restore", "probed", "faults",
 )
 
 #: Clocked engines exercised by the ``"sequential"`` check.
@@ -92,7 +82,6 @@ PROBE_TECHNIQUES = {
     "history": ("pcset", "parallel", "parallel-trim"),
     "batched": ("pcset", "parallel", "parallel-trim"),
     "packed": PACKED_TECHNIQUES,
-    "partitioned": PARTITIONED_TECHNIQUES,
     "faults": (),
 }
 
@@ -101,12 +90,10 @@ PROBE_TECHNIQUES = {
 class FuzzConfig:
     """One point of the configuration lattice.
 
-    ``batch_size`` chunks the tape for the batched/packed/partitioned
+    ``batch_size`` chunks the tape for the batched/packed/sequential
     paths (``0`` = the whole tape in one dispatch).  ``workers``
-    applies to the ``"faults"`` check (sharded multiprocess identity)
-    and to ``"partitioned"`` (the barrier engine's thread count);
-    ``partitions`` is the ``"partitioned"`` check's cluster count and
-    must stay 1 everywhere else.  ``tiles`` compiles the technique
+    applies to the ``"faults"`` check (sharded multiprocess identity).
+    ``tiles`` compiles the technique
     under test as a K-tile machine (``word_width * K`` pattern lanes
     per packed pass, or K shift-program lanes on the batched path —
     see :mod:`repro.codegen.packing`); every check's identity contract
@@ -123,7 +110,6 @@ class FuzzConfig:
     word_width: int = 32
     batch_size: int = 0
     workers: int = 1
-    partitions: int = 1
     tiles: int = 1
     probes: bool = False
 
@@ -151,30 +137,12 @@ class FuzzConfig:
                     f"'packed' check needs a technique from "
                     f"{PACKED_TECHNIQUES}: {self.technique!r}"
                 )
-        elif self.check == "partitioned":
-            if self.technique not in PARTITIONED_TECHNIQUES:
-                raise SimulationError(
-                    f"'partitioned' check needs a technique from "
-                    f"{PARTITIONED_TECHNIQUES}: {self.technique!r}"
-                )
-            if self.partitions < 2:
-                raise SimulationError(
-                    f"'partitioned' check needs partitions >= 2: "
-                    f"{self.partitions}"
-                )
         elif self.check == "sequential":
             if self.technique not in SEQUENTIAL_ENGINES:
                 raise SimulationError(
                     f"'sequential' check needs an engine from "
                     f"{SEQUENTIAL_ENGINES}: {self.technique!r}"
                 )
-        if (self.check not in ("partitioned", "sequential")
-                and self.partitions != 1):
-            raise SimulationError(
-                f"partitions applies to the 'partitioned' and "
-                f"'sequential' checks only "
-                f"(check={self.check!r}, partitions={self.partitions})"
-            )
         if not isinstance(self.tiles, int) or self.tiles < 1:
             raise SimulationError(f"tiles must be >= 1: {self.tiles!r}")
         if self.probes:
@@ -203,16 +171,11 @@ class FuzzConfig:
             parts.append(self.technique)
         parts.append(self.backend)
         parts.append(f"w{self.word_width}")
-        if (self.check in ("batched", "packed", "partitioned",
-                           "sequential")
+        if (self.check in ("batched", "packed", "sequential")
                 and self.batch_size):
             parts.append(f"b{self.batch_size}")
-        if self.check in ("faults", "partitioned") and self.workers > 1:
+        if self.check == "faults" and self.workers > 1:
             parts.append(f"j{self.workers}")
-        if self.check == "partitioned":
-            parts.append(f"p{self.partitions}")
-        elif self.check == "sequential" and self.partitions > 1:
-            parts.append(f"p{self.partitions}")
         if self.tiles > 1:
             parts.append(f"k{self.tiles}")
         if self.probes:
@@ -234,7 +197,6 @@ class FuzzConfig:
             "history": "scalar",
             "batched": "batched",
             "packed": "packed",
-            "partitioned": "partitioned",
             "sequential": "replay-restore",
             "faults": "faults",
         }[self.check]
@@ -265,8 +227,6 @@ class FuzzConfig:
         parts.append("chunked" if self.batch_size else "whole")
         if self.workers > 1:
             parts.append("multi")
-        if self.partitions > 1:
-            parts.append(f"p{self.partitions}")
         if self.tiles > 1:
             parts.append(f"k{self.tiles}")
         if self.probes:
@@ -280,8 +240,6 @@ class FuzzConfig:
         # (``from_dict`` refills the default on load).  The ``schema``
         # field is likewise excluded from content addressing
         # (:meth:`repro.fuzz.corpus.CorpusEntry.entry_id`).
-        if data["partitions"] == 1:
-            del data["partitions"]
         if data["tiles"] == 1:
             del data["tiles"]
         if not data["probes"]:
@@ -331,8 +289,8 @@ def _upgrade_config_v1(data: dict) -> dict:
     """Schema 1 -> 2: the pre-``schema`` shape.
 
     Schema 1 dicts predate the explicit version field; every axis they
-    can carry is still a field today, and axes added since (partitions,
-    tiles, probes, the numpy backend) serialize only when non-default —
+    can carry is still a field today, and axes added since (tiles,
+    probes) serialize only when non-default —
     the dataclass defaults refill them.  The shim is therefore a
     rename-free pass-through; it exists so future shape changes have an
     established place to rewrite old keys.
@@ -356,8 +314,7 @@ def sample_configs(
     oracle); batched, packed and — when enabled — fault-report
     identity each get a slice of every campaign.
     """
-    kinds = ["history", "history", "batched", "packed", "partitioned",
-             "sequential"]
+    kinds = ["history", "history", "batched", "packed", "sequential"]
     if include_faults:
         kinds.append("faults")
     configs: list[FuzzConfig] = []
@@ -367,27 +324,12 @@ def sample_configs(
         word_width = rng.choice(WORD_WIDTHS)
         if check == "packed":
             technique = rng.choice(list(PACKED_TECHNIQUES))
-        elif check == "partitioned":
-            technique = rng.choice(list(PARTITIONED_TECHNIQUES))
         elif check == "sequential":
             technique = rng.choice(list(SEQUENTIAL_ENGINES))
         else:
             technique = rng.choice(list(HISTORY_TECHNIQUES))
         batch_size = rng.choice((0, 1, 2, 3, 5, 8))
-        if check == "faults":
-            workers = rng.choice((2, 3))
-        elif check == "partitioned":
-            workers = rng.choice((1, 2))
-        else:
-            workers = 1
-        if check == "partitioned":
-            partitions = rng.choice((2, 3, 4))
-        elif check == "sequential" and technique == "lcc":
-            # The clocked loop threads partitions through the core's
-            # barrier engine; exercise that path on the lcc engine.
-            partitions = rng.choice((1, 1, 2))
-        else:
-            partitions = 1
+        workers = rng.choice((2, 3)) if check == "faults" else 1
         # The tile axis exercises the K-word packed/laned paths; the
         # history check steps per vector, where K never applies.
         tiles = rng.choice((1, 2, 4)) if check != "history" else 1
@@ -405,7 +347,6 @@ def sample_configs(
             word_width=word_width,
             batch_size=batch_size,
             workers=workers,
-            partitions=partitions,
             tiles=tiles,
             probes=probes,
         ))
@@ -419,14 +360,14 @@ def coverage_configs(
 
     The campaign runs these against its first circuit before random
     sampling takes over, so a bounded run still *draws* scalar,
-    batched, packed, tiled, laned-shift, partitioned, sequential
+    batched, packed, tiled, laned-shift, sequential
     replay-with-restore, and probed configurations — random sampling
     alone can miss a surface inside a small budget.  The preferred
     backend is ``c`` when fuzzed (the production path), else the first
     one given.
     """
     backend = "c" if "c" in backends else backends[0]
-    configs = [
+    return [
         # scalar
         FuzzConfig(check="history", technique="parallel-best",
                    backend=backend, word_width=16),
@@ -443,9 +384,6 @@ def coverage_configs(
         FuzzConfig(check="batched", technique="parallel",
                    backend=backend, word_width=16, batch_size=4,
                    tiles=2),
-        # partitioned barrier engine
-        FuzzConfig(check="partitioned", technique="zero-lcc",
-                   backend=backend, word_width=16, partitions=2),
         # sequential replay with mid-stream checkpoint/restore
         FuzzConfig(check="sequential", technique="lcc",
                    backend=backend, word_width=16, batch_size=2),
@@ -456,12 +394,6 @@ def coverage_configs(
         FuzzConfig(check="faults", technique="parallel-best",
                    backend=backend, word_width=16, workers=2),
     ]
-    if "numpy" in backends:
-        configs.append(FuzzConfig(
-            check="packed", technique="zero-lcc", backend="numpy",
-            word_width=32, tiles=2,
-        ))
-    return configs
 
 
 def run_check(
@@ -480,8 +412,7 @@ def run_check(
     if config.check == "sequential":
         return _check_sequential(circuit, vectors, config)
     execution = {"history": "scalar", "batched": "batched",
-                 "packed": "packed",
-                 "partitioned": "partitioned"}[config.check]
+                 "packed": "packed"}[config.check]
     checks = cross_validate(
         circuit,
         vectors,
@@ -490,8 +421,6 @@ def run_check(
         word_width=config.word_width,
         execution=execution,
         batch_size=config.batch_size or None,
-        partitions=config.partitions,
-        partition_workers=config.workers or None,
         tiles=config.tiles,
     )
     if config.probes:
@@ -519,16 +448,10 @@ def _check_probes(
 
     ref = collect_activity(EventDrivenSimulator(circuit), vectors)
     rows = [list(vector) for vector in vectors]
-    options = dict(
-        word_width=config.word_width,
-        backend=config.backend,
-        probes=True,
+    sim = build_simulator(
+        circuit, config.technique,
+        word_width=config.word_width, backend=config.backend, probes=True,
     )
-    if config.check == "partitioned":
-        options["partitions"] = config.partitions
-        if config.workers > 1:
-            options["partition_workers"] = config.workers
-    sim = build_simulator(circuit, config.technique, **options)
     zero_delay = config.technique == "zero-lcc"
     if zero_delay:
         sim.probe_reset()
@@ -618,7 +541,6 @@ def _check_sequential(
             backend=config.backend,
             word_width=config.word_width,
             tiles=config.tiles,
-            partitions=config.partitions,
         )
 
     # Interpreted reference: the paper's clocked recipe over the

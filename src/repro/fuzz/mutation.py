@@ -27,9 +27,10 @@ from repro.errors import SimulationError
 from repro.logic import GateType
 
 __all__ = [
+    "INJECTIONS",
     "MUTATIONS",
+    "inject_bug",
     "inject_emitter_bug",
-    "inject_partition_bug",
     "inject_tile_bug",
 ]
 
@@ -40,6 +41,10 @@ MUTATIONS = {
     "nand-as-and": (GateType.NAND, "NAND emits AND (dropped invert)"),
     "not-as-buf": (GateType.NOT, "NOT emits BUF (dropped invert)"),
 }
+
+#: Every self-test bug by name (``repro-sim fuzz --inject-bug``): the
+#: emitter mutations, then the tile-layout bug.
+INJECTIONS = (*MUTATIONS, "tile-boundary")
 
 #: Every module that binds ``gate_expression`` at import time.
 _PATCH_SITES = (
@@ -62,41 +67,6 @@ def _buggy(kind: str):
         return expr
 
     return gate_expression
-
-
-@contextmanager
-def inject_partition_bug():
-    """Context manager: corrupt the barrier engine's cut-net exchange.
-
-    The first word of the first exported column a segment hands to the
-    exchange table gets its low bit flipped — the classic
-    "one partition published a stale/garbled cut value" bug.  The
-    monolithic (single-segment) fast path is left untouched, so the
-    partitioned differential check's reference side stays honest and
-    the campaign must catch the raw-word divergence.  Self-test only.
-    """
-    from repro.partition.executor import PartitionedSimulator
-
-    # ``_run_segment`` is a staticmethod — grab the descriptor so the
-    # restore puts back a staticmethod, not an instance method.
-    descriptor = PartitionedSimulator.__dict__["_run_segment"]
-    original = descriptor.__func__
-
-    def corrupted(self, segment, table, count):
-        # The replacement is a plain function, so it binds as an
-        # instance method — which is exactly what lets the bug consult
-        # ``self.monolithic`` and spare the single-segment fast path.
-        rows = original(segment, table, count)
-        if not self.monolithic and segment.exports and rows:
-            rows = [list(row) for row in rows]
-            rows[0][0] ^= 1
-        return rows
-
-    PartitionedSimulator._run_segment = corrupted
-    try:
-        yield "partition exchange flips bit 0 of the first cut word"
-    finally:
-        PartitionedSimulator._run_segment = descriptor
 
 
 #: Modules that bind ``tile_groups`` by name at import time.
@@ -170,3 +140,10 @@ def inject_emitter_bug(kind: str = "nor-as-or"):
     finally:
         for module, original in zip(modules, saved):
             module.gate_expression = original
+
+
+def inject_bug(name: str):
+    """The context manager that injects bug ``name`` (:data:`INJECTIONS`)."""
+    if name == "tile-boundary":
+        return inject_tile_bug()
+    return inject_emitter_bug(name)

@@ -18,10 +18,6 @@ Three execution shapes are checked against the same reference:
 - ``execution="packed"`` — the pattern-lane paths (``settled_outputs``
   on the PC-set method, auto-packed ``apply_vectors`` on the LCC
   program), compared against the reference's settled values.
-- ``execution="partitioned"`` — the multi-partition barrier engine
-  (:mod:`repro.partition`): raw output words bit-identical to the
-  monolithic program, settled values of *every* net anchored to the
-  reference.
 """
 
 from __future__ import annotations
@@ -38,16 +34,12 @@ __all__ = [
     "cross_validate",
     "Mismatch",
     "PACKED_TECHNIQUES",
-    "PARTITIONED_TECHNIQUES",
 ]
 
 History = dict[str, list[tuple[int, int]]]
 
 #: Techniques with a genuinely pattern-packed observation path.
 PACKED_TECHNIQUES = ("pcset", "zero-lcc")
-
-#: Techniques with a partitioned (multi-cluster barrier) execution path.
-PARTITIONED_TECHNIQUES = ("zero-lcc",)
 
 
 def value_at(changes: Sequence[tuple[int, int]], time: int) -> int:
@@ -112,8 +104,6 @@ def cross_validate(
     word_width: int = 32,
     execution: str = "scalar",
     batch_size: Optional[int] = None,
-    partitions: int = 2,
-    partition_workers: Optional[int] = None,
     tiles: "int | str" = 1,
 ) -> int:
     """Check every technique against the event-driven reference.
@@ -127,20 +117,16 @@ def cross_validate(
     scalar loop whose settled values match the reference;
     ``"packed"`` drives the pattern-lane observation paths
     (:data:`PACKED_TECHNIQUES`) and compares settled values against
-    the reference; ``"partitioned"`` drives the multi-cluster barrier
-    engine (:data:`PARTITIONED_TECHNIQUES`, with ``partitions`` /
-    ``partition_workers``) and requires raw output words bit-identical
-    to the monolithic program plus every net's settled value anchored
-    to the reference.  ``tiles`` compiles the techniques under test as
+    the reference.  ``tiles`` compiles the techniques under test as
     K-tile machines (``word_width * K`` pattern lanes per packed pass;
     see :mod:`repro.codegen.packing`) — every contract above must hold
     unchanged at any K.  Returns the number of per-vector comparisons
     performed; raises :class:`Mismatch` on the first disagreement.
     """
-    if execution not in ("scalar", "batched", "packed", "partitioned"):
+    if execution not in ("scalar", "batched", "packed"):
         raise SimulationError(
-            f"execution must be 'scalar', 'batched', 'packed' or "
-            f"'partitioned': {execution!r}"
+            f"execution must be 'scalar', 'batched' or 'packed': "
+            f"{execution!r}"
         )
     zeros = list(initial) if initial is not None else [0] * len(
         circuit.inputs
@@ -165,12 +151,6 @@ def cross_validate(
                 circuit, technique, vectors, zeros,
                 reference_histories, backend, word_width, batch_size,
                 tiles,
-            )
-        elif execution == "partitioned":
-            checks += _validate_partitioned(
-                circuit, technique, vectors, zeros,
-                reference_histories, backend, word_width, batch_size,
-                partitions, partition_workers, tiles,
             )
         else:
             checks += _validate_packed(
@@ -288,97 +268,6 @@ def _validate_batched(
                 f"{technique}[batched]", len(vectors) - 1, [],
                 "  final machine state diverged from the scalar loop",
             )
-    return checks
-
-
-def _validate_partitioned(
-    circuit: Circuit,
-    technique: str,
-    vectors: Sequence[Sequence[int]],
-    zeros: Sequence[int],
-    reference_histories: Sequence[History],
-    backend: str,
-    word_width: int,
-    batch_size: Optional[int],
-    partitions: int,
-    partition_workers: Optional[int],
-    tiles: "int | str" = 1,
-) -> int:
-    """The multi-partition barrier engine vs. monolithic + reference.
-
-    Three comparisons per chunk: the partitioned raw output words must
-    equal the monolithic ``apply_vectors`` words bit for bit; the
-    partitioned settled output bits must match the reference; and
-    ``evaluate_all_nets`` must reproduce the reference's settled value
-    of *every* net for every vector.
-    """
-    from repro.harness.runner import build_simulator
-
-    if technique not in PARTITIONED_TECHNIQUES:
-        raise SimulationError(
-            f"{technique!r} has no partitioned execution path; choose "
-            f"from {PARTITIONED_TECHNIQUES}"
-        )
-    settled_ref = _settled_reference(reference_histories)
-    mono = build_simulator(
-        circuit, technique, backend=backend, word_width=word_width,
-        tiles=tiles,
-    )
-    part = build_simulator(
-        circuit, technique, backend=backend, word_width=word_width,
-        partitions=partitions, partition_workers=partition_workers,
-        tiles=tiles,
-    )
-    checks = 0
-    index = 0
-    for chunk in _chunks(vectors, batch_size):
-        want = mono.apply_vectors(chunk)
-        got = part.apply_vectors(chunk)
-        for offset, (w, g) in enumerate(zip(want, got)):
-            if w != g:
-                detail = (
-                    f"  raw output words: monolithic {w} vs "
-                    f"partitioned {g}"
-                )
-                raise Mismatch(
-                    f"{technique}[partitioned]", index + offset, [],
-                    detail,
-                )
-        for offset, out in enumerate(got):
-            row = {
-                net: value & 1
-                for net, value in zip(circuit.outputs, out)
-            }
-            ref = settled_ref[index + offset]
-            bad = [net for net, value in row.items() if value != ref[net]]
-            if bad:
-                net = bad[0]
-                detail = (
-                    f"  settled net {net!r}: reference "
-                    f"{ref[net]} vs {row[net]}"
-                )
-                raise Mismatch(
-                    f"{technique}[partitioned]", index + offset, bad,
-                    detail,
-                )
-            checks += 1
-        index += len(chunk)
-    for vec_index, vector in enumerate(vectors):
-        nets = part.evaluate_all_nets(vector)
-        ref = settled_ref[vec_index]
-        bad = [
-            net for net, value in nets.items() if value != ref.get(net, value)
-        ]
-        if bad:
-            net = bad[0]
-            detail = (
-                f"  settled net {net!r}: reference "
-                f"{ref[net]} vs {nets[net]}"
-            )
-            raise Mismatch(
-                f"{technique}[partitioned-nets]", vec_index, bad, detail
-            )
-        checks += 1
     return checks
 
 

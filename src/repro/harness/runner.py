@@ -127,13 +127,6 @@ def run_technique(
         # passes; False is the paper's one-vector-per-pass
         # configuration.
         sim = build_simulator(circuit, technique, **options)
-        if options.get("partitions", 1) > 1:
-            # The prepared-program fast path times one compiled
-            # program's inner loop and is monolithic by construction;
-            # the partitioned engine is exercised through the batch
-            # entry, which delegates to the barrier executor.
-            vector_rows = [list(v) for v in vectors]
-            return lambda: sim.run_batch(vector_rows)
         if sim.packed is not False:
             try:
                 prepared = sim.prepare_packed(vectors)

@@ -36,6 +36,7 @@ from repro.codegen.program import Assign, Emit, Input, Program, Var
 from repro.codegen.runtime import CMachine, Machine, compile_program
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
+from repro.simbase import check_partitions
 
 __all__ = ["generate_lcc_program", "LCCSimulator"]
 
@@ -118,16 +119,8 @@ class LCCSimulator:
     differs.  (The machine's persistent state is scratch for this
     memoryless program, so only outputs are specified across paths.)
 
-    Partitioned execution: ``partitions > 1`` splits the circuit into
-    that many static clusters and routes ``evaluate``,
-    ``evaluate_all_nets``, ``apply_vectors`` and ``run_batch`` through
-    the barrier-synchronized
-    :class:`~repro.partition.executor.PartitionedSimulator`
-    (``partition_workers`` bounds its thread pool) — bit-identical
-    results, multiple cores on the C backend.  The prepared-batch
-    timing APIs (``prepare_batch``/``prepare_packed``/``run_prepared``)
-    always drive the monolithic machine: they exist to time one
-    compiled program's inner loop.
+    ``partitions`` must be 1 (see
+    :func:`~repro.simbase.check_partitions`).
 
     Probes: ``probes=`` compiles per-net toggle counters into the
     generated pass (see :mod:`repro.codegen.probes`).  A pseudo-input
@@ -149,10 +142,10 @@ class LCCSimulator:
         word_width: int = 32,
         packed: bool | str = "auto",
         partitions: int = 1,
-        partition_workers: Optional[int] = None,
         tiles: "int | str" = 1,
         probes=None,
     ) -> None:
+        check_partitions(partitions)
         if packed not in (True, False, "auto"):
             raise SimulationError(
                 f"packed must be True, False or 'auto': {packed!r}"
@@ -196,22 +189,6 @@ class LCCSimulator:
         self._tiled_machines: dict[int, Machine] = {}
         self._inputs = circuit.inputs
         self._outputs = circuit.outputs
-        self.partitioned = None
-        if partitions > 1:
-            # Lazy import: repro.partition builds on this module's
-            # program shape, not the other way around.
-            from repro.partition.executor import PartitionedSimulator
-
-            self.partitioned = PartitionedSimulator(
-                circuit,
-                partitions=partitions,
-                partition_workers=partition_workers,
-                backend=backend,
-                word_width=word_width,
-                packed=packed,
-                tiles=tiles,
-                probes=spec,
-            )
 
     # ------------------------------------------------------------------
     # tiled machines
@@ -283,8 +260,6 @@ class LCCSimulator:
         self, vector: Mapping[str, int] | Sequence[int]
     ) -> dict[str, int]:
         """Settle on one vector; returns monitored output values."""
-        if self.partitioned is not None:
-            return self.partitioned.evaluate(vector)
         values = self._vector_list(vector)
         if self._probe_runtime is not None:
             [values] = self._probe_words([values])
@@ -321,8 +296,6 @@ class LCCSimulator:
         self, vector: Mapping[str, int] | Sequence[int]
     ) -> dict[str, int]:
         """Settle and return every net's value (from machine state)."""
-        if self.partitioned is not None:
-            return self.partitioned.evaluate_all_nets(vector)
         values = self._vector_list(vector)
         if self._probe_runtime is not None:
             [values] = self._probe_words([values])
@@ -364,8 +337,6 @@ class LCCSimulator:
         reconstructed on unpacking (:func:`packed_apply`); everything
         else runs through the scalar ``run_block`` loop.
         """
-        if self.partitioned is not None:
-            return self.partitioned.apply_vectors(vectors)
         words = [self._vector_list(vector) for vector in vectors]
         if self._probe_runtime is not None:
             return self._probed_batch(words)
@@ -432,8 +403,6 @@ class LCCSimulator:
         packed and scalar paths produce the same result; eligible
         batches run packed (one pass per ``word_width`` vectors).
         """
-        if self.partitioned is not None:
-            return self.partitioned.run_batch(vectors)
         words = [self._vector_list(vector) for vector in vectors]
         if self._probe_runtime is not None:
             rows = self._probed_batch(words)
@@ -610,9 +579,6 @@ class LCCSimulator:
         this baseline, exactly like a zero-delay reference that starts
         from the same vector.
         """
-        if self.partitioned is not None:
-            self.partitioned.probe_reset(vector)
-            return
         if self._probe_runtime is None:
             raise SimulationError(
                 "simulator was built without probes=; nothing to seed"
@@ -630,8 +596,6 @@ class LCCSimulator:
         vector, so functional toggles equal total toggles and the
         glitch excess is zero by construction.
         """
-        if self.partitioned is not None:
-            return self.partitioned.activity_report()
         if self._probe_runtime is None:
             raise SimulationError(
                 "simulator was built without probes=; no activity "

@@ -16,6 +16,8 @@ on their first cycle, reaching the same steady values).
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from typing import Mapping, Optional
 
 from repro.errors import SimulationError
@@ -113,9 +115,26 @@ class ReplayCheckpoint:
 
     # ------------------------------------------------------------------
     def save(self, path: str) -> str:
-        with open(path, "w") as handle:
-            json.dump(self.as_dict(), handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        """Write the checkpoint to ``path`` atomically.
+
+        The document goes to a temporary file in the same directory,
+        is flushed to disk, and then renamed over ``path``: a crash
+        mid-write leaves the previous checkpoint intact.
+        """
+        fd, temp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)),
+            prefix=".checkpoint-", suffix=".tmp",
+        )
+        try:
+            with os.fdopen(fd, "w") as handle:
+                json.dump(self.as_dict(), handle, indent=1, sort_keys=True)
+                handle.write("\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, path)
+        except BaseException:
+            os.unlink(temp)
+            raise
         return path
 
     def __repr__(self) -> str:

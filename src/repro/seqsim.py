@@ -25,6 +25,7 @@ from typing import Mapping, Optional, Sequence
 from repro import telemetry
 from repro.errors import SimulationError
 from repro.netlist.sequential import SequentialCircuit
+from repro.simbase import check_partitions
 
 __all__ = ["CompiledSequentialSimulator"]
 
@@ -42,13 +43,13 @@ class CompiledSequentialSimulator:
         values only), or ``"parallel"`` / ``"pcset"`` — unit-delay
         compiled cores that additionally expose the intra-cycle
         waveforms via :meth:`step` with ``record=True``.
-    tiles / partitions / partition_workers:
-        Threaded through to the combinational engine.  Partitions split
-        the core across cores for the per-cycle settle; tiles apply to
-        packed combinational batches inside the engine (the clocked
-        loop itself is one scalar settle per cycle, so tiling is
-        accepted for API uniformity but does not change the cycle
-        loop's dispatch).
+    tiles:
+        Threaded through to the combinational engine, where it applies
+        to packed combinational batches (the clocked loop itself is
+        one scalar settle per cycle, so tiling is accepted for API
+        uniformity but does not change the cycle loop's dispatch).
+    partitions:
+        Must be 1 (see :func:`~repro.simbase.check_partitions`).
     incremental:
         Evaluate the core through per-fanin-cone programs
         (:class:`repro.codegen.incremental.ConeSimulator`) instead of
@@ -69,9 +70,9 @@ class CompiledSequentialSimulator:
         word_width: int = 32,
         tiles: "int | str" = 1,
         partitions: int = 1,
-        partition_workers: Optional[int] = None,
         incremental: bool = False,
     ) -> None:
+        check_partitions(partitions)
         if engine not in self.ENGINES:
             raise SimulationError(f"unknown engine: {engine!r}")
         if incremental and engine != "lcc":
@@ -83,7 +84,6 @@ class CompiledSequentialSimulator:
         self.engine = engine
         self.backend = backend
         self.incremental = incremental
-        self.partitions = partitions
         core = sequential.core
         monitored = sorted(
             set(sequential.external_outputs)
@@ -110,8 +110,7 @@ class CompiledSequentialSimulator:
 
             self._sim = LCCSimulator(
                 core, backend=backend, word_width=word_width,
-                tiles=tiles, partitions=partitions,
-                partition_workers=partition_workers,
+                tiles=tiles,
             )
         elif engine == "parallel":
             from repro.parallel.simulator import ParallelSimulator
@@ -120,8 +119,6 @@ class CompiledSequentialSimulator:
                 core, optimization="pathtrace+trim",
                 backend=backend, word_width=word_width,
                 monitored=monitored, tiles=tiles,
-                partitions=partitions,
-                partition_workers=partition_workers,
             )
         else:
             from repro.pcset.simulator import PCSetSimulator
@@ -129,8 +126,6 @@ class CompiledSequentialSimulator:
             self._sim = PCSetSimulator(
                 core, backend=backend, word_width=word_width,
                 monitored=monitored, tiles=tiles,
-                partitions=partitions,
-                partition_workers=partition_workers,
             )
         self._core_inputs = core.inputs
         self._external_input_set = frozenset(sequential.external_inputs)
@@ -143,9 +138,7 @@ class CompiledSequentialSimulator:
         from repro.codegen.runtime import BatchCounters
 
         self.counters = BatchCounters()
-        self._fast = (
-            engine == "lcc" and not incremental and partitions <= 1
-        )
+        self._fast = engine == "lcc" and not incremental
         if self._fast:
             # Positions of the nets the clocked loop actually samples
             # (external outputs + flip-flop D pins) inside the LCC

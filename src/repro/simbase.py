@@ -32,7 +32,21 @@ from repro.errors import SimulationError
 from repro.eventsim.zerodelay import steady_state
 from repro.netlist.circuit import Circuit
 
-__all__ = ["CompiledSimulator"]
+__all__ = ["CompiledSimulator", "check_partitions"]
+
+
+def check_partitions(partitions: int) -> None:
+    """Accept only ``partitions=1``.
+
+    Partitioned execution was removed; the keyword remains on the
+    facades callers already pin to 1, and anything else is an error
+    rather than a silent monolithic run.
+    """
+    if partitions != 1:
+        raise SimulationError(
+            "partitioned execution was removed; partitions must be 1: "
+            f"{partitions!r}"
+        )
 
 
 class CompiledSimulator:
@@ -51,16 +65,8 @@ class CompiledSimulator:
         compilation — the configuration benchmarks time, matching the
         paper's methodology of excluding output handling from
         measurements.  Output-decoding APIs then raise.
-    partitions / partition_workers:
-        With ``partitions > 1`` the steady-state seeding of
-        :meth:`reset` runs on the partitioned compiled engine
-        (:class:`~repro.partition.executor.PartitionedSimulator`)
-        instead of the interpreted zero-delay settle — bit-identical
-        settled values, so every downstream result is unchanged.  The
-        unit-delay program itself carries per-vector history and runs
-        monolithically; :meth:`apply_vectors` records the declined
-        request as a ``partition.fallback.<mode>`` counter, mirroring
-        the packing-fallback idiom.
+    partitions:
+        Must be 1 (see :func:`check_partitions`).
     tiles:
         Tiled/laned batch width: an explicit ``K >= 1`` forces K tiles
         (pattern-packable programs: ``word_width * K`` lanes per pass)
@@ -82,12 +88,12 @@ class CompiledSimulator:
         with_outputs: bool = True,
         checksum_mask: Optional[int] = None,
         partitions: int = 1,
-        partition_workers: Optional[int] = None,
         tiles: "int | str" = 1,
         probe_plan: Optional[ProbePlan] = None,
         packing_override: Optional[str] = None,
         **backend_kwargs,
     ) -> None:
+        check_partitions(partitions)
         self.circuit = circuit
         self.program = program
         self.backend = backend
@@ -129,11 +135,6 @@ class CompiledSimulator:
         )
         self._inputs = circuit.inputs
         self._settled = False
-        if partitions < 1:
-            raise SimulationError(f"partitions must be >= 1: {partitions}")
-        self.partitions = partitions
-        self.partition_workers = partition_workers
-        self._partition_settler = None
 
     # ------------------------------------------------------------------
     # state seeding
@@ -150,10 +151,7 @@ class CompiledSimulator:
         if vector is None:
             vector = [0] * len(self._inputs)
         with telemetry.span("seed"):
-            if self.partitions > 1:
-                settled = self._settle_partitioned(vector)
-            else:
-                settled = steady_state(self.circuit, vector)
+            settled = steady_state(self.circuit, vector)
             state = self._encode_state(settled)
             if self.probe_plan is not None:
                 if self._settled and self._probe_runtime is not None:
@@ -163,27 +161,6 @@ class CompiledSimulator:
                 state = state + [0] * self.probe_plan.state_pad
             self.machine.load_state(state)
         self._settled = True
-
-    def _settle_partitioned(self, vector) -> Mapping[str, int]:
-        """Steady state via the partitioned compiled engine.
-
-        Bit-identical to the interpreted settle: in an acyclic circuit
-        the zero-delay steady state is unique, and the partitioned
-        engine's per-net values are asserted identical to the
-        monolithic compiled ones, which the test suite anchors to the
-        interpreted simulator.
-        """
-        if self._partition_settler is None:
-            from repro.partition.executor import PartitionedSimulator
-
-            self._partition_settler = PartitionedSimulator(
-                self.circuit,
-                partitions=self.partitions,
-                partition_workers=self.partition_workers,
-                backend=self.backend,
-                word_width=self.program.word_width,
-            )
-        return self._partition_settler.evaluate_all_nets(vector)
 
     def _encode_state(self, settled: Mapping[str, int]) -> list[int]:
         """Persistent-state words for a constant-history steady state."""
@@ -242,10 +219,6 @@ class CompiledSimulator:
         """
         if not self._settled:
             raise SimulationError("call reset() before apply_vectors()")
-        if self.partitions > 1:
-            # The history-carrying program runs monolithically; the
-            # partitioned engine already did its work in reset().
-            telemetry.counter(f"partition.fallback.{self.packing_mode}")
         words = [self._vector_words(vector) for vector in vectors]
         if (self.packing_mode == "full" and self._inputs
                 and self.probe_plan is None):

@@ -17,9 +17,11 @@ across techniques — so the library instruments itself end to end:
   scattered ad-hoc counters: batched-execution totals
   (``run.batches``/``run.vectors``), program-cache hits/misses,
   pattern-packing eligibility and fallback reasons
-  (``packing.fallback.settled``/``.none``), and sharded-grading events
-  (``events.shard.retry``/``.timeout``/``.degraded``).  Counter merge
-  is associative and commutative (sum); gauge merge takes the maximum.
+  (``packing.fallback.scalar``/``.settled``/``.none``), laned
+  shift-program batches (``packing.laned_batches``), and
+  sharded-grading events (``events.shard.retry``/``.timeout``/
+  ``.degraded``).  Counter merge is associative and commutative (sum);
+  gauge merge takes the maximum.
 - **Cross-process aggregation**: :func:`snapshot` serializes the whole
   state to a JSON-able dict, :func:`diff_snapshots` produces the delta
   a shard worker ships back in its ``ShardOutcome``, and
@@ -351,7 +353,9 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
         },
         "packing": {
             "packed_batches": counters.get("packing.packed_batches", 0),
+            "laned_batches": counters.get("packing.laned_batches", 0),
             "fallback": {
+                "scalar": counters.get("packing.fallback.scalar", 0),
                 "settled": counters.get("packing.fallback.settled", 0),
                 "none": counters.get("packing.fallback.none", 0),
             },
@@ -387,7 +391,7 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
         "activity": {
             # Compiled-in probe counters — see repro.codegen.probes.
             # All four are summed counters, so the derived section
-            # merges associatively exactly like seq/pack/partition.
+            # merges associatively exactly like seq/pack.
             "vectors": counters.get("activity.vectors", 0),
             "toggles": counters.get("activity.toggles", 0),
             "functional": counters.get("activity.functional", 0),
@@ -402,22 +406,6 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
             "distill": {
                 "kept": counters.get("fuzz.distill.kept", 0),
                 "dropped": counters.get("fuzz.distill.dropped", 0),
-            },
-        },
-        "partition": {
-            "batches": counters.get("partition.batches", 0),
-            "packed_batches": counters.get(
-                "partition.packed_batches", 0
-            ),
-            "exchanged_words": counters.get(
-                "partition.exchanged_words", 0
-            ),
-            "fallback": {
-                "scalar": counters.get("partition.fallback.scalar", 0),
-                "settled": counters.get(
-                    "partition.fallback.settled", 0
-                ),
-                "none": counters.get("partition.fallback.none", 0),
             },
         },
     }

@@ -13,11 +13,7 @@ import zlib
 
 import pytest
 
-from repro.harness.compare import (
-    PACKED_TECHNIQUES,
-    PARTITIONED_TECHNIQUES,
-    cross_validate,
-)
+from repro.harness.compare import PACKED_TECHNIQUES, cross_validate
 from repro.harness.vectors import vectors_for
 from repro.netlist.builder import CircuitBuilder
 from repro.netlist.generators import (
@@ -116,22 +112,6 @@ def test_packed_execution_agrees(label, factory, word_width):
         word_width=word_width, execution="packed", batch_size=3,
     )
     assert checks == len(PACKED_TECHNIQUES) * len(vectors)
-
-
-@pytest.mark.parametrize("partitions", [2, 4])
-@pytest.mark.parametrize("label,factory", CASES,
-                         ids=[c[0] for c in CASES])
-def test_partitioned_execution_agrees(label, factory, partitions):
-    # The barrier-synchronized multi-segment engine over the same
-    # shared tape: raw batch words, settled outputs, and every net
-    # must match the monolithic run bit for bit.
-    circuit, vectors = _case_tape(factory, label)
-    checks = cross_validate(
-        circuit, vectors, techniques=PARTITIONED_TECHNIQUES,
-        word_width=32, execution="partitioned",
-        partitions=partitions, batch_size=3,
-    )
-    assert checks > 0
 
 
 @pytest.mark.parametrize("label,factory", CASES[:3],

@@ -16,6 +16,7 @@ from repro.errors import SimulationError
 from repro.fuzz import (
     CHECKS,
     CONFIG_SCHEMA,
+    INJECTIONS,
     MUTATIONS,
     SURFACES,
     FuzzConfig,
@@ -23,7 +24,6 @@ from repro.fuzz import (
     distill_corpus,
     entry_from_failure,
     inject_emitter_bug,
-    inject_partition_bug,
     inject_tile_bug,
     load_corpus,
     load_entry,
@@ -69,31 +69,15 @@ class TestFuzzConfig:
         assert a == b
         assert {c.check for c in a} <= set(CHECKS)
 
-    def test_partitioned_config_validates(self):
-        config = FuzzConfig(check="partitioned", technique="zero-lcc",
-                            partitions=3, workers=2)
-        assert FuzzConfig.from_dict(config.as_dict()) == config
-        label = config.label()
-        assert "partitioned" in label and "p3" in label and "j2" in label
-        with pytest.raises(SimulationError):
-            FuzzConfig(check="partitioned", technique="parallel-best",
-                       partitions=2)
-        with pytest.raises(SimulationError):
-            FuzzConfig(check="partitioned", technique="zero-lcc",
-                       partitions=1)
-        # partitions leaks into no other check.
-        with pytest.raises(SimulationError):
-            FuzzConfig(check="history", partitions=2)
-
     def test_from_dict_upgrades_pre_schema_dicts(self):
-        # Corpus entries written before the partitioned axis carry no
-        # ``partitions`` key and no ``schema`` field; those load as
-        # schema 1 through the upgrade shims and refill defaults.
+        # Corpus entries written before the tiles axis carry no
+        # ``tiles`` key and no ``schema`` field; those load as schema 1
+        # through the upgrade shims and refill defaults.
         old = {"check": "packed", "technique": "zero-lcc",
                "backend": "python", "word_width": 16,
                "batch_size": 0, "workers": 1}
         config = FuzzConfig.from_dict(old)
-        assert config.partitions == 1
+        assert config.tiles == 1
         assert config.as_dict()["schema"] == CONFIG_SCHEMA
         assert FuzzConfig.from_dict(config.as_dict()) == config
 
@@ -154,16 +138,9 @@ class TestFuzzConfig:
 
     def test_coverage_configs_span_every_surface(self):
         covered = set()
-        for config in coverage_configs(("python", "numpy")):
+        for config in coverage_configs(("python",)):
             covered |= config.surfaces()
         assert covered == set(SURFACES)
-
-    def test_sampling_draws_partitioned_points(self):
-        configs = sample_configs(random.Random(7), 60)
-        partitioned = [c for c in configs if c.check == "partitioned"]
-        assert partitioned
-        assert all(c.partitions >= 2 for c in partitioned)
-        assert all(c.technique == "zero-lcc" for c in partitioned)
 
 
 class TestRunCheck:
@@ -182,11 +159,6 @@ class TestRunCheck:
         FuzzConfig(check="packed", technique="pcset", batch_size=3),
         FuzzConfig(check="faults", technique="parallel-best",
                    workers=2),
-        FuzzConfig(check="partitioned", technique="zero-lcc",
-                   partitions=3),
-        FuzzConfig(check="partitioned", technique="zero-lcc",
-                   partitions=2, workers=2, batch_size=2,
-                   word_width=8),
     ], ids=lambda c: c.label())
     def test_healthy_tree_passes(self, triple, config):
         circuit, vectors = triple
@@ -256,18 +228,6 @@ class TestMutationIsCaught:
                 with pytest.raises(AssertionError):
                     replay_entry(entry)
 
-    def test_partition_exchange_bug_caught_directly(self):
-        circuit = random_dag_circuit(11, num_inputs=4, num_gates=14)
-        vectors = vectors_for(circuit, 8, seed=3)
-        config = FuzzConfig(check="partitioned", technique="zero-lcc",
-                            partitions=2, word_width=8)
-        assert run_check(circuit, vectors, config) > 0
-        with inject_partition_bug():
-            with pytest.raises(AssertionError):
-                run_check(circuit, vectors, config)
-        # Restored on exit (including the staticmethod binding).
-        assert run_check(circuit, vectors, config) > 0
-
     def test_tile_boundary_bug_caught_directly(self):
         circuit = random_dag_circuit(11, num_inputs=4, num_gates=14)
         # Tiles are clamped to ceil(vectors/width): more than one
@@ -282,9 +242,8 @@ class TestMutationIsCaught:
         assert run_check(circuit, vectors, config) > 0
 
     @pytest.mark.parametrize("inject,surface", [
-        (inject_partition_bug, "partitioned"),
         (inject_tile_bug, "tiled"),
-    ], ids=["partition-exchange", "tile-boundary"])
+    ], ids=["tile-boundary"])
     def test_extended_campaign_catches_surface_bug(
         self, inject, surface
     ):
@@ -406,6 +365,22 @@ class TestFuzzCLI:
         out = capsys.readouterr().out
         assert "injected bug" in out
         assert list(corpus.glob("*.json"))
+
+    def test_unknown_injection_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        # One list feeds both the help text and argparse's choices, so
+        # an unknown name exits 2 before any campaign starts.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fuzz", "campaign", "--inject-bug", "partition-exchange"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert all(name in err for name in INJECTIONS)
+        with pytest.raises(SystemExit):
+            main(["fuzz", "campaign", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(INJECTIONS) in help_text
 
     def test_unknown_verb_names_the_choices(self, capsys):
         from repro.cli import main
@@ -544,8 +519,6 @@ class TestSequentialAxis:
         with pytest.raises(SimulationError):
             FuzzConfig(check="sequential", technique="parallel-best")
         assert set(SEQUENTIAL_ENGINES) == {"lcc", "parallel", "pcset"}
-        # lcc may fan the core out over partitions.
-        FuzzConfig(check="sequential", technique="lcc", partitions=2)
 
     def test_sampling_draws_sequential_points(self):
         configs = sample_configs(random.Random(5), 80)

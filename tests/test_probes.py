@@ -4,9 +4,9 @@ The contract under test: a simulator built with ``probes=`` counts
 per-net switching *inside the generated program* and its
 ``activity_report()`` is bit-identical to the history-based
 reference — on every backend, word width, and execution shape
-(scalar, batched, packed, prepared, partitioned, sharded fault
-grading) — plus the streaming waveform path (``capture_trace``,
-replay ``--vcd`` with byte-identical checkpoint resume).
+(scalar, batched, packed, prepared, sharded fault grading) — plus
+the streaming waveform path (``capture_trace``, replay ``--vcd`` with
+byte-identical checkpoint resume).
 """
 
 import io
@@ -224,20 +224,6 @@ class TestLCCProbes:
         sim.probe_reset(seed_vector)
         sim.apply_vectors(vectors)
         assert sim.activity_report().toggles == want
-
-    @pytest.mark.parametrize("partitions", [2, 3])
-    def test_partitioned_matches_monolithic(self, partitions):
-        circuit = random_dag_circuit(91, num_inputs=5, num_gates=40)
-        vectors = [list(v) for v in vectors_for(circuit, 33, seed=15)]
-        want = lcc_reference(circuit, vectors)
-        sim = LCCSimulator(
-            circuit, partitions=partitions, probes=True
-        )
-        sim.probe_reset()
-        sim.apply_vectors(vectors)
-        report = sim.activity_report()
-        assert report.vectors == len(vectors)
-        assert report.toggles == want
 
     def test_tiles_unavailable_with_probes(self):
         with pytest.raises(SimulationError, match="tiles"):

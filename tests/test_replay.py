@@ -124,6 +124,25 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.as_dict() == cp.as_dict()
 
+    def test_crash_mid_write_keeps_previous_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.replay.checkpoint as checkpoint_module
+
+        path = str(tmp_path / "cp.json")
+        ReplayCheckpoint(cycle=7, state={"Q0": 1}).save(path)
+
+        def dump_then_crash(obj, handle, **kwargs):
+            handle.write('{"format": "repro-replay-')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint_module.json, "dump", dump_then_crash)
+        with pytest.raises(OSError, match="disk full"):
+            ReplayCheckpoint(cycle=9, state={"Q0": 0}).save(path)
+        monkeypatch.undo()
+        assert load_checkpoint(path).cycle == 7
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cp.json"]
+
     def test_state_masked(self):
         cp = ReplayCheckpoint(cycle=0, state={"Q0": 3, "Q1": -1})
         assert cp.state == {"Q0": 1, "Q1": 1}
@@ -295,11 +314,11 @@ class TestReplay:
 
     @pytest.mark.parametrize("options", [
         {"tiles": 2},
-        {"partitions": 2},
-        {"partitions": 2, "partition_workers": 2},
+        {"partitions": 1},
+        {"word_width": 8},
         {"incremental": True},
         {"engine": "parallel", "tiles": 2},
-        {"engine": "pcset", "partitions": 2},
+        {"engine": "pcset"},
     ])
     def test_option_threading_bit_identical(self, tmp_path, options):
         _, tape = _replay_setup(tmp_path, cycles=64)

@@ -73,3 +73,62 @@ class TestChecksums:
         sim = PCSetSimulator(fig4_circuit)
         assert "def machine():" in sim.source()
         assert sim.output_labels()
+
+
+def _run_lcc(circuit, vectors, partitions):
+    from repro.lcc.zerodelay import LCCSimulator
+
+    return LCCSimulator(circuit, partitions=partitions).apply_vectors(
+        vectors
+    )
+
+
+def _run_parallel(circuit, vectors, partitions):
+    sim = ParallelSimulator(circuit, word_width=8, partitions=partitions)
+    sim.reset()
+    return sim.apply_vectors(vectors)
+
+
+def _run_fault_simulator(circuit, vectors, partitions):
+    from repro.faults.simulator import ParallelFaultSimulator
+
+    return ParallelFaultSimulator(circuit, partitions=partitions).run(
+        vectors
+    )
+
+
+def _run_fault_simulation(circuit, vectors, partitions):
+    from repro.faults.simulator import run_fault_simulation
+
+    # The empty fault list returns before any simulator is built, so
+    # the keyword must be checked at the entry point itself.
+    return run_fault_simulation(circuit, vectors, [],
+                                partitions=partitions)
+
+
+def _run_sequential(circuit, vectors, partitions):
+    from repro.netlist.sequential import break_at_flipflops
+    from repro.seqsim import CompiledSequentialSimulator
+
+    sim = CompiledSequentialSimulator(
+        break_at_flipflops(circuit, {}), partitions=partitions
+    )
+    return sim.apply_vectors(vectors)
+
+
+@pytest.mark.parametrize("run", [
+    _run_lcc, _run_parallel, _run_fault_simulator, _run_fault_simulation,
+    _run_sequential,
+], ids=["LCCSimulator", "ParallelSimulator", "ParallelFaultSimulator",
+        "run_fault_simulation", "CompiledSequentialSimulator"])
+@pytest.mark.parametrize("partitions", [0, 1, 2])
+def test_partitions_accepts_only_one(fig4_circuit, run, partitions):
+    # Partitioned execution was removed; the keyword survives only as
+    # a pinned 1, and anything else must fail loudly instead of
+    # quietly running monolithic.
+    vectors = vectors_for(fig4_circuit, 3, seed=0)
+    if partitions == 1:
+        assert run(fig4_circuit, vectors, partitions) is not None
+        return
+    with pytest.raises(SimulationError, match="partitioned execution"):
+        run(fig4_circuit, vectors, partitions)

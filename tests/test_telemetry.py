@@ -18,7 +18,9 @@ from repro.cli import main
 from repro.codegen.runtime import have_c_compiler
 from repro.faults.sharding import run_sharded_fault_simulation
 from repro.harness.vectors import vectors_for
+from repro.lcc.zerodelay import LCCSimulator
 from repro.netlist.generators import ripple_carry_adder
+from repro.parallel.simulator import ParallelSimulator
 from repro.telemetry import MetricsRegistry
 
 NEED_CC = pytest.mark.skipif(
@@ -195,7 +197,12 @@ class TestMetricsRegistry:
 class TestSnapshots:
     def test_derived_sections_always_present(self):
         snap = telemetry.snapshot()
-        assert set(snap["packing"]) == {"packed_batches", "fallback"}
+        assert set(snap["packing"]) == {
+            "packed_batches", "laned_batches", "fallback",
+        }
+        assert set(snap["packing"]["fallback"]) == {
+            "scalar", "settled", "none",
+        }
         assert set(snap["sharding"]) == {"retries", "timeouts", "degraded"}
         assert set(snap["cache"]) == {"entries", "hits", "misses"}
 
@@ -245,6 +252,23 @@ class TestSnapshots:
             name.startswith("cache.")
             for name in telemetry.snapshot()["counters"]
         )
+
+    def test_lcc_scalar_fallback_reaches_packing_section(self):
+        circuit = ripple_carry_adder(2)
+        sim = LCCSimulator(circuit, packed=False)
+        telemetry.enable()
+        sim.apply_vectors(vectors_for(circuit, 5, seed=1))
+        packing = telemetry.snapshot()["packing"]
+        assert packing["fallback"]["scalar"] == 1
+        assert packing["packed_batches"] == 0
+
+    def test_laned_batches_reach_packing_section(self):
+        circuit = ripple_carry_adder(2)
+        sim = ParallelSimulator(circuit, word_width=8, tiles=2)
+        sim.reset([0] * len(circuit.inputs))
+        telemetry.enable()
+        sim.apply_vectors(vectors_for(circuit, 6, seed=1))
+        assert telemetry.snapshot()["packing"]["laned_batches"] == 1
 
     def test_write_metrics(self, tmp_path):
         telemetry.enable()

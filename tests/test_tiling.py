@@ -20,23 +20,17 @@ from repro.codegen.packing import (
     tile_groups,
 )
 from repro.codegen.program import Assign, Bin, Const, Emit, Input, Program, Var
-from repro.codegen.runtime import (
-    compile_program,
-    have_c_compiler,
-    have_numpy,
-)
-from repro.errors import BackendError, SimulationError
+from repro.codegen.runtime import compile_program, have_c_compiler
+from repro.errors import SimulationError
 from repro.faults.simulator import run_fault_simulation
 from repro.fuzz.lattice import FuzzConfig
 from repro.harness.vectors import vectors_for
 from repro.lcc.zerodelay import LCCSimulator
 from repro.netlist.random_circuits import random_dag_circuit
 from repro.parallel.simulator import ParallelSimulator
-from repro.partition.executor import PartitionedSimulator
 from repro.pcset.simulator import PCSetSimulator
 
 BACKENDS = ("python",) + (("c",) if have_c_compiler() else ())
-ALL_BACKENDS = BACKENDS + (("numpy",) if have_numpy() else ())
 
 
 def _program_with_state():
@@ -74,7 +68,7 @@ class TestEmitterStability:
 class TestTiledMachineIdentity:
     """A K-tile machine is K independent copies of the K=1 machine."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("tiles", [2, 3])
     def test_lanes_are_independent(self, backend, tiles):
         p = _program_with_state()
@@ -96,7 +90,7 @@ class TestTiledMachineIdentity:
         for t in range(tiles):
             assert [got[o * tiles + t] for o in range(n_out)] == want[t]
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_state_roundtrip_is_tile_minor(self, backend):
         p = _program_with_state()
         tiled = compile_program(p, backend, tiles=2)
@@ -230,20 +224,6 @@ class TestLanedShiftExecution:
         assert got == want
 
 
-class TestPartitionTiledExchange:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("tiles", [2, "auto"])
-    def test_partitioned_matches_monolithic(self, backend, tiles):
-        circuit = random_dag_circuit(41, num_inputs=5, num_gates=30)
-        vectors = vectors_for(circuit, 37, seed=41)
-        mono = LCCSimulator(circuit, word_width=8,
-                            backend=backend).apply_vectors(vectors)
-        part = PartitionedSimulator(circuit, partitions=3,
-                                    word_width=8, backend=backend,
-                                    tiles=tiles)
-        assert part.apply_vectors(vectors) == mono
-
-
 class TestTiledFaultGrading:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_report_identity(self, backend):
@@ -263,44 +243,6 @@ class TestTiledFaultGrading:
         sharded = run_fault_simulation(circuit, vectors, word_width=8,
                                        tiles=2, workers=2)
         assert sharded == base
-
-
-class TestNumpyBackend:
-    @pytest.mark.skipif(have_numpy() is None, reason="numpy missing")
-    def test_protocol_matches_python(self):
-        p = _program_with_state()
-        py = compile_program(p, "python")
-        np_m = compile_program(p, "numpy")
-        rng = random.Random(9)
-        vectors = [[rng.randrange(256), rng.randrange(256)]
-                   for _ in range(10)]
-        for v in vectors:
-            assert np_m.step(v) == py.step(v)
-        assert np_m.dump_state() == py.dump_state()
-        np_m.load_state([7])
-        py.load_state([7])
-        flat_a, flat_b = [], []
-        np_m.run_block(vectors, flat_a)
-        py.run_block(vectors, flat_b)
-        assert flat_a == flat_b
-
-    @pytest.mark.skipif(have_numpy() is None, reason="numpy missing")
-    def test_lcc_numpy_identity(self):
-        circuit = random_dag_circuit(61, num_inputs=4, num_gates=16)
-        vectors = vectors_for(circuit, 20, seed=61)
-        base = LCCSimulator(circuit, word_width=8).apply_vectors(vectors)
-        for tiles in (1, 2):
-            sim = LCCSimulator(circuit, word_width=8, backend="numpy",
-                               tiles=tiles)
-            assert sim.apply_vectors(vectors) == base
-
-    def test_missing_numpy_raises_backenderror(self, monkeypatch):
-        import repro.codegen.runtime as runtime
-
-        monkeypatch.setattr(runtime, "_NUMPY", None)
-        monkeypatch.setattr(runtime, "_NUMPY_PROBED", True)
-        with pytest.raises(BackendError, match="numpy is not installed"):
-            compile_program(_program_with_state(), "numpy")
 
 
 class TestDiagnostics:
