@@ -6,7 +6,9 @@ this emitter restores that: the program becomes a shared library with a
 (``uint8_t``..``uint64_t`` according to the program's word width),
 batch drivers ``run_block`` (one vector per pass) and
 ``run_packed_block`` (pattern-lane packed: one pass per ``word_width``
-vectors, see :mod:`repro.codegen.packing`), plus
+vectors, see :mod:`repro.codegen.packing`), the two helpers around it
+that transpose a batch of 0/1 bytes into lane words and unpack the
+packed outputs (``pack_lanes``/``unpack_lanes``), plus
 ``dump_state``/``load_state`` accessors used to seed and inspect the
 persistent variables.  Masking is free — the C types wrap naturally —
 so the emitted expressions match the paper's listings one for one.
@@ -23,6 +25,7 @@ from repro.codegen.program import (
     Emit,
     Expr,
     Input,
+    MachineInterface,
     Program,
     Stmt,
     Un,
@@ -148,6 +151,72 @@ def _tiled_statement_lines(
     return lines
 
 
+def _lane_helper_lines(interface: MachineInterface) -> list[str]:
+    """The byte-level packed boundary around ``run_packed_block``.
+
+    ``pack_lanes`` transposes ``n`` vectors of one byte per input (each
+    0 or 1) into ``passes`` slot-major pass rows: group ``g`` is pass
+    ``g / K`` tile ``g % K`` and carries vectors ``g*W .. g*W+W-1`` in
+    its lanes.  Groups past the batch are written all-zeros — the first
+    of them is the fill group :func:`~repro.codegen.packing\
+.packed_apply` reconstructs the high bits from.  ``unpack_lanes``
+    writes each vector's scalar-identical output words: lane bit ``j``
+    in bit 0, the fill group's word in the high bits (zero when
+    ``fill`` is 0).  Every size is a literal, so no macro can collide
+    with a net-derived identifier.
+    """
+    width = interface.word_width
+    tiles = interface.tiles
+    inputs = interface.num_inputs
+    emits = interface.num_emits
+    row = max(1, interface.vector_words)
+    outs = interface.output_words
+    return [
+        "void pack_lanes(const unsigned char *B, long n, long passes,"
+        " word *V) {",
+        "    long g, base, lanes;",
+        "    int s, j;",
+        "    word w;",
+        f"    for (g = 0; g < passes * {tiles}; g++) {{",
+        f"        base = g * {width};",
+        f"        lanes = n - base < {width} ? n - base : {width};",
+        f"        for (s = 0; s < {inputs}; s++) {{",
+        "            w = 0;",
+        "            for (j = 0; j < lanes; j++) {",
+        f"                w |= (word)((word)(B[(base + j) * {inputs} + s]"
+        " & 1) << j);",
+        "            }",
+        f"            V[(g / {tiles}) * {row} + s * {tiles} + g % {tiles}]"
+        " = w;",
+        "        }",
+        "    }",
+        "}",
+        "",
+        "void unpack_lanes(const word *OUT, long n, int fill, word *R) {",
+        "    long i, g;",
+        "    int o, j;",
+        f"    word high[{max(1, emits)}];",
+        "    const word *w;",
+        f"    for (o = 0; o < {emits}; o++) high[o] = 0;",
+        "    if (fill) {",
+        f"        g = (n + {width - 1}) / {width};",
+        f"        w = OUT + (g / {tiles}) * {outs} + g % {tiles};",
+        f"        for (o = 0; o < {emits}; o++)"
+        f" high[o] = w[o * {tiles}] & (word)~(word)1;",
+        "    }",
+        "    for (i = 0; i < n; i++) {",
+        f"        g = i / {width};",
+        f"        j = (int)(i % {width});",
+        f"        w = OUT + (g / {tiles}) * {outs} + g % {tiles};",
+        f"        for (o = 0; o < {emits}; o++) {{",
+        f"            *R++ = (word)(((w[o * {tiles}] >> j) & 1) | high[o]);",
+        "        }",
+        "    }",
+        "}",
+        "",
+    ]
+
+
 def emit_c(program: Program, tiles: int = 1) -> str:
     """Produce the full C source of the shared-library machine.
 
@@ -264,6 +333,7 @@ def emit_c(program: Program, tiles: int = 1) -> str:
     lines.append(f"    {symbol['run_block']}(V, n, OUT);")
     lines.append("}")
     lines.append("")
+    lines += _lane_helper_lines(interface)
     lines.append(f"void {symbol['dump_state']}(word *S) {{")
     if tiles > 1 and program.state_vars:
         lines.append(f"    int {idx};")

@@ -75,6 +75,18 @@ outputs *and* final state.  The simulator layer
 (:meth:`repro.simbase.CompiledSimulator.apply_vectors`) owns the
 seeding; this module owns the segmentation and eligibility.
 
+The byte-level boundary (C backend)
+-----------------------------------
+On a :class:`~repro.codegen.runtime.CMachine` a packed batch crosses
+the ctypes boundary once each way.  :func:`bit_block` joins the rows
+into one byte per value and decides 0/1 eligibility with a single
+``translate``; the generated library transposes the block into lane
+words, runs ``run_packed_block`` and unpacks the scalar-identical
+words (:meth:`~repro.codegen.runtime.CMachine.run_bit_block`).  Every
+other machine — and fault grading's and ``prepare_packed``'s pre-packed
+groups — uses the Python transposition below, the reference the tests
+compare the C helpers against.
+
 All packing entry points validate their words against the program's
 word width and raise :class:`~repro.errors.SimulationError` on overflow
 rather than relying on backend-dependent truncation (ctypes truncates
@@ -83,7 +95,7 @@ silently; Python ints do not truncate at all).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.program import (
@@ -103,7 +115,7 @@ __all__ = [
     "packing_mode",
     "validate_packed_words",
     "pack_patterns",
-    "unpack_patterns",
+    "bit_block",
     "packed_apply",
     "packed_bits",
     "select_tiles",
@@ -177,9 +189,20 @@ def packing_mode(program: Program) -> str:
 def validate_packed_words(
     words: Sequence[int], word_width: int, *, context: str = "packed word"
 ) -> None:
-    """Raise :class:`SimulationError` unless every word fits the width."""
+    """Raise :class:`SimulationError` unless every word is an ``int``
+    that fits the width."""
     limit = 1 << word_width
+    # Builtins settle the common case; the loop only names the culprit.
+    if not words or (
+        set(map(type, words)) <= {int, bool}
+        and min(words) >= 0 and max(words) < limit
+    ):
+        return
     for index, word in enumerate(words):
+        if not isinstance(word, int):
+            raise SimulationError(
+                f"{context} {index} = {word!r} is not an integer"
+            )
         if not 0 <= word < limit:
             raise SimulationError(
                 f"{context} {index} = {word:#x} does not fit "
@@ -239,29 +262,45 @@ def _pack_patterns(
     return groups, lane_counts
 
 
-def unpack_patterns(
-    flat: Sequence[int], num_outputs: int, lane_counts: Sequence[int]
-) -> list[list[int]]:
-    """Inverse transposition of packed output words.
+def bit_block(
+    vectors: Sequence[Sequence[int]], num_inputs: int
+) -> Optional[bytes]:
+    """The batch as one byte per value, or ``None`` when it is not 0/1.
 
-    ``flat`` holds ``len(lane_counts) * num_outputs`` packed words in
-    group order (what ``run_packed_block`` appended).  Returns one
-    0/1 output list per original scalar vector, in vector order.
+    The byte-level boundary of a packed batch on the C backend
+    (:meth:`~repro.codegen.runtime.CMachine.run_bit_block`): each row
+    becomes ``bytes`` in one call, the rows are joined, and the 0/1
+    test is one ``translate`` over the joined block.  Every vector must
+    hold ``num_inputs`` values and every value must be an ``int``
+    (``bool`` included); either failure raises
+    :class:`SimulationError` naming the vector (and the input).  Other
+    integers — multi-bit words — make the batch ineligible: ``None``.
     """
-    with telemetry.span("unpack"):
-        return _unpack_patterns(flat, num_outputs, lane_counts)
-
-
-def _unpack_patterns(
-    flat: Sequence[int], num_outputs: int, lane_counts: Sequence[int]
-) -> list[list[int]]:
-    results: list[list[int]] = []
-    for g, lanes in enumerate(lane_counts):
-        base = g * num_outputs
-        words = flat[base:base + num_outputs]
-        for j in range(lanes):
-            results.append([(word >> j) & 1 for word in words])
-    return results
+    if set(map(len, vectors)) - {num_inputs}:
+        for index, vector in enumerate(vectors):
+            if len(vector) != num_inputs:
+                raise SimulationError(
+                    f"vector {index} has {len(vector)} values, "
+                    f"expected {num_inputs}"
+                )
+    try:
+        block = b"".join(map(bytes, vectors))
+    except (TypeError, ValueError):
+        # TypeError: a value is not an integer; ValueError: one lies
+        # outside 0..255.
+        block = None
+    # A row exporting a buffer of wider items (an array('H'), say)
+    # joins to the wrong length; it takes the per-value path below.
+    if block is not None and len(block) == len(vectors) * num_inputs:
+        return None if block.translate(None, b"\x00\x01") else block
+    for index, vector in enumerate(vectors):
+        for slot, value in enumerate(vector):
+            if not isinstance(value, int):
+                raise SimulationError(
+                    f"vector {index}, input {slot}: value {value!r} is "
+                    f"not an integer"
+                )
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -364,68 +403,26 @@ def lane_segments(total: int, lanes: int) -> list[tuple[int, int]]:
 # ----------------------------------------------------------------------
 # machine drivers
 # ----------------------------------------------------------------------
-def _run_tiled(machine, groups, lane_counts, num_vectors, *, fill=False):
-    """Drive scalar pattern groups through a tiled machine.
-
-    Returns ``(word, emits)`` where ``word(g, o)`` looks up the packed
-    word of scalar group ``g``, output ``o`` in the flat tiled output
-    and ``emits`` is the per-group output count.  With ``fill`` an
-    all-zeros group is appended first (the :func:`packed_apply`
-    reconstruction source) and its index is returned third.
-    """
-    tiles = machine.tiles
-    num_inputs = len(groups[0])
-    fill_index = None
-    if fill:
-        groups = list(groups) + [[0] * num_inputs]
-        fill_index = len(groups) - 1
-    rows = tile_groups(groups, num_inputs, tiles)
-    flat: list[int] = []
-    with telemetry.span("pack.tile", tiles=tiles):
-        machine.run_packed_block(
-            rows, flat, vectors_represented=num_vectors
-        )
-    if telemetry.enabled():
-        telemetry.counter("pack.tile.batches")
-        telemetry.counter("pack.tile.vectors", num_vectors)
-    emits = machine.num_outputs // tiles
-
-    def word(g: int, o: int) -> int:
-        p, t = divmod(g, tiles)
-        return flat[(p * emits + o) * tiles + t]
-
-    return word, emits, fill_index
-
-
-def packed_bits(machine, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+def packed_bits(
+    machine, vectors: Sequence[Sequence[int]], *,
+    block: Optional[bytes] = None,
+) -> list[list[int]]:
     """Run ``vectors`` pattern-packed; return per-vector output *bits*.
 
     One compiled pass per ``word_width`` vectors.  Each returned list
     holds the low bit of every emitted output word — the logical values
     a scalar pass would produce in lane 0.  The caller is responsible
     for eligibility (``packing_mode`` full, or settled with final-value
-    outputs only).
+    outputs only).  ``block`` is the batch's :func:`bit_block` when the
+    caller already built it.
     """
-    width = machine.program.word_width
-    groups, lane_counts = pack_patterns(vectors, width)
-    if not groups:
-        return []
-    if getattr(machine, "tiles", 1) > 1:
-        word, emits, _fill = _run_tiled(
-            machine, groups, lane_counts, len(vectors)
-        )
-        with telemetry.span("unpack"):
-            return [
-                [(word(g, o) >> j) & 1 for o in range(emits)]
-                for g, lanes in enumerate(lane_counts)
-                for j in range(lanes)
-            ]
-    flat: list[int] = []
-    machine.run_packed_block(groups, flat, vectors_represented=len(vectors))
-    return unpack_patterns(flat, machine.num_outputs, lane_counts)
+    return _packed_rows(machine, vectors, block, fill=False)
 
 
-def packed_apply(machine, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+def packed_apply(
+    machine, vectors: Sequence[Sequence[int]], *,
+    block: Optional[bytes] = None,
+) -> list[list[int]]:
     """Run ``vectors`` packed; return *scalar-identical* raw output words.
 
     Requires a ``"full"``-mode program.  A scalar pass on vector ``v``
@@ -435,40 +432,62 @@ def packed_apply(machine, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
     bit 0 plus the all-zeros vector's emitted word in the high bits.
     One extra all-zeros group appended to the batch supplies that fill
     word, making the reconstruction exact for every word width and
-    backend.
+    backend.  ``block`` is as for :func:`packed_bits`.
     """
-    width = machine.program.word_width
-    groups, lane_counts = pack_patterns(vectors, width)
+    return _packed_rows(machine, vectors, block, fill=True)
+
+
+def _packed_rows(machine, vectors, block, *, fill):
+    """Shared body of both; ``fill`` adds the fill group's high bits.
+
+    A C machine transposes and unpacks inside its library
+    (:meth:`~repro.codegen.runtime.CMachine.run_bit_block`); every
+    other machine runs the Python transposition, the reference the
+    tests hold the C helpers to.
+    """
+    from repro.codegen.runtime import CMachine  # runtime imports us
+
+    if isinstance(machine, CMachine):
+        if block is None:
+            block = bit_block(vectors, machine.interface.num_inputs)
+            if block is None:
+                raise SimulationError(
+                    "pattern values must be 0/1 (pack one vector per "
+                    "lane)"
+                )
+        rows = machine.run_bit_block(block, len(vectors), fill=fill)
+    else:
+        rows = _python_rows(machine, vectors, fill)
+    if telemetry.enabled() and machine.tiles > 1:
+        telemetry.counter("pack.tile.batches")
+        telemetry.counter("pack.tile.vectors", len(vectors))
+    return rows
+
+
+def _python_rows(machine, vectors, fill):
+    groups, lane_counts = pack_patterns(vectors, machine.program.word_width)
     if not groups:
         return []
-    mask = machine.program.word_mask
-    high = mask ^ 1
-    if getattr(machine, "tiles", 1) > 1:
-        word, emits, fill_index = _run_tiled(
-            machine, groups, lane_counts, len(vectors), fill=True
-        )
-        fill = [word(fill_index, o) for o in range(emits)]
-        with telemetry.span("unpack"):
-            return [
-                [
-                    ((word(g, o) >> j) & 1) | (fill[o] & high)
-                    for o in range(emits)
-                ]
-                for g, lanes in enumerate(lane_counts)
-                for j in range(lanes)
-            ]
+    tiles = machine.tiles
     num_inputs = len(groups[0])
-    groups.append([0] * num_inputs)  # fill group: every lane all-zeros
+    if fill:
+        groups.append([0] * num_inputs)  # every lane all-zeros
+    rows = tile_groups(groups, num_inputs, tiles) if tiles > 1 else groups
     flat: list[int] = []
-    machine.run_packed_block(groups, flat, vectors_represented=len(vectors))
-    n = machine.num_outputs
-    fill = flat[len(lane_counts) * n:]
-    results: list[list[int]] = []
-    for g, lanes in enumerate(lane_counts):
-        words = flat[g * n:(g + 1) * n]
-        for j in range(lanes):
-            results.append([
-                ((word >> j) & 1) | (fill[o] & high)
-                for o, word in enumerate(words)
-            ])
-    return results
+    machine.run_packed_block(rows, flat, vectors_represented=len(vectors))
+    # Group g's output words: every K-th word of pass g // K, from
+    # tile g % K on (the flat output is emit-major, tile-minor).
+    span = machine.num_outputs
+    words = [
+        flat[(g // tiles) * span + g % tiles:(g // tiles + 1) * span:tiles]
+        for g in range(len(groups))
+    ]
+    high = machine.program.word_mask ^ 1
+    emits = span // tiles
+    fills = [word & high for word in words[-1]] if fill else [0] * emits
+    with telemetry.span("unpack"):
+        return [
+            [((word >> j) & 1) | rest for word, rest in zip(group, fills)]
+            for group, lanes in zip(words, lane_counts)
+            for j in range(lanes)
+        ]

@@ -33,6 +33,10 @@ generated ``run_block`` routine each backend compiles in:
   ``run_packed_block``).  Packed words are validated against the word
   width up front (silent ctypes truncation would corrupt whole lanes,
   not just one vector).
+- ``CMachine.run_bit_block(block, count, fill=...)`` takes a whole
+  batch of 0/1 vectors as one byte per value and transposes, runs and
+  unpacks it inside the library, around the same ``run_packed_block``
+  kernel (see :mod:`repro.codegen.packing`).
 
 Every batch updates ``machine.counters`` (vectors run, wall time,
 vectors/second) so harness and benchmark reports can quote throughput
@@ -630,6 +634,9 @@ class CMachine(Machine):
         64: ctypes.c_uint64,
     }
 
+    #: Native ``memoryview`` format of each word width.
+    _FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
     #: Programs beyond this many generated lines compile at -O0: C
     #: optimizers behave superlinearly on huge straight-line functions
     #: (amusingly, the paper hit a compiler bug on exactly the same two
@@ -722,6 +729,20 @@ class CMachine(Machine):
             entry[batch_entry].argtypes = [
                 ctypes.POINTER(word), ctypes.c_long, ctypes.POINTER(word)
             ]
+        # The byte-level boundary of run_bit_block: helpers, not entry
+        # points — the Python backend keeps its own transposition.
+        self._pack_lanes = self._lib.pack_lanes
+        self._pack_lanes.argtypes = [
+            ctypes.c_char_p, ctypes.c_long, ctypes.c_long,
+            ctypes.POINTER(word),
+        ]
+        self._pack_lanes.restype = None
+        self._unpack_lanes = self._lib.unpack_lanes
+        self._unpack_lanes.argtypes = [
+            ctypes.POINTER(word), ctypes.c_long, ctypes.c_int,
+            ctypes.POINTER(word),
+        ]
+        self._unpack_lanes.restype = None
         self._num_outputs = int(self._lib.num_outputs())
         self._v_buffer = (word * max(1, self.num_inputs))()
         self._out_buffer = (word * max(1, self._num_outputs))()
@@ -843,6 +864,50 @@ class CMachine(Machine):
         self._record_batch(count, time.perf_counter() - start)
         out.extend(out_buffer[: len(groups) * self._num_outputs])
         return out
+
+    def run_bit_block(
+        self, block: bytes, count: int, *, fill: bool
+    ) -> list[list[int]]:
+        """Run ``count`` 0/1 vectors pattern-packed; return output rows.
+
+        ``block`` holds one byte per input value, vector after vector,
+        every byte 0 or 1 (:func:`~repro.codegen.packing.bit_block`
+        builds and checks it).  The batch crosses the ctypes boundary
+        once each way: the library's ``pack_lanes`` transposes it into
+        slot-major lane words — plus the all-zeros fill group when
+        ``fill`` — the unchanged ``run_packed_block`` kernel runs the
+        passes, and ``unpack_lanes`` writes each vector's output words:
+        the lane bit in bit 0 and, with ``fill``, the fill group's high
+        bits, exactly the words a scalar pass emits
+        (:func:`~repro.codegen.packing.packed_apply`).
+        """
+        if len(block) != count * self.interface.num_inputs:
+            # pack_lanes reads count * inputs bytes, no more.
+            raise BackendError(
+                f"bit block has {len(block)} bytes, expected {count} "
+                f"vectors of {self.interface.num_inputs}"
+            )
+        if count == 0:
+            return []
+        word = self._word
+        groups = -(-count // self.program.word_width) + bool(fill)
+        passes = -(-groups // self.tiles)
+        lanes = (word * (passes * max(1, self.num_inputs)))()
+        with telemetry.span("pack"):
+            self._pack_lanes(block, count, passes, lanes)
+        out = (word * max(1, passes * self._num_outputs))()
+        start = time.perf_counter()
+        self._entry["run_packed_block"](lanes, passes, out)
+        self._record_batch(count, time.perf_counter() - start)
+        emits = self.interface.num_emits
+        if emits == 0:
+            return [[] for _ in range(count)]
+        rows = (word * (count * emits))()
+        with telemetry.span("unpack"):
+            self._unpack_lanes(out, count, int(fill), rows)
+            return memoryview(rows).cast("B").cast(
+                self._FORMAT[self.program.word_width], (count, emits)
+            ).tolist()
 
     def dump_state(self) -> list[int]:
         self._entry["dump_state"](self._state_buffer)

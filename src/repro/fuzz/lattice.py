@@ -377,6 +377,10 @@ def coverage_configs(
         # packed
         FuzzConfig(check="packed", technique="zero-lcc",
                    backend=backend, word_width=8),
+        # packed at 64 bits: the campaign's short tapes leave the one
+        # group partial, the shape the fill reconstruction must survive
+        FuzzConfig(check="packed", technique="zero-lcc",
+                   backend=backend, word_width=64),
         # tiled (K-word packed pass)
         FuzzConfig(check="packed", technique="zero-lcc",
                    backend=backend, word_width=8, tiles=2),

@@ -80,14 +80,29 @@ def inject_tile_bug():
     A machine compiled with ``tiles=K`` consumes pass rows with input
     slot ``s`` tile ``t`` at index ``s*K + t``; the injected bug
     interleaves them group-major (``t*num_inputs + s``) instead — the
-    classic tile-boundary transposition.  Any tiled pass over a
-    circuit with more than one input computes with the wrong words, so
-    the campaign's tiled packed checks must disagree with the untiled
-    reference.  Self-test only.
+    classic tile-boundary transposition — in both places that lay the
+    rows out: the Python transposition (``tile_groups``) and the C
+    library's ``pack_lanes``.  Any tiled pass over a circuit with more
+    than one input computes with the wrong words, so the campaign's
+    tiled packed checks must disagree with the untiled reference.
+    Self-test only.
     """
     import importlib
 
+    from repro.codegen import c_emitter
     from repro.codegen.packing import tile_groups as real_tile_groups
+
+    real_lane_helpers = c_emitter._lane_helper_lines
+
+    def buggy_lane_helpers(interface):
+        tiles = interface.tiles
+        slot_major = f"s * {tiles} + g % {tiles}]"
+        group_major = f"(g % {tiles}) * {interface.num_inputs} + s]"
+        lines = real_lane_helpers(interface)
+        if not any(slot_major in line for line in lines):
+            raise SimulationError("pack_lanes no longer matches the "
+                                  "tile-boundary mutation")
+        return [line.replace(slot_major, group_major) for line in lines]
 
     def buggy_tile_groups(groups, num_inputs, tiles):
         rows = []
@@ -108,11 +123,13 @@ def inject_tile_bug():
     saved = [module.tile_groups for module in modules]
     for module in modules:
         module.tile_groups = buggy_tile_groups
+    c_emitter._lane_helper_lines = buggy_lane_helpers
     try:
-        yield "tile_groups emits group-major rows (transposed layout)"
+        yield "tiled pass rows laid out group-major (transposed layout)"
     finally:
         for module, original in zip(modules, saved):
             module.tile_groups = original
+        c_emitter._lane_helper_lines = real_lane_helpers
 
 
 @contextmanager

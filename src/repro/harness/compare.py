@@ -288,7 +288,10 @@ def _validate_packed(
     packed pass when the program is eligible); ``zero-lcc`` auto-packs
     ``apply_vectors`` and its bit-0 outputs are the settled values of
     the monitored nets (zero-delay settled == unit-delay settled in an
-    acyclic circuit).
+    acyclic circuit).  The high bits of those words come from the
+    packed path's fill group, which no settled value shows, so
+    ``zero-lcc``'s full raw words must also equal those of the same
+    simulator built with ``packed=False`` on the same backend.
     """
     from repro.harness.runner import build_simulator
 
@@ -302,6 +305,11 @@ def _validate_packed(
         circuit, technique, backend=backend, word_width=word_width,
         tiles=tiles,
     )
+    if technique == "zero-lcc":
+        scalar = build_simulator(
+            circuit, technique, backend=backend, word_width=word_width,
+            packed=False,
+        )
     checks = 0
     index = 0
     for chunk in _chunks(vectors, batch_size):
@@ -310,12 +318,13 @@ def _validate_packed(
             rows = sim.settled_outputs(chunk)
         else:
             raw = sim.apply_vectors(chunk)
+            expected = scalar.apply_vectors(chunk)
             rows = [
                 {net: value & 1
                  for net, value in zip(circuit.outputs, out)}
                 for out in raw
             ]
-        for row in rows:
+        for offset, row in enumerate(rows):
             bad = [
                 net for net, value in row.items()
                 if value != settled_ref[index][net]
@@ -328,5 +337,11 @@ def _validate_packed(
                 )
                 raise Mismatch(f"{technique}[packed]", index, bad, detail)
             checks += 1
+            if technique == "zero-lcc" and raw[offset] != expected[offset]:
+                detail = (
+                    f"  raw output words: scalar {expected[offset]} vs "
+                    f"packed {raw[offset]}"
+                )
+                raise Mismatch(f"{technique}[packed]", index, [], detail)
             index += 1
     return checks

@@ -19,6 +19,7 @@ from repro.analysis.levelize import levelize
 from repro.codegen.gates import gate_expression
 from repro.codegen.naming import NameAllocator
 from repro.codegen.packing import (
+    bit_block,
     pack_patterns,
     packed_apply,
     packed_bits,
@@ -219,12 +220,28 @@ class LCCSimulator:
             return self.machine
         return self._tiled_machine(tiles)
 
-    def _packable(self, words: list[list[int]]) -> bool:
+    def _batch(self, vectors) -> tuple[list, Optional[bytes]]:
+        """The batch's rows and their :func:`bit_block` (``None``: not 0/1).
+
+        The one boundary of :meth:`apply_vectors`/:meth:`run_batch`,
+        whatever ``packed`` is: list and tuple vectors are used as
+        given, any other vector (a ``Mapping`` keyed by input name, an
+        iterator) goes through :meth:`_vector_list` first; then every
+        length and every value's type is checked, and 0/1 eligibility
+        decided, once over the whole batch.
+        """
+        rows = list(vectors)
+        if not set(map(type, rows)) <= {list, tuple}:
+            rows = [self._vector_list(vector) for vector in rows]
+        return rows, bit_block(rows, len(self._inputs))
+
+    def _packable(self, block: Optional[bytes]) -> bool:
         """May this batch take the packed path?
 
         ``apply_vectors`` accepts multi-bit words too (the classic
         packed-input mode of :meth:`evaluate_packed`); those already
-        occupy all lanes and must go through the scalar path unchanged.
+        occupy all lanes, have no :func:`bit_block` and must go
+        through the scalar path unchanged.
         """
         if self.packed is False or self.packing_mode != "full":
             if self.packed is True:
@@ -235,16 +252,15 @@ class LCCSimulator:
             return False
         if not self._inputs:
             return False
-        eligible = all(
-            value in (0, 1) for word in words for value in word
-        )
-        if not eligible and self.packed is True:
+        if block is None and self.packed is True:
             raise SimulationError(
                 "packed=True requires plain 0/1 vectors (one lane each)"
             )
-        return eligible
+        return block is not None
 
-    def _probe_words(self, words: list[list[int]]) -> list[list[int]]:
+    def _probe_words(
+        self, words: Sequence[Sequence[int]]
+    ) -> list[list[int]]:
         """Validate 0/1 vectors; append the ``__probe_en`` occupancy 1."""
         for word in words:
             for value in word:
@@ -254,7 +270,7 @@ class LCCSimulator:
                         "counters chain lanes as consecutive vectors, "
                         "so pre-packed multi-bit words are not countable"
                     )
-        return [word + [1] for word in words]
+        return [[*word, 1] for word in words]
 
     def evaluate(
         self, vector: Mapping[str, int] | Sequence[int]
@@ -334,19 +350,26 @@ class LCCSimulator:
         Bit-identical to ``[self.machine.step(v) for v in vectors]``.
         Eligible 0/1 batches are pattern-packed — ``word_width``
         vectors per compiled pass — and the exact scalar words are
-        reconstructed on unpacking (:func:`packed_apply`); everything
-        else runs through the scalar ``run_block`` loop.
+        reconstructed on unpacking (:func:`packed_apply`; on the C
+        backend the transposition and unpacking run inside the
+        generated library); everything else runs through the scalar
+        ``run_block`` loop.  A value that is not an ``int`` raises
+        :class:`SimulationError` naming the vector and the input.
         """
-        words = [self._vector_list(vector) for vector in vectors]
+        words, block = self._batch(vectors)
         if self._probe_runtime is not None:
-            return self._probed_batch(words)
-        if self._packable(words):
+            return self._probed_batch(words, block)
+        if self._packable(block):
             telemetry.counter("packing.packed_batches")
-            return packed_apply(self._packed_machine(len(words)), words)
+            return packed_apply(
+                self._packed_machine(len(words)), words, block=block
+            )
         telemetry.counter("packing.fallback.scalar")
         return self.machine.step_many(words)
 
-    def _probed_batch(self, words: list[list[int]]) -> list[list[int]]:
+    def _probed_batch(
+        self, words: list, block: Optional[bytes]
+    ) -> list[list[int]]:
         """Run a 0/1 batch with toggle counting, chunked wrap-free.
 
         Packed when eligible (the occupancy input rides along as one
@@ -359,7 +382,7 @@ class LCCSimulator:
         assert runtime is not None
         if not words:
             return []
-        packable = self._packable(words)
+        packable = self._packable(block)
         en_words = self._probe_words(words)
         telemetry.counter(
             "packing.packed_batches" if packable
@@ -403,14 +426,16 @@ class LCCSimulator:
         packed and scalar paths produce the same result; eligible
         batches run packed (one pass per ``word_width`` vectors).
         """
-        words = [self._vector_list(vector) for vector in vectors]
+        words, block = self._batch(vectors)
         if self._probe_runtime is not None:
-            rows = self._probed_batch(words)
-        elif self._packable(words):
+            rows = self._probed_batch(words, block)
+        elif self._packable(block):
             telemetry.counter("packing.packed_batches")
             # packed_bits drives scalar or tiled machines uniformly and
             # returns exactly the bit-0 values the fold consumes.
-            rows = packed_bits(self._packed_machine(len(words)), words)
+            rows = packed_bits(
+                self._packed_machine(len(words)), words, block=block
+            )
         else:
             telemetry.counter("packing.fallback.scalar")
             rows = self.machine.step_many(words)

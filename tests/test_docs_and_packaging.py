@@ -4,6 +4,7 @@ examples are syntactically valid, every public module has a docstring.
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -76,3 +77,13 @@ class TestBenchmarksParse:
         for path in bench_dir.glob("bench_*.py"):
             text = path.read_text()
             assert "write_report(" in text, path.name
+
+    def test_benchmark_tracer_targets_resolve(self):
+        # Every benchmark run calls trace.import_targets() first, traced
+        # or not: renaming or moving any traced function or method fails
+        # every run, so the rename has to fail here, in tier 1, too.
+        path = ROOT / "benchmarks" / "suite" / "trace.py"
+        spec = importlib.util.spec_from_file_location("suite_trace", path)
+        trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trace)
+        trace.import_targets()

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import repro.lcc.zerodelay as zerodelay
+from repro.codegen.runtime import have_c_compiler
 from repro.errors import SimulationError
 from repro.fuzz import (
     CHECKS,
@@ -34,7 +36,9 @@ from repro.fuzz import (
     save_entry,
     shrink,
 )
+from repro.harness.compare import Mismatch
 from repro.harness.vectors import vectors_for
+from repro.netlist.bench import parse_bench
 from repro.netlist.generators import (
     equality_comparator,
     ripple_carry_adder,
@@ -42,6 +46,7 @@ from repro.netlist.generators import (
 from repro.netlist.random_circuits import random_dag_circuit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+BACKENDS = ("python",) + (("c",) if have_c_compiler() else ())
 
 class TestFuzzConfig:
     def test_round_trip(self):
@@ -170,6 +175,30 @@ class TestRunCheck:
         config = FuzzConfig(check="history", technique="parallel-best")
         assert run_check(circuit, vectors, config) == len(vectors)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_packed_high_bits_checked(self, monkeypatch, backend):
+        # An unpack that keeps each lane bit but drops the fill group's
+        # high bits passes every settled (bit-0) comparison; only the
+        # raw words of packed=False can expose it.
+        circuit = parse_bench(
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n", "nand"
+        )
+        vectors = vectors_for(circuit, 5, seed=3)
+        config = FuzzConfig(check="packed", technique="zero-lcc",
+                            backend=backend, word_width=64)
+        assert run_check(circuit, vectors, config) > 0
+        real = zerodelay.packed_apply
+
+        def dropped_fill(machine, rows, *, block=None):
+            return [
+                [word & 1 for word in row]
+                for row in real(machine, rows, block=block)
+            ]
+
+        monkeypatch.setattr(zerodelay, "packed_apply", dropped_fill)
+        with pytest.raises(Mismatch, match="raw output words"):
+            run_check(circuit, vectors, config)
+
 
 class TestMutationIsCaught:
     """The acceptance gate: an injected emitter bug must be caught,
@@ -233,13 +262,16 @@ class TestMutationIsCaught:
         # Tiles are clamped to ceil(vectors/width): more than one
         # packed group is required for a tiled pass to exist.
         vectors = vectors_for(circuit, 20, seed=3)
-        config = FuzzConfig(check="packed", technique="zero-lcc",
-                            tiles=2, word_width=8)
-        assert run_check(circuit, vectors, config) > 0
-        with inject_tile_bug():
-            with pytest.raises(AssertionError):
-                run_check(circuit, vectors, config)
-        assert run_check(circuit, vectors, config) > 0
+        # Python transposes in tile_groups, C in the library's
+        # pack_lanes: the mutation must reach both.
+        for backend in BACKENDS:
+            config = FuzzConfig(check="packed", technique="zero-lcc",
+                                backend=backend, tiles=2, word_width=8)
+            assert run_check(circuit, vectors, config) > 0
+            with inject_tile_bug():
+                with pytest.raises(AssertionError):
+                    run_check(circuit, vectors, config)
+            assert run_check(circuit, vectors, config) > 0
 
     @pytest.mark.parametrize("inject,surface", [
         (inject_tile_bug, "tiled"),

@@ -11,10 +11,11 @@ programs must fall back with no behavior change.
 import pytest
 
 from repro.codegen.packing import (
+    MAX_TILES,
     pack_patterns,
     packed_apply,
+    packed_bits,
     packing_mode,
-    unpack_patterns,
     validate_packed_words,
 )
 from repro.codegen.program import Assign, Bin, Emit, Input, Program, Var
@@ -24,6 +25,7 @@ from repro.eventsim.zerodelay import ZeroDelaySimulator
 from repro.harness.runner import run_technique, simulate_outputs
 from repro.harness.vectors import vectors_for
 from repro.lcc.zerodelay import LCCSimulator, generate_lcc_program
+from repro.netlist.bench import parse_bench
 from repro.netlist.iscas85 import make_circuit
 from repro.netlist.random_circuits import random_dag_circuit
 from repro.parallel.simulator import ParallelSimulator
@@ -35,6 +37,28 @@ BACKENDS = ("python",) + (("c",) if have_c_compiler() else ())
 WIDTHS = (8, 16, 32, 64)
 
 
+def _identity_machine(num_inputs, backend):
+    """A machine that emits its inputs: packed_bits undoes the packing."""
+    program = Program("identity", word_width=8,
+                      inputs=[f"i{k}" for k in range(num_inputs)])
+    for k in range(num_inputs):
+        program.declare(f"v{k}")
+        program.init.append(Assign(f"v{k}", Input(k)))
+        program.output.append(Emit(Var(f"v{k}"), (f"i{k}",)))
+    program.validate()
+    return compile_program(program, backend)
+
+
+def _both_fill_polarities():
+    """Outputs whose all-zeros value is 1 (NAND, NOT) and 0 (AND, XOR)."""
+    return parse_bench(
+        "INPUT(a)\nINPUT(b)\nINPUT(c)\n"
+        "OUTPUT(n1)\nOUTPUT(n2)\nOUTPUT(y)\nOUTPUT(x)\n"
+        "x = XOR(a, b)\nn1 = NAND(x, c)\nn2 = NOT(a)\ny = AND(b, c)\n",
+        "polarities",
+    )
+
+
 class TestTransposition:
     def test_round_trip(self):
         vectors = [[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1], [1, 0, 0]]
@@ -43,12 +67,14 @@ class TestTransposition:
         # bit j of word k = input k of vector j
         assert groups[0] == [0b0101, 0b0110, 0b1011]
         assert groups[1] == [1, 0, 0]
-        flat = [word for group in groups for word in group]
-        assert unpack_patterns(flat, 3, lane_counts) == vectors
+        for backend in BACKENDS:
+            machine = _identity_machine(3, backend)
+            assert packed_bits(machine, vectors) == vectors
 
     def test_empty_batch(self):
         assert pack_patterns([], 8) == ([], [])
-        assert unpack_patterns([], 3, []) == []
+        for backend in BACKENDS:
+            assert packed_bits(_identity_machine(3, backend), []) == []
 
     def test_partial_group_high_lanes_zero(self):
         groups, lane_counts = pack_patterns([[1, 1]], 32)
@@ -69,6 +95,11 @@ class TestTransposition:
             validate_packed_words([256], 8)
         with pytest.raises(SimulationError, match="does not fit"):
             validate_packed_words([-1], 8)
+
+    @pytest.mark.parametrize("word", [1.5, 256.0])
+    def test_validate_packed_words_rejects_non_integers(self, word):
+        with pytest.raises(SimulationError, match="not an integer"):
+            validate_packed_words([word], 8)
 
 
 class TestPackingMode:
@@ -116,6 +147,26 @@ class TestMachineEntry:
         machine.run_packed_block([[1, 2, 3]])
         assert machine.counters.vectors == 5 + 8
 
+    @pytest.mark.skipif(not have_c_compiler(), reason="no C compiler")
+    def test_bit_block_length_checked(self, fig1_circuit):
+        # pack_lanes trusts the block's size; the machine checks it.
+        machine = compile_program(generate_lcc_program(fig1_circuit), "c")
+        with pytest.raises(BackendError, match="expected 2 vectors of 3"):
+            machine.run_bit_block(b"\x00\x01\x01", 2, fill=True)
+        assert machine.run_bit_block(b"\x00\x01\x01", 1, fill=True) == [
+            machine.step([0, 1, 1])
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_lane_helper_names_reserved(self, backend):
+        # Nets may not shadow the C library's pack_lanes/unpack_lanes.
+        circuit = parse_bench(
+            "INPUT(pack_lanes)\nINPUT(b)\nOUTPUT(unpack_lanes)\n"
+            "unpack_lanes = NAND(pack_lanes, b)\n", "clash",
+        )
+        sim = LCCSimulator(circuit, backend=backend, word_width=8)
+        assert sim.apply_vectors([[1, 1], [0, 1]]) == [[254], [255]]
+
 
 class TestPackedEqualsScalar:
     """The tentpole bit-identity property."""
@@ -152,6 +203,55 @@ class TestPackedEqualsScalar:
         )
         assert packed.apply_vectors(vectors) == scalar.apply_vectors(vectors)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("tiles", [1, 3, MAX_TILES])
+    def test_byte_path_identity(self, backend, width, tiles):
+        # The C byte path (pack_lanes/unpack_lanes) against the scalar
+        # run_block loop on the same backend and against the Python
+        # transposition, over batch sizes that leave the last group
+        # empty, partial, full and spilling into a padded tile.
+        circuit = _both_fill_polarities()
+        packed = LCCSimulator(circuit, backend=backend, word_width=width,
+                              packed=True, tiles=tiles)
+        scalar = LCCSimulator(circuit, backend=backend, word_width=width,
+                              packed=False)
+        python = LCCSimulator(circuit, word_width=width, packed=True,
+                              tiles=tiles)
+        for size in (0, 1, width - 1, width, width + 1,
+                     2 * width * tiles + 5):
+            vectors = vectors_for(circuit, size, seed=size)
+            want = scalar.apply_vectors(vectors)
+            assert packed.apply_vectors(vectors) == want, size
+            assert python.apply_vectors(vectors) == want, size
+            checksum = scalar.run_batch(vectors)
+            assert packed.run_batch(vectors) == checksum, size
+            assert python.run_batch(vectors) == checksum, size
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mapping_vectors(self, backend):
+        circuit = _both_fill_polarities()
+        vectors = vectors_for(circuit, 21, seed=5)
+        named = [dict(zip(circuit.inputs, vector)) for vector in vectors]
+        sim = LCCSimulator(circuit, backend=backend, word_width=16)
+        want = LCCSimulator(circuit, word_width=16,
+                            packed=False).apply_vectors(vectors)
+        assert sim.apply_vectors(named) == want
+        assert sim.apply_vectors(vectors) == want
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_probed_batch_matches_python(self, backend):
+        circuit = _both_fill_polarities()
+        vectors = vectors_for(circuit, 45, seed=6)
+        runs = []
+        for engine in ("python", backend):
+            sim = LCCSimulator(circuit, backend=engine, word_width=16,
+                               probes=True)
+            sim.probe_reset()
+            outputs = sim.apply_vectors(vectors)
+            runs.append((outputs, vars(sim.activity_report())))
+        assert runs[0] == runs[1]
+
     def test_packed_apply_matches_per_vector_step(self, fig1_circuit):
         machine = compile_program(
             generate_lcc_program(fig1_circuit, word_width=8), "python"
@@ -170,11 +270,27 @@ class TestPackedEqualsScalar:
 
 
 class TestEligibilityBoundary:
-    def test_multibit_words_fall_back_under_auto(self, fig1_circuit):
-        sim = LCCSimulator(fig1_circuit, word_width=8)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_multibit_words_fall_back_under_auto(self, fig1_circuit,
+                                                 backend):
+        sim = LCCSimulator(fig1_circuit, word_width=8, backend=backend)
         packed_input = [3, 3, 1]  # classic packed-input mode, not 0/1
-        out = sim.apply_vectors([packed_input])
-        assert out == [sim.machine.step(packed_input)]
+        batch = [[0, 1, 1], packed_input]
+        out = sim.apply_vectors(batch)
+        assert out == [sim.machine.step(vector) for vector in batch]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("packed", ["auto", False])
+    def test_non_integer_values_rejected(self, fig1_circuit, backend,
+                                         packed):
+        sim = LCCSimulator(fig1_circuit, backend=backend, packed=packed)
+        with pytest.raises(SimulationError,
+                           match=r"vector 1, input 2: value 1\.0 is not"):
+            sim.apply_vectors([[0, 1, 1], [1, 0, 1.0]])
+        # bool is an int: it stays accepted.
+        assert sim.apply_vectors([[True, False, True]]) == (
+            sim.apply_vectors([[1, 0, 1]])
+        )
 
     def test_multibit_words_rejected_under_packed_true(self, fig1_circuit):
         sim = LCCSimulator(fig1_circuit, word_width=8, packed=True)

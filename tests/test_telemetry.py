@@ -262,6 +262,19 @@ class TestSnapshots:
         assert packing["fallback"]["scalar"] == 1
         assert packing["packed_batches"] == 0
 
+    @pytest.mark.parametrize(
+        "backend", ["python", pytest.param("c", marks=NEED_CC)]
+    )
+    def test_lcc_packed_batch_reaches_packing_section(self, backend):
+        circuit = ripple_carry_adder(2)
+        sim = LCCSimulator(circuit, backend=backend, word_width=8)
+        telemetry.enable()
+        sim.apply_vectors(vectors_for(circuit, 20, seed=1))
+        snap = telemetry.snapshot()
+        assert snap["packing"]["packed_batches"] == 1
+        assert snap["counters"]["run.vectors"] == 20
+        assert {"pack", "run", "unpack"} <= set(snap["phases"])
+
     def test_laned_batches_reach_packing_section(self):
         circuit = ripple_carry_adder(2)
         sim = ParallelSimulator(circuit, word_width=8, tiles=2)
