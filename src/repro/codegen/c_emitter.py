@@ -6,18 +6,23 @@ this emitter restores that: the program becomes a shared library with a
 (``uint8_t``..``uint64_t`` according to the program's word width),
 batch drivers ``run_block`` (one vector per pass) and
 ``run_packed_block`` (pattern-lane packed: one pass per ``word_width``
-vectors, see :mod:`repro.codegen.packing`), the two helpers around it
-that transpose a batch of 0/1 bytes into lane words and unpack the
-packed outputs (``pack_lanes``/``unpack_lanes``), plus
-``dump_state``/``load_state`` accessors used to seed and inspect the
-persistent variables.  Masking is free — the C types wrap naturally —
-so the emitted expressions match the paper's listings one for one.
+vectors, see :mod:`repro.codegen.packing`), and the two helpers around
+it that transpose a batch of 0/1 bytes into lane words and unpack the
+packed outputs (``pack_lanes``/``unpack_lanes``).
+
+The code is reentrant.  The persistent variables are the members of
+one ``struct state``, in declaration order (``word name[K]`` when
+tiled, so the struct is the flat ``s*K + t`` state layout), and every
+entry point takes ``struct state *restrict S`` first and reads and
+writes ``S->name``.  The library holds no mutable data of its own, so
+one loaded library serves every machine of its program, each passing
+its own state.  Masking is free — the C types wrap naturally — so the
+emitted expressions match the paper's listings one for one.
 """
 
 from __future__ import annotations
 
 from repro.codegen.program import (
-    ENTRY_POINTS,
     Assign,
     Bin,
     Comment,
@@ -89,14 +94,34 @@ def _child(expr: Expr, word_type: str) -> str:
     return text
 
 
+def _state_ref(program: Program, suffix: str = ""):
+    """``var_ref`` for :func:`retarget_stmt`: state lives behind ``S``.
+
+    Persistent variables become members of the caller's state struct;
+    temporaries stay locals of ``step``.
+    """
+    def ref(name: str) -> str:
+        if program.is_state(name):
+            return f"S->{name}{suffix}"
+        return f"{name}{suffix}"
+    return ref
+
+
 def _statement_lines(
     stmts: list[Stmt], program: Program, word_type: str, indent: str
 ) -> list[str]:
+    var_ref = _state_ref(program)
+
+    def input_ref(slot: int) -> str:
+        return f"V[{slot}]"
+
     lines: list[str] = []
     for stmt in stmts:
         if isinstance(stmt, Comment):
             lines.append(f"{indent}/* {stmt.text} */")
-        elif isinstance(stmt, Assign):
+            continue
+        stmt = retarget_stmt(stmt, var_ref, input_ref)
+        if isinstance(stmt, Assign):
             rhs = render_expr_c(stmt.expr, word_type)
             lines.append(f"{indent}{stmt.dest} = {rhs};")
         elif isinstance(stmt, Emit):
@@ -117,7 +142,8 @@ def _tile_index(program: Program) -> str:
 
 
 def _tiled_statement_lines(
-    stmts: list[Stmt], word_type: str, tiles: int, indent: str, idx: str
+    stmts: list[Stmt], program: Program, word_type: str, indent: str,
+    idx: str, tiles: int,
 ) -> list[str]:
     """Each statement becomes one tight ``for (t...)`` loop over the tiles.
 
@@ -126,16 +152,17 @@ def _tiled_statement_lines(
     auto-vectorizer turns into SIMD — the super-word scaling the tiled
     path is after.  Vector reads are slot-major (``V[s*K + t]``).
     """
+    var_ref = _state_ref(program, f"[{idx}]")
+
+    def input_ref(slot: int) -> str:
+        return f"V[{slot * tiles} + {idx}]"
+
     lines: list[str] = []
     for stmt in stmts:
         if isinstance(stmt, Comment):
             lines.append(f"{indent}/* {stmt.text} */")
             continue
-        tiled = retarget_stmt(
-            stmt,
-            lambda name: f"{name}[{idx}]",
-            lambda slot: f"V[{slot * tiles} + {idx}]",
-        )
+        tiled = retarget_stmt(stmt, var_ref, input_ref)
         lines.append(f"{indent}for ({idx} = 0; {idx} < {tiles}; {idx}++) {{")
         if isinstance(tiled, Assign):
             rhs = render_expr_c(tiled.expr, word_type)
@@ -222,8 +249,7 @@ def emit_c(program: Program, tiles: int = 1) -> str:
 
     ``tiles=K`` turns every net into an array of K words and every
     statement into a K-iteration loop (see
-    :func:`_tiled_statement_lines`); ``tiles=1`` is byte-identical to
-    the historical single-word emitter output.
+    :func:`_tiled_statement_lines`).
     """
     program.validate()
     if tiles < 1:
@@ -257,27 +283,28 @@ def emit_c(program: Program, tiles: int = 1) -> str:
             "#endif",
             "",
         ]
+    # The caller owns the state: one member per persistent variable,
+    # all of type word, so the struct has no padding and its layout is
+    # the flat state vector the runtime allocates and initialises.
+    lines.append("struct state {")
     for name in program.state_vars:
-        init = f"{program.state_init[name]}{suffix}"
         if tiles == 1:
-            lines.append(f"static word {name} = {init};")
+            lines.append(f"    word {name};")
         else:
-            fill = ", ".join([init] * tiles)
-            lines.append(f"static word {name}[{tiles}] = {{{fill}}};")
+            lines.append(f"    word {name}[{tiles}];")
+    if not program.state_vars:
+        lines.append("    word unused;")  # C has no empty structs
+    lines.append("};")
     lines.append("")
-    num_outputs = interface.output_words
-    lines.append(f"int num_state(void) {{ return {interface.state_words}; }}")
-    lines.append(f"int num_outputs(void) {{ return {num_outputs}; }}")
-    lines.append("")
+    # restrict on S lets the compiler keep state in registers across
+    # stores through OUT; on V/OUT it spares the tiled loops a runtime
+    # overlap check that would eat the SIMD win.
     if tiles == 1:
-        lines.append("void step(const word *V, word *OUT) {")
+        lines.append("void step(struct state *restrict S, const word *V,"
+                     " word *OUT) {")
     else:
-        # restrict lets the vectorizer assume V/OUT never alias the
-        # static state arrays — without it every 8-iteration tile loop
-        # gets a runtime overlap check that eats the SIMD win.
-        lines.append(
-            "void step(const word *restrict V, word *restrict OUT) {"
-        )
+        lines.append("void step(struct state *restrict S,"
+                     " const word *restrict V, word *restrict OUT) {")
     if program.temp_vars:
         if tiles == 1:
             decl = ", ".join(program.temp_vars)
@@ -286,76 +313,52 @@ def emit_c(program: Program, tiles: int = 1) -> str:
         lines.append(f"    word {decl};")
     if tiles > 1:
         lines.append(f"    int {idx};")
-    lines.append("    (void)V; (void)OUT;")
-    if tiles == 1:
-        lines += _statement_lines(program.init, program, word_type, "    ")
-        lines += _statement_lines(program.body, program, word_type, "    ")
-        lines += _statement_lines(program.output, program, word_type, "    ")
-    else:
-        for section in (program.init, program.body, program.output):
+    lines.append("    (void)S; (void)V; (void)OUT;")
+    for section in (program.init, program.body, program.output):
+        if tiles == 1:
+            lines += _statement_lines(section, program, word_type, "    ")
+        else:
             lines += _tiled_statement_lines(
-                section, word_type, tiles, "    ", idx
+                section, program, word_type, "    ", idx, tiles
             )
     lines.append("}")
     lines.append("")
-    num_inputs = max(1, interface.vector_words)
-    lines.append(f"#define NUM_INPUTS {num_inputs}")
-    symbol = {ep.name: ep.c_symbol for ep in ENTRY_POINTS}
+    num_outputs = interface.output_words
+    lines.append(f"#define NUM_INPUTS {max(1, interface.vector_words)}")
     lines.append(f"#define NUM_OUTPUTS {num_outputs}")
-    lines.append(f"static word OUT_SCRATCH[{max(1, num_outputs)}];")
     # The batch driver: the whole vector loop stays inside the shared
     # library.  OUT == NULL discards outputs (the timing fast path);
     # otherwise each vector's emitted words land at OUT + i*NUM_OUTPUTS
     # in the caller-supplied buffer.
-    lines.append(f"void {symbol['run_block']}(const word *V, long n,"
-                 " word *OUT) {")
-    lines.append("    long i;")
-    lines.append("    if (OUT) {")
-    lines.append("        for (i = 0; i < n; i++) {")
-    lines.append("            step(V + i * NUM_INPUTS,"
-                 " OUT + i * NUM_OUTPUTS);")
-    lines.append("        }")
-    lines.append("    } else {")
-    lines.append("        for (i = 0; i < n; i++) {")
-    lines.append("            step(V + i * NUM_INPUTS, OUT_SCRATCH);")
-    lines.append("        }")
-    lines.append("    }")
-    lines.append("}")
-    lines.append("")
+    lines += [
+        "void run_block(struct state *restrict S, const word *V, long n,"
+        " word *OUT) {",
+        f"    word sink[{max(1, num_outputs)}];",
+        "    long i;",
+        "    if (OUT) {",
+        "        for (i = 0; i < n; i++) {",
+        "            step(S, V + i * NUM_INPUTS, OUT + i * NUM_OUTPUTS);",
+        "        }",
+        "    } else {",
+        "        for (i = 0; i < n; i++) {",
+        "            step(S, V + i * NUM_INPUTS, sink);",
+        "        }",
+        "    }",
+        "}",
+        "",
+    ]
     # Pattern-packed batch entry: each of the n "vectors" is a group of
     # per-input lane words (bit j of word k = input k of packed vector
     # j), so one step evaluates up to a whole word of vectors.  Packing
     # is a data-layout contract — the per-pass code is the same — but
     # the named entry point keeps the ABI explicit and mirrors the
     # Python backend's packed opcode.
-    lines.append(f"void {symbol['run_packed_block']}(const word *V, long n,"
-                 " word *OUT) {")
-    lines.append(f"    {symbol['run_block']}(V, n, OUT);")
-    lines.append("}")
-    lines.append("")
+    lines += [
+        "void run_packed_block(struct state *restrict S, const word *V,"
+        " long n, word *OUT) {",
+        "    run_block(S, V, n, OUT);",
+        "}",
+        "",
+    ]
     lines += _lane_helper_lines(interface)
-    lines.append(f"void {symbol['dump_state']}(word *S) {{")
-    if tiles > 1 and program.state_vars:
-        lines.append(f"    int {idx};")
-    lines.append("    (void)S;")
-    for i, name in enumerate(program.state_vars):
-        if tiles == 1:
-            lines.append(f"    S[{i}] = {name};")
-        else:
-            lines.append(f"    for ({idx} = 0; {idx} < {tiles}; {idx}++)"
-                         f" S[{i * tiles} + {idx}] = {name}[{idx}];")
-    lines.append("}")
-    lines.append("")
-    lines.append(f"void {symbol['load_state']}(const word *S) {{")
-    if tiles > 1 and program.state_vars:
-        lines.append(f"    int {idx};")
-    lines.append("    (void)S;")
-    for i, name in enumerate(program.state_vars):
-        if tiles == 1:
-            lines.append(f"    {name} = S[{i}];")
-        else:
-            lines.append(f"    for ({idx} = 0; {idx} < {tiles}; {idx}++)"
-                         f" {name}[{idx}] = S[{i * tiles} + {idx}];")
-    lines.append("}")
-    lines.append("")
     return "\n".join(lines)

@@ -44,8 +44,6 @@ __all__ = [
     "Comment",
     "Program",
     "ProgramStats",
-    "EntryPoint",
-    "ENTRY_POINTS",
     "MachineInterface",
     "retarget_expr",
     "retarget_stmt",
@@ -547,37 +545,17 @@ def _variables(expr: Expr) -> Iterator[str]:
 # ----------------------------------------------------------------------
 # the machine interface (shared entry-point surface)
 # ----------------------------------------------------------------------
-class EntryPoint:
-    """One entry point of a compiled program.
-
-    ``opcode`` is the request code of the Python backend's generator
-    protocol; ``c_symbol`` is the exported function name on the C
-    backend.  Both emitters and the runtime lower from this single
-    table, so adding an entry point is a one-line change here instead
-    of three parallel edits.
-    """
-
-    __slots__ = ("name", "opcode", "c_symbol")
-
-    def __init__(self, name: str, opcode: int, c_symbol: str) -> None:
-        self.name = name
-        self.opcode = opcode
-        self.c_symbol = c_symbol
-
-    def __repr__(self) -> str:
-        return f"EntryPoint({self.name}, op={self.opcode})"
-
-
-#: The complete entry-point surface every backend must provide.
-ENTRY_POINTS = (
-    EntryPoint("step", 0, "step"),
-    EntryPoint("dump_state", 1, "dump_state"),
-    EntryPoint("load_state", 2, "load_state"),
-    EntryPoint("run_block", 3, "run_block"),
-    EntryPoint("run_packed_block", 4, "run_packed_block"),
-)
-
-OPCODES = {ep.name: ep.opcode for ep in ENTRY_POINTS}
+#: Request codes of the Python backend's generator protocol.  The C
+#: library exports the three pass entries under their names, each
+#: taking the machine's state first; its state is a buffer the machine
+#: owns, so ``dump_state``/``load_state`` never enter the library.
+OPCODES = {
+    "step": 0,
+    "dump_state": 1,
+    "load_state": 2,
+    "run_block": 3,
+    "run_packed_block": 4,
+}
 
 
 class MachineInterface:
@@ -587,14 +565,14 @@ class MachineInterface:
     consumes ``len(inputs) * K`` vector words (slot-major: slot ``s``
     tile ``t`` lives at index ``s*K + t``), carries
     ``len(state_vars) * K`` state words, and produces one word per
-    (Emit, tile) — again emit-major.  All three emitters and the
+    (Emit, tile) — again emit-major.  Both emitters and the
     runtime's buffer sizing derive from this one object, which is what
     keeps the tiled layouts bit-compatible across backends.
     """
 
     __slots__ = ("tiles", "word_width", "num_inputs", "num_state_vars",
                  "num_emits", "vector_words", "state_words",
-                 "output_words", "entry_points", "_labels")
+                 "output_words", "_labels")
 
     def __init__(self, program: Program, tiles: int = 1) -> None:
         if tiles < 1:
@@ -607,7 +585,6 @@ class MachineInterface:
         self.vector_words = self.num_inputs * tiles
         self.state_words = self.num_state_vars * tiles
         self.output_words = self.num_emits * tiles
-        self.entry_points = ENTRY_POINTS
         self._labels = program.output_labels()
 
     def output_labels(self) -> list[tuple]:

@@ -5,10 +5,10 @@ Two backends share the :class:`Machine` interface:
 - :class:`PythonMachine` — ``compile()``/``exec`` of the generated
   Python coroutine.  Always available; this is what the test suite and
   the default benchmarks use.
-- :class:`CMachine` — writes the generated C, compiles it with the
-  system C compiler into a shared library, and calls it through
-  ``ctypes``.  This restores the genuinely compiled character of the
-  original work; use it for absolute performance numbers.
+- :class:`CMachine` — compiles the generated C with the system C
+  compiler into a shared library and calls it through ``ctypes``.
+  This restores the genuinely compiled character of the original
+  work; use it for absolute performance numbers.
 
 ``compile_program(program, backend=...)`` picks one.  Every backend
 accepts ``tiles=K`` (tiled execution: each net holds K words, one pass
@@ -51,25 +51,26 @@ module-level :class:`ProgramCache` memoizes the expensive compilation
 step keyed by ``(program fingerprint, backend, opt_level)``.  The
 fingerprint is a hash of the generated source, so any change to the
 program invalidates the entry.  Python entries cache the ``compile()``d
-code object; C entries cache the built artifacts, and every cache hit
-*copies* the shared library to a fresh path before ``dlopen`` — the
-dynamic loader dedupes loaded objects by inode, and a shared handle
-would alias the per-machine static state.
+code object, which each machine ``exec``s into its own namespace.  C
+entries are the loaded library itself: the generated code is
+reentrant (state is passed by pointer, see
+:mod:`repro.codegen.c_emitter`), so every machine of a program shares
+one library and owns only its state buffer.  The library is built in
+a temporary directory that is removed as soon as it is loaded, so
+nothing is left on disk, and a forked child keeps serving the
+parent's loaded programs.
 """
 
 from __future__ import annotations
 
-import atexit
 import ctypes
+import functools
 import hashlib
 import os
-import re
 import shutil
 import subprocess
 import tempfile
 import time
-import uuid
-import weakref
 from collections import OrderedDict
 from typing import Optional, Sequence
 
@@ -225,45 +226,16 @@ class BatchCounters:
         )
 
 
-def _remove_cache_dir(path: str, owner_pid: int) -> None:
-    """``atexit`` hook for a cache directory — creator-process only.
-
-    ``atexit`` registrations are inherited across ``fork``; without the
-    pid guard a forked worker exiting would delete the *parent's*
-    cached ``.so``/``.c`` artifacts out from under it.
-    """
-    if os.getpid() == owner_pid:
-        shutil.rmtree(path, ignore_errors=True)
-
-
-#: Every live cache, so the fork hook can reset inherited state in the
-#: child (weak: short-lived test caches must stay collectable).
-_FORK_AWARE_CACHES: "weakref.WeakSet[ProgramCache]" = weakref.WeakSet()
-
-
-def _reset_caches_after_fork() -> None:
-    for cache in list(_FORK_AWARE_CACHES):
-        cache._forget_inherited()
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
-    os.register_at_fork(after_in_child=_reset_caches_after_fork)
-
-
 class ProgramCache:
-    """LRU cache of compiled artifacts keyed by program content.
+    """LRU cache of compiled programs keyed by program content.
 
     Keys are ``(fingerprint, backend, opt_level)``.  Python entries are
     code objects (each machine still ``exec``s its own namespace, so
-    machines never share state).  C entries are ``(c_path, so_path)``
-    pairs living in a cache-owned directory; machines copy the library
-    out before loading it, so each instance gets private statics.
-
-    The cache is *fork-safe*: an ``os.register_at_fork`` hook drops the
-    child's inherited entries, directory and counters (the artifacts on
-    disk belong to the parent), and the directory's ``atexit`` removal
-    handler — registered at most once per directory — only fires in the
-    process that created it.
+    machines never share state).  C entries are loaded libraries
+    (:class:`ctypes.CDLL`), shared by every machine of the program;
+    each machine passes its own state buffer.  Eviction does not unload
+    a library: machines may still call it, and ctypes never
+    ``dlclose``s.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -271,37 +243,6 @@ class ProgramCache:
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict[tuple, object] = OrderedDict()
-        self._dir: Optional[str] = None
-        self._registered_dirs: set[str] = set()
-        _FORK_AWARE_CACHES.add(self)
-
-    # ------------------------------------------------------------------
-    def artifact_dir(self) -> str:
-        """The cache-owned directory for C artifacts (lazily created)."""
-        if self._dir is None:
-            self._dir = tempfile.mkdtemp(prefix="repro_cache_")
-        elif not os.path.isdir(self._dir):
-            # Recreate the *same* path after an external wipe so the
-            # already-registered atexit handler keeps covering it.
-            os.makedirs(self._dir, exist_ok=True)
-        if self._dir not in self._registered_dirs:
-            self._registered_dirs.add(self._dir)
-            atexit.register(_remove_cache_dir, self._dir, os.getpid())
-        return self._dir
-
-    def _forget_inherited(self) -> None:
-        """Reset state inherited across ``fork``.
-
-        The entries, the artifact directory and the hit/miss history
-        all belong to the parent; the child starts cold and lazily
-        creates its own directory on first miss.  Nothing is discarded
-        from disk — that would destroy the parent's artifacts.
-        """
-        self._entries.clear()
-        self._dir = None
-        self._registered_dirs.clear()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: tuple):
         entry = self._entries.get(key)
@@ -313,28 +254,12 @@ class ProgramCache:
         return entry
 
     def put(self, key: tuple, entry) -> None:
-        prior = self._entries.get(key)
-        if prior is not None and prior != entry:
-            # Re-inserting a key must not leak the replaced C artifact
-            # pair on disk (equal paths are kept — they are the entry).
-            self._discard(prior)
         self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
-            _key, evicted = self._entries.popitem(last=False)
-            self._discard(evicted)
-
-    def _discard(self, entry) -> None:
-        if isinstance(entry, tuple):
-            for path in entry:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        for entry in self._entries.values():
-            self._discard(entry)
         self._entries.clear()
         self.hits = 0
         self.misses = 0
@@ -359,7 +284,7 @@ def program_cache() -> ProgramCache:
 
 
 def clear_program_cache() -> None:
-    """Drop every cached artifact (mainly for tests)."""
+    """Drop every cached program (mainly for tests)."""
     _PROGRAM_CACHE.clear()
 
 
@@ -373,10 +298,6 @@ class Machine:
     ``dump_state()``/``load_state()`` expose the persistent variables in
     declaration order — this is how simulators seed the previous-vector
     steady state.
-
-    Machines are context managers: ``with compile_program(...) as m:``
-    guarantees backend artifacts are cleaned up (a no-op on the Python
-    backend).
     """
 
     program: Program
@@ -521,37 +442,21 @@ class Machine:
         ]
         return dict(zip(names, self.dump_state()))
 
-    def cleanup(self) -> None:
-        """Release backend artifacts (no-op unless a backend overrides)."""
-
-    def __enter__(self) -> "Machine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.cleanup()
-
 
 class PythonMachine(Machine):
     """Generated Python coroutine backend."""
 
-    def __init__(
-        self, program: Program, *, tiles: int = 1, use_cache: bool = True
-    ) -> None:
+    def __init__(self, program: Program, *, tiles: int = 1) -> None:
         super().__init__(program, tiles)
         self.source = program.python_source(tiles=tiles)
-        filename = f"<repro:{program.name}>"
-        code = None
-        key = None
-        if use_cache:
-            key = (cache_fingerprint(program, self.source, tiles),
-                   "python", "")
-            code = _PROGRAM_CACHE.get(key)
+        key = (cache_fingerprint(program, self.source, tiles), "python", "")
+        code = _PROGRAM_CACHE.get(key)
         if code is None:
             with telemetry.span("cc", backend="python",
                                 program=program.name):
-                code = compile(self.source, filename, "exec")
-            if key is not None:
-                _PROGRAM_CACHE.put(key, code)
+                code = compile(self.source, f"<repro:{program.name}>",
+                               "exec")
+            _PROGRAM_CACHE.put(key, code)
         namespace: dict = {}
         exec(code, namespace)
         self._gen = namespace["machine"]()
@@ -620,11 +525,12 @@ class PythonMachine(Machine):
 class CMachine(Machine):
     """Generated C + system compiler + ctypes backend.
 
-    Owns a work directory holding the generated ``.c`` and the built
-    ``.so``.  The lifecycle contract: ``cleanup()`` removes both and —
-    when the directory was tool-created — the directory itself; it runs
-    automatically on ``__del__`` and on context-manager exit, and is
-    idempotent.  ``keep_artifacts=True`` disables all of it.
+    The loaded library comes from the program cache and is shared by
+    every machine of the program; a machine owns only its state buffer,
+    initialised from ``Program.state_init`` and bound as the first
+    argument of each kernel in :attr:`_entry`, so the entries keep the
+    ``(V, OUT)`` and ``(V, n, OUT)`` call shapes.  ``dump_state`` and
+    ``load_state`` read and write that buffer directly.
     """
 
     _CTYPE = {
@@ -636,6 +542,9 @@ class CMachine(Machine):
 
     #: Native ``memoryview`` format of each word width.
     _FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+    #: The library's kernel entry points, each taking the state first.
+    _KERNELS = ("step", "run_block", "run_packed_block")
 
     #: Programs beyond this many generated lines compile at -O0: C
     #: optimizers behave superlinearly on huge straight-line functions
@@ -649,12 +558,8 @@ class CMachine(Machine):
         *,
         tiles: int = 1,
         opt_level: Optional[str] = None,
-        keep_artifacts: bool = False,
-        work_dir: Optional[str] = None,
-        use_cache: bool = True,
     ) -> None:
         super().__init__(program, tiles)
-        self._cleaned = True  # nothing to clean until paths exist
         compiler = have_c_compiler()
         if compiler is None:
             raise BackendError(
@@ -677,76 +582,59 @@ class CMachine(Machine):
             else:
                 opt_level = "-O1"
         self.opt_level = opt_level
-        self._dir_owned = work_dir is None
-        self._dir = work_dir or tempfile.mkdtemp(prefix="repro_c_")
-        self._keep = keep_artifacts
-        tag = uuid.uuid4().hex[:8]
-        c_path = os.path.join(self._dir, f"{program.name}_{tag}.c")
-        so_path = os.path.join(self._dir, f"{program.name}_{tag}.so")
-        self._c_path = c_path
-        self._so_path = so_path
-        self._cleaned = False
+        word = self._CTYPE[program.word_width]
+        self._word = word
         key = (cache_fingerprint(program, self.source, self.tiles),
                "c", opt_level)
-        cached = _PROGRAM_CACHE.get(key) if use_cache else None
-        if cached is not None:
-            # Copy (never link): the dynamic loader dedupes by inode,
-            # and a shared load would alias the static state words.
-            shutil.copy(cached[0], c_path)
-            shutil.copy(cached[1], so_path)
-        else:
+        lib = _PROGRAM_CACHE.get(key)
+        if lib is None:
+            lib = self._build(compiler, opt_level)
+            _PROGRAM_CACHE.put(key, lib)
+        self._lib = lib
+        self._state = (word * max(1, self.num_state))(*[
+            program.state_init[name]
+            for name in program.state_vars
+            for _ in range(tiles)
+        ])
+        self._entry = {
+            name: functools.partial(getattr(lib, name), self._state)
+            for name in self._KERNELS
+        }
+        self._num_outputs = self.interface.output_words
+        self._v_buffer = (word * max(1, self.num_inputs))()
+        self._out_buffer = (word * max(1, self._num_outputs))()
+
+    def _build(self, compiler: str, opt_level: str) -> ctypes.CDLL:
+        """Compile and load the library; leave nothing on disk.
+
+        The loader keeps the mapping after the directory is removed.
+        """
+        name = self.program.name
+        with tempfile.TemporaryDirectory(prefix="repro_c_") as work:
+            c_path = os.path.join(work, f"{name}.c")
+            so_path = os.path.join(work, f"{name}.so")
             with open(c_path, "w") as handle:
                 handle.write(self.source)
             with telemetry.span("cc", backend="c", opt=opt_level,
-                                program=program.name):
+                                program=name):
                 self._compile(compiler, opt_level, c_path, so_path)
-            if use_cache:
-                cache_dir = _PROGRAM_CACHE.artifact_dir()
-                cached_c = os.path.join(cache_dir, f"{key[0]}.c")
-                opt_tag = re.sub(r"[^A-Za-z0-9]+", "_", opt_level).strip("_")
-                cached_so = os.path.join(
-                    cache_dir, f"{key[0]}_{opt_tag}.so"
-                )
-                shutil.copy(c_path, cached_c)
-                shutil.copy(so_path, cached_so)
-                _PROGRAM_CACHE.put(key, (cached_c, cached_so))
-        self._lib = ctypes.CDLL(so_path)
-        word = self._CTYPE[program.word_width]
-        self._word = word
-        # The callable per entry point, resolved from the interface's
-        # shared table rather than hardcoded symbol names.
-        entry = {
-            ep.name: getattr(self._lib, ep.c_symbol)
-            for ep in self.interface.entry_points
+            lib = ctypes.CDLL(so_path)
+        word = ctypes.POINTER(self._word)
+        count = ctypes.c_long
+        # pack_lanes/unpack_lanes are run_bit_block's byte-level
+        # boundary: helpers, not kernels, so they take no state.
+        signatures = {
+            "step": [word, word, word],
+            "run_block": [word, word, count, word],
+            "run_packed_block": [word, word, count, word],
+            "pack_lanes": [ctypes.c_char_p, count, count, word],
+            "unpack_lanes": [word, count, ctypes.c_int, word],
         }
-        self._entry = entry
-        entry["step"].argtypes = [
-            ctypes.POINTER(word), ctypes.POINTER(word)
-        ]
-        entry["dump_state"].argtypes = [ctypes.POINTER(word)]
-        entry["load_state"].argtypes = [ctypes.POINTER(word)]
-        for batch_entry in ("run_block", "run_packed_block"):
-            entry[batch_entry].argtypes = [
-                ctypes.POINTER(word), ctypes.c_long, ctypes.POINTER(word)
-            ]
-        # The byte-level boundary of run_bit_block: helpers, not entry
-        # points — the Python backend keeps its own transposition.
-        self._pack_lanes = self._lib.pack_lanes
-        self._pack_lanes.argtypes = [
-            ctypes.c_char_p, ctypes.c_long, ctypes.c_long,
-            ctypes.POINTER(word),
-        ]
-        self._pack_lanes.restype = None
-        self._unpack_lanes = self._lib.unpack_lanes
-        self._unpack_lanes.argtypes = [
-            ctypes.POINTER(word), ctypes.c_long, ctypes.c_int,
-            ctypes.POINTER(word),
-        ]
-        self._unpack_lanes.restype = None
-        self._num_outputs = int(self._lib.num_outputs())
-        self._v_buffer = (word * max(1, self.num_inputs))()
-        self._out_buffer = (word * max(1, self._num_outputs))()
-        self._state_buffer = (word * max(1, self.num_state))()
+        for symbol, argtypes in signatures.items():
+            function = getattr(lib, symbol)
+            function.argtypes = argtypes
+            function.restype = None
+        return lib
 
     def _compile(
         self, compiler: str, opt_level: str, c_path: str, so_path: str
@@ -894,7 +782,7 @@ class CMachine(Machine):
         passes = -(-groups // self.tiles)
         lanes = (word * (passes * max(1, self.num_inputs)))()
         with telemetry.span("pack"):
-            self._pack_lanes(block, count, passes, lanes)
+            self._lib.pack_lanes(block, count, passes, lanes)
         out = (word * max(1, passes * self._num_outputs))()
         start = time.perf_counter()
         self._entry["run_packed_block"](lanes, passes, out)
@@ -904,14 +792,13 @@ class CMachine(Machine):
             return [[] for _ in range(count)]
         rows = (word * (count * emits))()
         with telemetry.span("unpack"):
-            self._unpack_lanes(out, count, int(fill), rows)
+            self._lib.unpack_lanes(out, count, int(fill), rows)
             return memoryview(rows).cast("B").cast(
                 self._FORMAT[self.program.word_width], (count, emits)
             ).tolist()
 
     def dump_state(self) -> list[int]:
-        self._entry["dump_state"](self._state_buffer)
-        return list(self._state_buffer[: self.num_state])
+        return self._state[: self.num_state]
 
     def load_state(self, values: Sequence[int]) -> None:
         if len(values) != self.num_state:
@@ -919,33 +806,7 @@ class CMachine(Machine):
                 f"state has {self.num_state} words, got {len(values)}"
             )
         mask = self.program.word_mask
-        buf = self._state_buffer
-        for i, value in enumerate(values):
-            buf[i] = value & mask
-        self._entry["load_state"](buf)
-
-    def cleanup(self) -> None:
-        """Remove generated artifacts (no-op with keep_artifacts).
-
-        Idempotent; called automatically by ``__del__`` and on context
-        exit.  Tool-created work directories are removed outright.
-        """
-        if self._cleaned or self._keep:
-            return
-        self._cleaned = True
-        for path in (self._c_path, self._so_path):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        if self._dir_owned:
-            shutil.rmtree(self._dir, ignore_errors=True)
-
-    def __del__(self) -> None:
-        try:
-            self.cleanup()
-        except Exception:
-            pass
+        self._state[: self.num_state] = [value & mask for value in values]
 
 
 def compile_program(
@@ -957,8 +818,7 @@ def compile_program(
 
     ``backend`` is ``"python"`` or ``"c"``.  Both accept ``tiles=K``
     for tiled execution — every net becomes K words and one pass
-    carries ``word_width * K`` lanes — and ``use_cache=False`` to
-    bypass the process-wide :class:`ProgramCache`.
+    carries ``word_width * K`` lanes.
     """
     if backend == "python":
         return PythonMachine(program, **kwargs)

@@ -98,10 +98,10 @@ def test_fig6_parallel_code(fig4_circuit):
     """Fig. 6: one-word simulation code for the Fig. 2 network."""
     program, _ = generate_parallel_program(fig4_circuit, word_width=8)
     source = program.c_source()
-    assert "D = (uint8_t)(D >> 7U);" in source
-    assert "E = (uint8_t)(E >> 7U);" in source
-    assert "D = D | ((uint8_t)((A & B) << 1U));" in source
-    assert "E = E | ((uint8_t)((D & C) << 1U));" in source
+    assert "S->D = (uint8_t)(S->D >> 7U);" in source
+    assert "S->E = (uint8_t)(S->E >> 7U);" in source
+    assert "S->D = S->D | ((uint8_t)((S->A & S->B) << 1U));" in source
+    assert "S->E = S->E | ((uint8_t)((S->D & S->C) << 1U));" in source
 
 
 def test_fig8_two_word_simulation():
@@ -117,7 +117,7 @@ def test_fig8_two_word_simulation():
     program, layout = generate_parallel_program(b.build(), word_width=8)
     assert layout.field("C").num_words == 2
     source = program.c_source()
-    assert "tmp0 = C" not in source  # temps hold the unshifted result
+    assert "tmp0 = S->C" not in source  # temps hold the unshifted result
     assert "tmp0 =" in source and "tmp1 =" in source
     assert "(tmp0 >> 7U)" in source
     assert "(tmp0 << 1U)" in source and "(tmp1 << 1U)" in source
@@ -156,8 +156,8 @@ def test_fig10_shift_free_code(fig4_circuit):
         fig4_circuit, alignment, word_width=8
     )
     source = program.c_source()
-    assert "D = A & B;" in source
-    assert "E = D & C;" in source
+    assert "S->D = S->A & S->B;" in source
+    assert "S->E = S->D & S->C;" in source
     assert alignment.max_width() == 2  # "reduce ... from 3 to 2"
 
 

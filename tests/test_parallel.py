@@ -101,8 +101,8 @@ class TestCodegen:
         assert "D = (D >> 7) & MASK" in source  # final value into bit 0
         # The C rendering matches Fig. 6 (bar width-preserving casts).
         c_source = program.c_source()
-        assert "D = D | ((uint8_t)((A & B) << 1U));" in c_source
-        assert "E = E | ((uint8_t)((D & C) << 1U));" in c_source
+        assert "S->D = S->D | ((uint8_t)((S->A & S->B) << 1U));" in c_source
+        assert "S->E = S->E | ((uint8_t)((S->D & S->C) << 1U));" in c_source
 
     def test_fig8_two_word_form(self):
         circuit = deep_circuit(20)

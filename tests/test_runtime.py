@@ -1,9 +1,16 @@
 """Tests for the execution backends (Machine protocol)."""
 
+import gc
+import inspect
 import os
+import subprocess
+import sys
+import textwrap
+import threading
 
 import pytest
 
+import repro
 from repro.codegen.program import Assign, Bin, Const, Emit, Input, Program, Var
 from repro.codegen.runtime import (
     CMachine,
@@ -20,13 +27,33 @@ NEED_CC = pytest.mark.skipif(
 )
 
 
-def _counter_program() -> Program:
+def _counter_program(name: str = "counter") -> Program:
     """x' = x | V[0]; emits x."""
-    p = Program("counter", word_width=16, inputs=["IN"])
+    p = Program(name, word_width=16, inputs=["IN"])
     p.declare("x", 0)
     p.body.append(Assign("x", Bin("|", Var("x"), Input(0))))
     p.output.append(Emit(Var("x"), ("x",)))
     return p
+
+
+def _run_child(tmp_path, script: str) -> str:
+    """Run ``script`` in a fresh interpreter whose temp dir is ``tmp_path``.
+
+    The script can call :func:`_counter_program`; its stdout is
+    returned.
+    """
+    preamble = (
+        "from repro.codegen.program import Assign, Bin, Emit, Input, "
+        "Program, Var\n" + inspect.getsource(_counter_program)
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", preamble + textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 class TestPythonMachine:
@@ -104,7 +131,6 @@ class TestCMachine:
         assert machine.dump_state() == [5]
         machine.load_state([0])
         assert machine.step([2]) == [2]
-        machine.cleanup()
 
     def test_step_many(self):
         machine = CMachine(_counter_program())
@@ -131,35 +157,6 @@ class TestCMachine:
         with pytest.raises(BackendError, match="vector 0"):
             machine.pack_block([[], [1]])
 
-    def test_context_manager_removes_workdir(self):
-        with CMachine(_counter_program()) as machine:
-            work_dir = machine._dir
-            assert os.path.isdir(work_dir)
-            assert machine.step([1]) == [1]
-        assert not os.path.exists(work_dir)
-
-    def test_cleanup_removes_tool_created_dir(self):
-        machine = CMachine(_counter_program())
-        work_dir = machine._dir
-        machine.cleanup()
-        machine.cleanup()  # idempotent
-        assert not os.path.exists(work_dir)
-
-    def test_cleanup_keeps_caller_dir(self, tmp_path):
-        machine = CMachine(_counter_program(), work_dir=str(tmp_path))
-        machine.cleanup()
-        assert tmp_path.is_dir()  # caller-owned directory survives
-        assert not list(tmp_path.glob("*.so"))
-
-    def test_del_cleans_up(self):
-        machine = CMachine(_counter_program())
-        work_dir = machine._dir
-        del machine
-        import gc
-
-        gc.collect()
-        assert not os.path.exists(work_dir)
-
     def test_compile_failure_reported(self, monkeypatch):
         program = _counter_program()
         # Sabotage the source through a bogus variable name that only
@@ -168,15 +165,6 @@ class TestCMachine:
         program.state_init["1bad"] = 0
         with pytest.raises(BackendError, match="compilation failed"):
             CMachine(program)
-
-    def test_keep_artifacts(self, tmp_path):
-        machine = CMachine(
-            _counter_program(), keep_artifacts=True,
-            work_dir=str(tmp_path),
-        )
-        machine.cleanup()
-        assert list(tmp_path.glob("*.c"))
-        assert list(tmp_path.glob("*.so"))
 
     def test_load_state_length_checked(self):
         machine = CMachine(_counter_program())
@@ -234,24 +222,154 @@ class TestProgramCache:
         assert a.dump_state() == [1]
         assert b.dump_state() == [2]
 
-    def test_use_cache_false_bypasses(self):
-        cache = program_cache()
-        before = (cache.hits, cache.misses)
-        PythonMachine(_counter_program(), use_cache=False)
-        assert (cache.hits, cache.misses) == before
-
     @NEED_CC
     def test_c_artifact_reused_with_private_state(self):
         cache = program_cache()
-        with CMachine(_counter_program()) as first:
+        for tiles in (1, 3):
+            first = CMachine(_counter_program(), tiles=tiles)
             hits = cache.hits
-            with CMachine(_counter_program()) as second:
-                assert cache.hits == hits + 1  # .so reused, not rebuilt
-                # Static state must NOT be shared between instances.
-                assert first.step([5]) == [5]
-                assert second.dump_state() == [0]
-                assert second.step([2]) == [2]
-                assert first.dump_state() == [5]
+            second = CMachine(_counter_program(), tiles=tiles)
+            assert cache.hits == hits + 1  # library reused, not rebuilt
+            assert first._lib is second._lib
+            # One library, two states: nothing leaks between machines.
+            ones = [5, 6, 7][:tiles]
+            assert first.step(ones) == ones
+            assert second.dump_state() == [0] * tiles
+            second.load_state([1, 2, 4][:tiles])
+            assert first.dump_state() == ones
+            assert second.step([8] * tiles) == [9, 10, 12][:tiles]
+            assert first.step([0] * tiles) == ones
+            assert second.dump_state() == [9, 10, 12][:tiles]
+
+    @NEED_CC
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="needs /proc")
+    def test_dropped_machines_leave_one_library(self):
+        def mapped():
+            with open("/proc/self/maps") as maps:
+                return {
+                    line.split(None, 5)[5].strip()
+                    for line in maps
+                    if "/dropped" in line and ".so" in line
+                }
+
+        for value in range(50):
+            machine = CMachine(_counter_program("dropped"))
+            assert machine.step([value]) == [value]
+            del machine
+        gc.collect()
+        assert len(mapped()) == 1
+
+    @NEED_CC
+    def test_wiped_tempdir_keeps_cache_hits_working(self, tmp_path):
+        # Regression: a cache hit copied the library out of a cache
+        # directory under the temp dir, so once a temp cleaner removed
+        # it every later hit raised FileNotFoundError.
+        out = _run_child(tmp_path, """
+            import os, shutil, tempfile
+            from repro.codegen.runtime import CMachine, program_cache
+
+            first = CMachine(_counter_program())
+            root = tempfile.gettempdir()
+            for entry in os.listdir(root):
+                path = os.path.join(root, entry)
+                if os.path.isdir(path):
+                    shutil.rmtree(path)
+                else:
+                    os.unlink(path)
+            hits = program_cache().hits
+            second = CMachine(_counter_program())
+            assert program_cache().hits == hits + 1
+            print(second.step([3]), first.dump_state())
+        """)
+        assert out.split() == ["[3]", "[0]"]
+
+    @NEED_CC
+    def test_no_files_left_in_tempdir(self, tmp_path):
+        # A miss, a hit and a tiled compile, checked while the machines
+        # are alive and again after the process is gone.
+        out = _run_child(tmp_path, """
+            import os, tempfile
+            from repro.codegen.runtime import CMachine, program_cache
+
+            cache = program_cache()
+            machines = [
+                CMachine(_counter_program()),
+                CMachine(_counter_program()),
+                CMachine(_counter_program(), tiles=3),
+            ]
+            print(cache.misses, cache.hits, os.listdir(tempfile.gettempdir()))
+        """)
+        assert out.split() == ["2", "1", "[]"]
+        assert list(tmp_path.iterdir()) == []
+
+    @NEED_CC
+    def test_threads_share_one_library(self):
+        # ctypes releases the GIL in foreign calls, so the two threads'
+        # kernels really run at once on the shared library.
+        program = Program("adder", word_width=32, inputs=["IN"])
+        program.declare("x", 1)
+        program.body.append(Assign("x", Bin("+", Var("x"), Input(0))))
+        program.output.append(Emit(Var("x"), ("x",)))
+        calls = [
+            [[[(seed * 7919 + call * 64 + i) % 1000] for i in range(64)]
+             for call in range(200)]
+            for seed in (1, 2)
+        ]
+
+        def drive(machine, batches, results):
+            for batch in batches:
+                results.append(machine.run_block(batch, []))
+
+        expected = []
+        for batches in calls:
+            results: list = []
+            drive(CMachine(program), batches, results)
+            expected.append(results)
+        machines = [CMachine(program) for _ in calls]
+        assert machines[0]._lib is machines[1]._lib
+        got: list = [[], []]
+        threads = [
+            threading.Thread(target=drive, args=(m, b, r))
+            for m, b, r in zip(machines, calls, got)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
+
+    @NEED_CC
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_keeps_loaded_programs(self):
+        parent = CMachine(_counter_program())
+        assert parent.step([5]) == [5]
+        child = os.fork()
+        if child == 0:
+            # In the child: assert with os._exit codes (no pytest).
+            try:
+                def refuse(*args):
+                    raise AssertionError("the compiler ran")
+
+                CMachine._compile = refuse
+                cache = program_cache()
+                hits = cache.hits
+                twin = CMachine(_counter_program())
+                ok = cache.hits == hits + 1 and twin._lib is parent._lib
+                ok = ok and twin.step([2]) == [2]
+                ok = ok and parent.step([10]) == [15]
+                os._exit(0 if ok else 1)
+            except BaseException:
+                os._exit(2)
+        _pid, status = os.waitpid(child, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert parent.dump_state() == [5]
 
     def test_lru_eviction_and_stats(self):
         from repro.codegen.runtime import ProgramCache
@@ -269,117 +387,6 @@ class TestProgramCache:
         cache.clear()
         assert len(cache) == 0
 
-    def test_put_replacement_discards_replaced_artifacts(self, tmp_path):
-        # Regression: re-inserting an existing key overwrote the entry
-        # without discarding the old one — the replaced C artifact pair
-        # leaked on disk until process exit.
-        from repro.codegen.runtime import ProgramCache
-
-        cache = ProgramCache()
-        key = ("fp", "c", "-O1")
-
-        def pair(tag):
-            c_path = tmp_path / f"{tag}.c"
-            so_path = tmp_path / f"{tag}.so"
-            c_path.write_text("/* c */")
-            so_path.write_text("elf")
-            return (str(c_path), str(so_path))
-
-        first = pair("a")
-        cache.put(key, first)
-        second = pair("b")
-        cache.put(key, second)
-        assert not os.path.exists(first[0])
-        assert not os.path.exists(first[1])
-        assert os.path.exists(second[0]) and os.path.exists(second[1])
-        # Re-inserting the *same* paths must not unlink the entry.
-        cache.put(key, tuple(second))
-        assert os.path.exists(second[0]) and os.path.exists(second[1])
-        assert len(cache) == 1
-
-    def test_artifact_dir_recreated_in_place_registered_once(self):
-        # Regression: every recreation after an external wipe used to
-        # register a fresh atexit handler; now the same path is
-        # recreated and registered exactly once.
-        import shutil as _shutil
-
-        from repro.codegen.runtime import ProgramCache
-
-        cache = ProgramCache()
-        first = cache.artifact_dir()
-        assert cache.artifact_dir() == first  # stable while it exists
-        _shutil.rmtree(first)
-        second = cache.artifact_dir()
-        assert second == first
-        assert os.path.isdir(second)
-        assert cache._registered_dirs == {first}
-        _shutil.rmtree(first, ignore_errors=True)
-
-
-class TestProgramCacheForkSafety:
-    def test_atexit_handler_guarded_by_owner_pid(self, tmp_path):
-        # The registered remover must be a no-op in any process other
-        # than the one that created the directory (atexit tables are
-        # inherited across fork).
-        from repro.codegen.runtime import _remove_cache_dir
-
-        target = tmp_path / "cache_dir"
-        target.mkdir()
-        _remove_cache_dir(str(target), os.getpid() + 1)  # "forked child"
-        assert target.is_dir()
-        _remove_cache_dir(str(target), os.getpid())  # the owner
-        assert not target.exists()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_fork_resets_child_cache_and_preserves_parent(self):
-        # Round-trip: the forked child must see a cold, detached cache
-        # (fresh dir, no entries, zeroed counters) and its exit must
-        # leave the parent's directory and entries untouched.
-        from repro.codegen.runtime import ProgramCache, _remove_cache_dir
-
-        cache = ProgramCache()
-        cache.put(("k", "python", ""), object())
-        cache.get(("k", "python", ""))
-        parent_dir = cache.artifact_dir()
-        parent_pid = os.getpid()
-        marker = os.path.join(parent_dir, "artifact.so")
-        with open(marker, "w") as handle:
-            handle.write("parent artifact")
-
-        child = os.fork()
-        if child == 0:
-            # In the child: assert with os._exit codes (no pytest).
-            try:
-                ok = (
-                    len(cache) == 0
-                    and cache.hits == 0
-                    and cache.misses == 0
-                    and cache._dir is None
-                    and not cache._registered_dirs
-                )
-                # The inherited atexit handler must not fire here.
-                _remove_cache_dir(parent_dir, parent_pid)
-                ok = ok and os.path.exists(marker)
-                # A child-side miss lazily creates a *different* dir.
-                child_dir = cache.artifact_dir()
-                ok = ok and child_dir != parent_dir
-                if os.path.isdir(child_dir):
-                    import shutil as _shutil
-
-                    _shutil.rmtree(child_dir, ignore_errors=True)
-                os._exit(0 if ok else 1)
-            except BaseException:
-                os._exit(2)
-        _pid, status = os.waitpid(child, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        # Parent state untouched by the child's lifecycle.
-        assert os.path.exists(marker)
-        assert len(cache) == 1
-        assert cache.get(("k", "python", "")) is not None
-        import shutil as _shutil
-
-        _shutil.rmtree(parent_dir, ignore_errors=True)
-
 
 def test_opt_level_auto_downgrade():
     from repro.codegen.program import Assign, Bin, Program, Var
@@ -393,4 +400,3 @@ def test_opt_level_auto_downgrade():
         big.body.append(Assign("x", Bin("&", Var("x"), Var("x"))))
     machine = CMachine(big)
     assert machine.opt_level == "-O0"
-    machine.cleanup()

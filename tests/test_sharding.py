@@ -8,7 +8,7 @@ whatever the pool geometry, start method, or failure pattern — equals
 
 import pytest
 
-from repro.codegen.runtime import have_c_compiler
+from repro.codegen.runtime import CMachine, have_c_compiler
 from repro.errors import SimulationError
 from repro.faults.model import Fault, full_fault_list
 from repro.faults.sharding import (
@@ -113,6 +113,29 @@ class TestMergedEqualsSingleProcess:
             patterns=patterns, workers=2, mp_start="fork",
         )
         assert sharded == single
+
+    @NEED_CC
+    def test_forked_workers_reuse_parent_programs(self, monkeypatch):
+        # A forked worker inherits the parent's loaded libraries: once
+        # the parent has compiled the program, no worker compiles it
+        # again.  A worker that did would raise and lose its shards to
+        # the parent's in-process retry.
+        circuit, vectors, faults = _workload(bits=2, num_vectors=10)
+        inline = run_sharded_fault_simulation(
+            circuit, vectors, faults, word_width=16, backend="c",
+            workers=1,
+        )
+
+        def refuse(*args):
+            raise AssertionError("the compiler ran")
+
+        monkeypatch.setattr(CMachine, "_compile", refuse)
+        sharded = run_sharded_fault_simulation(
+            circuit, vectors, faults, word_width=16, backend="c",
+            workers=2, shards=2, mp_start="fork",
+        )
+        assert sharded == inline
+        assert sharded.retried_shards == []
 
     def test_spawn_round_trip(self):
         circuit, vectors, faults = _workload(bits=2, num_vectors=10)
