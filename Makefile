@@ -11,14 +11,17 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# The pre-merge gate: byte-compile everything, run the tier-1 suite,
-# import-smoke every benchmark module (catches drift in the benchmark
-# drivers without paying for a timed run), run the repository
-# benchmark's own tests, and run the fixed-seed fuzz campaign.  Writes
-# nothing into the tree.
+# The pre-merge gate: byte-compile everything, run the tier-1 suite
+# in development mode with a leaked file (ResourceWarning) as an
+# error, import-smoke every benchmark module (catches drift in the
+# benchmark drivers without paying for a timed run), run the
+# repository benchmark's own tests, and run the fixed-seed fuzz
+# campaign.  Writes nothing into the tree.
 check:
 	PYTHONPATH=src $(PYTHON) -m compileall -q src
-	PYTHONPATH=src $(PYTHON) -m pytest tests/ -x -q
+	PYTHONPATH=src $(PYTHON) -X dev -m pytest tests/ -x -q \
+		-W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning
 	@for bench in benchmarks/bench_*.py; do \
 		echo "import $$bench"; \
 		PYTHONPATH=src:benchmarks $(PYTHON) -c \
@@ -33,8 +36,8 @@ check:
 
 # The continuous campaign (~90 s budget): deterministic coverage
 # preamble over every execution surface (scalar, batched, packed,
-# tiled, laned-shift, sequential replay w/ restore, probed, faults),
-# then random lattice exploration for the rest of the budget.  The
+# sequential replay w/ restore, probed, faults), then random lattice
+# exploration for the rest of the budget.  The
 # exit code asserts that no technique/backend/execution-shape
 # disagreement was found (a failure writes its shrunk reproducer to a
 # temp corpus and fails the target).

@@ -217,38 +217,14 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tiles_option(args: argparse.Namespace) -> dict:
-    """Tile kwargs for the harness factories.
-
-    ``--tiles 0`` means automatic selection
-    (:func:`repro.codegen.packing.select_tiles`); 1 — the default —
-    stays off the kwargs entirely so the historical code path (and the
-    interpreted techniques, which never grew the kwarg) is untouched.
-    """
-    tiles = getattr(args, "tiles", 1)
-    if tiles == 0:
-        return {"tiles": "auto"}
-    if tiles > 1:
-        return {"tiles": tiles}
-    return {}
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     circuit = resolve_circuit(args.circuit, args.scale)
     vectors = vectors_for(circuit, args.vectors, args.seed)
-    options = _tiles_option(args)
-    if options and args.technique in ("interp2", "interp3",
-                                      "zero-interp"):
-        raise SystemExit(
-            f"--tiles applies to compiled techniques only, "
-            f"not {args.technique!r}"
-        )
     sim = build_simulator(
         circuit,
         args.technique,
         word_width=args.word_width,
         backend=args.backend,
-        **options,
     )
     zeros = [0] * len(circuit.inputs)
     if args.technique in ("interp2", "interp3"):
@@ -382,7 +358,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         word_width=args.word_width, backend=args.backend,
         workers=args.workers, shards=args.shards,
         mp_start=args.mp_start, shard_timeout=args.shard_timeout,
-        **_tiles_option(args),
     )
     print(f"{circuit.name}: {report.num_faults} stuck-at faults, "
           f"{len(report.detected)} detected by {args.vectors} random "
@@ -419,16 +394,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     vectors = vectors_for(circuit, args.vectors, args.seed)
     rows = []
     baseline: Optional[float] = None
-    tiles_option = _tiles_option(args)
     for technique in args.techniques:
-        options = (
-            {} if technique in ("interp2", "interp3", "zero-interp")
-            else tiles_option
-        )
         run = run_technique(
             circuit, technique, vectors,
             backend=args.backend, word_width=args.word_width,
-            **options,
         )
         result = time_run(
             run, label=technique, num_vectors=len(vectors),
@@ -482,7 +451,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz_campaign(args: argparse.Namespace) -> int:
-    from repro.fuzz import SURFACES, inject_bug, run_campaign
+    from repro.fuzz import SURFACES, inject_emitter_bug, run_campaign
 
     kwargs = dict(
         seed=args.seed,
@@ -496,7 +465,7 @@ def _cmd_fuzz_campaign(args: argparse.Namespace) -> int:
         progress=print,
     )
     if args.inject_bug:
-        with inject_bug(args.inject_bug) as description:
+        with inject_emitter_bug(args.inject_bug) as description:
             print(f"injected bug: {description}")
             result = run_campaign(**kwargs)
     else:
@@ -566,7 +535,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     seq = resolve_sequential(args.circuit, args.scale)
     tape = Tape(args.tape)
-    options = _tiles_option(args)
     cache = program_cache()
     before = cache.stats()
     sim = CompiledSequentialSimulator(
@@ -575,7 +543,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         backend=args.backend,
         word_width=args.word_width,
         incremental=args.incremental,
-        **options,
     )
     after = cache.stats()
     result = replay_tape(
@@ -634,15 +601,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _add_tiles_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--tiles", type=int, default=1, metavar="K",
-            help="words per net in packed compiled passes "
-                 "(word_width*K pattern lanes per pass; results are "
-                 "bit-identical at any K; 0 = automatic selection, "
-                 "default 1)",
-        )
-
     def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
         # Options must live on each subparser: argparse stops matching
         # top-level options once the subcommand name is consumed.
@@ -700,7 +658,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                        choices=["python", "c"])
     p_sim.add_argument("-w", "--word-width", type=int, default=32,
                        choices=[8, 16, 32, 64])
-    _add_tiles_arg(p_sim)
     _add_telemetry_args(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -777,7 +734,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                           choices=["python", "c"])
     p_faults.add_argument("-w", "--word-width", type=int, default=32,
                           choices=[8, 16, 32, 64])
-    _add_tiles_arg(p_faults)
     p_faults.add_argument(
         "-j", "--workers", type=int, default=1,
         help="worker processes for sharded grading (default 1: "
@@ -814,7 +770,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                          choices=["python", "c"])
     p_bench.add_argument("-w", "--word-width", type=int, default=32,
                          choices=[8, 16, 32, 64])
-    _add_tiles_arg(p_bench)
     _add_telemetry_args(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -935,7 +890,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                           choices=["python", "c"])
     p_replay.add_argument("-w", "--word-width", type=int, default=32,
                           choices=[8, 16, 32, 64])
-    _add_tiles_arg(p_replay)
     p_replay.add_argument(
         "--incremental", action="store_true",
         help="evaluate the core through per-fanin-cone programs "

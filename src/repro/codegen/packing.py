@@ -42,38 +42,11 @@ Two IR operators cross lanes and disqualify a program:
     monitored outputs).
 ``"none"``
     The program contains shifts or negates; one word cannot carry
-    multiple lanes.  Such *shift programs* still pack — but with one
-    word per (net, lane), so the time-shift operations move history
-    within a lane instead of across lanes: see `Per-lane packing`_.
+    multiple lanes, so such *shift programs* (the §3 parallel
+    technique's) run one vector per pass.
 
-Tiling — past the word_width ceiling
-------------------------------------
-Lane packing caps at ``word_width`` vectors per dispatch.  Compiling a
-program with ``tiles=K`` (see :func:`~repro.codegen.runtime\
-.compile_program`) turns every net into an array of K words, so one
-pass carries ``word_width * K`` pattern lanes.  The layout is
-*slot-major* everywhere — input slot ``s`` tile ``t`` at vector index
-``s*K + t``, and likewise for state and output words — which is what
-:class:`~repro.codegen.program.MachineInterface` declares and all
-three emitters honor.  :func:`select_tiles` picks K from the batch
-size (the single-word path is the K=1 special case);
-:func:`packed_apply`/:func:`packed_bits` transparently drive tiled
-machines.
-
-Per-lane packing (shift programs)
----------------------------------
-A tiled machine also unlocks the §3 parallel technique: give each of
-the K tiles its *own* scalar lane — one word per (net, lane) — and the
-shifts move history within that lane exactly as the scalar chain
-would.  Correctness needs one more property, declared by the program
-as ``state_carry="finals"``: cross-vector dependence flows only
-through the previous vector's settled finals.  Then a batch of n
-vectors splits into K contiguous segments (:func:`lane_segments`),
-lane t seeded from the settled state after the last vector of segment
-t-1, and every lane's passes are bit-identical to the scalar chain —
-outputs *and* final state.  The simulator layer
-(:meth:`repro.simbase.CompiledSimulator.apply_vectors`) owns the
-seeding; this module owns the segmentation and eligibility.
+One pass carries at most ``word_width`` vectors: every net is one
+word.
 
 The byte-level boundary (C backend)
 -----------------------------------
@@ -95,7 +68,7 @@ silently; Python ints do not truncate at all).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.program import (
@@ -110,25 +83,15 @@ from repro.codegen.program import (
 from repro.errors import SimulationError
 
 __all__ = [
-    "MAX_TILES",
     "is_shift_free",
     "packing_mode",
     "validate_packed_words",
     "pack_patterns",
     "bit_block",
+    "check_integers",
     "packed_apply",
     "packed_bits",
-    "select_tiles",
-    "select_lanes",
-    "tile_groups",
-    "lane_segments",
 ]
-
-#: Ceiling of the automatic tile/lane selection.  Prototyped on gcc:
-#: per-statement tile loops auto-vectorize well up to 8 words, while
-#: compile time grows linearly — past 8 the marginal speedup no longer
-#: pays for the longer compiles.
-MAX_TILES = 8
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +256,17 @@ def bit_block(
     # joins to the wrong length; it takes the per-value path below.
     if block is not None and len(block) == len(vectors) * num_inputs:
         return None if block.translate(None, b"\x00\x01") else block
+    check_integers(vectors)
+    return None
+
+
+def check_integers(vectors: Iterable[Sequence[int]]) -> None:
+    """Raise :class:`SimulationError` at the first value of ``vectors``
+    that is not an ``int``, naming the vector and the input.
+
+    A per-value loop: callers reach it only once a cheaper pass over
+    the batch has failed.
+    """
     for index, vector in enumerate(vectors):
         for slot, value in enumerate(vector):
             if not isinstance(value, int):
@@ -300,104 +274,6 @@ def bit_block(
                     f"vector {index}, input {slot}: value {value!r} is "
                     f"not an integer"
                 )
-    return None
-
-
-# ----------------------------------------------------------------------
-# tiling
-# ----------------------------------------------------------------------
-def select_tiles(
-    num_vectors: int,
-    word_width: int,
-    *,
-    backend: str = "python",
-    max_tiles: int = MAX_TILES,
-) -> int:
-    """Pick the tile count K for a pattern-packed batch.
-
-    Never more tiles than pattern groups (a pass must not be mostly
-    padding), capped at ``max_tiles``.  The Python backend gets K=1:
-    its tiled source is unrolled K-fold, so wider passes only trade
-    interpreter dispatch for identical bytecode volume — the tile win
-    is the C auto-vectorizer's.  An explicit ``tiles=K`` at the
-    simulator layer overrides this policy on any backend.
-    """
-    if backend != "c" or num_vectors <= 0:
-        selected = 1
-    else:
-        groups = -(-num_vectors // word_width)
-        selected = max(1, min(max_tiles, groups))
-    if telemetry.enabled() and selected > 1:
-        telemetry.counter("pack.tile.selected")
-        telemetry.gauge("pack.tile.max_k", selected)
-    return selected
-
-
-def select_lanes(
-    num_vectors: int,
-    *,
-    backend: str = "python",
-    max_lanes: int = MAX_TILES,
-) -> int:
-    """Pick the lane count for per-lane (shift-program) packing.
-
-    Each lane costs one interpreted steady-state settle for its seed,
-    so short batches stay scalar; the floor of 16 vectors per lane
-    keeps the seeding overhead under a few percent of the compiled
-    passes it saves.  Python backend: 1, as for :func:`select_tiles`.
-    """
-    if backend != "c" or num_vectors < 32:
-        selected = 1
-    else:
-        selected = max(1, min(max_lanes, num_vectors // 16))
-    if telemetry.enabled() and selected > 1:
-        telemetry.counter("pack.shift.selected")
-        telemetry.gauge("pack.shift.max_k", selected)
-    return selected
-
-
-def tile_groups(
-    groups: Sequence[Sequence[int]], num_inputs: int, tiles: int
-) -> list[list[int]]:
-    """Flatten K consecutive scalar groups into one slot-major pass row.
-
-    Row ``p`` carries groups ``p*K .. p*K+K-1`` with input slot ``s``
-    tile ``t`` at index ``s*K + t`` — the vector layout a machine
-    compiled with ``tiles=K`` consumes.  The tail is padded with
-    all-zeros groups (they simulate the all-zeros vector and their
-    outputs are never read back).
-    """
-    rows: list[list[int]] = []
-    for base in range(0, len(groups), tiles):
-        chunk = list(groups[base:base + tiles])
-        while len(chunk) < tiles:
-            chunk.append([0] * num_inputs)
-        rows.append([
-            chunk[t][k]
-            for k in range(num_inputs)
-            for t in range(tiles)
-        ])
-    return rows
-
-
-def lane_segments(total: int, lanes: int) -> list[tuple[int, int]]:
-    """Contiguous ``(start, length)`` per lane for a batch of ``total``.
-
-    The remainder goes to the *last* lanes, so lane ``lanes-1`` always
-    ends at vector ``total-1`` — its final state is the batch's final
-    state, which is what the laned runner hands back to the scalar
-    machine for exact chain continuity.
-    """
-    if lanes < 1:
-        raise SimulationError(f"lanes must be >= 1, got {lanes}")
-    base, rem = divmod(total, lanes)
-    segments: list[tuple[int, int]] = []
-    start = 0
-    for t in range(lanes):
-        length = base + (1 if t >= lanes - rem else 0)
-        segments.append((start, length))
-        start += length
-    return segments
 
 
 # ----------------------------------------------------------------------
@@ -455,36 +331,22 @@ def _packed_rows(machine, vectors, block, *, fill):
                     "pattern values must be 0/1 (pack one vector per "
                     "lane)"
                 )
-        rows = machine.run_bit_block(block, len(vectors), fill=fill)
-    else:
-        rows = _python_rows(machine, vectors, fill)
-    if telemetry.enabled() and machine.tiles > 1:
-        telemetry.counter("pack.tile.batches")
-        telemetry.counter("pack.tile.vectors", len(vectors))
-    return rows
+        return machine.run_bit_block(block, len(vectors), fill=fill)
+    return _python_rows(machine, vectors, fill)
 
 
 def _python_rows(machine, vectors, fill):
     groups, lane_counts = pack_patterns(vectors, machine.program.word_width)
     if not groups:
         return []
-    tiles = machine.tiles
-    num_inputs = len(groups[0])
     if fill:
-        groups.append([0] * num_inputs)  # every lane all-zeros
-    rows = tile_groups(groups, num_inputs, tiles) if tiles > 1 else groups
+        groups.append([0] * len(groups[0]))  # every lane all-zeros
     flat: list[int] = []
-    machine.run_packed_block(rows, flat, vectors_represented=len(vectors))
-    # Group g's output words: every K-th word of pass g // K, from
-    # tile g % K on (the flat output is emit-major, tile-minor).
+    machine.run_packed_block(groups, flat, vectors_represented=len(vectors))
     span = machine.num_outputs
-    words = [
-        flat[(g // tiles) * span + g % tiles:(g // tiles + 1) * span:tiles]
-        for g in range(len(groups))
-    ]
+    words = [flat[g * span:(g + 1) * span] for g in range(len(groups))]
     high = machine.program.word_mask ^ 1
-    emits = span // tiles
-    fills = [word & high for word in words[-1]] if fill else [0] * emits
+    fills = [word & high for word in words[-1]] if fill else [0] * span
     with telemetry.span("unpack"):
         return [
             [((word >> j) & 1) | rest for word, rest in zip(group, fills)]

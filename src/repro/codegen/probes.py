@@ -17,9 +17,8 @@ LCC (zero-delay)
     packed path gets the mask *for free* — appending 1 to every
     scalar vector before :func:`~repro.codegen.packing.pack_patterns`
     transposes into exactly the occupancy word, with partial last
-    groups, the ``packed_apply`` fill group and tile padding all
-    landing on 0.  Per net with value word ``x`` and persistent
-    previous-value bit ``pv``::
+    groups and the ``packed_apply`` fill group landing on 0.  Per net
+    with value word ``x`` and persistent previous-value bit ``pv``::
 
         d   = (x ^ ((x << 1) | pv)) & en      # lane j vs lane j-1
         cnt = cnt + popcount(d)
@@ -259,11 +258,6 @@ class ProbeRuntime:
 
     def drain(self, machine) -> None:
         """Move counter values out of machine state, zeroing the slots."""
-        if getattr(machine, "tiles", 1) != 1:
-            raise SimulationError(
-                "probe counters live in scalar machine state; "
-                "tiled machines are not drained"
-            )
         self._since_drain = 0
         state = machine.dump_state()
         dirty = False
@@ -314,11 +308,6 @@ class ProbeRuntime:
         absorbed is thrown away rather than accumulated, and nothing
         reaches the telemetry counters.
         """
-        if getattr(machine, "tiles", 1) != 1:
-            raise SimulationError(
-                "probe counters live in scalar machine state; "
-                "tiled machines are not drained"
-            )
         state = machine.dump_state()
         slots = list(self.plan.toggle_slots.values())
         if self.plan.functional_slots is not None:

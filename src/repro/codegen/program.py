@@ -307,16 +307,6 @@ class Program:
     output_mask:
         Mask applied to emitted values (1 for single-bit programs, the
         full word mask for bit-field or multi-vector programs).
-    state_carry:
-        How the persistent state depends on the previous vector.
-        ``"opaque"`` (the default) promises nothing.  ``"finals"``
-        declares that re-seeding the state with the technique's
-        ``_encode_state(settled(previous vector))`` reproduces — bit
-        for bit — both the outputs and the full post-pass state of a
-        pass run from the true chained state; i.e. cross-vector
-        dependence flows only through the previous settled finals.
-        This is the eligibility flag for the per-lane packed execution
-        of shift programs (see :mod:`repro.codegen.packing`).
     """
 
     def __init__(
@@ -327,22 +317,15 @@ class Program:
         inputs: Optional[list[str]] = None,
         mask_assignments: bool = False,
         output_mask: Optional[int] = None,
-        state_carry: str = "opaque",
     ) -> None:
         if word_width not in (8, 16, 32, 64):
             raise CodegenError(
                 f"word_width must be 8, 16, 32 or 64, got {word_width}"
             )
-        if state_carry not in ("opaque", "finals"):
-            raise CodegenError(
-                f"state_carry must be 'opaque' or 'finals', "
-                f"got {state_carry!r}"
-            )
         self.name = name
         self.word_width = word_width
         self.inputs: list[str] = list(inputs) if inputs else []
         self.mask_assignments = mask_assignments
-        self.state_carry = state_carry
         self.word_mask = (1 << word_width) - 1
         self.output_mask = (
             output_mask if output_mask is not None else self.word_mask
@@ -356,7 +339,7 @@ class Program:
         self.body: list[Stmt] = []
         self.output: list[Stmt] = []
         #: Optional semantic content hash.  When set, the runtime keys
-        #: the process-wide program cache on it (plus backend/opt/tile
+        #: the process-wide program cache on it (plus backend/opt
         #: qualifiers) instead of hashing the generated source text —
         #: generators that can fingerprint their *input* (e.g. a fanin
         #: cone of the netlist) get cache hits without paying for
@@ -467,7 +450,6 @@ class Program:
             inputs=self.inputs,
             mask_assignments=self.mask_assignments,
             output_mask=self.output_mask,
-            state_carry=self.state_carry,
         )
         clone.state_vars = self.state_vars
         clone._state_set = self._state_set
@@ -479,20 +461,20 @@ class Program:
         clone.output = []
         return clone
 
-    def interface(self, tiles: int = 1) -> "MachineInterface":
-        """The per-pass ABI of this program at a given tile count."""
-        return MachineInterface(self, tiles)
+    def interface(self) -> "MachineInterface":
+        """The per-pass ABI of this program."""
+        return MachineInterface(self)
 
     # Rendering ---------------------------------------------------------
-    def python_source(self, tiles: int = 1) -> str:
+    def python_source(self) -> str:
         from repro.codegen.python_emitter import emit_python
 
-        return emit_python(self, tiles=tiles)
+        return emit_python(self)
 
-    def c_source(self, tiles: int = 1) -> str:
+    def c_source(self) -> str:
         from repro.codegen.c_emitter import emit_c
 
-        return emit_c(self, tiles=tiles)
+        return emit_c(self)
 
     def __repr__(self) -> str:
         return (
@@ -559,64 +541,47 @@ OPCODES = {
 
 
 class MachineInterface:
-    """The per-pass ABI of a program compiled at a given tile count.
+    """The per-pass ABI of a program.
 
-    With ``tiles=K`` every net holds an array of K words, so one pass
-    consumes ``len(inputs) * K`` vector words (slot-major: slot ``s``
-    tile ``t`` lives at index ``s*K + t``), carries
-    ``len(state_vars) * K`` state words, and produces one word per
-    (Emit, tile) — again emit-major.  Both emitters and the
-    runtime's buffer sizing derive from this one object, which is what
-    keeps the tiled layouts bit-compatible across backends.
+    One pass consumes one word per input, carries one word per state
+    variable and produces one word per Emit.  Both emitters and the
+    runtime's buffer sizing derive from this one object.
     """
 
-    __slots__ = ("tiles", "word_width", "num_inputs", "num_state_vars",
-                 "num_emits", "vector_words", "state_words",
-                 "output_words", "_labels")
+    __slots__ = ("word_width", "num_inputs", "num_state", "num_emits",
+                 "_labels")
 
-    def __init__(self, program: Program, tiles: int = 1) -> None:
-        if tiles < 1:
-            raise CodegenError(f"tiles must be >= 1, got {tiles}")
-        self.tiles = tiles
+    def __init__(self, program: Program) -> None:
         self.word_width = program.word_width
         self.num_inputs = len(program.inputs)
-        self.num_state_vars = len(program.state_vars)
-        self.num_emits = len(program.output_labels())
-        self.vector_words = self.num_inputs * tiles
-        self.state_words = self.num_state_vars * tiles
-        self.output_words = self.num_emits * tiles
+        self.num_state = len(program.state_vars)
         self._labels = program.output_labels()
+        self.num_emits = len(self._labels)
 
     def output_labels(self) -> list[tuple]:
-        """Emission-order labels; tiled labels gain a tile suffix."""
-        if self.tiles == 1:
-            return list(self._labels)
-        return [
-            label + (t,)
-            for label in self._labels
-            for t in range(self.tiles)
-        ]
+        """Emission-order labels."""
+        return list(self._labels)
 
     def __repr__(self) -> str:
         return (
-            f"MachineInterface(K={self.tiles}, V={self.vector_words}, "
-            f"S={self.state_words}, O={self.output_words})"
+            f"MachineInterface(V={self.num_inputs}, "
+            f"S={self.num_state}, O={self.num_emits})"
         )
 
 
 # ----------------------------------------------------------------------
-# retargeting (the shared tiled-lowering rewriter)
+# retargeting (the C emitter's state-pointer rewriter)
 # ----------------------------------------------------------------------
 def retarget_expr(expr, var_ref, input_ref):
     """Rewrite an expression for a different storage layout.
 
     ``var_ref(name)`` and ``input_ref(slot)`` return replacement
-    *names* rendered verbatim by every emitter (e.g. ``"n12[t]"`` for
-    the C tile loop, ``"n12__t3"`` for the unrolled Python body).
-    Structure is preserved — in particular a ``sar`` operand stays a
-    :class:`Var`, so each backend's sign-replication idiom still
-    applies.  Called at emit time on validated programs; the rewritten
-    nodes are rendered, never re-validated.
+    *names* rendered verbatim by the emitter (e.g. ``"S->n12"`` for a
+    state variable behind the C state pointer).  Structure is
+    preserved — in particular a ``sar`` operand stays a :class:`Var`,
+    so the backend's sign-replication idiom still applies.  Called at
+    emit time on validated programs; the rewritten nodes are rendered,
+    never re-validated.
     """
     if isinstance(expr, Var):
         return Var(var_ref(expr.name))
@@ -633,7 +598,7 @@ def retarget_expr(expr, var_ref, input_ref):
     return expr
 
 
-def retarget_stmt(stmt, var_ref, input_ref, label=None):
+def retarget_stmt(stmt, var_ref, input_ref):
     """Statement-level counterpart of :func:`retarget_expr`."""
     if isinstance(stmt, Assign):
         return Assign(
@@ -642,7 +607,6 @@ def retarget_stmt(stmt, var_ref, input_ref, label=None):
         )
     if isinstance(stmt, Emit):
         return Emit(
-            retarget_expr(stmt.expr, var_ref, input_ref),
-            stmt.label if label is None else label,
+            retarget_expr(stmt.expr, var_ref, input_ref), stmt.label
         )
     return stmt

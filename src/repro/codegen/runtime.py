@@ -10,9 +10,7 @@ Two backends share the :class:`Machine` interface:
   This restores the genuinely compiled character of the original
   work; use it for absolute performance numbers.
 
-``compile_program(program, backend=...)`` picks one.  Every backend
-accepts ``tiles=K`` (tiled execution: each net holds K words, one pass
-carries ``word_width * K`` lanes; see :mod:`repro.codegen.packing`).
+``compile_program(program, backend=...)`` picks one.
 
 Batched execution
 -----------------
@@ -121,63 +119,29 @@ def have_c_compiler(force: bool = False) -> Optional[str]:
     return None
 
 
-_NATIVE_ARCH: Optional[bool] = None
-
-
-def _have_native_arch(compiler: str) -> bool:
-    """Whether the compiler accepts ``-march=native`` (cached probe).
-
-    Tiled machines want the host's full SIMD width — the baseline
-    x86-64 target is SSE2, which lacks even a 64-bit arithmetic shift.
-    The generated libraries are compiled on the host they run on, so
-    targeting it exactly is safe.
-    """
-    global _NATIVE_ARCH
-    if _NATIVE_ARCH is None:
-        with tempfile.TemporaryDirectory(prefix="repro_cc_") as probe:
-            c_path = os.path.join(probe, "probe.c")
-            with open(c_path, "w") as handle:
-                handle.write("int probe(int x) { return x + 1; }\n")
-            result = subprocess.run(
-                [compiler, "-march=native", "-c", c_path,
-                 "-o", os.path.join(probe, "probe.o")],
-                capture_output=True,
-            )
-            _NATIVE_ARCH = result.returncode == 0
-    return _NATIVE_ARCH
-
-
 def program_fingerprint(source: str) -> str:
     """Content hash of a generated source text (the cache key core)."""
     return hashlib.sha256(source.encode()).hexdigest()
 
 
-def cache_fingerprint(program: "Program", source: str, tiles: int) -> str:
+def cache_fingerprint(program: "Program", source: str) -> str:
     """The fingerprint half of a program-cache key.
 
     Programs carrying a semantic ``content_key`` (e.g. per-fanin-cone
     hashes from :mod:`repro.codegen.incremental`) are keyed on it
     directly — the key already determines the source, so hashing the
-    text again would only slow the hit path.  Tiled lowerings change
-    the source for the same program, hence the ``-t{K}`` qualifier
-    (the backend name and opt level are separate key components).
-    Probe-instrumented programs carry a ``probe_key`` (set by
-    :mod:`repro.codegen.probes`); it qualifies the key the same way,
-    so an instrumented program never aliases its uninstrumented twin —
-    and a probes-off program keeps its historical fingerprint exactly.
+    text again would only slow the hit path (the backend name and opt
+    level are separate key components).  Probe-instrumented programs
+    carry a ``probe_key`` (set by :mod:`repro.codegen.probes`); it
+    qualifies the key, so an instrumented program never aliases its
+    uninstrumented twin — and a probes-off program keeps its
+    historical fingerprint exactly.
     """
     content_key = getattr(program, "content_key", None)
+    key = program_fingerprint(source) if content_key is None else content_key
     probe_key = getattr(program, "probe_key", None)
-    if content_key is None:
-        fingerprint = program_fingerprint(source)
-        if probe_key is not None:
-            return f"{fingerprint}-p{probe_key}"
-        return fingerprint
-    key = content_key
-    if tiles != 1:
-        key = f"{key}-t{tiles}"
     if probe_key is not None:
-        key = f"{key}-p{probe_key}"
+        return f"{key}-p{probe_key}"
     return key
 
 
@@ -302,10 +266,14 @@ class Machine:
 
     program: Program
 
-    def __init__(self, program: Program, tiles: int = 1) -> None:
+    #: Vector words per net: always one.  The repository benchmark's
+    #: tracer (``benchmarks/suite/trace.py``) reads it to count the
+    #: lanes each ``run_packed_block`` pass carries.
+    tiles = 1
+
+    def __init__(self, program: Program) -> None:
         self.program = program
-        self.tiles = tiles
-        self.interface = program.interface(tiles)
+        self.interface = program.interface()
         self.counters = BatchCounters()
 
     def _record_batch(self, vectors: int, seconds: float) -> None:
@@ -323,15 +291,15 @@ class Machine:
 
     @property
     def num_inputs(self) -> int:
-        return self.interface.vector_words
+        return self.interface.num_inputs
 
     @property
     def num_state(self) -> int:
-        return self.interface.state_words
+        return self.interface.num_state
 
     @property
     def num_outputs(self) -> int:
-        return self.interface.output_words
+        return self.interface.num_emits
 
     def output_labels(self) -> list[tuple]:
         return self.interface.output_labels()
@@ -383,7 +351,7 @@ class Machine:
     ) -> int:
         if vectors_represented is not None:
             return vectors_represented
-        return len(groups) * self.program.word_width * self.tiles
+        return len(groups) * self.program.word_width
 
     def _validate_group(self, index: int, group: Sequence[int]) -> None:
         if len(group) != self.num_inputs:
@@ -393,7 +361,7 @@ class Machine:
             )
         # Name the scalar vectors an overflowing lane word would
         # corrupt, not just the width limit.
-        lanes = self.program.word_width * self.tiles
+        lanes = self.program.word_width
         first = index * lanes
         validate_packed_words(
             group, self.program.word_width,
@@ -428,28 +396,17 @@ class Machine:
         raise NotImplementedError
 
     def state_dict(self) -> dict[str, int]:
-        """Persistent state keyed by variable name.
-
-        Tiled machines key each tile separately (``name@t``), keeping
-        the flat tile-minor dump order.
-        """
-        if self.tiles == 1:
-            return dict(zip(self.program.state_vars, self.dump_state()))
-        names = [
-            f"{name}@{t}"
-            for name in self.program.state_vars
-            for t in range(self.tiles)
-        ]
-        return dict(zip(names, self.dump_state()))
+        """Persistent state keyed by variable name."""
+        return dict(zip(self.program.state_vars, self.dump_state()))
 
 
 class PythonMachine(Machine):
     """Generated Python coroutine backend."""
 
-    def __init__(self, program: Program, *, tiles: int = 1) -> None:
-        super().__init__(program, tiles)
-        self.source = program.python_source(tiles=tiles)
-        key = (cache_fingerprint(program, self.source, tiles), "python", "")
+    def __init__(self, program: Program) -> None:
+        super().__init__(program)
+        self.source = program.python_source()
+        key = (cache_fingerprint(program, self.source), "python", "")
         code = _PROGRAM_CACHE.get(key)
         if code is None:
             with telemetry.span("cc", backend="python",
@@ -556,51 +513,35 @@ class CMachine(Machine):
         self,
         program: Program,
         *,
-        tiles: int = 1,
         opt_level: Optional[str] = None,
     ) -> None:
-        super().__init__(program, tiles)
+        super().__init__(program)
         compiler = have_c_compiler()
         if compiler is None:
             raise BackendError(
                 "no C compiler found; use the python backend instead"
             )
-        self.source = program.c_source(tiles=tiles)
+        self.source = program.c_source()
         if opt_level is None:
             big = program.stats().source_lines > self.O0_LINE_THRESHOLD
-            if big:
-                opt_level = "-O0"
-            elif tiles > 1:
-                # The tiled emitter's per-statement loops only pay off
-                # as SIMD: -O1 never vectorizes them, the baseline
-                # x86-64 target caps the lanes at SSE2 widths, and
-                # unrolling the constant-trip tile loops lets nets
-                # live in vector registers across statements.
-                opt_level = "-O2 -ftree-vectorize -funroll-loops"
-                if _have_native_arch(compiler):
-                    opt_level += " -march=native"
-            else:
-                opt_level = "-O1"
+            opt_level = "-O0" if big else "-O1"
         self.opt_level = opt_level
         word = self._CTYPE[program.word_width]
         self._word = word
-        key = (cache_fingerprint(program, self.source, self.tiles),
-               "c", opt_level)
+        key = (cache_fingerprint(program, self.source), "c", opt_level)
         lib = _PROGRAM_CACHE.get(key)
         if lib is None:
             lib = self._build(compiler, opt_level)
             _PROGRAM_CACHE.put(key, lib)
         self._lib = lib
         self._state = (word * max(1, self.num_state))(*[
-            program.state_init[name]
-            for name in program.state_vars
-            for _ in range(tiles)
+            program.state_init[name] for name in program.state_vars
         ])
         self._entry = {
             name: functools.partial(getattr(lib, name), self._state)
             for name in self._KERNELS
         }
-        self._num_outputs = self.interface.output_words
+        self._num_outputs = self.interface.num_emits
         self._v_buffer = (word * max(1, self.num_inputs))()
         self._out_buffer = (word * max(1, self._num_outputs))()
 
@@ -762,7 +703,7 @@ class CMachine(Machine):
         every byte 0 or 1 (:func:`~repro.codegen.packing.bit_block`
         builds and checks it).  The batch crosses the ctypes boundary
         once each way: the library's ``pack_lanes`` transposes it into
-        slot-major lane words — plus the all-zeros fill group when
+        lane words — plus the all-zeros fill group when
         ``fill`` — the unchanged ``run_packed_block`` kernel runs the
         passes, and ``unpack_lanes`` writes each vector's output words:
         the lane bit in bit 0 and, with ``fill``, the fill group's high
@@ -778,8 +719,7 @@ class CMachine(Machine):
         if count == 0:
             return []
         word = self._word
-        groups = -(-count // self.program.word_width) + bool(fill)
-        passes = -(-groups // self.tiles)
+        passes = -(-count // self.program.word_width) + bool(fill)
         lanes = (word * (passes * max(1, self.num_inputs)))()
         with telemetry.span("pack"):
             self._lib.pack_lanes(block, count, passes, lanes)
@@ -816,9 +756,8 @@ def compile_program(
 ) -> Machine:
     """Compile a program with the chosen backend.
 
-    ``backend`` is ``"python"`` or ``"c"``.  Both accept ``tiles=K``
-    for tiled execution — every net becomes K words and one pass
-    carries ``word_width * K`` lanes.
+    ``backend`` is ``"python"`` or ``"c"``; ``kwargs`` go to the
+    machine (``opt_level`` on the C backend).
     """
     if backend == "python":
         return PythonMachine(program, **kwargs)

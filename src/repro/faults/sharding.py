@@ -72,7 +72,7 @@ class GradingConfig:
 
     __slots__ = (
         "circuit", "vectors", "word_width", "backend", "patterns",
-        "tiles", "instrument", "initial", "drop_detected", "telemetry",
+        "instrument", "initial", "drop_detected", "telemetry",
         "fail_shards", "fail_mode", "delay_shards", "probes",
     )
 
@@ -84,7 +84,6 @@ class GradingConfig:
         word_width: int = 32,
         backend: str = "python",
         patterns: str = "auto",
-        tiles: "int | str" = 1,
         instrument: str = "all",
         initial: Optional[Sequence[int]] = None,
         drop_detected: bool = True,
@@ -98,7 +97,6 @@ class GradingConfig:
         self.word_width = word_width
         self.backend = backend
         self.patterns = patterns
-        self.tiles = tiles
         self.instrument = instrument
         self.initial = initial
         self.drop_detected = drop_detected
@@ -117,7 +115,6 @@ class GradingConfig:
             backend=self.backend,
             instrument=self.instrument,
             patterns=self.patterns,
-            tiles=self.tiles,
             probes=self.probes,
         )
 
@@ -457,7 +454,6 @@ def run_sharded_fault_simulation(
     backend: str = "python",
     initial: Optional[Sequence[int]] = None,
     patterns: str = "auto",
-    tiles: "int | str" = 1,
     instrument: str = "all",
     drop_detected: bool = True,
     workers: Optional[int] = None,
@@ -512,7 +508,7 @@ def run_sharded_fault_simulation(
     config = GradingConfig(
         circuit, [list(vector) for vector in vectors],
         word_width=word_width, backend=backend, patterns=patterns,
-        tiles=tiles, instrument=instrument, initial=initial,
+        instrument=instrument, initial=initial,
         drop_detected=drop_detected,
         fail_shards=frozenset(_fail_shards), fail_mode=_fail_mode,
         delay_shards=_delay_shards, probes=probes,

@@ -56,7 +56,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.packing import is_shift_free, pack_patterns, select_tiles
+from repro.codegen.packing import bit_block, is_shift_free, pack_patterns
 from repro.codegen.probes import ProbeSpec
 from repro.codegen.program import Assign, Bin, Emit, Input, Program, Var
 from repro.codegen.runtime import compile_program
@@ -66,7 +66,7 @@ from repro.eventsim.zerodelay import steady_state
 from repro.faults.model import Fault, full_fault_list, inject_stuck_at
 from repro.netlist.circuit import Circuit
 from repro.pcset.codegen import generate_pcset_program
-from repro.simbase import check_partitions
+from repro.simbase import check_pinned
 
 __all__ = [
     "FaultReport",
@@ -171,14 +171,8 @@ class ParallelFaultSimulator:
     - ``"auto"`` (default): ``"packed"`` when eligible, else
       ``"scalar"``.  The two modes produce identical reports.
 
-    ``tiles`` widens the packed-pattern passes past the word width:
-    a K-tile machine carries ``word_width * K`` patterns per compiled
-    pass (see :mod:`repro.codegen.packing`), so both the good pre-pass
-    and every per-fault detection screen run K pattern groups per
-    call.  ``"auto"`` consults
-    :func:`~repro.codegen.packing.select_tiles`; the scalar lane loop
-    is unaffected (its lanes carry faults, not patterns).  Reports are
-    bit-identical at every K.
+    ``partitions`` and ``tiles`` must be 1 (see
+    :func:`~repro.simbase.check_pinned`).
     """
 
     #: Vectors per batched machine call.  Large enough to amortize the
@@ -195,15 +189,11 @@ class ParallelFaultSimulator:
         monitored: Optional[list[str]] = None,
         instrument: str = "all",
         patterns: str = "auto",
-        tiles: "int | str" = 1,
+        tiles: int = 1,
         partitions: int = 1,
         probes=None,
     ) -> None:
-        check_partitions(partitions)
-        if tiles != "auto":
-            tiles = int(tiles)
-            if tiles < 1:
-                raise SimulationError(f"tiles must be >= 1: {tiles}")
+        check_pinned(partitions, tiles)
         if instrument not in ("all", "batch"):
             raise SimulationError(
                 f"instrument must be 'all' or 'batch': {instrument!r}"
@@ -236,20 +226,15 @@ class ParallelFaultSimulator:
             for net_name, _t, identifier in self.variables.ordered
         }
         self.lanes_per_batch = word_width - 1
-        self.tiles = tiles
         self._all_machine = None
-        #: K -> tiled compilation of the shared all-nets program
-        #: (instrument="all" only; K=1 lives in ``_all_machine``).
-        self._all_tiled: dict = {}
         self._all_nets = sorted(circuit.nets)
         # Packed-mode good-pre-pass memo: (groups, goods).  The good
         # words depend only on the circuit, word width and vectors (the
         # unfaulted splices are identities whichever machine runs
         # them), so repeated run() calls over the same vectors — the
         # sharded grading shape — reuse them instead of re-running the
-        # pre-pass per shard.  ``goods`` is normalized to per-group
-        # layout (group-major, one word per monitored output), so the
-        # memo is valid across tile counts.
+        # pre-pass per shard.  ``goods`` is group-major, one word per
+        # monitored output.
         self._goods_memo: Optional[tuple[list[list[int]], list[int]]] = None
         # The instrumentation only splices in &/| masking statements, so
         # pattern-packing eligibility is decided by the base program.
@@ -273,36 +258,18 @@ class ParallelFaultSimulator:
         per-batch by design).  Sharded grading calls this once per
         worker process, so backend compilation — gcc, on the C
         backend — runs once per worker instead of once per shard.
-        An explicit ``tiles=K`` warms the K-tile machine too;
-        ``"auto"`` can't (K depends on the vector count), so the
-        first shard in each worker pays that compile.
         """
         if self.instrument == "all":
             self._machine_for(self._all_nets)
-            if isinstance(self.tiles, int) and self.tiles > 1:
-                self._machine_for(self._all_nets, self.tiles)
 
     def batch_counters(self):
-        """The shared machine's :class:`BatchCounters`.
+        """The shared machine's live :class:`BatchCounters`.
 
         ``None`` until an ``instrument="all"`` machine exists (i.e.
-        before any run, or always in ``"batch"`` mode).  Once tiled
-        screens have run, an aggregate over the scalar and every
-        K-tile machine is returned instead of the live object.
+        before any run, or always in ``"batch"`` mode).
         """
         machine = self._all_machine
-        if machine is None:
-            return None
-        if not self._all_tiled:
-            return machine.counters
-        from repro.codegen.runtime import BatchCounters
-
-        total = BatchCounters()
-        for m in (machine, *self._all_tiled.values()):
-            total.batches += m.counters.batches
-            total.vectors += m.counters.vectors
-            total.seconds += m.counters.seconds
-        return total
+        return None if machine is None else machine.counters
 
     def good_activity(
         self,
@@ -349,41 +316,18 @@ class ParallelFaultSimulator:
         self._activity_memo = (key, report)
         return report
 
-    def _packed_tiles(self, num_groups: int) -> int:
-        """Tile count for packed screens over ``num_groups`` groups.
-
-        Clamped to the group count — a detection pass should never be
-        mostly padding.
-        """
-        if self.tiles == "auto":
-            tiles = select_tiles(
-                num_groups * self.word_width, self.word_width,
-                backend=self.backend,
-            )
-        else:
-            tiles = self.tiles
-        return max(1, min(tiles, max(1, num_groups)))
-
-    def _machine_for(self, faulted_nets: list[str], tiles: int = 1):
+    def _machine_for(self, faulted_nets: list[str]):
         """(machine, net -> (mask_slot, value_slot)) for a batch."""
         if self.instrument == "batch":
             program = self._instrumented_program(faulted_nets)
-            machine = compile_program(program, self.backend, tiles=tiles)
+            machine = compile_program(program, self.backend)
             nets = faulted_nets
         else:
-            if tiles == 1:
-                machine = self._all_machine
-            else:
-                machine = self._all_tiled.get(tiles)
+            machine = self._all_machine
             if machine is None:
                 program = self._instrumented_program(self._all_nets)
-                machine = compile_program(
-                    program, self.backend, tiles=tiles
-                )
-                if tiles == 1:
-                    self._all_machine = machine
-                else:
-                    self._all_tiled[tiles] = machine
+                machine = compile_program(program, self.backend)
+                self._all_machine = machine
             nets = self._all_nets
         base_inputs = len(self._base.inputs)
         slots = {
@@ -481,7 +425,13 @@ class ParallelFaultSimulator:
         settled values, so ``initial`` cannot influence the report and
         each fault's scan always stops at its first detecting group —
         ``drop_detected`` has nothing further to drop.)
+
+        Every vector must hold one integer per primary input; a vector
+        of the wrong length or a non-integer value raises
+        :class:`SimulationError` naming the vector (and the input)
+        before any machine runs.
         """
+        bit_block(vectors, len(self.circuit.inputs))
         if faults is None:
             faults = full_fault_list(self.circuit)
         for fault in faults:
@@ -499,10 +449,6 @@ class ParallelFaultSimulator:
                 [[v & 1 for v in vector] for vector in vectors],
                 self.word_width,
             )
-            tiles = self._packed_tiles(len(groups))
-            if tiles > 1 and telemetry.enabled():
-                telemetry.counter("pack.tile.batches")
-                telemetry.counter("pack.tile.vectors", len(vectors))
             # Nets in a constant cone keep their settled value in a
             # *state* variable that passes read but (when unfaulted)
             # never recompute; a fault pinned on such a net would
@@ -530,7 +476,6 @@ class ParallelFaultSimulator:
             if packed:
                 outcome, goods = self._run_batch_packed(
                     batch, groups, lane_counts, mask, goods, state_words,
-                    tiles,
                 )
             else:
                 with telemetry.span("fault.screen"):
@@ -630,7 +575,6 @@ class ParallelFaultSimulator:
         mask: int,
         goods: Optional[list[int]],
         state_words: list[int],
-        tiles: int,
     ) -> tuple[list[Optional[int]], list[int]]:
         """First detections for a fault batch, patterns in the lanes.
 
@@ -641,25 +585,15 @@ class ParallelFaultSimulator:
         replicated good steady state) is reloaded before every scan so
         a fault pinned on a constant net cannot leak into the next
         fault's comparison.
-
-        With ``tiles=K`` each compiled pass carries K consecutive
-        pattern groups (tile ``t`` of output slot ``o`` sits at
-        ``o*K + t``); the scan walks tiles in group order, so the
-        first detecting group — and within it the lowest detecting
-        lane — is found exactly as in the one-group-per-pass loop.
         """
         faulted_nets = sorted({fault.net for fault in batch})
-        machine, nets, _slots = self._machine_for(faulted_nets, tiles)
+        machine, nets, _slots = self._machine_for(faulted_nets)
         if goods is None:
             with telemetry.span("fault.good"):
                 goods = self._good_packed(
-                    machine, nets, groups, lane_counts, state_words, tiles
+                    machine, nets, groups, lane_counts, state_words
                 )
-        n_out = machine.num_outputs // tiles
-        tiled_state = (
-            state_words if tiles == 1
-            else [word for word in state_words for _ in range(tiles)]
-        )
+        n_out = machine.num_outputs
         first_detection: list[Optional[int]] = []
         for fault in batch:
             with telemetry.span("fault.screen"):
@@ -669,64 +603,26 @@ class ParallelFaultSimulator:
                     (mask if fault.value else 0) if n == fault.net else 0
                     for n in nets
                 ]
-                machine.load_state(tiled_state)
+                machine.load_state(state_words)
                 first: Optional[int] = None
-                for base in range(0, len(groups), tiles):
-                    count = min(tiles, len(groups) - base)
+                for g, (group, lanes) in enumerate(zip(groups, lane_counts)):
                     out: list[int] = []
                     machine.run_packed_block(
-                        [self._tiled_row(groups, base, tiles, extra)],
-                        out,
-                        vectors_represented=sum(
-                            lane_counts[base:base + count]
-                        ),
+                        [group + extra], out, vectors_represented=lanes
                     )
-                    for t in range(count):
-                        g = base + t
-                        diff = 0
-                        for o in range(n_out):
-                            diff |= (
-                                out[o * tiles + t] ^ goods[g * n_out + o]
-                            )
-                        lanes = lane_counts[g]
-                        diff &= (
-                            mask if lanes == self.word_width
-                            else (1 << lanes) - 1
-                        )
-                        if diff:
-                            lowest = (diff & -diff).bit_length() - 1
-                            first = g * self.word_width + lowest
-                            break
-                    if first is not None:
+                    diff = 0
+                    for o in range(n_out):
+                        diff |= out[o] ^ goods[g * n_out + o]
+                    diff &= (
+                        mask if lanes == self.word_width
+                        else (1 << lanes) - 1
+                    )
+                    if diff:
+                        lowest = (diff & -diff).bit_length() - 1
+                        first = g * self.word_width + lowest
                         break
                 first_detection.append(first)
         return first_detection, goods
-
-    def _tiled_row(
-        self,
-        groups: list[list[int]],
-        base: int,
-        tiles: int,
-        extra: list[int],
-    ) -> list[int]:
-        """One slot-major pass row: groups ``base..base+K-1`` + extras.
-
-        Pattern slot ``s`` tile ``t`` carries group ``base+t``'s word;
-        the fault mask/value slots are replicated across tiles (the
-        same fault is pinned in every tile).  Short tails pad with
-        all-zeros groups whose outputs the scan never reads.
-        """
-        if tiles == 1:
-            return list(groups[base]) + extra
-        num_inputs = len(self._base.inputs)
-        row: list[int] = []
-        for s in range(num_inputs):
-            for t in range(tiles):
-                g = base + t
-                row.append(groups[g][s] if g < len(groups) else 0)
-        for word in extra:
-            row.extend([word] * tiles)
-        return row
 
     def _good_packed(
         self,
@@ -735,43 +631,24 @@ class ParallelFaultSimulator:
         groups: list[list[int]],
         lane_counts: list[int],
         state_words: list[int],
-        tiles: int = 1,
     ) -> list[int]:
-        """Good-machine pre-pass: output words in per-group layout.
+        """Good-machine pre-pass: output words, group-major
+        (``goods[g * n_out + o]``).
 
         All-ones masks and zero values leave every lane unfaulted, so
         these are the fault-free settled outputs of every pattern.
-        Tiled passes are de-interleaved back to group-major order
-        (``goods[g * n_out + o]``) so detection scans — and the
-        cross-run memo — are independent of the tile count.
         """
         mask = (1 << self.word_width) - 1
         extra = [mask] * len(nets) + [0] * len(nets)
         flat: list[int] = []
         if groups:
-            machine.load_state(
-                state_words if tiles == 1
-                else [word for word in state_words for _ in range(tiles)]
-            )
+            machine.load_state(state_words)
             machine.run_packed_block(
-                [
-                    self._tiled_row(groups, base, tiles, extra)
-                    for base in range(0, len(groups), tiles)
-                ],
+                [group + extra for group in groups],
                 flat,
                 vectors_represented=sum(lane_counts),
             )
-        if tiles == 1:
-            return flat
-        n_out = machine.num_outputs // tiles
-        goods: list[int] = []
-        for g in range(len(groups)):
-            pass_index, t = divmod(g, tiles)
-            base = pass_index * n_out * tiles
-            goods.extend(
-                flat[base + o * tiles + t] for o in range(n_out)
-            )
-        return goods
+        return flat
 
 
 def serial_fault_simulation(
@@ -825,7 +702,7 @@ def run_fault_simulation(
     backend: str = "python",
     initial: Optional[Sequence[int]] = None,
     patterns: str = "auto",
-    tiles: "int | str" = 1,
+    tiles: int = 1,
     workers: int = 1,
     shards: Optional[int] = None,
     mp_start: str = "auto",
@@ -840,11 +717,8 @@ def run_fault_simulation(
     :class:`~repro.faults.sharding.ShardedFaultReport` — is
     bit-identical to the single-process run.  ``shards``, ``mp_start``
     and ``shard_timeout`` tune that path and are ignored otherwise.
-    ``partitions`` must be 1 (see
-    :func:`~repro.simbase.check_partitions`).  ``tiles`` widens the
-    packed-pattern screens to K pattern groups per compiled pass
-    (``"auto"`` picks K from the vector count; bit-identical report at
-    every K).
+    ``partitions`` and ``tiles`` must be 1 (see
+    :func:`~repro.simbase.check_pinned`).
 
     An explicitly empty fault list short-circuits to an empty report —
     no simulator is built, no program compiled, no pool spun up (the
@@ -858,7 +732,7 @@ def run_fault_simulation(
     per-net counters ride the shard outcomes and the parent keeps the
     lowest-indexed copy, bit-identical to the single-process run.
     """
-    check_partitions(partitions)
+    check_pinned(partitions, tiles)
     if faults is not None:
         faults = list(faults)
         if not faults and workers <= 1:
@@ -869,13 +743,13 @@ def run_fault_simulation(
         return run_sharded_fault_simulation(
             circuit, vectors, faults,
             word_width=word_width, backend=backend, initial=initial,
-            patterns=patterns, tiles=tiles, workers=workers, shards=shards,
+            patterns=patterns, workers=workers, shards=shards,
             mp_start=mp_start, shard_timeout=shard_timeout,
             probes=probes,
         )
     simulator = ParallelFaultSimulator(
         circuit, word_width=word_width, backend=backend, patterns=patterns,
-        tiles=tiles, probes=probes,
+        probes=probes,
     )
     report = simulator.run(vectors, faults, initial=initial)
     report.counters = simulator.batch_counters()

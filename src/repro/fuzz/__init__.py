@@ -2,8 +2,8 @@
 
 The execution paths of this library (event-driven reference, PC-set,
 parallel variants, zero-delay LCC; Python and C backends; scalar /
-batched / packed / tiled / laned / sequential-replay / probed / fault
-execution) must agree bit for bit.  This package keeps them
+batched / packed / sequential-replay / probed / fault execution) must
+agree bit for bit.  This package keeps them
 honest at scale: :func:`run_campaign` explores random circuits
 against a sampled slice of the configuration lattice (with a
 deterministic coverage preamble so every surface is drawn even in
@@ -42,9 +42,7 @@ from repro.fuzz.lattice import (
 from repro.fuzz.mutation import (
     INJECTIONS,
     MUTATIONS,
-    inject_bug,
     inject_emitter_bug,
-    inject_tile_bug,
 )
 from repro.fuzz.shrink import ShrinkResult, shrink
 
@@ -65,9 +63,7 @@ __all__ = [
     "coverage_configs",
     "distill_corpus",
     "entry_from_failure",
-    "inject_bug",
     "inject_emitter_bug",
-    "inject_tile_bug",
     "load_corpus",
     "load_entry",
     "replay_entry",

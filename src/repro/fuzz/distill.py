@@ -5,7 +5,7 @@ regression test, so over time the corpus accumulates entries whose
 lattice coverage is subsumed by smaller, later reproducers.  The
 distiller re-minimizes: each entry is projected onto its coarse
 lattice point (:meth:`FuzzConfig.lattice_key` — check, technique,
-backend, width band, chunking, workers, tiles, probes),
+backend, width band, chunking, workers, probes),
 then a greedy set cover keeps the smallest witness for every covered
 point and drops the rest.
 

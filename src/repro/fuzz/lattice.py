@@ -53,11 +53,9 @@ BACKENDS = ("python", "c")
 #: The execution surfaces a campaign is expected to cover — the
 #: printed lattice-coverage summary counts drawn configs per surface.
 #: ``replay-restore`` is the clocked check (its third shape resumes a
-#: fresh simulator from a mid-stream checkpoint); ``laned-shift`` is
-#: the K-lane execution of shift programs on the batched path.
+#: fresh simulator from a mid-stream checkpoint).
 SURFACES = (
-    "scalar", "batched", "packed", "tiled", "laned-shift",
-    "replay-restore", "probed", "faults",
+    "scalar", "batched", "packed", "replay-restore", "probed", "faults",
 )
 
 #: Clocked engines exercised by the ``"sequential"`` check.
@@ -93,11 +91,7 @@ class FuzzConfig:
     ``batch_size`` chunks the tape for the batched/packed/sequential
     paths (``0`` = the whole tape in one dispatch).  ``workers``
     applies to the ``"faults"`` check (sharded multiprocess identity).
-    ``tiles`` compiles the technique
-    under test as a K-tile machine (``word_width * K`` pattern lanes
-    per packed pass, or K shift-program lanes on the batched path —
-    see :mod:`repro.codegen.packing`); every check's identity contract
-    must hold unchanged at any K.  ``probes`` additionally builds the
+    ``probes`` additionally builds the
     technique under test with compiled-in activity counters and
     compares them differentially against the history-derived reference
     (or, for the faults check, asserts good-machine activity identity
@@ -110,7 +104,6 @@ class FuzzConfig:
     word_width: int = 32
     batch_size: int = 0
     workers: int = 1
-    tiles: int = 1
     probes: bool = False
 
     def __post_init__(self) -> None:
@@ -143,8 +136,6 @@ class FuzzConfig:
                     f"'sequential' check needs an engine from "
                     f"{SEQUENTIAL_ENGINES}: {self.technique!r}"
                 )
-        if not isinstance(self.tiles, int) or self.tiles < 1:
-            raise SimulationError(f"tiles must be >= 1: {self.tiles!r}")
         if self.probes:
             allowed = PROBE_TECHNIQUES.get(self.check)
             if allowed is None:
@@ -157,11 +148,6 @@ class FuzzConfig:
                 raise SimulationError(
                     f"{self.check!r} check supports probes on "
                     f"techniques {allowed} only: {self.technique!r}"
-                )
-            if self.tiles != 1 and self.check != "faults":
-                raise SimulationError(
-                    "compiled-in probes pin the instrumented machine "
-                    f"to one tile (tiles={self.tiles})"
                 )
 
     def label(self) -> str:
@@ -176,8 +162,6 @@ class FuzzConfig:
             parts.append(f"b{self.batch_size}")
         if self.check == "faults" and self.workers > 1:
             parts.append(f"j{self.workers}")
-        if self.tiles > 1:
-            parts.append(f"k{self.tiles}")
         if self.probes:
             parts.append("pr")
         return "/".join(parts)
@@ -187,9 +171,8 @@ class FuzzConfig:
 
         The mapping is by construction of :func:`run_check`: the
         history check steps per vector (scalar), the batched check
-        drives ``apply_vectors`` (and, at K > 1, the laned execution of
-        shift programs), the packed check drives the pattern-lane
-        observation paths (tiled at K > 1), the sequential check always
+        drives ``apply_vectors``, the packed check drives the
+        pattern-lane observation paths, the sequential check always
         includes its mid-stream checkpoint/restore shape, and probes
         ride along on any check that accepts them.
         """
@@ -201,12 +184,6 @@ class FuzzConfig:
             "faults": "faults",
         }[self.check]
         covered = {primary}
-        if self.tiles > 1:
-            covered.add("tiled")
-            if self.check in ("batched", "sequential"):
-                # Shift programs execute K independent lanes here;
-                # shift-free ones take the tiled packed path either way.
-                covered.add("laned-shift")
         if self.probes:
             covered.add("probed")
         return frozenset(covered)
@@ -227,8 +204,6 @@ class FuzzConfig:
         parts.append("chunked" if self.batch_size else "whole")
         if self.workers > 1:
             parts.append("multi")
-        if self.tiles > 1:
-            parts.append(f"k{self.tiles}")
         if self.probes:
             parts.append("pr")
         return "/".join(parts)
@@ -240,8 +215,6 @@ class FuzzConfig:
         # (``from_dict`` refills the default on load).  The ``schema``
         # field is likewise excluded from content addressing
         # (:meth:`repro.fuzz.corpus.CorpusEntry.entry_id`).
-        if data["tiles"] == 1:
-            del data["tiles"]
         if not data["probes"]:
             del data["probes"]
         data["schema"] = CONFIG_SCHEMA
@@ -289,9 +262,9 @@ def _upgrade_config_v1(data: dict) -> dict:
     """Schema 1 -> 2: the pre-``schema`` shape.
 
     Schema 1 dicts predate the explicit version field; every axis they
-    can carry is still a field today, and axes added since (tiles,
-    probes) serialize only when non-default —
-    the dataclass defaults refill them.  The shim is therefore a
+    can carry is still a field today, and axes added since (probes)
+    serialize only when non-default — the dataclass defaults refill
+    them.  The shim is therefore a
     rename-free pass-through; it exists so future shape changes have an
     established place to rewrite old keys.
     """
@@ -330,14 +303,10 @@ def sample_configs(
             technique = rng.choice(list(HISTORY_TECHNIQUES))
         batch_size = rng.choice((0, 1, 2, 3, 5, 8))
         workers = rng.choice((2, 3)) if check == "faults" else 1
-        # The tile axis exercises the K-word packed/laned paths; the
-        # history check steps per vector, where K never applies.
-        tiles = rng.choice((1, 2, 4)) if check != "history" else 1
         allowed = PROBE_TECHNIQUES.get(check)
         probes = (
             allowed is not None
             and (not allowed or technique in allowed)
-            and (tiles == 1 or check == "faults")
             and rng.choice((False, False, True))
         )
         configs.append(FuzzConfig(
@@ -347,7 +316,6 @@ def sample_configs(
             word_width=word_width,
             batch_size=batch_size,
             workers=workers,
-            tiles=tiles,
             probes=probes,
         ))
     return configs
@@ -360,8 +328,8 @@ def coverage_configs(
 
     The campaign runs these against its first circuit before random
     sampling takes over, so a bounded run still *draws* scalar,
-    batched, packed, tiled, laned-shift, sequential
-    replay-with-restore, and probed configurations — random sampling
+    batched, packed, sequential replay-with-restore, and probed
+    configurations — random sampling
     alone can miss a surface inside a small budget.  The preferred
     backend is ``c`` when fuzzed (the production path), else the first
     one given.
@@ -381,13 +349,6 @@ def coverage_configs(
         # group partial, the shape the fill reconstruction must survive
         FuzzConfig(check="packed", technique="zero-lcc",
                    backend=backend, word_width=64),
-        # tiled (K-word packed pass)
-        FuzzConfig(check="packed", technique="zero-lcc",
-                   backend=backend, word_width=8, tiles=2),
-        # laned-shift (plain parallel retains shifts most often)
-        FuzzConfig(check="batched", technique="parallel",
-                   backend=backend, word_width=16, batch_size=4,
-                   tiles=2),
         # sequential replay with mid-stream checkpoint/restore
         FuzzConfig(check="sequential", technique="lcc",
                    backend=backend, word_width=16, batch_size=2),
@@ -425,7 +386,6 @@ def run_check(
         word_width=config.word_width,
         execution=execution,
         batch_size=config.batch_size or None,
-        tiles=config.tiles,
     )
     if config.probes:
         checks += _check_probes(circuit, vectors, config)
@@ -544,7 +504,6 @@ def _check_sequential(
             engine=config.technique,
             backend=config.backend,
             word_width=config.word_width,
-            tiles=config.tiles,
         )
 
     # Interpreted reference: the paper's clocked recipe over the
@@ -708,22 +667,9 @@ def _check_faults(
             f"{packed!r} vs {scalar!r}",
         )
     checks += packed.num_faults + check_activity("packed", packed)
-    if config.tiles > 1:
-        tiled = run_fault_simulation(
-            circuit, vectors, patterns="auto", tiles=config.tiles,
-            **options()
-        )
-        if tiled != scalar:
-            raise Mismatch(
-                f"faults[tiled k{config.tiles}]", -1, [],
-                f"  tiled packed report diverged from scalar: "
-                f"{tiled!r} vs {scalar!r}",
-            )
-        checks += tiled.num_faults + check_activity("tiled", tiled)
     if config.workers > 1:
         sharded = run_fault_simulation(
-            circuit, vectors, workers=config.workers,
-            tiles=config.tiles, **options()
+            circuit, vectors, workers=config.workers, **options()
         )
         if sharded != scalar:
             raise Mismatch(

@@ -29,9 +29,7 @@ from repro.logic import GateType
 __all__ = [
     "INJECTIONS",
     "MUTATIONS",
-    "inject_bug",
     "inject_emitter_bug",
-    "inject_tile_bug",
 ]
 
 #: Mutation name -> (gate type whose emission is corrupted, description).
@@ -42,9 +40,8 @@ MUTATIONS = {
     "not-as-buf": (GateType.NOT, "NOT emits BUF (dropped invert)"),
 }
 
-#: Every self-test bug by name (``repro-sim fuzz --inject-bug``): the
-#: emitter mutations, then the tile-layout bug.
-INJECTIONS = (*MUTATIONS, "tile-boundary")
+#: Every self-test bug by name (``repro-sim fuzz --inject-bug``).
+INJECTIONS = tuple(MUTATIONS)
 
 #: Every module that binds ``gate_expression`` at import time.
 _PATCH_SITES = (
@@ -67,69 +64,6 @@ def _buggy(kind: str):
         return expr
 
     return gate_expression
-
-
-#: Modules that bind ``tile_groups`` by name at import time.
-_TILE_PATCH_SITES = ("repro.codegen.packing", "repro.lcc.zerodelay")
-
-
-@contextmanager
-def inject_tile_bug():
-    """Context manager: corrupt the K-tile slot-major input layout.
-
-    A machine compiled with ``tiles=K`` consumes pass rows with input
-    slot ``s`` tile ``t`` at index ``s*K + t``; the injected bug
-    interleaves them group-major (``t*num_inputs + s``) instead — the
-    classic tile-boundary transposition — in both places that lay the
-    rows out: the Python transposition (``tile_groups``) and the C
-    library's ``pack_lanes``.  Any tiled pass over a circuit with more
-    than one input computes with the wrong words, so the campaign's
-    tiled packed checks must disagree with the untiled reference.
-    Self-test only.
-    """
-    import importlib
-
-    from repro.codegen import c_emitter
-    from repro.codegen.packing import tile_groups as real_tile_groups
-
-    real_lane_helpers = c_emitter._lane_helper_lines
-
-    def buggy_lane_helpers(interface):
-        tiles = interface.tiles
-        slot_major = f"s * {tiles} + g % {tiles}]"
-        group_major = f"(g % {tiles}) * {interface.num_inputs} + s]"
-        lines = real_lane_helpers(interface)
-        if not any(slot_major in line for line in lines):
-            raise SimulationError("pack_lanes no longer matches the "
-                                  "tile-boundary mutation")
-        return [line.replace(slot_major, group_major) for line in lines]
-
-    def buggy_tile_groups(groups, num_inputs, tiles):
-        rows = []
-        for base in range(0, len(groups), tiles):
-            chunk = list(groups[base:base + tiles])
-            while len(chunk) < tiles:
-                chunk.append([0] * num_inputs)
-            rows.append([
-                chunk[t][k]
-                for t in range(tiles)
-                for k in range(num_inputs)
-            ])
-        return rows
-
-    modules = [
-        importlib.import_module(name) for name in _TILE_PATCH_SITES
-    ]
-    saved = [module.tile_groups for module in modules]
-    for module in modules:
-        module.tile_groups = buggy_tile_groups
-    c_emitter._lane_helper_lines = buggy_lane_helpers
-    try:
-        yield "tiled pass rows laid out group-major (transposed layout)"
-    finally:
-        for module, original in zip(modules, saved):
-            module.tile_groups = original
-        c_emitter._lane_helper_lines = real_lane_helpers
 
 
 @contextmanager
@@ -157,10 +91,3 @@ def inject_emitter_bug(kind: str = "nor-as-or"):
     finally:
         for module, original in zip(modules, saved):
             module.gate_expression = original
-
-
-def inject_bug(name: str):
-    """The context manager that injects bug ``name`` (:data:`INJECTIONS`)."""
-    if name == "tile-boundary":
-        return inject_tile_bug()
-    return inject_emitter_bug(name)

@@ -104,7 +104,6 @@ def cross_validate(
     word_width: int = 32,
     execution: str = "scalar",
     batch_size: Optional[int] = None,
-    tiles: "int | str" = 1,
 ) -> int:
     """Check every technique against the event-driven reference.
 
@@ -117,10 +116,7 @@ def cross_validate(
     scalar loop whose settled values match the reference;
     ``"packed"`` drives the pattern-lane observation paths
     (:data:`PACKED_TECHNIQUES`) and compares settled values against
-    the reference.  ``tiles`` compiles the techniques under test as
-    K-tile machines (``word_width * K`` pattern lanes per packed pass;
-    see :mod:`repro.codegen.packing`) — every contract above must hold
-    unchanged at any K.  Returns the number of per-vector comparisons
+    the reference.  Returns the number of per-vector comparisons
     performed; raises :class:`Mismatch` on the first disagreement.
     """
     if execution not in ("scalar", "batched", "packed"):
@@ -144,19 +140,17 @@ def cross_validate(
         if execution == "scalar":
             checks += _validate_scalar(
                 circuit, technique, vectors, zeros,
-                reference_histories, backend, word_width, tiles,
+                reference_histories, backend, word_width,
             )
         elif execution == "batched":
             checks += _validate_batched(
                 circuit, technique, vectors, zeros,
                 reference_histories, backend, word_width, batch_size,
-                tiles,
             )
         else:
             checks += _validate_packed(
                 circuit, technique, vectors, zeros,
                 reference_histories, backend, word_width, batch_size,
-                tiles,
             )
     return checks
 
@@ -169,13 +163,11 @@ def _validate_scalar(
     reference_histories: Sequence[History],
     backend: str,
     word_width: int,
-    tiles: "int | str" = 1,
 ) -> int:
     from repro.harness.runner import build_simulator
 
     sim = build_simulator(
         circuit, technique, backend=backend, word_width=word_width,
-        tiles=tiles,
     )
     sim.reset(zeros)
     checks = 0
@@ -202,7 +194,6 @@ def _validate_batched(
     backend: str,
     word_width: int,
     batch_size: Optional[int],
-    tiles: "int | str" = 1,
 ) -> int:
     """The ``apply_vectors`` path: chunked batches vs. a scalar loop.
 
@@ -218,7 +209,6 @@ def _validate_batched(
     def fresh():
         sim = build_simulator(
             circuit, technique, backend=backend, word_width=word_width,
-            tiles=tiles,
         )
         if not hasattr(sim, "apply_vectors") or not hasattr(
             sim, "final_values"
@@ -280,7 +270,6 @@ def _validate_packed(
     backend: str,
     word_width: int,
     batch_size: Optional[int],
-    tiles: "int | str" = 1,
 ) -> int:
     """The pattern-lane observation paths vs. reference settled values.
 
@@ -303,7 +292,6 @@ def _validate_packed(
         )
     sim = build_simulator(
         circuit, technique, backend=backend, word_width=word_width,
-        tiles=tiles,
     )
     if technique == "zero-lcc":
         scalar = build_simulator(

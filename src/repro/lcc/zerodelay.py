@@ -24,8 +24,6 @@ from repro.codegen.packing import (
     packed_apply,
     packed_bits,
     packing_mode,
-    select_tiles,
-    tile_groups,
     validate_packed_words,
 )
 from repro.codegen.probes import (
@@ -37,7 +35,7 @@ from repro.codegen.program import Assign, Emit, Input, Program, Var
 from repro.codegen.runtime import CMachine, Machine, compile_program
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
-from repro.simbase import check_partitions
+from repro.simbase import check_pinned
 
 __all__ = ["generate_lcc_program", "LCCSimulator"]
 
@@ -120,8 +118,8 @@ class LCCSimulator:
     differs.  (The machine's persistent state is scratch for this
     memoryless program, so only outputs are specified across paths.)
 
-    ``partitions`` must be 1 (see
-    :func:`~repro.simbase.check_partitions`).
+    ``partitions`` and ``tiles`` must be 1 (see
+    :func:`~repro.simbase.check_pinned`).
 
     Probes: ``probes=`` compiles per-net toggle counters into the
     generated pass (see :mod:`repro.codegen.probes`).  A pseudo-input
@@ -130,9 +128,7 @@ class LCCSimulator:
     baseline with :meth:`probe_reset`, run batches, then read
     :meth:`activity_report`.  Probed batches require plain 0/1
     vectors (the counters chain consecutive lanes as consecutive
-    vectors), and tiled execution is unavailable — tiles interleave
-    the packed group sequence, which would break the previous-value
-    chain.
+    vectors).
     """
 
     def __init__(
@@ -143,28 +139,15 @@ class LCCSimulator:
         word_width: int = 32,
         packed: bool | str = "auto",
         partitions: int = 1,
-        tiles: "int | str" = 1,
+        tiles: int = 1,
         probes=None,
     ) -> None:
-        check_partitions(partitions)
+        check_pinned(partitions, tiles)
         if packed not in (True, False, "auto"):
             raise SimulationError(
                 f"packed must be True, False or 'auto': {packed!r}"
             )
-        if tiles != "auto":
-            tiles = int(tiles)
-            if tiles < 1:
-                raise SimulationError(f"tiles must be >= 1: {tiles}")
         spec = ProbeSpec.coerce(probes)
-        if spec is not None:
-            if tiles not in (1, "auto"):
-                raise SimulationError(
-                    "probes chain consecutive packed groups through the "
-                    "per-net previous-value bit; tiled execution "
-                    "interleaves the group order, so tiles > 1 is "
-                    "unavailable with probes"
-                )
-            tiles = 1
         self.circuit = circuit
         self.program = generate_lcc_program(circuit, word_width=word_width)
         #: ``"full"`` for every LCC program; kept as an attribute so the
@@ -186,39 +169,8 @@ class LCCSimulator:
         )
         self.word_width = word_width
         self.packed = packed
-        self.tiles = tiles
-        self._tiled_machines: dict[int, Machine] = {}
         self._inputs = circuit.inputs
         self._outputs = circuit.outputs
-
-    # ------------------------------------------------------------------
-    # tiled machines
-    # ------------------------------------------------------------------
-    def _tiled_machine(self, tiles: int) -> Machine:
-        """The K-tile compilation of this program (memoized per K)."""
-        machine = self._tiled_machines.get(tiles)
-        if machine is None:
-            machine = compile_program(
-                self.program, self.backend, tiles=tiles
-            )
-            self._tiled_machines[tiles] = machine
-        return machine
-
-    def _packed_machine(self, num_vectors: int) -> Machine:
-        """The machine for a packed batch: K tiles, clamped to the work."""
-        if self.tiles == "auto":
-            tiles = select_tiles(
-                num_vectors, self.word_width, backend=self.backend
-            )
-        else:
-            tiles = self.tiles
-        if num_vectors:
-            tiles = max(1, min(tiles, -(-num_vectors // self.word_width)))
-        else:
-            tiles = 1
-        if tiles == 1:
-            return self.machine
-        return self._tiled_machine(tiles)
 
     def _batch(self, vectors) -> tuple[list, Optional[bytes]]:
         """The batch's rows and their :func:`bit_block` (``None``: not 0/1).
@@ -361,9 +313,7 @@ class LCCSimulator:
             return self._probed_batch(words, block)
         if self._packable(block):
             telemetry.counter("packing.packed_batches")
-            return packed_apply(
-                self._packed_machine(len(words)), words, block=block
-            )
+            return packed_apply(self.machine, words, block=block)
         telemetry.counter("packing.fallback.scalar")
         return self.machine.step_many(words)
 
@@ -431,11 +381,9 @@ class LCCSimulator:
             rows = self._probed_batch(words, block)
         elif self._packable(block):
             telemetry.counter("packing.packed_batches")
-            # packed_bits drives scalar or tiled machines uniformly and
-            # returns exactly the bit-0 values the fold consumes.
-            rows = packed_bits(
-                self._packed_machine(len(words)), words, block=block
-            )
+            # packed_bits returns exactly the bit-0 values the fold
+            # consumes.
+            rows = packed_bits(self.machine, words, block=block)
         else:
             telemetry.counter("packing.fallback.scalar")
             rows = self.machine.step_many(words)
@@ -505,7 +453,7 @@ class LCCSimulator:
         """Transpose + marshal a pattern batch outside the timed region.
 
         The timed run is then pure compiled passes —
-        ``ceil(len(vectors) / (word_width * K))`` of them with K tiles.
+        ``ceil(len(vectors) / word_width)`` of them.
         Raises :class:`SimulationError` when the batch is not packable
         (the caller asked for the packed configuration explicitly).
         """
@@ -534,17 +482,12 @@ class LCCSimulator:
                 True,
             )
         groups, _lane_counts = pack_patterns(words, self.word_width)
-        machine = self._packed_machine(len(words))
-        if machine.tiles > 1:
-            groups = tile_groups(
-                groups, len(self._inputs), machine.tiles
-            )
-        if isinstance(machine, CMachine):
+        if isinstance(self.machine, CMachine):
             return (
-                "c", machine.pack_block(groups), len(groups),
-                len(words), machine,
+                "c", self.machine.pack_block(groups), len(groups),
+                len(words),
             )
-        return ("py", groups, len(groups), len(words), machine)
+        return ("py", groups, len(groups), len(words))
 
     def run_prepared(self, prepared) -> None:
         """Run a batch from :meth:`prepare_batch`/:meth:`prepare_packed`.
@@ -573,16 +516,15 @@ class LCCSimulator:
                     self.machine.run_block(payload, masked=True)
                 runtime.note_vectors(self.machine, vectors)
             return
-        kind, payload, count, represented = prepared[:4]
-        machine = prepared[4] if len(prepared) > 4 else self.machine
+        kind, payload, count, represented = prepared
         if kind == "c":
-            machine.run_packed(
+            self.machine.run_packed(
                 payload, count, vectors_represented=represented
             )
         elif represented is None:
-            machine.run_block(payload, masked=True)
+            self.machine.run_block(payload, masked=True)
         else:
-            machine.run_packed_block(
+            self.machine.run_packed_block(
                 payload, vectors_represented=represented
             )
 

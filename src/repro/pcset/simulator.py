@@ -185,7 +185,7 @@ class PCSetSimulator(CompiledSimulator):
             for index, (net_name, time) in enumerate(labels)
             if time == final_time
         ]
-        words = [self._vector_words(vector) for vector in vectors]
+        words = self._batch_words(vectors)
         if (self.packing_mode in ("full", "settled") and self._inputs
                 and self.probe_plan is None):
             rows = packed_bits(self.machine, words)

@@ -37,7 +37,10 @@ class TapeError(SimulationError):
 
 
 class Tape:
-    """A stimulus tape opened for random-access reading.
+    """A stimulus tape for random-access reading.
+
+    No file stays open: the constructor reads the header and every
+    :meth:`read` opens the file for that call only.
 
     Attributes
     ----------
@@ -73,24 +76,6 @@ class Tape:
                 f"a multiple of the {self._line_width}-byte line"
             )
         self.cycles = payload // self._line_width
-        self._handle = None
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "Tape":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _file(self):
-        if self._handle is None:
-            self._handle = open(self.path, "rb")
-        return self._handle
 
     # ------------------------------------------------------------------
     def read(self, start: int, count: int) -> list[list[int]]:
@@ -104,9 +89,9 @@ class Tape:
                 f"{self.path}: cycles [{start}, {start + count}) out of "
                 f"range (tape has {self.cycles})"
             )
-        handle = self._file()
-        handle.seek(self._data_start + start * self._line_width)
-        blob = handle.read(count * self._line_width)
+        with open(self.path, "rb") as handle:
+            handle.seek(self._data_start + start * self._line_width)
+            blob = handle.read(count * self._line_width)
         width = len(self.inputs)
         rows: list[list[int]] = []
         for c in range(count):

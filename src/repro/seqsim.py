@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 from repro import telemetry
 from repro.errors import SimulationError
 from repro.netlist.sequential import SequentialCircuit
-from repro.simbase import check_partitions
+from repro.simbase import check_pinned
 
 __all__ = ["CompiledSequentialSimulator"]
 
@@ -43,13 +43,8 @@ class CompiledSequentialSimulator:
         values only), or ``"parallel"`` / ``"pcset"`` — unit-delay
         compiled cores that additionally expose the intra-cycle
         waveforms via :meth:`step` with ``record=True``.
-    tiles:
-        Threaded through to the combinational engine, where it applies
-        to packed combinational batches (the clocked loop itself is
-        one scalar settle per cycle, so tiling is accepted for API
-        uniformity but does not change the cycle loop's dispatch).
-    partitions:
-        Must be 1 (see :func:`~repro.simbase.check_partitions`).
+    partitions, tiles:
+        Must be 1 (see :func:`~repro.simbase.check_pinned`).
     incremental:
         Evaluate the core through per-fanin-cone programs
         (:class:`repro.codegen.incremental.ConeSimulator`) instead of
@@ -68,11 +63,11 @@ class CompiledSequentialSimulator:
         engine: str = "lcc",
         backend: str = "python",
         word_width: int = 32,
-        tiles: "int | str" = 1,
+        tiles: int = 1,
         partitions: int = 1,
         incremental: bool = False,
     ) -> None:
-        check_partitions(partitions)
+        check_pinned(partitions, tiles)
         if engine not in self.ENGINES:
             raise SimulationError(f"unknown engine: {engine!r}")
         if incremental and engine != "lcc":
@@ -109,8 +104,7 @@ class CompiledSequentialSimulator:
             from repro.lcc.zerodelay import LCCSimulator
 
             self._sim = LCCSimulator(
-                core, backend=backend, word_width=word_width,
-                tiles=tiles,
+                core, backend=backend, word_width=word_width
             )
         elif engine == "parallel":
             from repro.parallel.simulator import ParallelSimulator
@@ -118,14 +112,14 @@ class CompiledSequentialSimulator:
             self._sim = ParallelSimulator(
                 core, optimization="pathtrace+trim",
                 backend=backend, word_width=word_width,
-                monitored=monitored, tiles=tiles,
+                monitored=monitored,
             )
         else:
             from repro.pcset.simulator import PCSetSimulator
 
             self._sim = PCSetSimulator(
                 core, backend=backend, word_width=word_width,
-                monitored=monitored, tiles=tiles,
+                monitored=monitored,
             )
         self._core_inputs = core.inputs
         self._external_input_set = frozenset(sequential.external_inputs)

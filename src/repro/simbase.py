@@ -13,39 +13,33 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.packing import (
-    lane_segments,
-    packed_apply,
-    packing_mode,
-    select_lanes,
-    select_tiles,
-)
+from repro.codegen.packing import check_integers, packed_apply, packing_mode
 from repro.codegen.probes import ProbePlan, ProbeRuntime
 from repro.codegen.program import Program
-from repro.codegen.runtime import (
-    BatchCounters,
-    CMachine,
-    Machine,
-    compile_program,
-)
+from repro.codegen.runtime import CMachine, Machine, compile_program
 from repro.errors import SimulationError
 from repro.eventsim.zerodelay import steady_state
 from repro.netlist.circuit import Circuit
 
-__all__ = ["CompiledSimulator", "check_partitions"]
+__all__ = ["CompiledSimulator", "check_pinned"]
 
 
-def check_partitions(partitions: int) -> None:
-    """Accept only ``partitions=1``.
+def check_pinned(partitions: int, tiles: int) -> None:
+    """Accept only ``partitions=1`` and ``tiles=1``.
 
-    Partitioned execution was removed; the keyword remains on the
-    facades callers already pin to 1, and anything else is an error
-    rather than a silent monolithic run.
+    Partitioned, tiled and laned execution were removed; the keywords
+    remain on the facades callers already pin to 1, and anything else
+    is an error rather than a silent monolithic, one-word-per-net run.
     """
     if partitions != 1:
         raise SimulationError(
             "partitioned execution was removed; partitions must be 1: "
             f"{partitions!r}"
+        )
+    if tiles != 1:
+        raise SimulationError(
+            "tiled and laned execution were removed; tiles must be 1: "
+            f"{tiles!r}"
         )
 
 
@@ -65,18 +59,8 @@ class CompiledSimulator:
         compilation — the configuration benchmarks time, matching the
         paper's methodology of excluding output handling from
         measurements.  Output-decoding APIs then raise.
-    partitions:
-        Must be 1 (see :func:`check_partitions`).
-    tiles:
-        Tiled/laned batch width: an explicit ``K >= 1`` forces K tiles
-        (pattern-packable programs: ``word_width * K`` lanes per pass)
-        or K lanes (shift programs with ``state_carry="finals"``: one
-        word per lane, the batch split into K contiguous segments);
-        ``"auto"`` picks per batch (see
-        :func:`~repro.codegen.packing.select_tiles` /
-        :func:`~repro.codegen.packing.select_lanes`).  ``1`` (default)
-        is the historical single-word behaviour.  Results are
-        bit-identical either way.
+    partitions, tiles:
+        Must be 1 (see :func:`check_pinned`).
     """
 
     def __init__(
@@ -88,12 +72,12 @@ class CompiledSimulator:
         with_outputs: bool = True,
         checksum_mask: Optional[int] = None,
         partitions: int = 1,
-        tiles: "int | str" = 1,
+        tiles: int = 1,
         probe_plan: Optional[ProbePlan] = None,
         packing_override: Optional[str] = None,
         **backend_kwargs,
     ) -> None:
-        check_partitions(partitions)
+        check_pinned(partitions, tiles)
         self.circuit = circuit
         self.program = program
         self.backend = backend
@@ -101,15 +85,8 @@ class CompiledSimulator:
         self.checksum_mask = (
             checksum_mask if checksum_mask is not None else program.word_mask
         )
-        if tiles != "auto":
-            tiles = int(tiles)
-            if tiles < 1:
-                raise SimulationError(f"tiles must be >= 1: {tiles}")
-        self.tiles = tiles
         compiled = program if with_outputs else program.without_output()
         self._compiled_program = compiled
-        self._backend_kwargs = backend_kwargs
-        self._tiled_machines: dict[int, Machine] = {}
         self.machine: Machine = compile_program(
             compiled, backend, **backend_kwargs
         )
@@ -185,13 +162,31 @@ class CompiledSimulator:
             )
         return [value & 1 for value in values]
 
+    def _batch_words(self, vectors) -> list[list[int]]:
+        """Every vector's input words; a non-integer value raises
+        :class:`SimulationError` naming the vector and the input.
+
+        The happy path is the plain comprehension; only a ``TypeError``
+        out of it (``"1" & 1``, ``None & 1``) pays for the search.
+        """
+        try:
+            return [self._vector_words(vector) for vector in vectors]
+        except TypeError:
+            check_integers(
+                [vector[n] for n in self._inputs]
+                if isinstance(vector, Mapping) else vector
+                for vector in vectors
+            )
+            raise
+
     def apply_vector(
         self, vector: Mapping[str, int] | Sequence[int]
     ) -> list[int]:
         """Simulate one vector; returns the raw emitted output words."""
         if not self._settled:
             raise SimulationError("call reset() before apply_vector()")
-        out = self.machine.step(self._vector_words(vector))
+        [words] = self._batch_words([vector])
+        out = self.machine.step(words)
         if self._probe_runtime is not None:
             self._probe_runtime.note_vectors(self.machine, 1)
         return out
@@ -204,30 +199,21 @@ class CompiledSimulator:
         Bit-identical to ``[self.apply_vector(v) for v in vectors]``.
         When the compiled program is ``"full"``-mode packable
         (shift-free *and* memoryless), the batch is auto-packed —
-        ``word_width`` vectors per compiled pass, times the tile count
-        when ``tiles > 1`` — exact scalar words reconstructed on
-        unpacking.  Shift programs (the §3 parallel technique) whose
-        generator declares ``state_carry="finals"`` run *laned* when
-        ``tiles`` allows: the batch splits into K contiguous segments,
-        each lane owning its own word so the time-shift ops move
-        history within the lane, with lanes 1..K-1 seeded from the
-        steady state of the preceding segment's last vector (exactly
-        what the finals contract guarantees reproduces the chain).
-        ``"settled"`` programs (the PC-set method) emit
-        intermediate-time values with opaque cross-pass state and keep
-        the scalar ``run_block`` loop with no behavior change.
+        ``word_width`` vectors per compiled pass — exact scalar words
+        reconstructed on unpacking.  Shift programs (the §3 parallel
+        technique) and ``"settled"`` programs (the PC-set method, which
+        emits intermediate-time values with opaque cross-pass state)
+        keep the scalar ``run_block`` loop.  A value that is not an
+        ``int`` raises :class:`SimulationError` naming the vector and
+        the input.
         """
         if not self._settled:
             raise SimulationError("call reset() before apply_vectors()")
-        words = [self._vector_words(vector) for vector in vectors]
+        words = self._batch_words(vectors)
         if (self.packing_mode == "full" and self._inputs
                 and self.probe_plan is None):
             telemetry.counter("packing.packed_batches")
-            return packed_apply(self._packed_machine(len(words)), words)
-        lanes = self._batch_lanes(len(words))
-        if lanes > 1:
-            telemetry.counter("packing.laned_batches")
-            return self._run_laned(words, lanes, collect=True)
+            return packed_apply(self.machine, words)
         telemetry.counter(f"packing.fallback.{self.packing_mode}")
         if self._probe_runtime is not None and words:
             # Chunked so no compiled counter can wrap between drains.
@@ -242,138 +228,6 @@ class CompiledSimulator:
             return out
         return self.machine.step_many(words, masked=True)
 
-    # ------------------------------------------------------------------
-    # tiled / laned execution
-    # ------------------------------------------------------------------
-    def _tiled_machine(self, tiles: int) -> Machine:
-        """The K-tile compilation of this program (memoized per K)."""
-        machine = self._tiled_machines.get(tiles)
-        if machine is None:
-            machine = compile_program(
-                self._compiled_program, self.backend, tiles=tiles,
-                **self._backend_kwargs,
-            )
-            self._tiled_machines[tiles] = machine
-        return machine
-
-    def _packed_machine(self, num_vectors: int) -> Machine:
-        """The machine for a pattern-packed batch of ``num_vectors``.
-
-        Explicit ``tiles=K`` forces K on any backend; ``"auto"``
-        consults :func:`~repro.codegen.packing.select_tiles`.  K is
-        clamped to the number of packed groups the batch actually
-        fills, so small batches never pay for idle tiles.
-        """
-        width = self.program.word_width
-        if self.tiles == "auto":
-            tiles = select_tiles(num_vectors, width, backend=self.backend)
-        else:
-            tiles = self.tiles
-        if num_vectors:
-            tiles = max(1, min(tiles, -(-num_vectors // width)))
-        else:
-            tiles = 1
-        if tiles == 1:
-            return self.machine
-        return self._tiled_machine(tiles)
-
-    def _batch_lanes(self, num_vectors: int) -> int:
-        """Lane count for a shift-program batch (1 = scalar loop)."""
-        if self.program.state_carry != "finals" or not self._inputs:
-            return 1
-        if self.probe_plan is not None:
-            # The lane handoff keeps only the last lane's state, which
-            # would discard every other lane's probe counters.
-            return 1
-        if self.tiles == "auto":
-            lanes = select_lanes(num_vectors, backend=self.backend)
-        else:
-            lanes = self.tiles
-        return max(1, min(lanes, num_vectors))
-
-    def _lane_plan(self, words: list[list[int]], lanes: int):
-        """Segments, padded slot-major pass rows, and lane seeds.
-
-        Lane ``t`` owns the contiguous vector range
-        ``starts[t] .. starts[t] + segs[t] - 1``; shorter lanes are
-        padded by repeating their last vector (those passes' outputs
-        are discarded and no other lane reads their state).  Seeds for
-        lanes 1..K-1 are the technique's encoding of the steady state
-        on the previous segment's last vector — by the
-        ``state_carry="finals"`` contract this reproduces the true
-        vector chain bit for bit.  Lane 0 continues from the live
-        scalar state, which is read at *run* time.
-        """
-        segments = lane_segments(len(words), lanes)
-        max_len = max(length for _start, length in segments)
-        num_inputs = len(self._inputs)
-        rows = []
-        for p in range(max_len):
-            row = []
-            for k in range(num_inputs):
-                for start, length in segments:
-                    i = p if p < length else length - 1
-                    row.append(words[start + i][k])
-            rows.append(row)
-        seeds = [
-            self._encode_state(
-                steady_state(self.circuit, words[start - 1])
-            )
-            for start, _length in segments[1:]
-        ]
-        return segments, rows, seeds
-
-    def _seed_lanes(
-        self, machine: Machine, seeds: list[list[int]]
-    ) -> int:
-        """Load per-lane state into a tiled machine; lane 0 = live state."""
-        lanes = machine.tiles
-        lane_states = [self.machine.dump_state()] + seeds
-        num_state = len(lane_states[0])
-        full = [0] * (num_state * lanes)
-        for s in range(num_state):
-            for t in range(lanes):
-                full[s * lanes + t] = lane_states[t][s]
-        machine.load_state(full)
-        return num_state
-
-    def _handoff_lanes(self, machine: Machine, num_state: int) -> None:
-        """Continue the scalar chain from the last lane's final state."""
-        lanes = machine.tiles
-        after = machine.dump_state()
-        self.machine.load_state(
-            [after[s * lanes + lanes - 1] for s in range(num_state)]
-        )
-
-    def _run_laned(
-        self, words: list[list[int]], lanes: int, *, collect: bool
-    ) -> Optional[list[list[int]]]:
-        """Run a shift-program batch K lanes at a time, bit-identically."""
-        machine = self._tiled_machine(lanes)
-        segments, rows, seeds = self._lane_plan(words, lanes)
-        num_state = self._seed_lanes(machine, seeds)
-        with telemetry.span("pack.shift", lanes=lanes):
-            flat: Optional[list[int]] = [] if collect else None
-            machine.run_block(rows, flat, masked=True)
-            telemetry.counter("pack.shift.batches")
-            telemetry.counter("pack.shift.vectors", len(words))
-        # run_block counted passes; restate lanes actually represented.
-        machine.counters.vectors += len(words) - len(rows)
-        self._handoff_lanes(machine, num_state)
-        if not collect:
-            return None
-        emits = machine.num_outputs // lanes
-        per_row = machine.num_outputs
-        out: list[list[int]] = []
-        assert flat is not None
-        for t, (_start, length) in enumerate(segments):
-            for p in range(length):
-                base = p * per_row
-                out.append(
-                    [flat[base + o * lanes + t] for o in range(emits)]
-                )
-        return out
-
     def prepare_batch(self, vectors: Sequence[Sequence[int]]):
         """Marshal a batch once, outside any timed region.
 
@@ -382,23 +236,10 @@ class CompiledSimulator:
         contains no interpreter work at all (the paper's timing loop
         was compiled too).  On the Python backend the vectors are
         pre-marshalled and the timed run is a single batched send into
-        the generated coroutine's in-frame loop.  Laned shift programs
-        (``tiles > 1`` on a ``state_carry="finals"`` program) also
-        compute the segment rows and steady-state lane seeds here;
-        only the lane-0 live state is read at run time.
+        the generated coroutine's in-frame loop.
         """
         with telemetry.span("pack"):
-            words = [self._vector_words(vector) for vector in vectors]
-            lanes = self._batch_lanes(len(words))
-            if lanes > 1:
-                machine = self._tiled_machine(lanes)
-                _segs, rows, seeds = self._lane_plan(words, lanes)
-                if isinstance(machine, CMachine):
-                    return (
-                        "lane-c", machine, machine.pack_block(rows),
-                        len(rows), len(words), seeds,
-                    )
-                return ("lane-py", machine, rows, len(words), seeds)
+            words = self._batch_words(vectors)
             if isinstance(self.machine, CMachine):
                 if self._probe_runtime is not None and words:
                     # Pre-pack in wrap-free chunks (one chunk at any
@@ -432,27 +273,6 @@ class CompiledSimulator:
             for packed, count in prepared[1]:
                 self.machine.run_packed(packed, count)
                 self._probe_runtime.note_vectors(self.machine, count)
-            return
-        if kind == "lane-c":
-            _, machine, packed, passes, num_vectors, seeds = prepared
-            num_state = self._seed_lanes(machine, seeds)
-            with telemetry.span("pack.shift", lanes=machine.tiles):
-                machine.run_packed(
-                    packed, passes, vectors_represented=num_vectors
-                )
-                telemetry.counter("pack.shift.batches")
-                telemetry.counter("pack.shift.vectors", num_vectors)
-            self._handoff_lanes(machine, num_state)
-            return
-        if kind == "lane-py":
-            _, machine, rows, num_vectors, seeds = prepared
-            num_state = self._seed_lanes(machine, seeds)
-            with telemetry.span("pack.shift", lanes=machine.tiles):
-                machine.run_block(rows, masked=True)
-                telemetry.counter("pack.shift.batches")
-                telemetry.counter("pack.shift.vectors", num_vectors)
-            machine.counters.vectors += num_vectors - len(rows)
-            self._handoff_lanes(machine, num_state)
             return
         rows = prepared[1]
         if self._probe_runtime is not None and rows:
@@ -540,21 +360,8 @@ class CompiledSimulator:
     # ------------------------------------------------------------------
     @property
     def counters(self):
-        """Per-batch throughput counters of the underlying machine(s).
-
-        With no tiled machines instantiated this *is* the scalar
-        machine's live counter object (so ``reset()`` on it works as
-        before); once tiled/laned batches have run, an aggregate over
-        every machine is returned.
-        """
-        if not self._tiled_machines:
-            return self.machine.counters
-        total = BatchCounters()
-        for machine in (self.machine, *self._tiled_machines.values()):
-            total.batches += machine.counters.batches
-            total.vectors += machine.counters.vectors
-            total.seconds += machine.counters.seconds
-        return total
+        """The machine's live per-batch throughput counters."""
+        return self.machine.counters
 
     def output_labels(self) -> list[tuple]:
         return self.machine.output_labels()

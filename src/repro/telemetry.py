@@ -17,8 +17,7 @@ across techniques — so the library instruments itself end to end:
   scattered ad-hoc counters: batched-execution totals
   (``run.batches``/``run.vectors``), program-cache hits/misses,
   pattern-packing eligibility and fallback reasons
-  (``packing.fallback.scalar``/``.settled``/``.none``), laned
-  shift-program batches (``packing.laned_batches``), and
+  (``packing.fallback.scalar``/``.settled``/``.none``), and
   sharded-grading events (``events.shard.retry``/``.timeout``/
   ``.degraded``).  Counter merge is associative and commutative (sum);
   gauge merge takes the maximum.
@@ -353,25 +352,10 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
         },
         "packing": {
             "packed_batches": counters.get("packing.packed_batches", 0),
-            "laned_batches": counters.get("packing.laned_batches", 0),
             "fallback": {
                 "scalar": counters.get("packing.fallback.scalar", 0),
                 "settled": counters.get("packing.fallback.settled", 0),
                 "none": counters.get("packing.fallback.none", 0),
-            },
-        },
-        "pack": {
-            # Tiled packed passes (K words per net) and laned
-            # shift-program batches — see repro.codegen.packing.
-            "tile": {
-                "selected": counters.get("pack.tile.selected", 0),
-                "batches": counters.get("pack.tile.batches", 0),
-                "vectors": counters.get("pack.tile.vectors", 0),
-            },
-            "shift": {
-                "selected": counters.get("pack.shift.selected", 0),
-                "batches": counters.get("pack.shift.batches", 0),
-                "vectors": counters.get("pack.shift.vectors", 0),
             },
         },
         "sharding": {

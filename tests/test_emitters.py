@@ -99,20 +99,18 @@ class TestCRendering:
         p.init.append(Assign("t0", Input(0)))
         p.body.append(Assign("x", Bin("&", Var("x"), Var("t0"))))
         p.output.append(Emit(Var("x"), ("x",)))
-        for tiles, restrict in ((1, ""), (3, "restrict ")):
-            source = emit_c(p, tiles=tiles)
-            assert "typedef uint32_t word;" in source
-            assert "typedef int32_t sword;" in source
-            # Reentrant: state is the caller's struct, never a static.
-            assert "static word" not in source
-            assert "dump_state" not in source and "load_state" not in source
-            size = "" if tiles == 1 else f"[{tiles}]"
-            assert f"struct state {{\n    word x{size};\n}};" in source
-            assert f"word t0{size};" in source
-            assert (
-                "void step(struct state *restrict S, "
-                f"const word *{restrict}V, word *{restrict}OUT)"
-            ) in source
+        source = emit_c(p)
+        assert "typedef uint32_t word;" in source
+        assert "typedef int32_t sword;" in source
+        # Reentrant: state is the caller's struct, never a static.
+        assert "static word" not in source
+        assert "dump_state" not in source and "load_state" not in source
+        assert "struct state {\n    word x;\n};" in source
+        assert "word t0;" in source
+        assert (
+            "void step(struct state *restrict S, "
+            "const word *V, word *OUT)"
+        ) in source
 
 
 def _random_program(seed: int, word_width: int) -> Program:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.codegen.runtime import have_c_compiler
 from repro.errors import NetlistError, SimulationError
 from repro.eventsim.zerodelay import steady_state
 from repro.faults.model import Fault, full_fault_list, inject_stuck_at
@@ -14,6 +15,8 @@ from repro.harness.vectors import vectors_for
 from repro.netlist.builder import CircuitBuilder
 from repro.netlist.generators import ripple_carry_adder
 from repro.netlist.random_circuits import random_dag_circuit
+
+BACKENDS = ("python",) + (("c",) if have_c_compiler() else ())
 
 
 def and_gate():
@@ -217,6 +220,35 @@ class TestInstrumentationModes:
     def test_bad_instrument_rejected(self):
         with pytest.raises(SimulationError, match="instrument"):
             ParallelFaultSimulator(and_gate(), instrument="sideways")
+
+
+class TestVectorValidation:
+    """Vectors are checked once, before any machine runs."""
+
+    @pytest.mark.parametrize("patterns", ["scalar", "packed"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_bad_vectors_named(self, patterns, backend):
+        circuit = ripple_carry_adder(2)
+        vectors = vectors_for(circuit, 6, seed=4)
+        width = len(circuit.inputs)
+        short = [list(v) for v in vectors]
+        short[3] = short[3][:-1]
+        with pytest.raises(
+            SimulationError,
+            match=rf"vector 3 has {width - 1} values, expected {width}",
+        ):
+            run_fault_simulation(circuit, short, patterns=patterns,
+                                 backend=backend)
+        for bad in ("1", 1.0, None):
+            odd = [list(v) for v in vectors]
+            odd[2][1] = bad
+            with pytest.raises(
+                SimulationError,
+                match=rf"vector 2, input 1: value {bad!r} is not an "
+                      rf"integer",
+            ):
+                run_fault_simulation(circuit, odd, patterns=patterns,
+                                     backend=backend)
 
 
 class TestPackedPatternGrading:

@@ -26,7 +26,6 @@ from repro.fuzz import (
     distill_corpus,
     entry_from_failure,
     inject_emitter_bug,
-    inject_tile_bug,
     load_corpus,
     load_entry,
     replay_entry,
@@ -75,14 +74,13 @@ class TestFuzzConfig:
         assert {c.check for c in a} <= set(CHECKS)
 
     def test_from_dict_upgrades_pre_schema_dicts(self):
-        # Corpus entries written before the tiles axis carry no
-        # ``tiles`` key and no ``schema`` field; those load as schema 1
-        # through the upgrade shims and refill defaults.
+        # Corpus entries written before the schema field carry no
+        # ``schema`` key; those load as schema 1 through the upgrade
+        # shims and refill defaults.
         old = {"check": "packed", "technique": "zero-lcc",
                "backend": "python", "word_width": 16,
                "batch_size": 0, "workers": 1}
         config = FuzzConfig.from_dict(old)
-        assert config.tiles == 1
         assert config.as_dict()["schema"] == CONFIG_SCHEMA
         assert FuzzConfig.from_dict(config.as_dict()) == config
 
@@ -129,11 +127,11 @@ class TestFuzzConfig:
             check="history", technique="parallel-best"
         ).surfaces() == {"scalar"}
         assert FuzzConfig(
-            check="packed", technique="zero-lcc", tiles=2
-        ).surfaces() == {"packed", "tiled"}
+            check="packed", technique="zero-lcc"
+        ).surfaces() == {"packed"}
         assert FuzzConfig(
-            check="batched", technique="parallel", tiles=2
-        ).surfaces() == {"batched", "tiled", "laned-shift"}
+            check="batched", technique="parallel"
+        ).surfaces() == {"batched"}
         assert FuzzConfig(
             check="sequential", technique="lcc"
         ).surfaces() == {"replay-restore"}
@@ -256,41 +254,6 @@ class TestMutationIsCaught:
             for _, entry in entries:
                 with pytest.raises(AssertionError):
                     replay_entry(entry)
-
-    def test_tile_boundary_bug_caught_directly(self):
-        circuit = random_dag_circuit(11, num_inputs=4, num_gates=14)
-        # Tiles are clamped to ceil(vectors/width): more than one
-        # packed group is required for a tiled pass to exist.
-        vectors = vectors_for(circuit, 20, seed=3)
-        # Python transposes in tile_groups, C in the library's
-        # pack_lanes: the mutation must reach both.
-        for backend in BACKENDS:
-            config = FuzzConfig(check="packed", technique="zero-lcc",
-                                backend=backend, tiles=2, word_width=8)
-            assert run_check(circuit, vectors, config) > 0
-            with inject_tile_bug():
-                with pytest.raises(AssertionError):
-                    run_check(circuit, vectors, config)
-            assert run_check(circuit, vectors, config) > 0
-
-    @pytest.mark.parametrize("inject,surface", [
-        (inject_tile_bug, "tiled"),
-    ], ids=["tile-boundary"])
-    def test_extended_campaign_catches_surface_bug(
-        self, inject, surface
-    ):
-        # The coverage preamble draws every surface deterministically,
-        # so one iteration suffices for the campaign to hit the bug.
-        with inject():
-            result = run_campaign(
-                seed=5, iterations=1, backends=("python",),
-                include_faults=False, shrink_attempts=60,
-            )
-        assert not result.ok
-        assert any(
-            surface in failure.config.surfaces()
-            for failure in result.failures
-        )
 
     def test_campaign_preamble_covers_every_surface(self):
         result = run_campaign(

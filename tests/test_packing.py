@@ -11,14 +11,21 @@ programs must fall back with no behavior change.
 import pytest
 
 from repro.codegen.packing import (
-    MAX_TILES,
     pack_patterns,
     packed_apply,
     packed_bits,
     packing_mode,
     validate_packed_words,
 )
-from repro.codegen.program import Assign, Bin, Emit, Input, Program, Var
+from repro.codegen.program import (
+    Assign,
+    Bin,
+    Const,
+    Emit,
+    Input,
+    Program,
+    Var,
+)
 from repro.codegen.runtime import compile_program, have_c_compiler
 from repro.errors import BackendError, SimulationError
 from repro.eventsim.zerodelay import ZeroDelaySimulator
@@ -205,21 +212,19 @@ class TestPackedEqualsScalar:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("width", WIDTHS)
-    @pytest.mark.parametrize("tiles", [1, 3, MAX_TILES])
-    def test_byte_path_identity(self, backend, width, tiles):
+    def test_byte_path_identity(self, backend, width):
         # The C byte path (pack_lanes/unpack_lanes) against the scalar
         # run_block loop on the same backend and against the Python
         # transposition, over batch sizes that leave the last group
-        # empty, partial, full and spilling into a padded tile.
+        # empty, partial, full and spilling into further groups.
         circuit = _both_fill_polarities()
         packed = LCCSimulator(circuit, backend=backend, word_width=width,
-                              packed=True, tiles=tiles)
+                              packed=True)
         scalar = LCCSimulator(circuit, backend=backend, word_width=width,
                               packed=False)
-        python = LCCSimulator(circuit, word_width=width, packed=True,
-                              tiles=tiles)
+        python = LCCSimulator(circuit, word_width=width, packed=True)
         for size in (0, 1, width - 1, width, width + 1,
-                     2 * width * tiles + 5):
+                     2 * width + 5):
             vectors = vectors_for(circuit, size, seed=size)
             want = scalar.apply_vectors(vectors)
             assert packed.apply_vectors(vectors) == want, size
@@ -422,3 +427,26 @@ class TestHarnessThreading:
         sim.run_prepared(prepared)
         assert sim.machine.counters.vectors == 20
         assert sim.machine.counters.batches == 1
+
+
+def _program_with_state():
+    """A tiny program exercising state, shifts, and sar."""
+    p = Program("tiled_probe", word_width=8, inputs=["a", "b"])
+    p.declare("s", 3)
+    t = p.declare_temp("t")
+    p.init.append(Assign(t, Bin("&", Input(0), Input(1))))
+    p.body.append(Assign("s", Bin("^", Var("s"), Var(t))))
+    p.body.append(Assign(t, Bin("sar", Var("s"), Const(2))))
+    p.output.append(Emit(Bin("|", Var("s"), Bin("<<", Var(t), Const(1))),
+                         ("o",)))
+    p.validate()
+    return p
+
+
+class TestDiagnostics:
+    def test_validate_group_names_vector_span(self):
+        p = _program_with_state()
+        m = compile_program(p, "python")
+        with pytest.raises(SimulationError,
+                           match=r"group 1 \(vectors 8\.\.15\)"):
+            m.run_packed_block([[1, 2], [1, 1 << 20]])

@@ -12,6 +12,7 @@ byte-identical checkpoint resume).
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -225,10 +226,6 @@ class TestLCCProbes:
         sim.apply_vectors(vectors)
         assert sim.activity_report().toggles == want
 
-    def test_tiles_unavailable_with_probes(self):
-        with pytest.raises(SimulationError, match="tiles"):
-            LCCSimulator(glitchy_circuit(), tiles=2, probes=True)
-
 
 class TestFaultGradingActivity:
     def _workload(self):
@@ -337,7 +334,7 @@ class TestReplayVCD:
             self._sim(), tape, chunk_cycles=25, vcd_path=full_vcd
         )
         assert full.vcd_path == full_vcd
-        full_text = open(full_vcd).read()
+        full_text = Path(full_vcd).read_text()
         assert full_text.startswith("$date")
         # Closing marker only at end of tape.
         assert full_text.rstrip().endswith("#120")
@@ -355,7 +352,7 @@ class TestReplayVCD:
             resume_from=first.checkpoints[0], vcd_path=seg_vcd,
         )
         assert resumed.cycle == tape.cycles
-        assert open(seg_vcd).read() == full_text
+        assert Path(seg_vcd).read_text() == full_text
 
     def test_interrupted_segment_left_open(self, tmp_path):
         from repro.replay import replay_tape
@@ -364,7 +361,7 @@ class TestReplayVCD:
         vcd = os.path.join(tmp_path, "open.vcd")
         replay_tape(self._sim(), tape, limit=20, vcd_path=vcd)
         # No closing time marker: a resumed run appends.
-        assert not open(vcd).read().rstrip().endswith("#120")
+        assert not Path(vcd).read_text().rstrip().endswith("#120")
 
     def test_subset_nets(self, tmp_path):
         from repro.replay import replay_tape
@@ -374,7 +371,7 @@ class TestReplayVCD:
         outputs = list(sim.sequential.external_outputs)
         vcd = os.path.join(tmp_path, "sub.vcd")
         replay_tape(sim, tape, vcd_path=vcd, vcd_nets=outputs[:2])
-        text = open(vcd).read()
+        text = Path(vcd).read_text()
         assert outputs[0] in text
         assert outputs[2] not in text
 
@@ -412,10 +409,10 @@ class TestReplayVCD:
         # ...but a vcd-less resume of a vcd-less checkpoint is fine,
         # and checkpoints written before waveform streaming existed
         # (no "vcd" key at all) still load.
-        payload = json.load(open(bare.checkpoints[0]))
+        payload = json.loads(Path(bare.checkpoints[0]).read_text())
         del payload["vcd"]
         legacy = os.path.join(tmp_path, "legacy.json")
-        json.dump(payload, open(legacy, "w"))
+        Path(legacy).write_text(json.dumps(payload))
         result = replay_tape(self._sim(), tape, resume_from=legacy)
         assert result.cycle == tape.cycles
 
@@ -458,14 +455,12 @@ class TestCacheFingerprint:
         probed = PCSetSimulator(circuit, probes=True)
         subset = PCSetSimulator(circuit, probes=["OUT"])
         keys = {
-            cache_fingerprint(
-                sim._compiled_program, sim.source(), 1
-            )
+            cache_fingerprint(sim._compiled_program, sim.source())
             for sim in (plain, probed, subset)
         }
         assert len(keys) == 3
         probed_key = cache_fingerprint(
-            probed._compiled_program, probed.source(), 1
+            probed._compiled_program, probed.source()
         )
         assert "-p" in probed_key
 
@@ -516,5 +511,5 @@ class TestCLI:
         ]) == 0
         out = capsys.readouterr().out
         assert "waveform:" in out
-        text = open(vcd).read()
+        text = Path(vcd).read_text()
         assert "B0" in text and "B2" not in text

@@ -225,21 +225,19 @@ class TestProgramCache:
     @NEED_CC
     def test_c_artifact_reused_with_private_state(self):
         cache = program_cache()
-        for tiles in (1, 3):
-            first = CMachine(_counter_program(), tiles=tiles)
-            hits = cache.hits
-            second = CMachine(_counter_program(), tiles=tiles)
-            assert cache.hits == hits + 1  # library reused, not rebuilt
-            assert first._lib is second._lib
-            # One library, two states: nothing leaks between machines.
-            ones = [5, 6, 7][:tiles]
-            assert first.step(ones) == ones
-            assert second.dump_state() == [0] * tiles
-            second.load_state([1, 2, 4][:tiles])
-            assert first.dump_state() == ones
-            assert second.step([8] * tiles) == [9, 10, 12][:tiles]
-            assert first.step([0] * tiles) == ones
-            assert second.dump_state() == [9, 10, 12][:tiles]
+        first = CMachine(_counter_program())
+        hits = cache.hits
+        second = CMachine(_counter_program())
+        assert cache.hits == hits + 1  # library reused, not rebuilt
+        assert first._lib is second._lib
+        # One library, two states: nothing leaks between machines.
+        assert first.step([5]) == [5]
+        assert second.dump_state() == [0]
+        second.load_state([1])
+        assert first.dump_state() == [5]
+        assert second.step([8]) == [9]
+        assert first.step([0]) == [5]
+        assert second.dump_state() == [9]
 
     @NEED_CC
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
@@ -286,8 +284,9 @@ class TestProgramCache:
 
     @NEED_CC
     def test_no_files_left_in_tempdir(self, tmp_path):
-        # A miss, a hit and a tiled compile, checked while the machines
-        # are alive and again after the process is gone.
+        # A miss, a hit and a compile at another opt level, checked
+        # while the machines are alive and again after the process is
+        # gone.
         out = _run_child(tmp_path, """
             import os, tempfile
             from repro.codegen.runtime import CMachine, program_cache
@@ -296,7 +295,7 @@ class TestProgramCache:
             machines = [
                 CMachine(_counter_program()),
                 CMachine(_counter_program()),
-                CMachine(_counter_program(), tiles=3),
+                CMachine(_counter_program(), opt_level="-O0"),
             ]
             print(cache.misses, cache.hits, os.listdir(tempfile.gettempdir()))
         """)

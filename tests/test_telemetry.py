@@ -20,7 +20,6 @@ from repro.faults.sharding import run_sharded_fault_simulation
 from repro.harness.vectors import vectors_for
 from repro.lcc.zerodelay import LCCSimulator
 from repro.netlist.generators import ripple_carry_adder
-from repro.parallel.simulator import ParallelSimulator
 from repro.telemetry import MetricsRegistry
 
 NEED_CC = pytest.mark.skipif(
@@ -197,9 +196,7 @@ class TestMetricsRegistry:
 class TestSnapshots:
     def test_derived_sections_always_present(self):
         snap = telemetry.snapshot()
-        assert set(snap["packing"]) == {
-            "packed_batches", "laned_batches", "fallback",
-        }
+        assert set(snap["packing"]) == {"packed_batches", "fallback"}
         assert set(snap["packing"]["fallback"]) == {
             "scalar", "settled", "none",
         }
@@ -274,14 +271,6 @@ class TestSnapshots:
         assert snap["packing"]["packed_batches"] == 1
         assert snap["counters"]["run.vectors"] == 20
         assert {"pack", "run", "unpack"} <= set(snap["phases"])
-
-    def test_laned_batches_reach_packing_section(self):
-        circuit = ripple_carry_adder(2)
-        sim = ParallelSimulator(circuit, word_width=8, tiles=2)
-        sim.reset([0] * len(circuit.inputs))
-        telemetry.enable()
-        sim.apply_vectors(vectors_for(circuit, 6, seed=1))
-        assert telemetry.snapshot()["packing"]["laned_batches"] == 1
 
     def test_write_metrics(self, tmp_path):
         telemetry.enable()
