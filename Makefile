@@ -15,8 +15,8 @@ test:
 # in development mode with a leaked file (ResourceWarning) as an
 # error, import-smoke every benchmark module (catches drift in the
 # benchmark drivers without paying for a timed run), run the
-# repository benchmark's own tests, and run the fixed-seed fuzz
-# campaign.  Writes nothing into the tree.
+# repository benchmark's own tests, run every example, and run the
+# fixed-seed fuzz campaign.  Writes nothing into the tree.
 check:
 	PYTHONPATH=src $(PYTHON) -m compileall -q src
 	PYTHONPATH=src $(PYTHON) -X dev -m pytest tests/ -x -q \
@@ -31,6 +31,7 @@ check:
 			|| exit 1; \
 	done
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/suite -q
+	$(MAKE) examples
 	$(MAKE) fuzz-campaign
 	@echo "check passed"
 
@@ -61,11 +62,20 @@ bench-quick:
 	REPRO_BENCH_SUITE=c432,c880 REPRO_BENCH_VECTORS=64 \
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
+# Every example, start to finish; the waveform example writes its VCD
+# into a temporary directory, so nothing lands in the tree.
 examples:
+	@tmp=$$(mktemp -d) && \
 	for script in examples/*.py; do \
 		echo "== $$script"; \
-		$(PYTHON) $$script > /dev/null || exit 1; \
-	done
+		case $$script in \
+			*/waveform_export.py) args=$$tmp/adder_trace.vcd ;; \
+			*) args= ;; \
+		esac; \
+		PYTHONPATH=src $(PYTHON) $$script $$args > /dev/null \
+			|| { rm -rf $$tmp; exit 1; }; \
+	done; \
+	rm -rf $$tmp
 	@echo "all examples ran"
 
 clean:

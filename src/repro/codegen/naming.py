@@ -9,6 +9,7 @@ circuit always yields the same generated source.
 from __future__ import annotations
 
 import re
+from typing import Hashable
 
 __all__ = ["NameAllocator", "sanitize_identifier"]
 
@@ -40,14 +41,16 @@ class NameAllocator:
     """Deterministic, collision-free identifier allocation."""
 
     def __init__(self) -> None:
-        self._by_key: dict[str, str] = {}
+        self._by_key: dict[Hashable, str] = {}
         self._taken: set[str] = set(_RESERVED)
 
-    def get(self, key: str, suggestion: str | None = None) -> str:
+    def get(self, key: Hashable, suggestion: str | None = None) -> str:
         """Identifier for ``key``; allocates on first use.
 
-        ``suggestion`` defaults to the sanitized key.  Collisions get a
-        numeric suffix.
+        ``key`` is a net name, or any other hashable (a tuple, say,
+        with a ``suggestion``) for a generator-private variable that
+        must never alias a net.  ``suggestion`` defaults to the
+        sanitized key.  Collisions get a numeric suffix.
         """
         existing = self._by_key.get(key)
         if existing is not None:
@@ -62,5 +65,5 @@ class NameAllocator:
         self._by_key[key] = candidate
         return candidate
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._by_key

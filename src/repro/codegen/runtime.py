@@ -35,6 +35,10 @@ generated ``run_block`` routine each backend compiles in:
   batch of 0/1 vectors as one byte per value and transposes, runs and
   unpacks it inside the library, around the same ``run_packed_block``
   kernel (see :mod:`repro.codegen.packing`).
+- ``run_bit_rows(block, count)`` is its scalar counterpart on both
+  machines: one vector per ``run_block`` pass, in order, so passes may
+  carry state from one vector to the next (a clocked program's
+  flip-flops); it returns bit 0 of every emitted word as one byte.
 
 Every batch updates ``machine.counters`` (vectors run, wall time,
 vectors/second) so harness and benchmark reports can quote throughput
@@ -67,6 +71,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import time
 from collections import OrderedDict
@@ -90,6 +95,9 @@ __all__ = [
     "compile_program",
     "have_c_compiler",
 ]
+
+#: ``bytes.translate`` table keeping bit 0 of every byte.
+_BIT0 = bytes(value & 1 for value in range(256))
 
 _C_COMPILER: Optional[str] = None
 _C_COMPILER_PROBED = False
@@ -344,6 +352,24 @@ class Machine:
         """
         raise NotImplementedError
 
+    def run_bit_rows(self, block: bytes, count: int) -> bytes:
+        """Run ``count`` 0/1 vectors one per pass; return output bits.
+
+        ``block`` holds one byte per input value, vector after vector,
+        every byte 0 or 1.  The vectors run in order through the
+        scalar ``run_block`` kernel, so each pass sees the state the
+        previous one left.  The result holds bit 0 of every emitted
+        word as one byte, vector after vector.
+        """
+        raise NotImplementedError
+
+    def _check_bit_block(self, block: bytes, count: int) -> None:
+        if len(block) != count * self.num_inputs:
+            raise BackendError(
+                f"bit block has {len(block)} bytes, expected {count} "
+                f"vectors of {self.num_inputs}"
+            )
+
     def _packed_count(
         self,
         groups: Sequence[Sequence[int]],
@@ -466,6 +492,15 @@ class PythonMachine(Machine):
             time.perf_counter() - start,
         )
         return out
+
+    def run_bit_rows(self, block: bytes, count: int) -> bytes:
+        self._check_bit_block(block, count)
+        width = self.num_inputs
+        # A bytes row indexes to ints, which is all V[k] needs.
+        vectors = [block[i * width:(i + 1) * width] for i in range(count)]
+        words: list[int] = []
+        self.run_block(vectors, words, masked=True)
+        return bytes([word & 1 for word in words])
 
     def dump_state(self) -> list[int]:
         return self._gen.send((1,))
@@ -710,12 +745,8 @@ class CMachine(Machine):
         bits, exactly the words a scalar pass emits
         (:func:`~repro.codegen.packing.packed_apply`).
         """
-        if len(block) != count * self.interface.num_inputs:
-            # pack_lanes reads count * inputs bytes, no more.
-            raise BackendError(
-                f"bit block has {len(block)} bytes, expected {count} "
-                f"vectors of {self.interface.num_inputs}"
-            )
+        # pack_lanes reads count * inputs bytes, no more.
+        self._check_bit_block(block, count)
         if count == 0:
             return []
         word = self._word
@@ -736,6 +767,27 @@ class CMachine(Machine):
             return memoryview(rows).cast("B").cast(
                 self._FORMAT[self.program.word_width], (count, emits)
             ).tolist()
+
+    def run_bit_rows(self, block: bytes, count: int) -> bytes:
+        """Widen ``block`` into words, run, narrow the outputs to bits.
+
+        Both conversions are byte slices: each input byte is copied
+        into the low byte of a zeroed word (which byte that is depends
+        on ``sys.byteorder``), and the low byte of every output word is
+        cut out and reduced to bit 0 with ``bytes.translate``.
+        """
+        self._check_bit_block(block, count)
+        size = ctypes.sizeof(self._word)
+        low = 0 if sys.byteorder == "little" else size - 1
+        wide = bytearray(len(block) * size)
+        wide[low::size] = block
+        words = (self._word * len(block)).from_buffer(wide)
+        emitted = count * self._num_outputs
+        out = (self._word * max(1, emitted))()
+        start = time.perf_counter()
+        self._entry["run_block"](words, count, out)
+        self._record_batch(count, time.perf_counter() - start)
+        return bytes(out)[low:emitted * size:size].translate(_BIT0)
 
     def dump_state(self) -> list[int]:
         return self._state[: self.num_state]

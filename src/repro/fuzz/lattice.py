@@ -14,7 +14,10 @@ single predicate the shrinker and the corpus replay share.
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
+import tempfile
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
@@ -479,8 +482,10 @@ def _check_sequential(
     zero-delay reference driven through ``SequentialCircuit.step``:
     per-cycle external outputs *and* the next flip-flop state must
     match, the batched ``apply_vectors`` path must be cycle-identical
-    to stepping, and a mid-stream snapshot/restore into a *fresh*
-    simulator must continue bit-identically.
+    to stepping, a mid-stream snapshot/restore into a *fresh*
+    simulator must continue bit-identically, and ``replay_tape`` over
+    the same rows written to a tape must give the reference's checksum
+    and toggle counts.
     """
     from repro.eventsim.zerodelay import steady_state
     from repro.netlist.random_circuits import derive_flipflops
@@ -597,6 +602,38 @@ def _check_sequential(
             compare(cycle, outputs, ref_outputs[cycle],
                     "resumed outputs")
             checks += 1
+
+    # 4. replay_tape from a tape on disk, in chunks that do not divide
+    # the row count, against the reference outputs' checksum and
+    # per-output toggle counts.
+    if rows:
+        from repro.replay import Tape, fold_outputs, replay_tape, write_tape
+
+        outputs = seq.external_outputs
+        checksum = 0
+        toggles = dict.fromkeys(outputs, 0)
+        for cycle, want in enumerate(ref_outputs):
+            checksum = fold_outputs(checksum, [want[o] for o in outputs])
+            if cycle:
+                for o in outputs:
+                    toggles[o] += want[o] != ref_outputs[cycle - 1][o]
+        chunk = next(c for c in itertools.count(2) if len(rows) % c)
+        with tempfile.TemporaryDirectory(prefix="repro_fuzz_") as work:
+            path = os.path.join(work, "stimulus.tape")
+            write_tape(path, external, rows)
+            got = replay_tape(make_sim(), Tape(path), chunk_cycles=chunk)
+        if got.checksum != checksum or got.toggles != toggles:
+            bad = sorted(
+                o for o in outputs if got.toggles[o] != toggles[o]
+            )
+            raise Mismatch(
+                label, len(rows) - 1, bad,
+                f"  replay_tape (chunks of {chunk}) diverged: checksum "
+                f"{got.checksum:#018x} vs {checksum:#018x}, toggles "
+                f"{ {o: got.toggles[o] for o in bad[:5]} } vs "
+                f"{ {o: toggles[o] for o in bad[:5]} }",
+            )
+        checks += 1
     return checks
 
 

@@ -44,17 +44,29 @@ def generate_lcc_program(
     circuit: Circuit,
     *,
     word_width: int = 32,
-    emit_outputs: bool = True,
+    emit_outputs: "bool | Sequence[str]" = True,
+    flipflops: Optional[Mapping[str, str]] = None,
 ) -> Program:
     """Generate the zero-delay LCC program for a circuit.
 
     Input slot ``k`` carries the value(s) of the ``k``-th primary input:
     bit ``j`` belongs to packed vector ``j``, so passing plain 0/1 values
-    simulates a single vector.
+    simulates a single vector.  ``emit_outputs`` is ``True`` (emit the
+    primary outputs), ``False`` (no output section) or the nets to emit,
+    in order.
+
+    ``flipflops`` (``q_net -> d_net``) closes the circuit's flip-flops
+    through program state, making one pass one clock cycle: each Q net
+    is a state variable instead of an input slot (the inputs are the
+    remaining primary inputs), and the output section first emits the
+    outputs, sampled before the clock edge, then copies every D into
+    its Q through one temporary per flip-flop, so chained flip-flops
+    update together.
     """
     with telemetry.span("emit", technique="lcc", circuit=circuit.name):
         return _generate_lcc_program(
-            circuit, word_width=word_width, emit_outputs=emit_outputs
+            circuit, word_width=word_width, emit_outputs=emit_outputs,
+            flipflops=flipflops or {},
         )
 
 
@@ -62,18 +74,20 @@ def _generate_lcc_program(
     circuit: Circuit,
     *,
     word_width: int,
-    emit_outputs: bool,
+    emit_outputs: "bool | Sequence[str]",
+    flipflops: Mapping[str, str],
 ) -> Program:
+    inputs = [net for net in circuit.inputs if net not in flipflops]
     program = Program(
         f"lcc_{circuit.name}",
         word_width=word_width,
-        inputs=circuit.inputs,
+        inputs=inputs,
         mask_assignments=False,
     )
     names = NameAllocator()
     for net_name in circuit.nets:
         program.declare(names.get(net_name))
-    for slot, net_name in enumerate(circuit.inputs):
+    for slot, net_name in enumerate(inputs):
         program.init.append(Assign(names.get(net_name), Input(slot)))
     levels = levelize(circuit)
     ordered = sorted(
@@ -86,11 +100,20 @@ def _generate_lcc_program(
             Assign(names.get(gate.output),
                    gate_expression(gate.gate_type, operands))
         )
-    if emit_outputs:
-        for net_name in circuit.outputs:
-            program.output.append(
-                Emit(Var(names.get(net_name)), (net_name,))
-            )
+    if emit_outputs is True:
+        emit_outputs = circuit.outputs
+    for net_name in emit_outputs or ():
+        program.output.append(
+            Emit(Var(names.get(net_name)), (net_name,))
+        )
+    nexts = [
+        program.declare_temp(names.get(("next", q), f"{q}_next"))
+        for q in flipflops
+    ]
+    for temp, d in zip(nexts, flipflops.values()):
+        program.output.append(Assign(temp, Var(names.get(d))))
+    for q, temp in zip(flipflops, nexts):
+        program.output.append(Assign(names.get(q), Var(temp)))
     program.validate()
     return program
 

@@ -2,12 +2,14 @@
 
 ``replay_tape`` clocks a :class:`CompiledSequentialSimulator` through a
 stimulus :class:`Tape` in bounded-memory chunks, optionally writing a
-checkpoint every N cycles and/or resuming from one.  Per-cycle work is
-incremental: external outputs stream to an output tape (same fixed-width
-line format as the stimulus, so runs are compared with a byte compare),
-per-output toggle counts accumulate as coverage, and a rolling checksum
-folds every output of every cycle — the one-number bit-identity witness
-used by the tests.
+checkpoint every N cycles and/or resuming from one.  A chunk stays
+bytes from end to end: the tape's validated byte reader hands it to
+``sim.apply_bits``, which returns one 0/1 byte per external output per
+cycle.  From those bytes the outputs stream to an output tape (same
+fixed-width line format as the stimulus, so runs are compared with a
+byte compare), per-output toggle counts accumulate as coverage, and a
+rolling checksum folds every output of every cycle — the one-number
+bit-identity witness used by the tests — in one step per chunk.
 
 Chunk boundaries are aligned to checkpoint boundaries, so a checkpoint
 always lands *exactly* after its cycle regardless of chunk size — the
@@ -29,6 +31,9 @@ __all__ = ["ReplayResult", "replay_tape", "fold_outputs"]
 
 _MASK64 = (1 << 64) - 1
 
+#: ``bytes.translate`` table: a 0/1 byte becomes its ASCII digit.
+_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
 
 def fold_outputs(checksum: int, bits: list[int]) -> int:
     """Fold one cycle's output bits into the rolling checksum.
@@ -41,6 +46,27 @@ def fold_outputs(checksum: int, bits: list[int]) -> int:
             ((checksum << 1) | (checksum >> 63)) ^ bit
         ) & _MASK64
     return checksum
+
+
+def _fold_digits(checksum: int, digits: bytes) -> int:
+    """:func:`fold_outputs` over a whole chunk of bits at once.
+
+    ``digits`` holds the bits as ASCII ``0``/``1``, in fold order.
+    Folding ``n`` bits rotates the running value left by ``n`` and
+    leaves bit ``i`` at position ``(n - 1 - i) mod 64``: that is the
+    running value rotated by ``n mod 64``, XOR the 64-bit limbs of the
+    bits read as one binary number.
+    """
+    if not digits:
+        return checksum
+    shift = len(digits) % 64
+    checksum = ((checksum << shift) | (checksum >> (64 - shift))) & _MASK64
+    value = int(digits, 2)
+    while value >> 64:
+        # Split at a limb boundary; the halves' limbs XOR together.
+        half = 64 * ((value.bit_length() + 127) // 128)
+        value = (value >> half) ^ (value & ((1 << half) - 1))
+    return checksum ^ value
 
 
 class ReplayResult:
@@ -131,7 +157,7 @@ def replay_tape(
         segments concatenates bit-identically with the pre-checkpoint
         segment.
     chunk_cycles:
-        Vectors per ``apply_vectors`` call — the memory bound.
+        Cycles per ``apply_bits`` call — the memory bound.
     outputs_path:
         Stream per-cycle external outputs here, in tape line format
         (header names the output columns).  A resumed run writes only
@@ -146,7 +172,8 @@ def replay_tape(
         time marker is written only when the replay reaches the end of
         the tape.
     limit:
-        Replay at most this many cycles (default: to the end of tape).
+        Replay at most this many cycles (default: to the end of tape);
+        must be >= 0.
     on_chunk:
         Optional ``callback(cycle, total_cycles)`` after each chunk.
     """
@@ -166,8 +193,11 @@ def replay_tape(
         os.makedirs(checkpoint_dir, exist_ok=True)
     if chunk_cycles < 1:
         raise SimulationError("chunk_cycles must be >= 1")
+    if limit is not None and limit < 0:
+        raise SimulationError("limit must be >= 0")
 
     outputs = list(seq.external_outputs)
+    width = len(outputs)
     vcd_columns: Optional[list[str]] = None
     if vcd_path is not None:
         vcd_columns = (
@@ -181,6 +211,7 @@ def replay_tape(
             )
         if not vcd_columns:
             raise SimulationError("vcd_nets must name at least one net")
+        vcd_slots = [(o, outputs.index(o)) for o in vcd_columns]
     elif vcd_nets is not None:
         raise SimulationError("vcd_nets requires vcd_path")
     if resume_from is not None:
@@ -202,7 +233,10 @@ def replay_tape(
         sim.restore({"state": cp.state, "cycle": cp.cycle})
         checksum = cp.checksum
         toggles = {o: cp.toggles.get(o, 0) for o in outputs}
-        prev = dict(cp.prev_outputs) if cp.prev_outputs else None
+        prev = (
+            bytes(cp.prev_outputs[o] for o in outputs)
+            if cp.prev_outputs else None
+        )
         start = cp.cycle
         resumed_from = cp.cycle
         telemetry.counter("seq.restores")
@@ -222,9 +256,10 @@ def replay_tape(
     t0 = time.perf_counter()
     try:
         if outputs_path is not None:
-            out_stream = open(outputs_path, "w")
-            out_stream.write(f"{TAPE_MAGIC}\n")
-            out_stream.write(f"#inputs {','.join(outputs)}\n")
+            out_stream = open(outputs_path, "wb")
+            out_stream.write(
+                f"{TAPE_MAGIC}\n#inputs {','.join(outputs)}\n".encode()
+            )
         if vcd_path is not None:
             from repro.waveform import VCDWriter
 
@@ -262,23 +297,28 @@ def replay_tape(
                         (cursor // checkpoint_every) + 1
                     ) * checkpoint_every
                     n = min(n, boundary - cursor)
-                rows = tape.read(cursor, n)
-                for out in sim.apply_vectors(rows):
-                    bits = [out[o] for o in outputs]
-                    checksum = fold_outputs(checksum, bits)
-                    if prev is not None:
-                        for o in outputs:
-                            if out[o] != prev[o]:
-                                toggles[o] += 1
-                    prev = out
-                    if out_stream is not None:
-                        out_stream.write(
-                            "".join("1" if b else "0" for b in bits)
-                        )
-                        out_stream.write("\n")
-                    if vcd_writer is not None:
+                out = sim.apply_bits(tape.read_bits(cursor, n), n)
+                digits = out.translate(_DIGIT)
+                checksum = _fold_digits(checksum, digits)
+                # Row r's bytes XOR row r-1's: 1 where an output toggled.
+                rows = out if prev is None else prev + out
+                changed = (
+                    int.from_bytes(rows[width:], "big")
+                    ^ int.from_bytes(rows[:len(rows) - width], "big")
+                ).to_bytes(len(rows) - width, "big")
+                for j, o in enumerate(outputs):
+                    toggles[o] += changed[j::width].count(1)
+                prev = out[len(out) - width:]
+                if out_stream is not None:
+                    # Column j of every line, then the newlines between.
+                    lines = bytearray(b"\n" * (n * (width + 1)))
+                    for j in range(width):
+                        lines[j::width + 1] = digits[j::width]
+                    out_stream.write(lines)
+                if vcd_writer is not None:
+                    for row in range(0, n * width, width):
                         vcd_writer.add_vector({
-                            o: ((0, out[o]),) for o in vcd_columns
+                            o: ((0, out[row + j]),) for o, j in vcd_slots
                         })
                 cursor += n
                 if (
@@ -290,7 +330,10 @@ def replay_tape(
                         state=sim.state,
                         checksum=checksum,
                         toggles=toggles,
-                        prev_outputs=prev,
+                        prev_outputs=(
+                            dict(zip(outputs, prev))
+                            if prev is not None else None
+                        ),
                         tape_inputs=list(tape.inputs),
                         tape_cycles=tape.cycles,
                         circuit=seq.core.name,

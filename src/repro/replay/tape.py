@@ -31,6 +31,10 @@ __all__ = ["Tape", "TapeError", "write_tape", "random_tape"]
 
 TAPE_MAGIC = "#repro-tape v1"
 
+#: ``read_bits`` tables: the digits become 0/1, every other byte goes.
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_NOT_DIGITS = bytes(sorted(set(range(256)) - set(b"01")))
+
 
 class TapeError(SimulationError):
     """Malformed tape file or out-of-range access."""
@@ -78,38 +82,67 @@ class Tape:
         self.cycles = payload // self._line_width
 
     # ------------------------------------------------------------------
-    def read(self, start: int, count: int) -> list[list[int]]:
-        """``count`` stimulus vectors starting at cycle ``start``.
+    def read_bits(self, start: int, count: int) -> bytes:
+        """``count`` stimulus vectors starting at cycle ``start``, as bytes.
 
-        Each vector is a plain 0/1 list in ``inputs`` column order —
-        exactly what ``CompiledSequentialSimulator`` accepts.
+        One byte per input, vector after vector, each 0 or 1 — the
+        block :meth:`~repro.seqsim.CompiledSequentialSimulator.apply_bits`
+        clocks.  Every line must hold ``0``/``1`` characters only and
+        end in ``\\n`` right after its last column; otherwise
+        :class:`TapeError` names the first bad cycle.
         """
-        if start < 0 or start + count > self.cycles:
+        if start < 0 or count < 0 or start + count > self.cycles:
             raise TapeError(
                 f"{self.path}: cycles [{start}, {start + count}) out of "
                 f"range (tape has {self.cycles})"
             )
+        width = len(self.inputs)
         with open(self.path, "rb") as handle:
             handle.seek(self._data_start + start * self._line_width)
             blob = handle.read(count * self._line_width)
+        # Deleting every byte but the digits leaves count * width of
+        # them exactly when the terminator columns hold only newlines
+        # and the data columns only digits.
+        bits = blob.translate(_DIGITS, _NOT_DIGITS)
+        if (
+            len(bits) != count * width
+            or blob[width::width + 1] != b"\n" * count
+        ):
+            self._raise_first_bad(blob, start)
+        return bits
+
+    def _raise_first_bad(self, blob: bytes, start: int) -> None:
         width = len(self.inputs)
-        rows: list[list[int]] = []
-        for c in range(count):
-            base = c * self._line_width
-            line = blob[base:base + width]
-            row = []
-            for ch in line:
-                if ch == 0x30:
-                    row.append(0)
-                elif ch == 0x31:
-                    row.append(1)
-                else:
+        for c in range(len(blob) // self._line_width):
+            line = blob[c * self._line_width:(c + 1) * self._line_width]
+            for ch in line[:width]:
+                if ch not in b"01":
                     raise TapeError(
                         f"{self.path}: bad character {chr(ch)!r} at "
                         f"cycle {start + c}"
                     )
-            rows.append(row)
-        return rows
+            if line[width] != 0x0A:
+                raise TapeError(
+                    f"{self.path}: cycle {start + c} does not end in a "
+                    f"newline at column {width}"
+                )
+        raise TapeError(
+            f"{self.path}: cycles from {start} are shorter than the "
+            f"tape's size promises (was the file changed?)"
+        )
+
+    def read(self, start: int, count: int) -> list[list[int]]:
+        """``count`` stimulus vectors starting at cycle ``start``.
+
+        Each vector is a plain 0/1 list in ``inputs`` column order —
+        exactly what ``CompiledSequentialSimulator`` accepts.  Decoded
+        and checked by :meth:`read_bits`.
+        """
+        bits = self.read_bits(start, count)
+        width = len(self.inputs)
+        return [
+            list(bits[c * width:(c + 1) * width]) for c in range(count)
+        ]
 
     def chunks(
         self,

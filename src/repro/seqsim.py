@@ -1,20 +1,33 @@
 """Compiled clocked simulation of synchronous sequential circuits.
 
-Combines §1's flip-flop-breaking recipe with any compiled combinational
-engine: the broken core is compiled once; each clock cycle feeds the
-current flip-flop state and external inputs through it, captures the D
-pins as the next state, and (optionally) keeps the full intra-cycle
-unit-delay history so glitches *inside* a clock period are visible —
-the thing a plain zero-delay clocked model cannot show.
+Combines §1's flip-flop-breaking recipe with a compiled engine.  The
+zero-delay engine compiles the broken core with its flip-flops closed
+through program state (``generate_lcc_program(..., flipflops=...)``):
+one pass of the generated code is one clock cycle, the flip-flop
+state lives in the machine's state buffer, and one kernel call clocks
+a whole batch.  The unit-delay engines (and ``incremental=True``)
+settle the core once per cycle and carry the state here; they can
+additionally keep the full intra-cycle unit-delay history, so glitches
+*inside* a clock period are visible — the thing a plain zero-delay
+clocked model cannot show.
+
+The byte boundary
+-----------------
+Every engine clocks through :meth:`CompiledSequentialSimulator.apply_bits`:
+one 0/1 byte per external input per cycle in, one 0/1 byte per
+external output per cycle out.  ``step`` and ``apply_vectors`` encode
+their rows into such a block once per batch, which is where a bad row
+is reported; :func:`~repro.replay.harness.replay_tape` hands over tape
+bytes as they are.
 
 Partial-progress contract
 -------------------------
-``apply_vectors`` advances ``state``/``cycle`` one cycle at a time.  If
-a cycle raises (bad vector, backend failure), every *completed* cycle
-stays committed: ``cycle`` counts the cycles that ran, ``state`` holds
-the flip-flop values after the last completed cycle, and the failing
-cycle has consumed nothing.  Callers that need all-or-nothing semantics
-take a :meth:`snapshot` first and :meth:`restore` it on error.
+If a cycle of ``apply_vectors`` fails (bad vector, backend failure),
+every *completed* cycle stays committed: ``cycle`` counts the cycles
+that ran, ``state`` holds the flip-flop values after the last completed
+cycle, and the failing cycle has consumed nothing.  Callers that need
+all-or-nothing semantics take a :meth:`snapshot` first and
+:meth:`restore` it on error.
 """
 
 from __future__ import annotations
@@ -23,7 +36,9 @@ import time
 from typing import Mapping, Optional, Sequence
 
 from repro import telemetry
+from repro.codegen.runtime import BatchCounters, Machine, compile_program
 from repro.errors import SimulationError
+from repro.lcc.zerodelay import generate_lcc_program
 from repro.netlist.sequential import SequentialCircuit
 from repro.simbase import check_pinned
 
@@ -39,10 +54,10 @@ class CompiledSequentialSimulator:
         The broken circuit (from ``parse_bench_sequential`` or
         ``break_at_flipflops``).
     engine:
-        ``"lcc"`` — zero-delay compiled core (fastest; per-cycle settled
-        values only), or ``"parallel"`` / ``"pcset"`` — unit-delay
-        compiled cores that additionally expose the intra-cycle
-        waveforms via :meth:`step` with ``record=True``.
+        ``"lcc"`` — zero-delay clocked program (fastest; per-cycle
+        settled values only), or ``"parallel"`` / ``"pcset"`` —
+        unit-delay compiled cores that additionally expose the
+        intra-cycle waveforms via :meth:`step` with ``record=True``.
     partitions, tiles:
         Must be 1 (see :func:`~repro.simbase.check_pinned`).
     incremental:
@@ -52,6 +67,9 @@ class CompiledSequentialSimulator:
         re-evaluated) but editing one gate recompiles only the affected
         cones — see ``cache_delta`` on the underlying simulator.
         Only the ``"lcc"`` engine supports it.
+
+    ``machine`` is the clocked program's machine on the zero-delay
+    engine and ``None`` on the per-cycle ones.
     """
 
     ENGINES = ("lcc", "parallel", "pcset")
@@ -80,11 +98,28 @@ class CompiledSequentialSimulator:
         self.backend = backend
         self.incremental = incremental
         core = sequential.core
+        self._inputs = list(sequential.external_inputs)
+        self._input_set = frozenset(self._inputs)
+        self._core_inputs = core.inputs
+        self._outputs = list(sequential.external_outputs)
+        self.machine: Optional[Machine] = None
+        self._sim = None
         monitored = sorted(
             set(sequential.external_outputs)
             | set(sequential.flipflops.values())
         )
-        if incremental:
+        if engine == "lcc" and not incremental:
+            program = generate_lcc_program(
+                core, word_width=word_width,
+                emit_outputs=self._outputs,
+                flipflops=sequential.flipflops,
+            )
+            self.machine = compile_program(program, backend)
+            # The generator declares one state variable per net, in
+            # core.nets order; the Q variables hold the flip-flops.
+            index_of = {net: i for i, net in enumerate(core.nets)}
+            self._q_words = [index_of[q] for q in sequential.flipflops]
+        elif incremental:
             missing = [
                 d for d in sequential.flipflops.values()
                 if d not in core.nets or not core.nets[d].is_output
@@ -98,12 +133,6 @@ class CompiledSequentialSimulator:
             from repro.codegen.incremental import ConeSimulator
 
             self._sim = ConeSimulator(
-                core, backend=backend, word_width=word_width
-            )
-        elif engine == "lcc":
-            from repro.lcc.zerodelay import LCCSimulator
-
-            self._sim = LCCSimulator(
                 core, backend=backend, word_width=word_width
             )
         elif engine == "parallel":
@@ -121,44 +150,35 @@ class CompiledSequentialSimulator:
                 core, backend=backend, word_width=word_width,
                 monitored=monitored,
             )
-        self._core_inputs = core.inputs
-        self._external_input_set = frozenset(sequential.external_inputs)
-        self.state = sequential.initial_state()
-        self.cycle = 0
-        self._unit_delay_ready = False
         #: Driver-loop totals (cycles as "vectors"), mirroring the
         #: machine-level :class:`BatchCounters` the combinational
         #: engines keep — the clocked loop is the unit of work here.
-        from repro.codegen.runtime import BatchCounters
-
         self.counters = BatchCounters()
-        self._fast = engine == "lcc" and not incremental
-        if self._fast:
-            # Positions of the nets the clocked loop actually samples
-            # (external outputs + flip-flop D pins) inside the LCC
-            # machine's state-dump order (= core.nets declaration
-            # order), so the batched driver avoids decoding every net
-            # of every cycle.
-            index_of = {n: i for i, n in enumerate(core.nets)}
-            self._output_slots = [
-                (n, index_of[n]) for n in sequential.external_outputs
-            ]
-            self._ff_slots = [
-                (q, index_of[d])
-                for q, d in sequential.flipflops.items()
-            ]
+        self.reset()
 
     # ------------------------------------------------------------------
+    @property
+    def state(self) -> dict[str, int]:
+        """Flip-flop values (keyed by Q net) after the last cycle."""
+        if self.machine is None:
+            return dict(self._state)
+        words = self.machine.dump_state()
+        return {
+            q: words[i] & 1
+            for q, i in zip(self.sequential.flipflops, self._q_words)
+        }
+
     def reset(self, state: Optional[Mapping[str, int]] = None) -> None:
         """Set the flip-flop state (default all zeros).
 
         Unknown keys in ``state`` raise :class:`SimulationError` — a
-        typo'd flip-flop name must not be silently dropped.
+        typo'd flip-flop name must not be silently dropped — and so
+        does a value that is not an integer.
         """
+        flipflops = self.sequential.flipflops
         if state is None:
-            self.state = self.sequential.initial_state()
+            bits = self.sequential.initial_state()
         else:
-            flipflops = self.sequential.flipflops
             missing = [q for q in flipflops if q not in state]
             if missing:
                 raise SimulationError(
@@ -169,9 +189,25 @@ class CompiledSequentialSimulator:
                 raise SimulationError(
                     f"state has unknown flip-flops: {unknown[:5]}"
                 )
-            self.state = {q: state[q] & 1 for q in flipflops}
+            bits = {}
+            for q in flipflops:
+                value = state[q]
+                if not isinstance(value, int):
+                    raise SimulationError(
+                        f"flip-flop {q!r}: state value {value!r} is "
+                        f"not an integer"
+                    )
+                bits[q] = value & 1
+        if self.machine is None:
+            self._state = bits
+            self._unit_delay_ready = False
+        else:
+            # Every other variable is rewritten before it is read.
+            words = [0] * self.machine.num_state
+            for q, i in zip(flipflops, self._q_words):
+                words[i] = bits[q]
+            self.machine.load_state(words)
         self.cycle = 0
-        self._unit_delay_ready = False
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
@@ -181,7 +217,7 @@ class CompiledSequentialSimulator:
         count: the combinational settle is a pure function of
         state + inputs, so no intra-cycle residue needs saving.
         """
-        return {"state": dict(self.state), "cycle": self.cycle}
+        return {"state": self.state, "cycle": self.cycle}
 
     def restore(self, snapshot: Mapping) -> None:
         """Resume from a :meth:`snapshot` (or checkpoint payload)."""
@@ -189,65 +225,79 @@ class CompiledSequentialSimulator:
         self.cycle = int(snapshot["cycle"])
 
     # ------------------------------------------------------------------
-    def _core_vector(
-        self, inputs: "Mapping[str, int] | Sequence[int]"
-    ) -> list[int]:
-        """Merge external inputs with the flip-flop state.
+    def _encode(
+        self, rows: list
+    ) -> tuple[bytes, int, Optional[SimulationError]]:
+        """The batch boundary: rows as one 0/1 byte per external input.
+
+        Returns ``(block, good, error)``: the rows before the first bad
+        one, encoded, their number, and the bad row's error (``None``
+        when every row is good).
+        """
+        parts = []
+        for offset, row in enumerate(rows):
+            try:
+                parts.append(self._row_bits(row, self.cycle + offset))
+            except SimulationError as error:
+                return b"".join(parts), offset, error
+        return b"".join(parts), len(rows), None
+
+    def _row_bits(
+        self, row: "Mapping[str, int] | Sequence[int]", cycle: int
+    ) -> bytes:
+        """One row of :meth:`_encode`, its values masked to bit 0.
 
         Accepts a mapping over the external input names, or a plain
         sequence in ``sequential.external_inputs`` order (the tape
         layout).  Unknown mapping keys raise — in particular a Q-net
-        key, which earlier versions silently overrode with the
-        internal state.
+        key, which would otherwise shadow the flip-flop state.  The
+        happy path is the plain comprehension; only a ``TypeError`` out
+        of it (``"1" & 1``, ``None & 1``) pays for the search that
+        names the input.
         """
-        external = self.sequential.external_inputs
-        if not isinstance(inputs, Mapping):
-            values = list(inputs)
-            if len(values) != len(external):
-                raise SimulationError(
-                    f"input vector has {len(values)} values for "
-                    f"{len(external)} external inputs"
-                )
-            merged = dict(zip(external, values))
-        else:
-            unknown = sorted(
-                k for k in inputs if k not in self._external_input_set
-            )
+        inputs = self._inputs
+        if isinstance(row, Mapping):
+            unknown = sorted(k for k in row if k not in self._input_set)
             if unknown:
                 raise SimulationError(
-                    f"unknown inputs: {unknown[:5]}"
+                    f"cycle {cycle}: unknown inputs: {unknown[:5]}"
                 )
-            missing = [n for n in external if n not in inputs]
+            missing = [n for n in inputs if n not in row]
             if missing:
-                raise SimulationError(f"inputs missing: {missing[:5]}")
-            merged = dict(inputs)
-        merged.update(self.state)
-        return [merged[n] & 1 for n in self._core_inputs]
-
-    def step(
-        self,
-        inputs: "Mapping[str, int] | Sequence[int]",
-        record: bool = False,
-    ):
-        """Advance one clock cycle.
-
-        Returns ``outputs`` (external outputs sampled *before* the
-        edge, i.e. the settled values of this cycle), or
-        ``(outputs, history)`` with ``record`` on a unit-delay engine —
-        ``history`` being the intra-cycle per-net change lists.
-        """
-        vector = self._core_vector(inputs)
-        history = None
-        if self.engine == "lcc":
-            if record:
                 raise SimulationError(
-                    "intra-cycle recording needs a unit-delay engine "
-                    "(parallel or pcset)"
+                    f"cycle {cycle}: inputs missing: {missing[:5]}"
                 )
-            if self.incremental:
-                settled = self._sim.evaluate(vector)
-            else:
-                settled = self._sim.evaluate_all_nets(vector)
+            values = [row[n] for n in inputs]
+        else:
+            values = list(row)
+            if len(values) != len(inputs):
+                raise SimulationError(
+                    f"cycle {cycle}: input vector has {len(values)} "
+                    f"values for {len(inputs)} external inputs"
+                )
+        try:
+            return bytes([value & 1 for value in values])
+        except TypeError:
+            for name, value in zip(inputs, values):
+                if not isinstance(value, int):
+                    raise SimulationError(
+                        f"cycle {cycle}, input {name!r}: value "
+                        f"{value!r} is not an integer"
+                    )
+            raise
+
+    def _cycle(self, row: bytes, record: bool = False):
+        """One clock cycle of a per-cycle engine.
+
+        Returns the external outputs as bytes and, with ``record``,
+        the intra-cycle per-net change lists.
+        """
+        merged = dict(zip(self._inputs, row))
+        merged.update(self._state)
+        vector = [merged[n] for n in self._core_inputs]
+        history = None
+        if self.incremental:
+            settled = self._sim.evaluate(vector)
         else:
             if not self._unit_delay_ready:
                 # Unit-delay cores start from the previous steady state;
@@ -263,17 +313,79 @@ class CompiledSequentialSimulator:
             else:
                 self._sim.apply_vector(vector)
                 settled = self._sim.final_values()
-        outputs = {
-            n: settled[n] & 1 for n in self.sequential.external_outputs
-        }
-        self.state = {
+        self._state = {
             q: settled[d] & 1
             for q, d in self.sequential.flipflops.items()
         }
         self.cycle += 1
-        if record:
-            return outputs, history
-        return outputs
+        return bytes([settled[o] & 1 for o in self._outputs]), history
+
+    def apply_bits(self, block: bytes, count: int) -> bytes:
+        """Clock ``count`` cycles given as bytes; return the outputs.
+
+        ``block`` holds one byte per external input, cycle after
+        cycle, every byte 0 or 1 (the layout of
+        :meth:`~repro.replay.tape.Tape.read_bits`).  The result holds
+        one 0/1 byte per external output, cycle after cycle, sampled
+        before each clock edge.  The zero-delay engine clocks the whole
+        block in one kernel call; the other engines settle one cycle at
+        a time.
+
+        The batch runs under a ``seq.run`` telemetry span; the
+        ``seq.cycles``/``seq.batches`` counters and this simulator's
+        :class:`BatchCounters` record *completed* cycles even when a
+        mid-batch cycle raises.
+        """
+        width = len(self._inputs)
+        if len(block) != count * width:
+            raise SimulationError(
+                f"bit block has {len(block)} bytes, expected {count} "
+                f"cycles of {width} inputs"
+            )
+        started = self.cycle
+        t0 = time.perf_counter()
+        try:
+            with telemetry.span("seq.run", engine=self.engine):
+                if self.machine is not None:
+                    out = self.machine.run_bit_rows(block, count)
+                    self.cycle += count
+                    return out
+                return b"".join([
+                    self._cycle(block[i * width:(i + 1) * width])[0]
+                    for i in range(count)
+                ])
+        finally:
+            completed = self.cycle - started
+            self.counters.record(completed, time.perf_counter() - t0)
+            if telemetry.enabled():
+                telemetry.counter("seq.batches")
+                telemetry.counter("seq.cycles", completed)
+
+    # ------------------------------------------------------------------
+    def step(
+        self,
+        inputs: "Mapping[str, int] | Sequence[int]",
+        record: bool = False,
+    ):
+        """Advance one clock cycle.
+
+        Returns ``outputs`` (external outputs sampled *before* the
+        edge, i.e. the settled values of this cycle), or
+        ``(outputs, history)`` with ``record`` on a unit-delay engine —
+        ``history`` being the intra-cycle per-net change lists.
+        """
+        if not record:
+            return self.apply_vectors([inputs])[0]
+        if self.engine == "lcc":
+            raise SimulationError(
+                "intra-cycle recording needs a unit-delay engine "
+                "(parallel or pcset)"
+            )
+        block, _good, error = self._encode([inputs])
+        if error is not None:
+            raise error
+        out, history = self._cycle(block, record=True)
+        return dict(zip(self._outputs, out)), history
 
     def apply_vectors(
         self,
@@ -281,53 +393,23 @@ class CompiledSequentialSimulator:
     ) -> list[dict[str, int]]:
         """Clock through a batch of input vectors; return per-cycle outputs.
 
-        Cycle-identical to calling :meth:`step` per entry.  Clocked
-        feedback (each cycle's flip-flop state depends on the previous
-        cycle's settled values) keeps one machine call per cycle, but
-        the zero-delay engine's batched path samples only the nets the
-        loop needs — external outputs and flip-flop D pins — instead of
-        decoding the full per-net state dictionary every cycle.
-
-        The whole batch runs under a ``seq.run`` telemetry span;
-        ``seq.cycles``/``seq.batches`` counters and this simulator's
-        :class:`BatchCounters` record *completed* cycles even when a
-        mid-batch cycle raises (see the module docstring for the
-        partial-progress contract).  On the zero-delay fast path the
-        machine-level batch counters are fed the same totals, so
-        throughput reports see clocked work like any other batch.
+        Cycle-identical to calling :meth:`step` per entry: the batch is
+        encoded once and clocked through :meth:`apply_bits`.  A bad
+        vector — unknown or missing inputs, a wrong length, a value
+        that is not an integer — raises :class:`SimulationError`
+        naming its cycle once the cycles before it have run (see the
+        module docstring for the partial-progress contract).
         """
-        started = self.cycle
-        t0 = time.perf_counter()
-        span = telemetry.span("seq.run", engine=self.engine)
-        span.__enter__()
-        try:
-            if not self._fast:
-                return [self.step(inputs) for inputs in input_sequence]
-            machine = self._sim.machine
-            step = machine.step
-            dump = machine.dump_state
-            results: list[dict[str, int]] = []
-            for inputs in input_sequence:
-                step(self._core_vector(inputs))
-                state = dump()
-                results.append(
-                    {n: state[i] & 1 for n, i in self._output_slots}
-                )
-                self.state = {
-                    q: state[i] & 1 for q, i in self._ff_slots
-                }
-                self.cycle += 1
-            return results
-        finally:
-            elapsed = time.perf_counter() - t0
-            completed = self.cycle - started
-            self.counters.record(completed, elapsed)
-            if self._fast:
-                self._sim.machine.counters.record(completed, elapsed)
-            if telemetry.enabled():
-                telemetry.counter("seq.batches")
-                telemetry.counter("seq.cycles", completed)
-            span.__exit__(None, None, None)
+        block, good, error = self._encode(list(input_sequence))
+        out = self.apply_bits(block, good)
+        if error is not None:
+            raise error
+        names = self._outputs
+        width = len(names)
+        return [
+            dict(zip(names, out[i * width:(i + 1) * width]))
+            for i in range(good)
+        ]
 
     def run(
         self,

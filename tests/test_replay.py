@@ -94,6 +94,38 @@ class TestTape:
         with pytest.raises(TapeError, match="bad character"):
             tape.read(0, 2)
 
+    def test_broken_line_terminator(self, tmp_path):
+        # Four 4-byte lines, so the size check passes, but the second
+        # line's terminator column holds a digit.
+        path = tmp_path / "bad.tape"
+        path.write_text("#repro-tape v1\n#inputs A,B,C\n010\n0101101\n111\n")
+        tape = Tape(str(path))
+        assert tape.cycles == 4
+        with pytest.raises(TapeError, match="cycle 1 does not end in a"):
+            tape.read(0, 4)
+        with pytest.raises(TapeError, match="cycle 1 does not end"):
+            tape.read_bits(1, 2)
+        assert tape.read(0, 1) == [[0, 1, 0]]
+        assert tape.read_bits(3, 1) == b"\x01\x01\x01"
+
+    def test_newline_in_data_column(self, tmp_path):
+        path = tmp_path / "bad.tape"
+        path.write_text("#repro-tape v1\n#inputs A,B\n10\n\n1\n")
+        with pytest.raises(TapeError, match=r"character '\\n' at cycle 1"):
+            Tape(str(path)).read(0, 2)
+
+    def test_read_bits_matches_read(self, tmp_path):
+        path = str(tmp_path / "t.tape")
+        rows = [[i & 1, (i >> 1) & 1, (i >> 2) & 1] for i in range(20)]
+        write_tape(path, ["A", "B", "C"], rows)
+        tape = Tape(path)
+        assert tape.read_bits(5, 4) == bytes(sum(rows[5:9], []))
+        assert tape.read_bits(20, 0) == b""
+        empty = str(tmp_path / "empty.tape")
+        write_tape(empty, [], [[]] * 3)
+        assert Tape(empty).read_bits(0, 3) == b""
+        assert Tape(empty).read(0, 3) == [[], [], []]
+
     def test_out_of_range_read(self, tmp_path):
         path = str(tmp_path / "t.tape")
         write_tape(path, ["A"], [[0], [1]])
@@ -172,6 +204,60 @@ class TestFoldOutputs:
         for _ in range(200):
             checksum = fold_outputs(checksum, [1, 1, 0, 1])
         assert 0 <= checksum < (1 << 64)
+
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 128, 1000])
+    def test_chunk_fold_matches_bitwise_fold(self, length):
+        import random
+
+        from repro.replay.harness import _fold_digits
+
+        rng = random.Random(length)
+        for start in (0, 1, (1 << 64) - 1, rng.getrandbits(64)):
+            bits = [rng.randint(0, 1) for _ in range(length)]
+            digits = "".join(map(str, bits)).encode()
+            assert _fold_digits(start, digits) == fold_outputs(start, bits)
+
+
+#: Clocked circuits at the edges of the byte boundary.  ``no_inputs``
+#: is a two-stage Johnson counter whose second flip-flop's D pin is the
+#: first one's Q, so it only counts right when both update together.
+EDGE_CIRCUITS = {
+    "no_flipflops": (
+        "INPUT(A)\nINPUT(B)\nOUTPUT(X)\nOUTPUT(Y)\n"
+        "X = NAND(A, B)\nY = XOR(A, B)\n"
+    ),
+    "no_inputs": (
+        "OUTPUT(O0)\nOUTPUT(Q1)\nQ0 = DFF(D0)\nQ1 = DFF(Q0)\n"
+        "D0 = NOT(Q1)\nO0 = BUF(Q0)\n"
+    ),
+    "no_outputs": "INPUT(EN)\nQ0 = DFF(D0)\nD0 = XOR(Q0, EN)\n",
+    "d_pin_output": (
+        "INPUT(EN)\nOUTPUT(D0)\nOUTPUT(Q0)\nQ0 = DFF(D0)\n"
+        "D0 = XOR(Q0, EN)\n"
+    ),
+}
+
+
+def _reference_replay(seq, tape):
+    """Checksum, toggles and output lines by the interpreted engine."""
+    from repro.eventsim.zerodelay import ZeroDelaySimulator
+
+    reference = ZeroDelaySimulator(seq.core)
+    outputs = seq.external_outputs
+    state = seq.initial_state()
+    checksum, toggles, lines, previous = 0, dict.fromkeys(outputs, 0), [], None
+    for row in tape.read(0, tape.cycles):
+        state, values = seq.step(
+            reference.evaluate, state, dict(zip(seq.external_inputs, row))
+        )
+        bits = [values[o] for o in outputs]
+        checksum = fold_outputs(checksum, bits)
+        if previous is not None:
+            for o, bit, before in zip(outputs, bits, previous):
+                toggles[o] += bit != before
+        previous = bits
+        lines.append("".join(map(str, bits)))
+    return checksum, toggles, lines
 
 
 def _replay_setup(tmp_path, *, bits=4, cycles=400, seed=11):
@@ -333,6 +419,56 @@ class TestReplay:
         assert tuned.checksum == base.checksum
         assert tuned.toggles == base.toggles
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("engine", ["lcc", "parallel", "pcset"])
+    @pytest.mark.parametrize("name", sorted(EDGE_CIRCUITS))
+    def test_edge_circuits_match_reference(
+        self, tmp_path, name, engine, backend
+    ):
+        from repro.netlist.bench import parse_bench_sequential
+
+        seq = parse_bench_sequential(EDGE_CIRCUITS[name], name)
+        tape = random_tape(
+            str(tmp_path / "stim.tape"), seq.external_inputs, 150, seed=5
+        )
+        checksum, toggles, lines = _reference_replay(seq, tape)
+        vcds = set()
+        for chunk in (1, 7, 64, 100):
+            out = tmp_path / f"out{chunk}.tape"
+            vcd = tmp_path / f"out{chunk}.vcd"
+            traced = dict(vcd_path=str(vcd)) if seq.external_outputs else {}
+            result = replay_tape(
+                CompiledSequentialSimulator(
+                    seq, engine=engine, backend=backend
+                ),
+                tape, chunk_cycles=chunk, outputs_path=str(out), **traced,
+            )
+            assert result.cycles == 150
+            assert result.checksum == checksum
+            assert result.toggles == toggles
+            assert out.read_text().splitlines()[2:] == lines
+            if traced:
+                vcds.add(vcd.read_text())
+            # Checkpoint mid-chunk, resume in a fresh simulator.
+            cpdir = tmp_path / f"cp{chunk}"
+            head = replay_tape(
+                CompiledSequentialSimulator(
+                    seq, engine=engine, backend=backend
+                ),
+                tape, chunk_cycles=chunk, checkpoint_every=48,
+                checkpoint_dir=str(cpdir), limit=110,
+            )
+            resumed = replay_tape(
+                CompiledSequentialSimulator(
+                    seq, engine=engine, backend=backend
+                ),
+                tape, chunk_cycles=chunk, resume_from=head.checkpoints[-1],
+            )
+            assert head.checkpoints[-1].endswith("000000000096.json")
+            assert resumed.checksum == checksum
+            assert resumed.toggles == toggles
+        assert len(vcds) <= 1
+
     def test_lfsr_and_shiftreg_generators(self, tmp_path):
         for seq in (lfsr(5), shift_register(6)):
             tape = random_tape(
@@ -354,6 +490,8 @@ class TestReplay:
             replay_tape(sim, tape, checkpoint_every=5)
         with pytest.raises(SimulationError, match="chunk_cycles"):
             replay_tape(sim, tape, chunk_cycles=0)
+        with pytest.raises(SimulationError, match="limit"):
+            replay_tape(sim, tape, limit=-5)
         other = random_tape(
             str(tmp_path / "other.tape"), ["X", "Y"], 10
         )

@@ -172,6 +172,52 @@ class TestCMachine:
             machine.load_state([])
 
 
+def _toggle_program(inputs: int = 2, emits: bool = True) -> Program:
+    """x' = x ^ V[0]; emits x, ~x (high bits set) and x & V[last]."""
+    p = Program("toggle", word_width=32, inputs=[f"I{k}" for k in
+                                                range(inputs)])
+    p.declare("x", 0)
+    if inputs:
+        p.body.append(Assign("x", Bin("^", Var("x"), Input(0))))
+    if emits:
+        p.output.append(Emit(Var("x"), ("x",)))
+        p.output.append(Emit(~Var("x"), ("nx",)))
+        if inputs:
+            p.output.append(
+                Emit(Bin("&", Var("x"), Input(inputs - 1)), ("and",))
+            )
+    return p
+
+
+MACHINES = [PythonMachine] + ([CMachine] if have_c_compiler() else [])
+
+
+@pytest.mark.parametrize("machine_class", MACHINES)
+class TestRunBitRows:
+    def test_matches_step_many_bit_zero(self, machine_class):
+        rows = [[1, 0], [1, 1], [0, 1], [1, 1], [0, 0]]
+        bits = machine_class(_toggle_program())
+        words = machine_class(_toggle_program())
+        block = bytes(sum(rows, []))
+        expected = [w & 1 for row in words.step_many(rows) for w in row]
+        assert bits.run_bit_rows(block, len(rows)) == bytes(expected)
+        assert bits.dump_state() == words.dump_state()
+        assert bits.counters.vectors == len(rows)
+
+    def test_no_inputs_and_no_outputs(self, machine_class):
+        bare = machine_class(_toggle_program(inputs=0))
+        assert bare.run_bit_rows(b"", 3) == bytes([0, 1] * 3)
+        silent = machine_class(_toggle_program(emits=False))
+        assert silent.run_bit_rows(b"\x01\x00\x01\x00", 2) == b""
+        assert silent.dump_state() == [0]
+        assert machine_class(_toggle_program()).run_bit_rows(b"", 0) == b""
+
+    def test_block_length_checked(self, machine_class):
+        machine = machine_class(_toggle_program())
+        with pytest.raises(BackendError, match="3 bytes, expected 2"):
+            machine.run_bit_rows(b"\x01\x00\x01", 2)
+
+
 class TestCompileProgram:
     def test_backend_selection(self):
         assert isinstance(

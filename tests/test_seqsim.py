@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.codegen.runtime import have_c_compiler
 from repro.errors import SimulationError
 from repro.netlist.bench import parse_bench_sequential
 from repro.seqsim import CompiledSequentialSimulator
@@ -166,7 +167,70 @@ def test_apply_vectors_records_telemetry():
     finally:
         telemetry.disable() if not prior else None
         telemetry.reset()
-    # The fast path also feeds the underlying machine's batch
-    # counters, so `repro-sim` throughput reporting sees the cycles.
+    # The clocked machine's batch counters see the cycles too, so
+    # `repro-sim` throughput reporting counts clocked work.
     assert sim.counters.vectors == 7
-    assert sim._sim.machine.counters.vectors >= 7
+    assert sim.machine.counters.vectors >= 7
+
+
+BACKENDS = ["python"] + (["c"] if have_c_compiler() else [])
+
+
+@pytest.mark.parametrize(
+    "bad", ["1", 1.0, None], ids=["str", "float", "none"]
+)
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ["lcc", "parallel", "pcset"])
+def test_non_integer_values_raise_simulation_error(engine, backend, bad):
+    sim = CompiledSequentialSimulator(
+        counter(), engine=engine, backend=backend
+    )
+    with pytest.raises(SimulationError, match="cycle 0, input 'EN'"):
+        sim.step({"EN": bad})
+    with pytest.raises(SimulationError, match="cycle 0, input 'EN'"):
+        sim.step([bad])
+    # Partial progress: the good cycles before the bad one are run.
+    with pytest.raises(SimulationError, match="cycle 2, input 'EN'"):
+        sim.apply_vectors([[1], {"EN": 1}, [bad], [1]])
+    assert sim.cycle == 2
+    assert sim.state == {"Q0": 0, "Q1": 1, "Q2": 0}
+    with pytest.raises(SimulationError, match="flip-flop 'Q1'"):
+        sim.reset({"Q0": 0, "Q1": bad, "Q2": 0})
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", ["lcc", "parallel", "pcset"])
+def test_integer_values_masked_to_bit_zero(engine, backend):
+    wide = CompiledSequentialSimulator(
+        counter(), engine=engine, backend=backend
+    )
+    bits = CompiledSequentialSimulator(
+        counter(), engine=engine, backend=backend
+    )
+    values = [3, 2, True, -1, 256, 257, False, 7]
+    assert wide.apply_vectors([[v] for v in values]) == bits.apply_vectors(
+        [[v & 1] for v in values]
+    )
+    wide.reset({"Q0": 3, "Q1": 2, "Q2": -1})
+    assert wide.state == {"Q0": 1, "Q1": 0, "Q2": 1}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_clocked_program_clocks_a_batch_in_one_call(backend):
+    sim = CompiledSequentialSimulator(counter(), backend=backend)
+    program = sim.machine.program
+    # The flip-flops are state, not inputs; the output section emits
+    # the external outputs, then moves D to Q through temporaries.
+    assert program.inputs == ["EN"]
+    assert program.output_labels() == [("B0",), ("B1",), ("B2",)]
+    assert len(program.output) == 3 + 2 * 3
+    sim.apply_vectors([{"EN": 1}] * 11)
+    assert sim.machine.counters.batches == 1
+    assert decode(sim.step({"EN": 0})) == 3
+    # The count reads 3, then 4 twice (EN=0 holds it); each cycle
+    # gives one byte per output, B0 first.
+    assert sim.apply_bits(b"\x01\x00\x01", 3) == bytes(
+        [1, 1, 0, 0, 0, 1, 0, 0, 1]
+    )
+    with pytest.raises(SimulationError, match="bit block"):
+        sim.apply_bits(b"\x01", 2)
