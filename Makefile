@@ -2,14 +2,14 @@
 
 PYTHON ?= python3
 
-.PHONY: install check test fuzz-campaign fuzz-distill bench bench-quick examples lint clean
+.PHONY: install check test fuzz-campaign fuzz-distill bench bench-quick examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || \
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # The pre-merge gate: byte-compile everything, run the tier-1 suite
 # in development mode with a leaked file (ResourceWarning) as an
@@ -56,10 +56,10 @@ fuzz-distill:
 		--corpus fuzz-corpus $(if $(APPLY),--apply,)
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-quick:
-	REPRO_BENCH_SUITE=c432,c880 REPRO_BENCH_VECTORS=64 \
+	PYTHONPATH=src REPRO_BENCH_SUITE=c432,c880 REPRO_BENCH_VECTORS=64 \
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 # Every example, start to finish; the waveform example writes its VCD

@@ -30,8 +30,8 @@ from repro.codegen.gates import gate_expression
 from repro.codegen.naming import NameAllocator
 from repro.codegen.program import Assign, Emit, Input, Program, Var
 from repro.codegen.runtime import compile_program, program_cache
-from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
+from repro.simbase import input_rows
 
 __all__ = [
     "Cone",
@@ -215,27 +215,11 @@ class ConeSimulator:
     def num_cones(self) -> int:
         return len(self.cones)
 
-    def _vector_list(
-        self, vector: "Mapping[str, int] | Sequence[int]"
-    ) -> list[int]:
-        if isinstance(vector, Mapping):
-            missing = [n for n in self._inputs if n not in vector]
-            if missing:
-                raise SimulationError(f"inputs missing: {missing[:5]}")
-            return [vector[n] for n in self._inputs]
-        values = list(vector)
-        if len(values) != len(self._inputs):
-            raise SimulationError(
-                f"vector has {len(values)} values for "
-                f"{len(self._inputs)} inputs"
-            )
-        return values
-
     def evaluate(
         self, vector: "Mapping[str, int] | Sequence[int]"
     ) -> dict[str, int]:
         """Settle one vector; returns all primary output values."""
-        values = self._vector_list(vector)
+        [values] = input_rows([vector], self._inputs)
         out: dict[str, int] = {}
         for name, machine in self._machines.items():
             slots = self._cone_slots[name]
@@ -247,7 +231,7 @@ class ConeSimulator:
         vectors: "Sequence[Mapping[str, int] | Sequence[int]]",
     ) -> list[dict[str, int]]:
         """Settle a batch; per-vector output dicts, cone-batched."""
-        rows = [self._vector_list(v) for v in vectors]
+        rows = input_rows(vectors, self._inputs)
         results: list[dict[str, int]] = [{} for _ in rows]
         for name, machine in self._machines.items():
             slots = self._cone_slots[name]

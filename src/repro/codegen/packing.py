@@ -301,7 +301,8 @@ def packed_apply(
 ) -> list[list[int]]:
     """Run ``vectors`` packed; return *scalar-identical* raw output words.
 
-    Requires a ``"full"``-mode program.  A scalar pass on vector ``v``
+    Requires a ``"full"``-mode program (on a ``"settled"`` one only the
+    low bit of settled values is exact).  A scalar pass on vector ``v``
     feeds input words with bit 0 = the input's value and all higher
     bits 0 — exactly a packed pass over lanes ``[v, 0, 0, ...]``.  So
     the raw word a scalar pass emits is the packed lane-``j`` bit in

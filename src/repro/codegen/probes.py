@@ -56,8 +56,9 @@ PC-set method (§2)
     counting to lane 0 — PC-set probes are scalar-path only.
 
 Counters are persistent state variables *appended after* the
-technique's own state, so a steady-state encoding extends with zero
-padding, and they accumulate modulo ``2**word_width`` identically on
+technique's own state, so a steady-state encoding extends with zeroed
+counters (the LCC lowering's previous-value bits take the settled
+values), and they accumulate modulo ``2**word_width`` identically on
 every backend (Python masks at ``dump_state``; C wraps).
 :class:`ProbeRuntime` drains them into unbounded Python accumulators
 often enough that no counter can wrap between drains.
@@ -171,9 +172,6 @@ class ProbePlan:
         net -> state-word index of its counter.  ``functional_slots``
         is ``None`` for zero-delay programs, where functional toggles
         equal total toggles by construction.
-    state_pad:
-        Probe state words appended after the technique's own state
-        (a steady-state encoding extends with this many zeros).
     max_increment:
         Upper bound on any single counter's growth per *vector* —
         drives the drain cadence that prevents counter wrap.
@@ -182,7 +180,7 @@ class ProbePlan:
     """
 
     __slots__ = ("technique", "spec", "nets", "toggle_slots",
-                 "functional_slots", "state_pad", "max_increment",
+                 "functional_slots", "max_increment",
                  "en_slot", "probe_key")
 
     def __init__(
@@ -192,7 +190,6 @@ class ProbePlan:
         nets: tuple[str, ...],
         toggle_slots: dict[str, int],
         functional_slots: Optional[dict[str, int]],
-        state_pad: int,
         max_increment: int,
         en_slot: Optional[int] = None,
     ) -> None:
@@ -201,16 +198,12 @@ class ProbePlan:
         self.nets = nets
         self.toggle_slots = toggle_slots
         self.functional_slots = functional_slots
-        self.state_pad = state_pad
         self.max_increment = max(1, max_increment)
         self.en_slot = en_slot
         self.probe_key = f"{technique}-{spec.fingerprint()}"
 
     def __repr__(self) -> str:
-        return (
-            f"ProbePlan({self.technique}, {len(self.nets)} nets, "
-            f"pad={self.state_pad})"
-        )
+        return f"ProbePlan({self.technique}, {len(self.nets)} nets)"
 
 
 class ProbeRuntime:
@@ -424,7 +417,6 @@ def instrument_lcc_program(
     program.validate()
     plan = ProbePlan(
         "lcc", spec, tuple(nets), toggle_slots, None,
-        state_pad=2 * len(nets),
         # Scalar passes count one lane, packed passes up to word_width
         # lanes — but never more than one toggle per net per *vector*.
         max_increment=1,
@@ -493,7 +485,6 @@ def instrument_parallel_program(
     program.validate()
     plan = ProbePlan(
         "parallel", spec, nets, toggle_slots, functional_slots,
-        state_pad=2 * len(nets),
         max_increment=max_bits,
     )
     program.probe_key = plan.probe_key
@@ -560,7 +551,6 @@ def instrument_pcset_program(
     program.validate()
     plan = ProbePlan(
         "pcset", spec, nets, toggle_slots, functional_slots,
-        state_pad=2 * len(nets),
         max_increment=max_samples - 1,
     )
     program.probe_key = plan.probe_key

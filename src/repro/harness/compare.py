@@ -247,17 +247,11 @@ def _validate_batched(
             detail = f"  raw output words: scalar {want} vs batched {out}"
             raise Mismatch(f"{technique}[batched]", index, [], detail)
         checks += 1
-    if batched.packing_mode != "full":
-        # A "full"-mode batch auto-packs: the machine ends up holding
-        # pattern lanes (plus the reconstruction fill group), not the
-        # scalar end state, and the raw-word identity above is the
-        # whole contract.  Only the scalar run_block fallback promises
-        # an identical final state.
-        if batched.machine.dump_state() != scalar.machine.dump_state():
-            raise Mismatch(
-                f"{technique}[batched]", len(vectors) - 1, [],
-                "  final machine state diverged from the scalar loop",
-            )
+    if batched.machine.dump_state() != scalar.machine.dump_state():
+        raise Mismatch(
+            f"{technique}[batched]", len(vectors) - 1, [],
+            "  final machine state diverged from the scalar loop",
+        )
     return checks
 
 

@@ -52,7 +52,13 @@ def unpack_lanes(words: Sequence[int], lanes: int) -> list[list[int]]:
 
 
 class MultiVectorPCSetSimulator(CompiledSimulator):
-    """PC-set simulation of ``lanes`` independent vector streams at once."""
+    """PC-set simulation of ``lanes`` independent vector streams at once.
+
+    Input values are lane words, one stream per bit (:func:`pack_lanes`);
+    a batch of plain 0/1 vectors is one stream in lane 0.
+    """
+
+    _lane_words = True
 
     def __init__(
         self,
@@ -99,21 +105,6 @@ class MultiVectorPCSetSimulator(CompiledSimulator):
             (-(settled[net_name] & 1)) & mask
             for net_name, _time, _identifier in self.variables.ordered
         ]
-
-    def _vector_words(
-        self, vector: Mapping[str, int] | Sequence[int]
-    ) -> list[int]:
-        # Packed mode: the caller passes one word per primary input with
-        # one lane per bit; anything mapping-shaped is scalar use.
-        if isinstance(vector, Mapping):
-            return super()._vector_words(vector)
-        values = list(vector)
-        if len(values) != len(self._inputs):
-            raise SimulationError(
-                f"vector has {len(values)} words, expected "
-                f"{len(self._inputs)}"
-            )
-        return values
 
     # ------------------------------------------------------------------
     def apply_packed(self, rows: Sequence[Sequence[int]]) -> list[int]:

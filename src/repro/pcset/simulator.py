@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.codegen.packing import packed_bits, packing_mode
+from repro.codegen.packing import packing_mode
 from repro.codegen.probes import ProbeSpec, instrument_pcset_program
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
@@ -171,7 +171,9 @@ class PCSetSimulator(CompiledSimulator):
         intermediate-time samples ride on the vector-to-vector state
         chain and cannot be packed, but this method never looks at
         them, so the batch runs pattern-packed — ``word_width``
-        vectors per compiled pass.
+        vectors per compiled pass — except its last vector, which runs
+        on the scalar path: afterwards :meth:`final_values` and the
+        next vector's history are the scalar loop's.
         """
         if not self.with_outputs:
             raise SimulationError(
@@ -185,16 +187,11 @@ class PCSetSimulator(CompiledSimulator):
             for index, (net_name, time) in enumerate(labels)
             if time == final_time
         ]
-        words = self._batch_words(vectors)
-        if (self.packing_mode in ("full", "settled") and self._inputs
-                and self.probe_plan is None):
-            rows = packed_bits(self.machine, words)
-        else:
-            if not self._settled:
-                raise SimulationError("call reset() before settled_outputs()")
-            # The scalar batch path: under probes it also chunks the
-            # run and drains the toggle counters.
-            rows = self.apply_vectors(words)
+        rows, block = self._batch(vectors)
+        packed = self._packs(block, modes=("full", "settled"))
+        if not packed and not self._settled:
+            raise SimulationError("call reset() before settled_outputs()")
+        rows = self._run(rows, block, packed)
         return [
             {net_name: row[index] & 1 for net_name, index in slots}
             for row in rows

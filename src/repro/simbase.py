@@ -1,11 +1,26 @@
 """Shared behaviour of the compiled-simulator facades.
 
-Every compiled technique (PC-set, parallel, and their optimized
-variants) wraps a generated :class:`~repro.codegen.program.Program` the
-same way: compile it on a backend, seed the persistent state from a
-zero-delay steady state, feed vectors, decode outputs.  This module
-hosts that common machinery; the technique-specific subclasses provide
-only the program generation and the state encoding/decoding.
+Every compiled technique (zero-delay LCC, PC-set, parallel, and their
+optimized variants) wraps a generated
+:class:`~repro.codegen.program.Program` the same way: compile it on a
+backend, seed the persistent state from a zero-delay steady state, feed
+vectors, decode outputs.  This module hosts that common machinery —
+among it the one batch executor every facade runs through — and the
+technique-specific subclasses provide only the program generation and
+the state encoding/decoding.
+
+The batch executor
+------------------
+A batch crosses one boundary (:meth:`CompiledSimulator._batch`): the
+vectors become rows (:func:`input_rows`) and one
+:func:`~repro.codegen.packing.bit_block` decides whether they are plain
+0/1.  One decision (:meth:`CompiledSimulator._packs`) picks packed or
+scalar, one run loop (:meth:`CompiledSimulator._run`) chunks it so no
+probe counter can wrap, and one prepared-batch shape
+(:meth:`CompiledSimulator._prepare`) serves the timing fast path.
+A packed batch runs all but its last vector pattern-packed and the
+last one on the scalar path, so the machine ends in the state the
+scalar loop leaves.
 """
 
 from __future__ import annotations
@@ -13,7 +28,12 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.packing import check_integers, packed_apply, packing_mode
+from repro.codegen.packing import (
+    bit_block,
+    pack_patterns,
+    packed_apply,
+    packing_mode,
+)
 from repro.codegen.probes import ProbePlan, ProbeRuntime
 from repro.codegen.program import Program
 from repro.codegen.runtime import CMachine, Machine, compile_program
@@ -21,7 +41,7 @@ from repro.errors import SimulationError
 from repro.eventsim.zerodelay import steady_state
 from repro.netlist.circuit import Circuit
 
-__all__ = ["CompiledSimulator", "check_pinned"]
+__all__ = ["CompiledSimulator", "check_pinned", "input_rows"]
 
 
 def check_pinned(partitions: int, tiles: int) -> None:
@@ -43,8 +63,39 @@ def check_pinned(partitions: int, tiles: int) -> None:
         )
 
 
+def input_rows(vectors, inputs: Sequence[str]) -> list:
+    """Every vector as a row of input values, in ``inputs`` order.
+
+    Lists and tuples are used as given, a ``Mapping`` is read by input
+    name, and any other iterable becomes a list.  A missing input or a
+    row of the wrong length raises :class:`SimulationError` naming the
+    vector; the values themselves are checked by
+    :func:`~repro.codegen.packing.bit_block`.
+    """
+    rows = list(vectors)
+    if not set(map(type, rows)) <= {list, tuple}:
+        for index, vector in enumerate(rows):
+            if isinstance(vector, Mapping):
+                missing = [n for n in inputs if n not in vector]
+                if missing:
+                    raise SimulationError(
+                        f"vector {index} missing inputs: {missing}"
+                    )
+                rows[index] = [vector[n] for n in inputs]
+            elif type(vector) not in (list, tuple):
+                rows[index] = list(vector)
+    if set(map(len, rows)) - {len(inputs)}:
+        for index, row in enumerate(rows):
+            if len(row) != len(inputs):
+                raise SimulationError(
+                    f"vector {index} has {len(row)} values, expected "
+                    f"{len(inputs)}"
+                )
+    return rows
+
+
 class CompiledSimulator:
-    """Base class for compiled unit-delay simulator facades.
+    """Base class for compiled simulator facades.
 
     Parameters
     ----------
@@ -62,6 +113,16 @@ class CompiledSimulator:
     partitions, tiles:
         Must be 1 (see :func:`check_pinned`).
     """
+
+    #: Keep multi-bit input words as given, one lane per bit (the LCC
+    #: and multi-vector facades).  Otherwise a batch that is not plain
+    #: 0/1 keeps bit 0 of every value.
+    _lane_words = False
+
+    #: When a batch may pack: ``"auto"`` (whenever eligible), ``True``
+    #: (required) or ``False`` (never).  Only the LCC facade's
+    #: ``packed=`` argument changes it.
+    _packed: "bool | str" = "auto"
 
     def __init__(
         self,
@@ -124,18 +185,19 @@ class CompiledSimulator:
         Settles the circuit on ``vector`` (default: all zeros) with a
         zero-delay evaluation and loads the resulting values into the
         persistent variables, encoded however the technique requires.
+        Probe counters, which follow the technique's state, restart
+        from zero; what they counted so far is kept.
         """
         if vector is None:
             vector = [0] * len(self._inputs)
         with telemetry.span("seed"):
             settled = steady_state(self.circuit, vector)
             state = self._encode_state(settled)
-            if self.probe_plan is not None:
-                if self._settled and self._probe_runtime is not None:
-                    # Keep whatever the counters accumulated so far;
-                    # the reload below would silently discard it.
-                    self._probe_runtime.drain(self.machine)
-                state = state + [0] * self.probe_plan.state_pad
+            if self._probe_runtime is not None and self._settled:
+                # Keep whatever the counters accumulated so far;
+                # the reload below would silently discard it.
+                self._probe_runtime.drain(self.machine)
+            state += [0] * (self.machine.num_state - len(state))
             self.machine.load_state(state)
         self._settled = True
 
@@ -144,40 +206,152 @@ class CompiledSimulator:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # running
+    # the batch executor
     # ------------------------------------------------------------------
-    def _vector_words(
-        self, vector: Mapping[str, int] | Sequence[int]
-    ) -> list[int]:
-        if isinstance(vector, Mapping):
-            missing = [n for n in self._inputs if n not in vector]
-            if missing:
-                raise SimulationError(f"vector missing inputs: {missing}")
-            return [vector[n] & 1 for n in self._inputs]
-        values = list(vector)
-        if len(values) != len(self._inputs):
-            raise SimulationError(
-                f"vector has {len(values)} values, expected "
-                f"{len(self._inputs)}"
-            )
-        return [value & 1 for value in values]
+    def _batch(self, vectors) -> tuple[list, Optional[bytes]]:
+        """The batch boundary: machine rows and the batch's bit block.
 
-    def _batch_words(self, vectors) -> list[list[int]]:
-        """Every vector's input words; a non-integer value raises
-        :class:`SimulationError` naming the vector and the input.
-
-        The happy path is the plain comprehension; only a ``TypeError``
-        out of it (``"1" & 1``, ``None & 1``) pays for the search.
+        Rows come from :func:`input_rows`; one
+        :func:`~repro.codegen.packing.bit_block` checks every value's
+        type and decides 0/1 eligibility (``None``: not 0/1).  A batch
+        that is not 0/1 keeps bit 0 of every value unless the facade
+        takes :attr:`_lane_words`.  Probes with an occupancy input
+        (LCC) require 0/1 vectors and get the occupancy 1 appended.
         """
-        try:
-            return [self._vector_words(vector) for vector in vectors]
-        except TypeError:
-            check_integers(
-                [vector[n] for n in self._inputs]
-                if isinstance(vector, Mapping) else vector
-                for vector in vectors
+        rows = input_rows(vectors, self._inputs)
+        block = bit_block(rows, len(self._inputs))
+        counts_lanes = (
+            self.probe_plan is not None
+            and self.probe_plan.en_slot is not None
+        )
+        if block is None:
+            if counts_lanes:
+                raise SimulationError(
+                    "probed runs take plain 0/1 vectors; the counters "
+                    "chain lanes as consecutive vectors, so pre-packed "
+                    "multi-bit words are not countable"
+                )
+            if not self._lane_words:
+                rows = [[value & 1 for value in row] for row in rows]
+        elif counts_lanes:
+            rows = [[*row, 1] for row in rows]
+        return rows, block
+
+    def _packs(
+        self,
+        block: Optional[bytes],
+        *,
+        modes: Sequence[str] = ("full",),
+        required: bool = False,
+    ) -> bool:
+        """The packing decision for one batch.
+
+        A batch packs when the program's packing mode is in ``modes``
+        (``"settled"`` only for observers of settled values), the
+        block is 0/1, the circuit has an input, any probes count lane
+        occupancy, and LCC's ``packed`` allows it.  When packing is
+        ``required`` (or ``packed=True``) a refusal raises instead.
+        The outcome is counted in the ``packing.*`` telemetry.
+        """
+        required = required or self._packed is True
+        plan = self.probe_plan
+        refusal = None
+        if self.packing_mode not in modes:
+            refusal = (
+                f"program {self.program.name!r} is not pattern-packable "
+                f"(mode {self.packing_mode!r})"
             )
-            raise
+        elif (block is None or not self._inputs
+                or (plan is not None and plan.en_slot is None)):
+            refusal = (
+                "packing needs plain 0/1 vectors (one lane each) and at "
+                "least one input"
+            )
+        if refusal is not None and required:
+            raise SimulationError(refusal)
+        packs = refusal is None and (required or self._packed is not False)
+        if packs:
+            telemetry.counter("packing.packed_batches")
+        else:
+            mode = self.packing_mode
+            reason = "scalar" if mode in modes else mode
+            telemetry.counter(f"packing.fallback.{reason}")
+        return packs
+
+    def _run(
+        self, rows: list, block: Optional[bytes], packed: bool
+    ) -> list[list[int]]:
+        """Run machine rows; return every vector's raw output words.
+
+        Under probes the rows run in wrap-free chunks and the counters
+        note every vector once.
+        """
+        runtime = self._probe_runtime
+        if runtime is None:
+            return self._run_rows(rows, block, packed)
+        out: list[list[int]] = []
+        for start, length in runtime.chunk_vectors(len(rows)):
+            out += self._run_rows(rows[start:start + length], None, packed)
+            runtime.note_vectors(self.machine, length)
+        return out
+
+    def _run_rows(
+        self, rows: list, block: Optional[bytes], packed: bool
+    ) -> list[list[int]]:
+        """One chunk of :meth:`_run`.
+
+        A packed chunk runs all but its last vector pattern-packed
+        (:func:`~repro.codegen.packing.packed_apply`; ``block`` is
+        their bit block when the rows are the batch's own) and the
+        last one scalar: the machine then holds the state the scalar
+        loop would, not the packed lanes.
+        """
+        if not packed or len(rows) < 2:
+            return self.machine.step_many(rows, masked=True)
+        head = len(rows) - 1
+        if block is not None:
+            block = block[:head * len(self._inputs)]
+        out = packed_apply(self.machine, rows[:head], block=block)
+        out += self.machine.step_many(rows[head:], masked=True)
+        return out
+
+    def _apply(self, vectors) -> list[list[int]]:
+        """The body of every facade's ``apply_vectors``."""
+        if not self._settled:
+            raise SimulationError("call reset() before apply_vectors()")
+        rows, block = self._batch(vectors)
+        return self._run(rows, block, self._packs(block))
+
+    def _prepare(self, vectors, *, packed: bool):
+        """The one prepared-batch shape: ``(packed, parts)``.
+
+        Each part is ``(payload, passes, vectors)``: its pass rows —
+        pattern groups when ``packed`` — as one native buffer on the C
+        backend, how many passes they are, and how many vectors they
+        carry.  Under probes every part fits the counters' wrap-free
+        budget; an empty batch is one empty part.
+        """
+        with telemetry.span("pack"):
+            rows, block = self._batch(vectors)
+            count = len(rows)
+            lanes = 1
+            if packed:
+                self._packs(block, required=True)
+                lanes = self.program.word_width
+                rows, _lane_counts = pack_patterns(rows, lanes)
+            size = max(1, len(rows))
+            if self._probe_runtime is not None:
+                size = max(1, self._probe_runtime.chunk // lanes)
+            parts = []
+            for start in range(0, max(1, len(rows)), size):
+                part = rows[start:start + size]
+                if isinstance(self.machine, CMachine):
+                    payload = self.machine.pack_block(part)
+                else:
+                    payload = part
+                carried = min(count - start * lanes, len(part) * lanes)
+                parts.append((payload, len(part), carried))
+            return packed, parts
 
     def apply_vector(
         self, vector: Mapping[str, int] | Sequence[int]
@@ -185,8 +359,8 @@ class CompiledSimulator:
         """Simulate one vector; returns the raw emitted output words."""
         if not self._settled:
             raise SimulationError("call reset() before apply_vector()")
-        [words] = self._batch_words([vector])
-        out = self.machine.step(words)
+        [row], _block = self._batch([vector])
+        out = self.machine.step(row)
         if self._probe_runtime is not None:
             self._probe_runtime.note_vectors(self.machine, 1)
         return out
@@ -196,40 +370,21 @@ class CompiledSimulator:
     ) -> list[list[int]]:
         """Simulate a batch; returns per-vector raw output words.
 
-        Bit-identical to ``[self.apply_vector(v) for v in vectors]``.
-        When the compiled program is ``"full"``-mode packable
-        (shift-free *and* memoryless), the batch is auto-packed —
-        ``word_width`` vectors per compiled pass — exact scalar words
-        reconstructed on unpacking.  Shift programs (the §3 parallel
-        technique) and ``"settled"`` programs (the PC-set method, which
-        emits intermediate-time values with opaque cross-pass state)
-        keep the scalar ``run_block`` loop.  A value that is not an
-        ``int`` raises :class:`SimulationError` naming the vector and
-        the input.
+        Bit-identical to ``[self.apply_vector(v) for v in vectors]``,
+        and leaves the machine in the same state.  A ``"full"``-mode
+        (shift-free *and* memoryless) program packs a 0/1 batch —
+        ``word_width`` vectors per compiled pass — and reconstructs
+        the exact scalar words on unpacking.  Shift programs (the §3
+        parallel technique) and ``"settled"`` programs (the PC-set
+        method, which emits intermediate-time values with opaque
+        cross-pass state) keep the scalar ``run_block`` loop.  A value
+        that is not an ``int`` raises :class:`SimulationError` naming
+        the vector and the input.
         """
-        if not self._settled:
-            raise SimulationError("call reset() before apply_vectors()")
-        words = self._batch_words(vectors)
-        if (self.packing_mode == "full" and self._inputs
-                and self.probe_plan is None):
-            telemetry.counter("packing.packed_batches")
-            return packed_apply(self.machine, words)
-        telemetry.counter(f"packing.fallback.{self.packing_mode}")
-        if self._probe_runtime is not None and words:
-            # Chunked so no compiled counter can wrap between drains.
-            out: list[list[int]] = []
-            for start, length in self._probe_runtime.chunk_vectors(
-                len(words)
-            ):
-                out.extend(self.machine.step_many(
-                    words[start:start + length], masked=True
-                ))
-                self._probe_runtime.note_vectors(self.machine, length)
-            return out
-        return self.machine.step_many(words, masked=True)
+        return self._apply(vectors)
 
     def prepare_batch(self, vectors: Sequence[Sequence[int]]):
-        """Marshal a batch once, outside any timed region.
+        """Marshal a scalar batch once, outside any timed region.
 
         On the C backend the batch becomes one contiguous native buffer
         driven by the generated ``run_block`` loop, so the timed region
@@ -238,53 +393,36 @@ class CompiledSimulator:
         pre-marshalled and the timed run is a single batched send into
         the generated coroutine's in-frame loop.
         """
-        with telemetry.span("pack"):
-            words = self._batch_words(vectors)
-            if isinstance(self.machine, CMachine):
-                if self._probe_runtime is not None and words:
-                    # Pre-pack in wrap-free chunks (one chunk at any
-                    # realistic word width; tiny widths get several).
-                    chunk = self._probe_runtime.chunk
-                    parts = [
-                        (
-                            self.machine.pack_block(words[i:i + chunk]),
-                            min(chunk, len(words) - i),
-                        )
-                        for i in range(0, len(words), chunk)
-                    ]
-                    return ("c-probe", parts)
-                return ("c", self.machine.pack_block(words), len(words))
-            return ("py", words)
+        return self._prepare(vectors, packed=False)
 
     def run_prepared(self, prepared) -> None:
-        """Run a batch produced by :meth:`prepare_batch`."""
+        """Run a batch from :meth:`prepare_batch` (or LCC's
+        ``prepare_packed``).
+
+        Outputs are discarded — this is the timing fast path; the
+        throughput counters record the vectors simulated either way.
+        """
         if not self._settled:
             raise SimulationError("call reset() before running")
-        kind = prepared[0]
-        if kind == "c":
-            self.machine.run_packed(prepared[1], prepared[2])
-            self._note_probe_vectors(prepared[2])
-            return
-        if kind == "c-probe":
-            assert self._probe_runtime is not None
-            # Start from zeroed counters so each pre-packed chunk has
-            # the full wrap-free budget.
-            self._probe_runtime.drain(self.machine)
-            for packed, count in prepared[1]:
-                self.machine.run_packed(packed, count)
-                self._probe_runtime.note_vectors(self.machine, count)
-            return
-        rows = prepared[1]
-        if self._probe_runtime is not None and rows:
-            for start, length in self._probe_runtime.chunk_vectors(len(rows)):
-                self.machine.run_block(rows[start:start + length], masked=True)
-                self._probe_runtime.note_vectors(self.machine, length)
-            return
-        self.machine.run_block(rows, masked=True)
-
-    def _note_probe_vectors(self, count: int) -> None:
-        if self._probe_runtime is not None and count:
-            self._probe_runtime.note_vectors(self.machine, count)
+        packed, parts = prepared
+        runtime = self._probe_runtime
+        for payload, passes, vectors in parts:
+            if runtime is not None:
+                # Zeroed counters give every part the full wrap-free
+                # budget.
+                runtime.drain(self.machine)
+            if isinstance(self.machine, CMachine):
+                self.machine.run_packed(
+                    payload, passes, vectors_represented=vectors
+                )
+            elif packed:
+                self.machine.run_packed_block(
+                    payload, vectors_represented=vectors
+                )
+            else:
+                self.machine.run_block(payload, masked=True)
+            if runtime is not None:
+                runtime.note_vectors(self.machine, vectors)
 
     def run_batch(self, vectors: Sequence[Sequence[int]]) -> None:
         """Simulate many vectors back to back (the timing fast path)."""
@@ -312,7 +450,7 @@ class CompiledSimulator:
         return checksum
 
     # ------------------------------------------------------------------
-    # probes
+    # probes and histories
     # ------------------------------------------------------------------
     @property
     def probe_runtime(self) -> Optional[ProbeRuntime]:
@@ -325,6 +463,8 @@ class CompiledSimulator:
         The report is cumulative since construction (or the last
         checkpoint restore) and bit-identical to the history-based
         :func:`repro.activity.collect_activity` over the same vectors.
+        Zero-delay simulation sees at most one transition per net per
+        vector, so there functional toggles equal total toggles.
         """
         if self._probe_runtime is None:
             raise SimulationError(
@@ -333,6 +473,19 @@ class CompiledSimulator:
             )
         self._probe_runtime.drain(self.machine)
         return self._probe_runtime.report()
+
+    def apply_vector_history(
+        self, vector: Mapping[str, int] | Sequence[int]
+    ) -> dict[str, list[tuple[int, int]]]:
+        """Simulate one vector and return every net's change history.
+
+        Only the PC-set and parallel facades decode settling histories.
+        """
+        raise SimulationError(
+            f"{type(self).__name__} records no per-vector settling "
+            "histories; build it with probes= and read "
+            "activity_report() instead"
+        )
 
     def capture_trace(
         self,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.lcc.zerodelay as zerodelay
+import repro.simbase as simbase
 from repro.codegen.runtime import have_c_compiler
 from repro.errors import SimulationError
 from repro.fuzz import (
@@ -185,7 +185,7 @@ class TestRunCheck:
         config = FuzzConfig(check="packed", technique="zero-lcc",
                             backend=backend, word_width=64)
         assert run_check(circuit, vectors, config) > 0
-        real = zerodelay.packed_apply
+        real = simbase.packed_apply
 
         def dropped_fill(machine, rows, *, block=None):
             return [
@@ -193,7 +193,7 @@ class TestRunCheck:
                 for row in real(machine, rows, block=block)
             ]
 
-        monkeypatch.setattr(zerodelay, "packed_apply", dropped_fill)
+        monkeypatch.setattr(simbase, "packed_apply", dropped_fill)
         with pytest.raises(Mismatch, match="raw output words"):
             run_check(circuit, vectors, config)
 

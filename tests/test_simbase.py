@@ -4,8 +4,15 @@ import pytest
 
 from repro.codegen.runtime import have_c_compiler
 from repro.errors import SimulationError
+from repro.eventsim.simulator import EventDrivenSimulator
+from repro.harness.runner import build_simulator
 from repro.harness.vectors import vectors_for
+from repro.lcc.zerodelay import LCCSimulator
+from repro.netlist.bench import parse_bench
+from repro.netlist.generators import parity_tree
+from repro.netlist.iscas85 import make_circuit
 from repro.parallel.simulator import ParallelSimulator
+from repro.pcset.multivector import MultiVectorPCSetSimulator, pack_lanes
 from repro.pcset.simulator import PCSetSimulator
 
 
@@ -102,8 +109,6 @@ class TestChecksums:
 
 
 def _run_lcc(circuit, vectors, **pinned):
-    from repro.lcc.zerodelay import LCCSimulator
-
     return LCCSimulator(circuit, **pinned).apply_vectors(vectors)
 
 
@@ -172,3 +177,214 @@ def test_tiles_accepts_only_one(fig4_circuit, run, tiles):
     if run is _run_lcc:
         with pytest.raises(SimulationError, match="tiles must be 1"):
             run(fig4_circuit, vectors, tiles=tiles, probes=True)
+
+
+# ----------------------------------------------------------------------
+# the one batch executor
+# ----------------------------------------------------------------------
+#: Technique -> does it accept ``probes=``.
+EXECUTOR_TECHNIQUES = {
+    "zero-lcc": True,
+    "pcset": True,
+    "parallel-trim": True,
+    "parallel-best": False,
+    "pcset-mv": False,
+}
+
+EXECUTOR_CASES = [
+    pytest.param(technique, backend, probes,
+                 id=f"{technique}-{backend}-{'probed' if probes else 'plain'}")
+    for technique, probed in EXECUTOR_TECHNIQUES.items()
+    for backend in BACKENDS
+    for probes in ((False, True) if probed else (False,))
+]
+
+
+def _seeded(circuit, technique, backend, probes):
+    options = {"backend": backend, "word_width": 8}
+    if probes:
+        options["probes"] = True
+    sim = build_simulator(circuit, technique, **options)
+    sim.reset()
+    return sim
+
+
+def _activity(sim):
+    if sim.probe_runtime is None:
+        return None
+    return vars(sim.activity_report())
+
+
+#: Fig. 4, whose PC-set program is "settled"-mode.
+FIG4_BENCH = (
+    "INPUT(A)\nINPUT(B)\nINPUT(C)\nOUTPUT(E)\n"
+    "D = AND(A, B)\nE = AND(D, C)\n"
+)
+
+
+@pytest.mark.parametrize("technique,backend,probes", EXECUTOR_CASES)
+@pytest.mark.parametrize(
+    "circuit", [parity_tree(8), parse_bench(FIG4_BENCH, "fig4")],
+    ids=["full-mode", "settled-mode"],
+)
+def test_executor_conformance(technique, backend, probes, circuit):
+    """Every facade's batch path equals its per-vector loop.
+
+    300 vectors at word width 8 split probed batches into several
+    wrap-free chunks; the parity tree's PC-set program is "full"-mode,
+    so the PC-set facades pack it.
+    """
+    vectors = vectors_for(circuit, 300, seed=11)
+    loop = _seeded(circuit, technique, backend, probes)
+    want = [loop.apply_vector(vector) for vector in vectors]
+    batched = _seeded(circuit, technique, backend, probes)
+    assert batched.apply_vectors(vectors) == want
+    assert batched.machine.dump_state() == loop.machine.dump_state()
+    assert _activity(batched) == _activity(loop)
+    prepared = _seeded(circuit, technique, backend, probes)
+    prepared.run_prepared(prepared.prepare_batch(vectors))
+    assert (prepared.machine.counters.vectors
+            == batched.machine.counters.vectors == len(vectors))
+    assert _activity(prepared) == _activity(batched)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_lcc_prepare_packed_counts_like_apply_vectors(backend):
+    # More than 255 vectors: at word width 8 the probed pattern groups
+    # split into several wrap-free parts.
+    circuit = parity_tree(8)
+    vectors = vectors_for(circuit, 600, seed=12)
+    applied = LCCSimulator(circuit, backend=backend, word_width=8,
+                           probes=True)
+    applied.probe_reset()
+    applied.apply_vectors(vectors)
+    prepared = LCCSimulator(circuit, backend=backend, word_width=8,
+                            probes=True)
+    prepared.probe_reset()
+    prepared.run_prepared(prepared.prepare_packed(vectors))
+    assert prepared.machine.counters.vectors == len(vectors)
+    assert vars(prepared.activity_report()) == vars(
+        applied.activity_report()
+    )
+
+
+class TestPackedEndState:
+    """A packed batch leaves the machine where the scalar loop does."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_full_mode_pcset_final_values(self, backend):
+        circuit = parse_bench(
+            "INPUT(A)\nINPUT(B)\nOUTPUT(Y)\nY = AND(A, B)\n", "and2"
+        )
+        sim = PCSetSimulator(circuit, backend=backend)
+        assert sim.packing_mode == "full"
+        sim.reset([0, 0])
+        assert sim.apply_vectors([[1, 1]]) == [[1]]
+        assert sim.final_values() == {"Y": 1}
+        assert sim.apply_vector_history([1, 1])["Y"] == [(0, 1)]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_full_mode_pcset_next_history(self, backend):
+        circuit = parity_tree(16)
+        vectors = vectors_for(circuit, 11, seed=13)
+        sim = PCSetSimulator(circuit, backend=backend)
+        assert sim.packing_mode == "full"
+        sim.reset()
+        sim.apply_vectors(vectors[:10])
+        reference = EventDrivenSimulator(circuit)
+        reference.reset([0] * len(circuit.inputs))
+        for vector in vectors[:10]:
+            reference.apply_vector(vector)
+        assert sim.apply_vector_history(vectors[10]) == (
+            reference.apply_vector(vectors[10], record=True)
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_settled_outputs_leaves_scalar_end_state(self, backend):
+        circuit = make_circuit("c432", scale_factor=0.25)
+        vectors = vectors_for(circuit, 42, seed=14)
+        sim = PCSetSimulator(circuit, backend=backend, word_width=16)
+        loop = PCSetSimulator(circuit, backend=backend, word_width=16)
+        sim.reset()
+        loop.reset()
+        settled = sim.settled_outputs(vectors[:40])
+        finals = []
+        for vector in vectors[:40]:
+            loop.apply_vector(vector)
+            finals.append(loop.final_values())
+        assert settled == finals
+        assert sim.final_values() == loop.final_values()
+        assert sim.apply_vector_history(vectors[40]) == (
+            loop.apply_vector_history(vectors[40])
+        )
+        assert sim.output_trace(vectors[41]) == loop.output_trace(
+            vectors[41]
+        )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_multivector_full_mode_takes_lane_words(backend):
+    # Multi-bit lane words are not a 0/1 batch, so they run scalar,
+    # as given, even on a "full"-mode program.
+    circuit = parity_tree(16)
+    rows = vectors_for(circuit, 24, seed=15)
+    words = [pack_lanes(rows[i:i + 4]) for i in range(0, len(rows), 4)]
+    sim = MultiVectorPCSetSimulator(circuit, backend=backend, lanes=4)
+    loop = MultiVectorPCSetSimulator(circuit, backend=backend, lanes=4)
+    assert sim.packing_mode == "full"
+    sim.reset()
+    loop.reset()
+    assert sim.apply_vectors(words) == [loop.apply_vector(w) for w in words]
+    assert sim.final_values_per_lane() == loop.final_values_per_lane()
+
+
+class TestLCCInheritedMethods:
+    """What LCC inherits from the executor works or raises cleanly."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_and_accessor_methods(self, fig1_circuit, backend):
+        vectors = vectors_for(fig1_circuit, 21, seed=16)
+        sim = LCCSimulator(fig1_circuit, backend=backend, word_width=8)
+        scalar = LCCSimulator(fig1_circuit, backend=backend, word_width=8,
+                              packed=False)
+        want = scalar.apply_vectors(vectors)
+        sim.reset([1, 1, 1])
+        assert sim.evaluate_all_nets([1, 1, 1])["D"] == 1
+        assert [sim.apply_vector(v) for v in vectors] == want
+        assert sim.run_batch_checksum(vectors) == (
+            scalar.run_batch_checksum(vectors)
+        )
+        before = sim.counters.vectors
+        sim.run_prepared(sim.prepare_batch(vectors))
+        assert sim.counters.vectors == before + len(vectors)
+        assert sim.counters is sim.machine.counters
+        assert sim.output_labels() == [("E",)]
+        assert sim.source()
+        assert sim.probe_runtime is None
+
+    def test_history_methods_raise(self, fig1_circuit):
+        sim = LCCSimulator(fig1_circuit)
+        with pytest.raises(SimulationError, match="settling histories"):
+            sim.apply_vector_history([1, 1, 1])
+        with pytest.raises(SimulationError, match="settling histories"):
+            sim.capture_trace([[1, 1, 1]], writer=None)
+        with pytest.raises(SimulationError, match="without probes"):
+            sim.activity_report()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_probed_reset_seeds_the_toggle_baseline(self, fig1_circuit,
+                                                    backend):
+        # reset(v) counts the next toggles against v's settled values,
+        # as probe_reset(v) does.
+        vectors = vectors_for(fig1_circuit, 30, seed=17)
+        seeded = LCCSimulator(fig1_circuit, backend=backend, word_width=8,
+                              probes=True)
+        seeded.probe_reset([1, 1, 1])
+        seeded.apply_vectors(vectors)
+        reset = LCCSimulator(fig1_circuit, backend=backend, word_width=8,
+                             probes=True)
+        reset.reset([1, 1, 1])
+        reset.apply_vectors(vectors)
+        assert vars(reset.activity_report()) == vars(
+            seeded.activity_report()
+        )
