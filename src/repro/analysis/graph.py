@@ -182,10 +182,6 @@ def cycle_weight(cycle: list[Edge]) -> int:
     return total
 
 
-def _shares_gate(a: Edge, b: Edge) -> bool:
-    return a.gate == b.gate
-
-
 def fundamental_cycles(
     graph: UndirectedNetworkGraph,
     roots: Optional[list[Vertex]] = None,

@@ -128,72 +128,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     )
     compiler = have_c_compiler()
     report["c compiler"] = compiler if compiler else "none (python backend only)"
-    if args.cones:
-        report.update(_cone_report(circuit, args.backend))
     width = max(len(k) for k in report)
     for key, value in report.items():
         print(f"{key.ljust(width)}  {value}")
     return 0
-
-
-def _cone_report(circuit: Circuit, backend: str) -> dict:
-    """Incremental-recompilation stats: cold build vs. warm single-edit.
-
-    Builds the per-cone simulator twice — once from the current cache
-    state, once after a synthetic single-gate edit (the first gate's
-    type flipped) — and reports the program-cache traffic of each, so
-    the hit rate for untouched cones is visible from the CLI.
-    """
-    from repro.codegen.incremental import ConeSimulator
-    from repro.netlist.circuit import GateType
-    from repro.netlist.random_circuits import replace_gate
-
-    cold = ConeSimulator(circuit, backend=backend)
-    report = {
-        "fanin cones": (
-            f"{cold.num_cones} "
-            f"({len(set(cold.cone_keys.values()))} unique)"
-        ),
-        "cone cache (cold)": (
-            f"+{cold.cache_delta['hits']} hits, "
-            f"+{cold.cache_delta['misses']} misses"
-        ),
-    }
-    flips = {
-        GateType.AND: GateType.NAND, GateType.NAND: GateType.AND,
-        GateType.OR: GateType.NOR, GateType.NOR: GateType.OR,
-        GateType.XOR: GateType.XNOR, GateType.XNOR: GateType.XOR,
-        GateType.NOT: GateType.BUF, GateType.BUF: GateType.NOT,
-    }
-    # Edit the flippable gate that sits in the fewest cones — the
-    # best case for reuse, which is what the report is sizing.
-    membership: dict[str, int] = {}
-    for cone in cold.cones.values():
-        for cone_gate in cone.gates:
-            membership[cone_gate.name] = (
-                membership.get(cone_gate.name, 0) + 1
-            )
-    candidates = [
-        g for g in circuit.gates.values() if g.gate_type in flips
-    ]
-    if not candidates:
-        return report
-    gate = min(
-        candidates,
-        key=lambda g: membership.get(g.name, 0),
-    )
-    new_type = flips[gate.gate_type]
-    edited = replace_gate(circuit, gate.name, new_type,
-                          list(gate.inputs))
-    warm = ConeSimulator(edited, backend=backend)
-    delta = warm.cache_delta
-    total = max(1, delta["hits"] + delta["misses"])
-    report["cone cache (warm edit)"] = (
-        f"+{delta['hits']} hits, +{delta['misses']} misses "
-        f"({delta['hits'] / total:.0%} reuse after editing "
-        f"{gate.name!r})"
-    )
-    return report
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -542,7 +480,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         engine=args.engine,
         backend=args.backend,
         word_width=args.word_width,
-        incremental=args.incremental,
     )
     after = cache.stats()
     result = replay_tape(
@@ -568,9 +505,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
           f"({result.seconds:.3f}s)")
     print(f"checksum: {result.checksum:#018x}")
     print(f"program cache: +{after['hits'] - before['hits']} hits, "
-          f"+{after['misses'] - before['misses']} misses"
-          + (f" ({sim._sim.num_cones} cones)" if args.incremental
-             else ""))
+          f"+{after['misses'] - before['misses']} misses")
     if result.checkpoints:
         print(f"checkpoints: {len(result.checkpoints)} written to "
               f"{args.checkpoint_dir}")
@@ -621,14 +556,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--fast", action="store_true",
         help="skip the alignment analyses (large circuits)",
     )
-    p_stats.add_argument(
-        "--cones", action="store_true",
-        help="report per-fanin-cone incremental recompilation stats: "
-             "cold-build cache traffic, then the hit/miss delta of "
-             "rebuilding after a synthetic single-gate edit",
-    )
-    p_stats.add_argument("-b", "--backend", default="python",
-                         choices=["python", "c"])
     _add_telemetry_args(p_stats)
     p_stats.set_defaults(func=_cmd_stats)
 
@@ -891,12 +818,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_replay.add_argument("-w", "--word-width", type=int, default=32,
                           choices=[8, 16, 32, 64])
     p_replay.add_argument(
-        "--incremental", action="store_true",
-        help="evaluate the core through per-fanin-cone programs "
-             "(content-keyed cache: a single-gate edit recompiles "
-             "only the affected cones)",
-    )
-    p_replay.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",
         help="write a checkpoint after every N-th cycle",
     )
@@ -927,7 +848,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     p_replay.add_argument(
         "--chunk", type=int, default=4096, metavar="N",
-        help="cycles per apply_vectors call — the memory bound "
+        help="cycles per apply_bits call — the memory bound "
              "(default 4096)",
     )
     p_replay.add_argument(

@@ -66,8 +66,7 @@ often enough that no counter can wrap between drains.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.program import (
@@ -143,17 +142,6 @@ class ProbeSpec:
         chosen = set(self.nets)
         return tuple(n for n in circuit.nets if n in chosen)
 
-    def as_dict(self) -> dict:
-        """Corpus-stable dict form (sorted, JSON-ready)."""
-        return {
-            "nets": "all" if self.nets is None else sorted(self.nets),
-            "trace_nets": sorted(self.trace_nets),
-        }
-
-    def fingerprint(self) -> str:
-        text = repr(sorted(self.as_dict().items()))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
     def __repr__(self) -> str:
         nets = "all" if self.nets is None else list(self.nets)
         return f"ProbeSpec(nets={nets}, trace_nets={list(self.trace_nets)})"
@@ -181,7 +169,7 @@ class ProbePlan:
 
     __slots__ = ("technique", "spec", "nets", "toggle_slots",
                  "functional_slots", "max_increment",
-                 "en_slot", "probe_key")
+                 "en_slot")
 
     def __init__(
         self,
@@ -200,7 +188,6 @@ class ProbePlan:
         self.functional_slots = functional_slots
         self.max_increment = max(1, max_increment)
         self.en_slot = en_slot
-        self.probe_key = f"{technique}-{spec.fingerprint()}"
 
     def __repr__(self) -> str:
         return f"ProbePlan({self.technique}, {len(self.nets)} nets)"
@@ -213,8 +200,8 @@ class ProbeRuntime:
     drains them into unbounded Python integers.  Facades call
     :meth:`chunk_vectors` to split batches so no counter can wrap
     between drains, :meth:`note_vectors` after each run, and
-    :meth:`drain` before reading machine state that the counters ride
-    in (checkpoints, lane handoffs) or building a report.
+    :meth:`drain` before reloading machine state that the counters
+    ride in (a re-seed, a packed part) or building a report.
     """
 
     def __init__(self, plan: ProbePlan, program: Program) -> None:
@@ -321,26 +308,6 @@ class ProbeRuntime:
         self._since_drain = 0
         self._vectors_reported = 0
 
-    def snapshot(self) -> dict:
-        """Checkpointable accumulator state (drain first)."""
-        return {
-            "toggles": dict(self.toggles),
-            "functional": (
-                None if self.functional is None else dict(self.functional)
-            ),
-            "vectors": self.vectors,
-        }
-
-    def restore(self, saved: Mapping) -> None:
-        self.toggles.update(saved["toggles"])
-        functional = saved.get("functional")
-        if functional is not None and self.functional is not None:
-            self.functional.update(functional)
-        self.vectors = saved["vectors"]
-        # Restored totals were counted by the run that checkpointed
-        # them; only new work should reach the telemetry counters.
-        self._vectors_reported = self.vectors
-
     def report(self):
         """Build an :class:`~repro.activity.ActivityReport` (drained)."""
         from repro.activity import ActivityReport
@@ -422,7 +389,6 @@ def instrument_lcc_program(
         max_increment=1,
         en_slot=en_slot,
     )
-    program.probe_key = plan.probe_key
     return plan
 
 
@@ -487,7 +453,6 @@ def instrument_parallel_program(
         "parallel", spec, nets, toggle_slots, functional_slots,
         max_increment=max_bits,
     )
-    program.probe_key = plan.probe_key
     return plan
 
 
@@ -553,5 +518,4 @@ def instrument_pcset_program(
         "pcset", spec, nets, toggle_slots, functional_slots,
         max_increment=max_samples - 1,
     )
-    program.probe_key = plan.probe_key
     return plan

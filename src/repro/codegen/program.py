@@ -338,15 +338,6 @@ class Program:
         self.init: list[Stmt] = []
         self.body: list[Stmt] = []
         self.output: list[Stmt] = []
-        #: Optional semantic content hash.  When set, the runtime keys
-        #: the process-wide program cache on it (plus backend/opt
-        #: qualifiers) instead of hashing the generated source text —
-        #: generators that can fingerprint their *input* (e.g. a fanin
-        #: cone of the netlist) get cache hits without paying for
-        #: source generation twice, and unchanged cones survive edits
-        #: elsewhere in the circuit.  Must uniquely determine the
-        #: generated source for every backend.
-        self.content_key: Optional[str] = None
 
     # ------------------------------------------------------------------
     def declare(self, name: str, initial: int = 0) -> str:

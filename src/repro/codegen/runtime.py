@@ -50,12 +50,14 @@ Program cache
 -------------
 Repeated harness/benchmark runs rebuild identical programs; the
 module-level :class:`ProgramCache` memoizes the expensive compilation
-step keyed by ``(program fingerprint, backend, opt_level)``.  The
-fingerprint is a hash of the generated source, so any change to the
-program invalidates the entry.  Python entries cache the ``compile()``d
-code object, which each machine ``exec``s into its own namespace.  C
-entries are the loaded library itself: the generated code is
-reentrant (state is passed by pointer, see
+step keyed by ``(sha256 of the generated source, backend, opt_level)``
+and nothing else.  Any change to the program changes its source and
+misses; probe counters are statements of the source, so a probed
+program never aliases its unprobed twin, while two probe requests
+that lower to the same statements share one entry.  Python entries
+cache the ``compile()``d code object, which each machine ``exec``s
+into its own namespace.  C entries are the loaded library itself: the
+generated code is reentrant (state is passed by pointer, see
 :mod:`repro.codegen.c_emitter`), so every machine of a program shares
 one library and owns only its state buffer.  The library is built in
 a temporary directory that is removed as soon as it is loaded, so
@@ -91,7 +93,6 @@ __all__ = [
     "program_cache",
     "clear_program_cache",
     "program_fingerprint",
-    "cache_fingerprint",
     "compile_program",
     "have_c_compiler",
 ]
@@ -128,29 +129,8 @@ def have_c_compiler(force: bool = False) -> Optional[str]:
 
 
 def program_fingerprint(source: str) -> str:
-    """Content hash of a generated source text (the cache key core)."""
+    """sha256 of a generated source text: the program-cache key core."""
     return hashlib.sha256(source.encode()).hexdigest()
-
-
-def cache_fingerprint(program: "Program", source: str) -> str:
-    """The fingerprint half of a program-cache key.
-
-    Programs carrying a semantic ``content_key`` (e.g. per-fanin-cone
-    hashes from :mod:`repro.codegen.incremental`) are keyed on it
-    directly — the key already determines the source, so hashing the
-    text again would only slow the hit path (the backend name and opt
-    level are separate key components).  Probe-instrumented programs
-    carry a ``probe_key`` (set by :mod:`repro.codegen.probes`); it
-    qualifies the key, so an instrumented program never aliases its
-    uninstrumented twin — and a probes-off program keeps its
-    historical fingerprint exactly.
-    """
-    content_key = getattr(program, "content_key", None)
-    key = program_fingerprint(source) if content_key is None else content_key
-    probe_key = getattr(program, "probe_key", None)
-    if probe_key is not None:
-        return f"{key}-p{probe_key}"
-    return key
 
 
 class BatchCounters:
@@ -199,15 +179,15 @@ class BatchCounters:
 
 
 class ProgramCache:
-    """LRU cache of compiled programs keyed by program content.
+    """LRU cache of compiled programs keyed by their source.
 
-    Keys are ``(fingerprint, backend, opt_level)``.  Python entries are
-    code objects (each machine still ``exec``s its own namespace, so
-    machines never share state).  C entries are loaded libraries
-    (:class:`ctypes.CDLL`), shared by every machine of the program;
-    each machine passes its own state buffer.  Eviction does not unload
-    a library: machines may still call it, and ctypes never
-    ``dlclose``s.
+    Keys are ``(program_fingerprint(source), backend, opt_level)``.
+    Python entries are code objects (each machine still ``exec``s its
+    own namespace, so machines never share state).  C entries are
+    loaded libraries (:class:`ctypes.CDLL`), shared by every machine of
+    the program; each machine passes its own state buffer.  Eviction
+    does not unload a library: machines may still call it, and ctypes
+    never ``dlclose``s.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -432,7 +412,7 @@ class PythonMachine(Machine):
     def __init__(self, program: Program) -> None:
         super().__init__(program)
         self.source = program.python_source()
-        key = (cache_fingerprint(program, self.source), "python", "")
+        key = (program_fingerprint(self.source), "python", "")
         code = _PROGRAM_CACHE.get(key)
         if code is None:
             with telemetry.span("cc", backend="python",
@@ -563,7 +543,7 @@ class CMachine(Machine):
         self.opt_level = opt_level
         word = self._CTYPE[program.word_width]
         self._word = word
-        key = (cache_fingerprint(program, self.source), "c", opt_level)
+        key = (program_fingerprint(self.source), "c", opt_level)
         lib = _PROGRAM_CACHE.get(key)
         if lib is None:
             lib = self._build(compiler, opt_level)

@@ -5,11 +5,10 @@ zero-delay engine compiles the broken core with its flip-flops closed
 through program state (``generate_lcc_program(..., flipflops=...)``):
 one pass of the generated code is one clock cycle, the flip-flop
 state lives in the machine's state buffer, and one kernel call clocks
-a whole batch.  The unit-delay engines (and ``incremental=True``)
-settle the core once per cycle and carry the state here; they can
-additionally keep the full intra-cycle unit-delay history, so glitches
-*inside* a clock period are visible — the thing a plain zero-delay
-clocked model cannot show.
+a whole batch.  The unit-delay engines settle the core once per
+cycle and carry the state here; they can additionally keep the full
+intra-cycle unit-delay history, so glitches *inside* a clock period
+are visible — the thing a plain zero-delay clocked model cannot show.
 
 The byte boundary
 -----------------
@@ -60,13 +59,6 @@ class CompiledSequentialSimulator:
         intra-cycle waveforms via :meth:`step` with ``record=True``.
     partitions, tiles:
         Must be 1 (see :func:`~repro.simbase.check_pinned`).
-    incremental:
-        Evaluate the core through per-fanin-cone programs
-        (:class:`repro.codegen.incremental.ConeSimulator`) instead of
-        one monolithic program.  Slower steady-state (cone overlap is
-        re-evaluated) but editing one gate recompiles only the affected
-        cones — see ``cache_delta`` on the underlying simulator.
-        Only the ``"lcc"`` engine supports it.
 
     ``machine`` is the clocked program's machine on the zero-delay
     engine and ``None`` on the per-cycle ones.
@@ -83,20 +75,13 @@ class CompiledSequentialSimulator:
         word_width: int = 32,
         tiles: int = 1,
         partitions: int = 1,
-        incremental: bool = False,
     ) -> None:
         check_pinned(partitions, tiles)
         if engine not in self.ENGINES:
             raise SimulationError(f"unknown engine: {engine!r}")
-        if incremental and engine != "lcc":
-            raise SimulationError(
-                "incremental recompilation requires the zero-delay "
-                f"core (engine='lcc'), not {engine!r}"
-            )
         self.sequential = sequential
         self.engine = engine
         self.backend = backend
-        self.incremental = incremental
         core = sequential.core
         self._inputs = list(sequential.external_inputs)
         self._input_set = frozenset(self._inputs)
@@ -108,7 +93,7 @@ class CompiledSequentialSimulator:
             set(sequential.external_outputs)
             | set(sequential.flipflops.values())
         )
-        if engine == "lcc" and not incremental:
+        if engine == "lcc":
             program = generate_lcc_program(
                 core, word_width=word_width,
                 emit_outputs=self._outputs,
@@ -119,22 +104,6 @@ class CompiledSequentialSimulator:
             # core.nets order; the Q variables hold the flip-flops.
             index_of = {net: i for i, net in enumerate(core.nets)}
             self._q_words = [index_of[q] for q in sequential.flipflops]
-        elif incremental:
-            missing = [
-                d for d in sequential.flipflops.values()
-                if d not in core.nets or not core.nets[d].is_output
-            ]
-            if missing:
-                raise SimulationError(
-                    "incremental evaluation samples flip-flop D pins "
-                    "as core outputs; not outputs: "
-                    f"{sorted(missing)[:5]}"
-                )
-            from repro.codegen.incremental import ConeSimulator
-
-            self._sim = ConeSimulator(
-                core, backend=backend, word_width=word_width
-            )
         elif engine == "parallel":
             from repro.parallel.simulator import ParallelSimulator
 
@@ -200,7 +169,7 @@ class CompiledSequentialSimulator:
                 bits[q] = value & 1
         if self.machine is None:
             self._state = bits
-            self._unit_delay_ready = False
+            self._previous = None
         else:
             # Every other variable is rewritten before it is read.
             words = [0] * self.machine.num_state
@@ -213,16 +182,29 @@ class CompiledSequentialSimulator:
     def snapshot(self) -> dict:
         """The machine state needed to resume bit-identically.
 
-        For every engine that is the flip-flop state plus the cycle
-        count: the combinational settle is a pure function of
-        state + inputs, so no intra-cycle residue needs saving.
+        That is the flip-flop state plus the cycle count, and on the
+        unit-delay engines, once a cycle has run, its core input
+        vector as ``"previous"``: the next cycle's intra-cycle history
+        starts from that vector's steady state.
         """
-        return {"state": self.state, "cycle": self.cycle}
+        snapshot = {"state": self.state, "cycle": self.cycle}
+        if self.machine is None and self._previous is not None:
+            snapshot["previous"] = list(self._previous)
+        return snapshot
 
     def restore(self, snapshot: Mapping) -> None:
-        """Resume from a :meth:`snapshot` (or checkpoint payload)."""
+        """Resume from a :meth:`snapshot` (or checkpoint payload).
+
+        A payload without ``"previous"`` (a replay checkpoint) settles
+        the first resumed cycle from its own inputs, as after
+        :meth:`reset`; only its recorded history differs.
+        """
         self.reset(snapshot["state"])
         self.cycle = int(snapshot["cycle"])
+        previous = snapshot.get("previous")
+        if previous is not None and self.machine is None:
+            self._sim.reset(previous)
+            self._previous = list(previous)
 
     # ------------------------------------------------------------------
     def _encode(
@@ -287,7 +269,7 @@ class CompiledSequentialSimulator:
             raise
 
     def _cycle(self, row: bytes, record: bool = False):
-        """One clock cycle of a per-cycle engine.
+        """One clock cycle of a unit-delay engine.
 
         Returns the external outputs as bytes and, with ``record``,
         the intra-cycle per-net change lists.
@@ -296,27 +278,24 @@ class CompiledSequentialSimulator:
         merged.update(self._state)
         vector = [merged[n] for n in self._core_inputs]
         history = None
-        if self.incremental:
-            settled = self._sim.evaluate(vector)
+        if self._previous is None:
+            # Unit-delay cores start from the previous steady state;
+            # the first cycle settles from the current state/input.
+            self._sim.reset(vector)
+        if record:
+            history = self._sim.apply_vector_history(vector)
+            settled = {
+                net_name: changes[-1][1]
+                for net_name, changes in history.items()
+            }
         else:
-            if not self._unit_delay_ready:
-                # Unit-delay cores start from the previous steady state;
-                # the first cycle settles from the current state/input.
-                self._sim.reset(vector)
-                self._unit_delay_ready = True
-            if record:
-                history = self._sim.apply_vector_history(vector)
-                settled = {
-                    net_name: changes[-1][1]
-                    for net_name, changes in history.items()
-                }
-            else:
-                self._sim.apply_vector(vector)
-                settled = self._sim.final_values()
+            self._sim.apply_vector(vector)
+            settled = self._sim.final_values()
         self._state = {
             q: settled[d] & 1
             for q, d in self.sequential.flipflops.items()
         }
+        self._previous = vector
         self.cycle += 1
         return bytes([settled[o] & 1 for o in self._outputs]), history
 

@@ -6,6 +6,8 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,40 @@ class TestDocumentsExist:
         for figure in ("Fig. 19", "Fig. 20", "Fig. 21", "Fig. 22",
                        "Fig. 23", "Fig. 24"):
             assert figure in text
+
+
+class TestReadmeCommands:
+    def test_every_repro_sim_command_parses(self, monkeypatch, tmp_path):
+        # Every ``repro-sim`` line in README.md's bash blocks must parse
+        # against the current CLI, so a removed flag cannot linger in
+        # the README.  The subcommands themselves are stubbed out.
+        from repro import cli, telemetry
+
+        for name in dir(cli):
+            if name.startswith("_cmd_"):
+                monkeypatch.setattr(cli, name, lambda args: 0)
+        monkeypatch.chdir(tmp_path)  # --metrics-out writes a file
+        text = (ROOT / "README.md").read_text()
+        lines = [
+            shlex.split(line, comments=True)
+            for block in re.findall(r"```bash\n(.*?)```", text, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+        ]
+        commands = [argv[1:] for argv in lines if argv[:1] == ["repro-sim"]]
+        assert len(commands) >= 20
+        prior = telemetry.enabled()
+        try:
+            for argv in commands:
+                try:
+                    status = cli.main(argv)
+                except SystemExit as error:
+                    pytest.fail(
+                        f"repro-sim {shlex.join(argv)}: exit {error.code}"
+                    )
+                assert status == 0, argv
+        finally:
+            telemetry.enable() if prior else telemetry.disable()
+            telemetry.reset()
 
 
 class TestPublicApi:

@@ -19,7 +19,11 @@ import pytest
 from repro.activity import collect_activity
 from repro.analysis.levelize import levelize
 from repro.codegen.probes import ProbeSpec
-from repro.codegen.runtime import cache_fingerprint, have_c_compiler
+from repro.codegen.runtime import (
+    clear_program_cache,
+    have_c_compiler,
+    program_cache,
+)
 from repro.errors import SimulationError
 from repro.eventsim.simulator import EventDrivenSimulator
 from repro.harness.vectors import vectors_for
@@ -94,18 +98,6 @@ class TestProbeSpec:
     def test_resolve_unknown_net(self):
         with pytest.raises(SimulationError, match="not in circuit"):
             ProbeSpec(["nope"]).resolve(mux_with_hazard())
-
-    def test_fingerprint_distinguishes_specs(self):
-        assert ProbeSpec().fingerprint() != ProbeSpec(["A"]).fingerprint()
-        assert (
-            ProbeSpec(["A"]).fingerprint()
-            != ProbeSpec(["A"], trace_nets=["B"]).fingerprint()
-        )
-        # Order-insensitive: same set of nets, same key.
-        assert (
-            ProbeSpec(["A", "B"]).fingerprint()
-            == ProbeSpec(["B", "A"]).fingerprint()
-        )
 
 
 class TestFastPathIdentity:
@@ -450,19 +442,23 @@ class TestErrors:
 
 class TestCacheFingerprint:
     def test_probe_spec_participates(self):
+        # The cache key is the source hash: probe statements are part
+        # of the source, so plain, all-nets and subset programs are
+        # three entries, while requests lowering to the same
+        # statements share one.
         circuit = mux_with_hazard()
-        plain = PCSetSimulator(circuit)
-        probed = PCSetSimulator(circuit, probes=True)
-        subset = PCSetSimulator(circuit, probes=["OUT"])
-        keys = {
-            cache_fingerprint(sim._compiled_program, sim.source())
-            for sim in (plain, probed, subset)
+        clear_program_cache()
+        PCSetSimulator(circuit)
+        PCSetSimulator(circuit, probes=True)
+        PCSetSimulator(circuit, probes=["OUT"])
+        assert program_cache().stats() == {
+            "entries": 3, "hits": 0, "misses": 3,
         }
-        assert len(keys) == 3
-        probed_key = cache_fingerprint(
-            probed._compiled_program, probed.source()
-        )
-        assert "-p" in probed_key
+        PCSetSimulator(circuit, probes=list(circuit.nets))
+        PCSetSimulator(circuit, probes=ProbeSpec(trace_nets=["OUT"]))
+        assert program_cache().stats() == {
+            "entries": 3, "hits": 2, "misses": 3,
+        }
 
 
 class TestCLI:

@@ -1,4 +1,4 @@
-"""Tests for stimulus tapes, replay, checkpoints and cone recompiles."""
+"""Tests for stimulus tapes, replay and checkpoints."""
 
 import filecmp
 import json
@@ -8,7 +8,6 @@ import pytest
 
 from repro.codegen.runtime import have_c_compiler
 from repro.errors import SimulationError
-from repro.netlist.builder import CircuitBuilder
 from repro.netlist.seqgen import binary_counter, lfsr, shift_register
 from repro.replay import (
     ReplayCheckpoint,
@@ -403,7 +402,7 @@ class TestReplay:
         {"backend": "c"},
         {"partitions": 1},
         {"word_width": 8},
-        {"incremental": True},
+        {"engine": "pcset", "backend": "c"},
         {"engine": "parallel"},
         {"engine": "pcset"},
     ])
@@ -548,74 +547,6 @@ class TestReplay:
             telemetry.reset()
 
 
-def _three_cone_circuit(flip=False):
-    """Three disjoint-top cones; ``flip`` edits only the middle one."""
-    b = CircuitBuilder("threecones")
-    a, c, d, e = b.inputs("KA", "KB", "KC", "KD")
-    m = b.and_("KM", a, c)
-    b.output(b.xor("KO0", m, d))
-    b.output((b.nor if flip else b.or_)("KO1", c, d))
-    b.output(b.xor("KO2", d, e))
-    return b.build()
-
-
-class TestConeSimulator:
-    def test_matches_monolithic_lcc(self):
-        from repro.codegen.incremental import ConeSimulator
-        from repro.lcc.zerodelay import LCCSimulator
-
-        circuit = _three_cone_circuit()
-        cones = ConeSimulator(circuit)
-        mono = LCCSimulator(circuit)
-        for value in range(16):
-            vector = [(value >> i) & 1 for i in range(4)]
-            full = mono.evaluate_all_nets(vector)
-            expected = {o: full[o] & 1 for o in circuit.outputs}
-            assert cones.evaluate(vector) == expected
-        batch = cones.apply_vectors([[0, 1, 1, 0], [1, 1, 0, 1]])
-        assert batch == [cones.evaluate([0, 1, 1, 0]),
-                         cones.evaluate([1, 1, 0, 1])]
-
-    def test_single_gate_edit_reuses_untouched_cones(self):
-        from repro.codegen.incremental import ConeSimulator
-
-        cold = ConeSimulator(_three_cone_circuit())
-        warm = ConeSimulator(_three_cone_circuit(flip=True))
-        assert cold.num_cones == warm.num_cones == 3
-        # Acceptance: after editing one gate, untouched cones hit the
-        # ProgramCache (hit rate > 0) and only the affected cone
-        # recompiles.
-        assert warm.cache_delta["hits"] == 2
-        assert warm.cache_delta["misses"] == 1
-        same = [o for o in ("KO0", "KO2")
-                if warm.cone_keys[o] == cold.cone_keys[o]]
-        assert same == ["KO0", "KO2"]
-        assert warm.cone_keys["KO1"] != cold.cone_keys["KO1"]
-
-    def test_identical_rebuild_all_hits(self):
-        from repro.codegen.incremental import ConeSimulator
-
-        ConeSimulator(_three_cone_circuit())
-        again = ConeSimulator(_three_cone_circuit())
-        assert again.cache_delta["hits"] == 3
-        assert again.cache_delta["misses"] == 0
-
-    def test_seqsim_incremental_matches_monolithic(self, tmp_path):
-        _, tape = _replay_setup(tmp_path, cycles=50)
-        mono = CompiledSequentialSimulator(binary_counter(4))
-        inc = CompiledSequentialSimulator(
-            binary_counter(4), incremental=True
-        )
-        assert inc._sim.num_cones > 0
-        rows = tape.read(0, 50)
-        assert inc.apply_vectors(rows) == mono.apply_vectors(rows)
-        assert inc.state == mono.state
-        with pytest.raises(SimulationError, match="incremental"):
-            CompiledSequentialSimulator(
-                binary_counter(4), engine="parallel", incremental=True
-            )
-
-
 class TestReplayCLI:
     def test_tape_then_replay(self, tmp_path, capsys):
         from repro.cli import main
@@ -664,7 +595,7 @@ class TestReplayCLI:
         main(["tape", "lfsr5", "-n", "80", "-o", tape])
         capsys.readouterr()
         sums = []
-        for extra in ([], ["-e", "parallel"], ["--incremental"]):
+        for extra in ([], ["-e", "parallel"], ["-e", "pcset"]):
             assert main(
                 ["replay", "lfsr5", "--tape", tape] + extra
             ) == 0
@@ -673,11 +604,3 @@ class TestReplayCLI:
                 [l for l in text.splitlines() if "checksum" in l]
             )
         assert sums[0] == sums[1] == sums[2]
-
-    def test_stats_cones(self, capsys):
-        from repro.cli import main
-
-        assert main(["stats", "rca4", "--cones"]) == 0
-        out = capsys.readouterr().out
-        assert "fanin cones" in out
-        assert "reuse" in out

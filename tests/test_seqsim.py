@@ -1,10 +1,13 @@
 """Tests for compiled clocked simulation of sequential circuits."""
 
+import random
+
 import pytest
 
 from repro.codegen.runtime import have_c_compiler
 from repro.errors import SimulationError
 from repro.netlist.bench import parse_bench_sequential
+from repro.netlist.seqgen import binary_counter, lfsr
 from repro.seqsim import CompiledSequentialSimulator
 
 COUNTER = """
@@ -54,8 +57,6 @@ def test_engines_agree_cycle_for_cycle():
         CompiledSequentialSimulator(counter(), engine=e)
         for e in ("lcc", "parallel", "pcset")
     ]
-    import random
-
     rng = random.Random(3)
     for _ in range(25):
         inputs = {"EN": rng.randint(0, 1)}
@@ -75,6 +76,41 @@ def test_intra_cycle_history_shows_carry_ripple():
     assert history["D0"][-1][1] == 0
     assert history["D2"][-1][1] == 1
     assert history["D2"][-1][0] >= history["D0"][-1][0]
+
+
+@pytest.mark.parametrize("engine", ["parallel", "pcset"])
+@pytest.mark.parametrize("make", [binary_counter, lfsr])
+def test_restore_resumes_intra_cycle_history(make, engine):
+    # Regression: the snapshot kept only state and cycle, so the first
+    # restored cycle settled from its own inputs and recorded a flat
+    # history instead of the ripple the uninterrupted run shows.
+    rng = random.Random(8)
+    rows = [[rng.randint(0, 1)] for _ in range(8)]
+    whole = CompiledSequentialSimulator(make(3), engine=engine)
+    histories = [whole.step(row, record=True) for row in rows]
+    for split in range(1, 7):
+        first = CompiledSequentialSimulator(make(3), engine=engine)
+        first.apply_vectors(rows[:split])
+        resumed = CompiledSequentialSimulator(make(3), engine=engine)
+        resumed.restore(first.snapshot())
+        assert [
+            resumed.step(row, record=True) for row in rows[split:]
+        ] == histories[split:]
+
+
+def test_snapshot_previous_only_after_a_unit_delay_cycle():
+    lcc = CompiledSequentialSimulator(counter(), engine="lcc")
+    lcc.step({"EN": 1})
+    assert set(lcc.snapshot()) == {"state", "cycle"}
+    sim = CompiledSequentialSimulator(counter(), engine="parallel")
+    assert set(sim.snapshot()) == {"state", "cycle"}
+    sim.step({"EN": 1})
+    assert sim.snapshot()["previous"] == [1, 0, 0, 0]
+    # A replay checkpoint carries no "previous": the next cycle then
+    # settles from its own inputs, with the same outputs.
+    fresh = CompiledSequentialSimulator(counter(), engine="parallel")
+    fresh.restore({"state": sim.state, "cycle": sim.cycle})
+    assert fresh.step({"EN": 1}) == sim.step({"EN": 1})
 
 
 def test_reset_and_state_injection():
