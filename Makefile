@@ -16,7 +16,8 @@ test:
 # error, import-smoke every benchmark module (catches drift in the
 # benchmark drivers without paying for a timed run), run the
 # repository benchmark's own tests, run every example, and run the
-# fixed-seed fuzz campaign.  Writes nothing into the tree.
+# fixed-seed fuzz campaign.  Writes nothing into the tree.  Ends by
+# printing the size of src/ in lines, the figure the change log tracks.
 check:
 	PYTHONPATH=src $(PYTHON) -m compileall -q src
 	PYTHONPATH=src $(PYTHON) -X dev -m pytest tests/ -x -q \
@@ -34,6 +35,7 @@ check:
 	$(MAKE) examples
 	$(MAKE) fuzz-campaign
 	@echo "check passed"
+	@echo "src/ lines: $$(find src -name '*.py' | xargs cat | wc -l)"
 
 # The continuous campaign (~90 s budget): deterministic coverage
 # preamble over every execution surface (scalar, batched, packed,

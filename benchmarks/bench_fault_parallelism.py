@@ -1,10 +1,11 @@
-"""Extension benchmark — lane-parallel vs serial fault simulation.
+"""Extension benchmark — pattern-parallel vs serial fault simulation.
 
 The §3 observation that the PC-set method is "amenable to bit-parallel
-simulation" pays off hardest in fault grading: one run carries
-``word_width - 1`` faulty machines.  This benchmark grades the same
-fault universe with the serial (one event-driven run per fault) and
-the lane-parallel engines and reports the speedup.
+simulation" pays off hardest in fault grading: one pass carries
+``word_width`` test patterns with the fault pinned in every lane.  This
+benchmark grades the same fault universe with the serial (one
+event-driven run per fault) and the pattern-parallel engines and
+reports the speedup.
 """
 
 import pytest
@@ -43,12 +44,12 @@ def test_parallel_fault_sim(benchmark, word_width):
     from repro.faults.simulator import ParallelFaultSimulator
 
     circuit, vectors, faults = _workload()
-    # Compilation happens once (instrument="all") and is excluded from
-    # the timed region, matching the paper's methodology.
+    # The instrumented program is compiled once, outside the timed
+    # region, matching the paper's methodology.
     sim = ParallelFaultSimulator(
         circuit, word_width=word_width, backend=BACKEND
     )
-    sim.run(vectors[:1], faults)  # warm-up: builds + compiles
+    sim.warm_up()
     benchmark.group = "fault-sim"
     benchmark.pedantic(
         lambda: sim.run(vectors, faults),
@@ -81,5 +82,6 @@ def test_fault_parallelism_report(benchmark):
                f"(backend={BACKEND})"),
     )
     write_report("fault_parallelism", table)
-    # The 32-bit lane-parallel engine must beat one-at-a-time serial.
+    # The 32-bit pattern-parallel engine must beat one-at-a-time
+    # serial.
     assert _results["parallel32"] < _results["serial"]

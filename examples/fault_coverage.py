@@ -3,11 +3,11 @@
 bit-parallel compiled simulation.
 
 The PC-set method's generated code is purely bit-wise, so one run can
-carry 31 faulty machines alongside the fault-free one (one per bit
-lane).  This example grades a random test set against every stuck-at
-fault of a 4-bit ripple adder, cross-checks the lane-parallel engine
-against one-fault-at-a-time serial simulation, and shows a provably
-undetectable (redundant) fault.
+carry 32 test patterns (one per bit lane) with a fault pinned in every
+lane.  This example grades a random test set against every stuck-at
+fault of a 4-bit ripple adder, cross-checks the pattern-parallel
+engine against one-fault-at-a-time serial simulation, and shows a
+provably undetectable (redundant) fault.
 
 Run:  python examples/fault_coverage.py
 """

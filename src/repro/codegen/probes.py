@@ -381,7 +381,6 @@ def instrument_lcc_program(
             Bin("&", Var(pv), Un("~", Var(sel))),
             Un("popcount", Bin("&", x, Var(top))),
         )))
-    program.validate()
     plan = ProbePlan(
         "lcc", spec, tuple(nets), toggle_slots, None,
         # Scalar passes count one lane, packed passes up to word_width
@@ -448,7 +447,6 @@ def instrument_parallel_program(
             Bin(">>", Var(field.top), Const(w - 1)),
         ))]))
         max_bits = max(max_bits, field.num_words * w)
-    program.validate()
     plan = ProbePlan(
         "parallel", spec, nets, toggle_slots, functional_slots,
         max_increment=max_bits,
@@ -513,7 +511,6 @@ def instrument_pcset_program(
         max_samples = max(max_samples, len(samples))
     # Final-value captures run before everything else in the pass.
     program.init[:0] = prelude
-    program.validate()
     plan = ProbePlan(
         "pcset", spec, nets, toggle_slots, functional_slots,
         max_increment=max_samples - 1,

@@ -402,6 +402,12 @@ class Program:
         they are cheap to debug.  Input slots must lie inside the
         declared vector width — an out-of-range slot would read past
         the vector buffer on the C backend.
+
+        The emitters (:func:`~repro.codegen.c_emitter.emit_c`,
+        :func:`~repro.codegen.python_emitter.emit_python`) call this
+        once per render; every program, generated, instrumented or
+        hand-built, passes through one of them before it runs, so
+        generators do not repeat the check.
         """
         for stmt in self.statements():
             if isinstance(stmt, (Assign, Emit)):

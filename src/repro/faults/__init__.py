@@ -4,15 +4,16 @@ The paper stresses (§3, §6) that the PC-set method — unlike the
 parallel technique — is "amenable to bit-parallel simulation" because
 its generated code is purely bit-wise.  Historically that is exactly
 what made bit-parallel compiled simulation matter: *parallel fault
-simulation*, where bit lane 0 carries the fault-free machine and every
-other lane carries one faulty machine.  This subpackage implements
-that application end to end:
+simulation*.  Here the bit lanes carry test patterns and each fault is
+pinned in every lane (parallel-pattern single-fault propagation,
+PPSFP).  This subpackage implements that application end to end:
 
 - :mod:`repro.faults.model` — stuck-at faults, fault-list generation,
   and circuit transformation for the serial reference simulator;
-- :mod:`repro.faults.simulator` — lane-parallel fault simulation by
-  instrumenting the generated PC-set program with per-net lane masks,
-  plus the brute-force serial simulator it is validated against;
+- :mod:`repro.faults.simulator` — pattern-parallel fault simulation by
+  instrumenting the generated PC-set program with per-net mask/value
+  inputs, plus the brute-force serial simulator it is validated
+  against;
 - :mod:`repro.faults.sharding` — the fault list sharded across a
   multiprocess worker pool, merged bit-identically to the
   single-process run (``run_fault_simulation(workers=N)``).

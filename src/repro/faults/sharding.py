@@ -1,7 +1,7 @@
 """Sharded multiprocess fault grading.
 
-Each stuck-at fault's grading pass is independent (the PPSFP shape of
-:mod:`repro.faults.simulator`), so the fault list parallelizes the way
+Each stuck-at fault's detection screen is independent (the PPSFP loop
+of :mod:`repro.faults.simulator`), so the fault list parallelizes the way
 GSIM/Manticore partition simulation work: split it into contiguous
 *shards*, grade each shard in a worker process, and merge the per-shard
 outcomes back into one report.  The merge is deterministic — shards are
@@ -16,8 +16,8 @@ Robustness over raw parallelism:
   simulator once per worker and pre-compiles its machine
   (:meth:`ParallelFaultSimulator.warm_up`), so backend compilation —
   gcc, on the C backend — runs once per worker instead of once per
-  shard; the packed good pre-pass is likewise memoized per worker
-  across its shards.
+  shard; the good pre-pass is likewise memoized per worker across its
+  shards.
 - *per-shard timeout and in-process retry*: results are collected in
   submission order and each shard may wait at most ``shard_timeout``
   seconds beyond the previous one; a shard that times out, raises, or
@@ -28,7 +28,7 @@ Robustness over raw parallelism:
   and the report is flagged ``degraded``.
 
 Cost model (see ``docs/algorithms.md`` §11): with ``S`` shards over
-``P`` workers, packed grading pays one warm-up (program generation +
+``P`` workers, grading pays one warm-up (program generation +
 compile) per worker and one good pre-pass per worker (memoized across
 that worker's shards), then the per-fault detection screens split
 ``S/P`` ways — so wall-clock approaches ``warmup + good + screens/P``
@@ -71,9 +71,8 @@ class GradingConfig:
     """
 
     __slots__ = (
-        "circuit", "vectors", "word_width", "backend", "patterns",
-        "instrument", "initial", "drop_detected", "telemetry",
-        "fail_shards", "fail_mode", "delay_shards", "probes",
+        "circuit", "vectors", "word_width", "backend", "initial",
+        "telemetry", "fail_shards", "fail_mode", "delay_shards", "probes",
     )
 
     def __init__(
@@ -83,10 +82,7 @@ class GradingConfig:
         *,
         word_width: int = 32,
         backend: str = "python",
-        patterns: str = "auto",
-        instrument: str = "all",
         initial: Optional[Sequence[int]] = None,
-        drop_detected: bool = True,
         fail_shards: frozenset = frozenset(),
         fail_mode: str = "raise",
         delay_shards: Optional[dict] = None,
@@ -96,10 +92,7 @@ class GradingConfig:
         self.vectors = vectors
         self.word_width = word_width
         self.backend = backend
-        self.patterns = patterns
-        self.instrument = instrument
         self.initial = initial
-        self.drop_detected = drop_detected
         # Captured at construction: workers must collect telemetry
         # exactly when the parent process was collecting it.
         self.telemetry = telemetry.enabled()
@@ -113,8 +106,6 @@ class GradingConfig:
             self.circuit,
             word_width=self.word_width,
             backend=self.backend,
-            instrument=self.instrument,
-            patterns=self.patterns,
             probes=self.probes,
         )
 
@@ -322,10 +313,7 @@ def _grade_with(
         return (counters.batches, counters.vectors, counters.seconds)
 
     before = counter_snapshot()
-    report = sim.run(
-        config.vectors, faults,
-        initial=config.initial, drop_detected=config.drop_detected,
-    )
+    report = sim.run(config.vectors, faults)
     after = counter_snapshot()
     cache_after = cache.stats()
     outcome = ShardOutcome(
@@ -453,9 +441,6 @@ def run_sharded_fault_simulation(
     word_width: int = 32,
     backend: str = "python",
     initial: Optional[Sequence[int]] = None,
-    patterns: str = "auto",
-    instrument: str = "all",
-    drop_detected: bool = True,
     workers: Optional[int] = None,
     shards: Optional[int] = None,
     mp_start: str = "auto",
@@ -469,7 +454,7 @@ def run_sharded_fault_simulation(
 
     ``workers`` defaults to ``os.cpu_count()``; ``shards`` defaults to
     ``2 * workers`` (load balancing without paying too many redundant
-    packed good pre-passes — see the module docstring's cost model).
+    good pre-passes — see the module docstring's cost model).
     ``mp_start`` is ``"fork"``, ``"spawn"``, or ``"auto"`` (fork where
     available).  ``shard_timeout`` bounds, per shard, how long the
     collection loop waits beyond the previously collected shard;
@@ -507,9 +492,7 @@ def run_sharded_fault_simulation(
     start_method = _resolve_start_method(mp_start)
     config = GradingConfig(
         circuit, [list(vector) for vector in vectors],
-        word_width=word_width, backend=backend, patterns=patterns,
-        instrument=instrument, initial=initial,
-        drop_detected=drop_detected,
+        word_width=word_width, backend=backend, initial=initial,
         fail_shards=frozenset(_fail_shards), fail_mode=_fail_mode,
         delay_shards=_delay_shards, probes=probes,
     )

@@ -1,62 +1,45 @@
-"""Parallel (lane-per-fault) stuck-at fault simulation.
+"""Pattern-parallel stuck-at fault simulation (PPSFP).
 
-Bit lane 0 of every word carries the fault-free machine; each further
-lane carries one faulty machine.  The PC-set program makes this almost
-free: its generated code is purely bit-wise (§3), so the only addition
-is, after every write to a variable of a *faulted* net, one masking
-statement
+The PC-set program is purely bit-wise (§3), so its bit lanes can carry
+*patterns*: lane ``j`` of a pass simulates vector ``g * W + j`` of
+pattern group ``g`` (see :mod:`repro.codegen.packing`).  Faults are
+injected by one instrumented program covering every net: after each
+write to a net's variable it runs one masking statement
 
     N_t = (N_t & FMASK) | FVAL
 
-where ``FMASK``/``FVAL`` are per-net extra input words pinning the
-faulty lanes to their stuck values and leaving every other lane
-untouched.  Faults are processed in batches of ``word_width - 1``; a
-fault is *detected* by a vector when any monitored output's settled
-value differs from lane 0's.
+where ``FMASK``/``FVAL`` are per-net extra input words.  All-ones masks
+and zero values leave the machine fault-free; ``FMASK = 0`` with
+``FVAL`` replicated pins the net to its stuck value in every lane.
+
+Grading a fault list is then one loop:
+
+1. *good-machine pre-pass*: the unpinned machine runs all ``N``
+   vectors pattern-packed, ``ceil(N / W)`` compiled passes;
+2. *per-fault detection screen*: each fault is pinned in every lane and
+   pattern groups run in order; the first group whose monitored outputs
+   differ from the good words yields the detecting lane, i.e. the
+   first detecting vector, and the remaining groups are skipped.
+
+Detection compares settled monitored values only, and in an acyclic
+circuit an input-driven net's settled value depends on the current
+inputs alone, so no pass threads state from the previous vector.
+Constant-cone nets are the one exception: their settled values live in
+state variables, so every screen reloads the replicated good steady
+state first.  A circuit with no inputs is all constant cone and grades
+the same way.
 
 :func:`serial_fault_simulation` is the brute-force reference — one
 full event-driven simulation per fault on an injected circuit — used
-to validate the parallel engine and for small jobs.
-
-Pattern-lane packed grading (PPSFP shape)
------------------------------------------
-The PC-set program is shift-free, so its lanes can carry *patterns*
-instead of faults (see :mod:`repro.codegen.packing`).  Detection only
-compares settled monitored values, and in an acyclic circuit an
-input-driven net's settled value depends on the current inputs alone —
-so packed passes need no vector-to-vector state threading and are
-exactly equivalent to the scalar lane loop.  (Constant-cone nets are
-the one exception: their settled values live in state variables, so
-every scan reloads the replicated good steady state first — the packed
-counterpart of the scalar mode's per-batch seeding.)  With
-``patterns="packed"`` (the ``"auto"`` default picks it whenever the
-program is shift-free) grading becomes:
-
-1. *good-machine pre-pass*: the instrumented machine with no fault
-   pinned runs all ``N`` vectors pattern-packed —
-   ``ceil(N / W)`` compiled passes total;
-2. *per-fault detection screen*: each fault is pinned in **every**
-   lane (``FMASK = 0``, ``FVAL`` replicated) and pattern groups run
-   packed in order; the first group whose outputs differ from the good
-   words yields the detecting lane, i.e. the first detecting vector,
-   and the remaining groups are skipped.
-
-Cost drops from ``ceil(F / (W-1)) × N`` passes toward
-``ceil(N / W)`` + one pass per easily-detected fault (bounded by
-``F × ceil(N / W)`` when nothing is detectable) — the classic
-parallel-pattern single-fault-propagation trade.  Fault batches are
-retained purely to share the instrumented machine (they still bound
-compilation with ``instrument="batch"``).  Programs with shifts could
-never take this path; the constructor refuses ``patterns="packed"``
-for them and ``"auto"`` falls back to the scalar lane loop.
+to validate the compiled screen and for small jobs.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.packing import bit_block, is_shift_free, pack_patterns
+from repro.codegen.packing import bit_block, pack_patterns
 from repro.codegen.probes import ProbeSpec
 from repro.codegen.program import Assign, Bin, Emit, Input, Program, Var
 from repro.codegen.runtime import compile_program
@@ -66,7 +49,7 @@ from repro.eventsim.zerodelay import steady_state
 from repro.faults.model import Fault, full_fault_list, inject_stuck_at
 from repro.netlist.circuit import Circuit
 from repro.pcset.codegen import generate_pcset_program
-from repro.simbase import check_pinned
+from repro.simbase import check_pinned, monitored_nets
 
 __all__ = [
     "FaultReport",
@@ -148,37 +131,14 @@ class FaultReport:
 
 
 class ParallelFaultSimulator:
-    """Lane-parallel stuck-at fault simulation over the PC-set program.
+    """Pattern-parallel stuck-at fault simulation over the PC-set program.
 
-    ``instrument`` selects the injection strategy:
-
-    - ``"all"`` (default): one program with mask/value inputs for
-      *every* net, compiled once and reused for every fault batch —
-      the right trade when many batches run (compilation is paid once,
-      as the paper's methodology assumes);
-    - ``"batch"``: a lean program instrumented only at the nets of the
-      current batch, recompiled per batch — smaller and faster per
-      step, worthwhile when the fault list is short.
-
-    ``patterns`` selects what the bit lanes carry:
-
-    - ``"scalar"``: lanes carry faults, vectors run one per pass — the
-      original lane-per-fault loop;
-    - ``"packed"``: lanes carry patterns (PPSFP shape, see the module
-      docstring): a packed good pre-pass plus per-fault packed
-      detection screens with the fault pinned in every lane.  Raises
-      if the program is not shift-free;
-    - ``"auto"`` (default): ``"packed"`` when eligible, else
-      ``"scalar"``.  The two modes produce identical reports.
-
+    One instrumented program with mask/value inputs for every net is
+    compiled on first use (or by :meth:`warm_up`) and grades every
+    fault list given to :meth:`run` (see the module docstring).
     ``partitions`` and ``tiles`` must be 1 (see
     :func:`~repro.simbase.check_pinned`).
     """
-
-    #: Vectors per batched machine call.  Large enough to amortize the
-    #: dispatch into the generated ``run_block`` loop, small enough that
-    #: ``drop_detected`` still exits early on easy fault batches.
-    CHUNK_VECTORS = 128
 
     def __init__(
         self,
@@ -187,88 +147,52 @@ class ParallelFaultSimulator:
         word_width: int = 32,
         backend: str = "python",
         monitored: Optional[list[str]] = None,
-        instrument: str = "all",
-        patterns: str = "auto",
         tiles: int = 1,
         partitions: int = 1,
         probes=None,
     ) -> None:
         check_pinned(partitions, tiles)
-        if instrument not in ("all", "batch"):
-            raise SimulationError(
-                f"instrument must be 'all' or 'batch': {instrument!r}"
-            )
-        if patterns not in ("auto", "packed", "scalar"):
-            raise SimulationError(
-                f"patterns must be 'auto', 'packed' or 'scalar': "
-                f"{patterns!r}"
-            )
         self.circuit = circuit
         self.word_width = word_width
         self.backend = backend
-        self.instrument = instrument
-        self.monitored = (
-            list(monitored) if monitored is not None else circuit.outputs
-        )
+        self.monitored = monitored_nets(circuit, monitored)
         if not self.monitored:
             raise SimulationError("no monitored outputs to detect with")
-        # The uninstrumented program is generated once; instrumentation
-        # splices in masking statements (statement objects are
-        # immutable, so sharing them across programs is safe).
         self._base, self.variables = generate_pcset_program(
             circuit,
             word_width=word_width,
             monitored=self.monitored,
             emit_outputs=False,
         )
-        self._owner_of = {
-            identifier: net_name
-            for net_name, _t, identifier in self.variables.ordered
+        # Every net's index among the mask/value input pairs, in sorted
+        # net order (see _instrumented_program).
+        self._slot = {
+            net_name: k for k, net_name in enumerate(sorted(circuit.nets))
         }
-        self.lanes_per_batch = word_width - 1
-        self._all_machine = None
-        self._all_nets = sorted(circuit.nets)
-        # Packed-mode good-pre-pass memo: (groups, goods).  The good
-        # words depend only on the circuit, word width and vectors (the
-        # unfaulted splices are identities whichever machine runs
-        # them), so repeated run() calls over the same vectors — the
-        # sharded grading shape — reuse them instead of re-running the
-        # pre-pass per shard.  ``goods`` is group-major, one word per
-        # monitored output.
+        self._machine = None
+        # Good-pre-pass memo: (groups, goods).  The good words depend
+        # only on the circuit, word width and vectors, so repeated run()
+        # calls over the same vectors — the sharded grading shape —
+        # reuse them instead of re-running the pre-pass per shard.
+        # ``goods`` is group-major, one word per monitored output.
         self._goods_memo: Optional[tuple[list[list[int]], list[int]]] = None
-        # The instrumentation only splices in &/| masking statements, so
-        # pattern-packing eligibility is decided by the base program.
-        self._pack_eligible = (
-            is_shift_free(self._base) and bool(circuit.inputs)
-        )
-        if patterns == "packed" and not self._pack_eligible:
-            raise SimulationError(
-                "patterns='packed' requires a shift-free program with "
-                "primary inputs"
-            )
-        self.patterns = patterns
         #: Good-machine switching probes (see :meth:`good_activity`).
         self.probes = ProbeSpec.coerce(probes)
         self._activity_memo = None
 
     def warm_up(self) -> None:
-        """Pre-build and compile the shared all-nets machine.
+        """Build and compile the instrumented machine now.
 
-        A no-op with ``instrument="batch"`` (those machines are
-        per-batch by design).  Sharded grading calls this once per
-        worker process, so backend compilation — gcc, on the C
-        backend — runs once per worker instead of once per shard.
+        Sharded grading calls this once per worker process, so backend
+        compilation — gcc, on the C backend — runs once per worker
+        instead of once per shard.
         """
-        if self.instrument == "all":
-            self._machine_for(self._all_nets)
+        self._compiled()
 
     def batch_counters(self):
-        """The shared machine's live :class:`BatchCounters`.
-
-        ``None`` until an ``instrument="all"`` machine exists (i.e.
-        before any run, or always in ``"batch"`` mode).
-        """
-        machine = self._all_machine
+        """The machine's live :class:`BatchCounters` (``None`` before
+        the machine is built)."""
+        machine = self._machine
         return None if machine is None else machine.counters
 
     def good_activity(
@@ -282,9 +206,9 @@ class ParallelFaultSimulator:
         (a probed PC-set simulator seeded from the ``initial`` steady
         state) and returns its
         :class:`~repro.activity.ActivityReport`.  The counters are
-        fault-independent — exactly like the packed good pre-pass —
-        so the report is memoized per simulator: sharded grading pays
-        one probed pass per worker regardless of shard count, and the
+        fault-independent — exactly like the good pre-pass — so the
+        report is memoized per simulator: sharded grading pays one
+        probed pass per worker regardless of shard count, and the
         outcome merged from any shard is bit-identical to the
         single-process run.
         """
@@ -316,37 +240,28 @@ class ParallelFaultSimulator:
         self._activity_memo = (key, report)
         return report
 
-    def _machine_for(self, faulted_nets: list[str]):
-        """(machine, net -> (mask_slot, value_slot)) for a batch."""
-        if self.instrument == "batch":
-            program = self._instrumented_program(faulted_nets)
-            machine = compile_program(program, self.backend)
-            nets = faulted_nets
-        else:
-            machine = self._all_machine
-            if machine is None:
-                program = self._instrumented_program(self._all_nets)
-                machine = compile_program(program, self.backend)
-                self._all_machine = machine
-            nets = self._all_nets
-        base_inputs = len(self._base.inputs)
-        slots = {
-            net_name: (base_inputs + k, base_inputs + len(nets) + k)
-            for k, net_name in enumerate(nets)
-        }
-        return machine, nets, slots
+    def _compiled(self):
+        """The instrumented machine, built on first use."""
+        if self._machine is None:
+            self._machine = compile_program(
+                self._instrumented_program(), self.backend
+            )
+        return self._machine
 
     # ------------------------------------------------------------------
-    def _instrumented_program(
-        self, faulted_nets: list[str]
-    ) -> Program:
+    def _instrumented_program(self) -> Program:
+        """The base program with a mask/value input pair for every net:
+        ``FMASK`` in slot ``len(base.inputs) + k`` and ``FVAL`` in slot
+        ``len(base.inputs) + len(nets) + k`` for the ``k``-th net in
+        sorted order."""
         base = self._base
+        nets = list(self._slot)
         program = Program(
             f"{base.name}_faulty",
             word_width=base.word_width,
             inputs=list(base.inputs)
-            + [f"{n}__fm" for n in faulted_nets]
-            + [f"{n}__fv" for n in faulted_nets],
+            + [f"{n}__fm" for n in nets]
+            + [f"{n}__fv" for n in nets],
             mask_assignments=False,
             output_mask=base.word_mask,
         )
@@ -356,25 +271,20 @@ class ParallelFaultSimulator:
         program.temp_vars = base.temp_vars
         program._temp_set = base._temp_set
 
-        slot_of_mask = {
-            net_name: len(base.inputs) + k
-            for k, net_name in enumerate(faulted_nets)
+        owner_of = {
+            identifier: net_name
+            for net_name, _t, identifier in self.variables.ordered
         }
-        slot_of_value = {
-            net_name: len(base.inputs) + len(faulted_nets) + k
-            for k, net_name in enumerate(faulted_nets)
-        }
-        faulted = set(faulted_nets)
-
         touched: set[str] = set()
 
         def mask_stmt(dest: str, net_name: str) -> Assign:
+            k = len(base.inputs) + self._slot[net_name]
             return Assign(
                 dest,
                 Bin(
                     "|",
-                    Bin("&", Var(dest), Input(slot_of_mask[net_name])),
-                    Input(slot_of_value[net_name]),
+                    Bin("&", Var(dest), Input(k)),
+                    Input(k + len(nets)),
                 ),
             )
 
@@ -383,8 +293,8 @@ class ParallelFaultSimulator:
             for stmt in section:
                 out.append(stmt)
                 if isinstance(stmt, Assign):
-                    net_name = self._owner_of.get(stmt.dest)
-                    if net_name in faulted:
+                    net_name = owner_of.get(stmt.dest)
+                    if net_name is not None:
                         touched.add(net_name)
                         out.append(mask_stmt(stmt.dest, net_name))
             return out
@@ -394,17 +304,16 @@ class ParallelFaultSimulator:
         # Nets the program never assigns (constant signals) still need
         # their faulty lanes pinned: mask their variables once per
         # vector at the top of the init section.
-        leading: list[Assign] = []
-        for net_name, _time, identifier in self.variables.ordered:
-            if net_name in faulted and net_name not in touched:
-                leading.append(mask_stmt(identifier, net_name))
-        if leading:
-            program.init = leading + program.init
+        leading = [
+            mask_stmt(identifier, net_name)
+            for net_name, _time, identifier in self.variables.ordered
+            if net_name not in touched
+        ]
+        program.init = leading + program.init
         program.output = [
             Emit(Var(self.variables.final_var(m)), (m,))
             for m in self.monitored
         ]
-        program.validate()
         return program
 
     # ------------------------------------------------------------------
@@ -412,19 +321,8 @@ class ParallelFaultSimulator:
         self,
         vectors: Sequence[Sequence[int]],
         faults: Optional[Sequence[Fault]] = None,
-        *,
-        initial: Optional[Sequence[int]] = None,
-        drop_detected: bool = True,
     ) -> FaultReport:
-        """Simulate ``vectors`` against ``faults`` (default: all).
-
-        ``initial`` seeds the pre-existing steady state (default all
-        zeros); it is not a detection opportunity.  With
-        ``drop_detected`` a batch stops early once all its faults are
-        detected.  (In packed-pattern mode detection compares only
-        settled values, so ``initial`` cannot influence the report and
-        each fault's scan always stops at its first detecting group —
-        ``drop_detected`` has nothing further to drop.)
+        """Grade ``faults`` (default: all) over ``vectors``.
 
         Every vector must hold one integer per primary input; a vector
         of the wrong length or a non-integer value raises
@@ -437,218 +335,69 @@ class ParallelFaultSimulator:
         for fault in faults:
             if fault.net not in self.circuit.nets:
                 raise SimulationError(f"no such net: {fault.net!r}")
-        if initial is None:
-            initial = [0] * len(self.circuit.inputs)
-        settled = steady_state(self.circuit, initial)
-        mask = (1 << self.word_width) - 1
-        packed = self.patterns == "packed" or (
-            self.patterns == "auto" and self._pack_eligible
+        machine = self._compiled()
+        width = self.word_width
+        mask = (1 << width) - 1
+        groups, lane_counts = pack_patterns(
+            [[v & 1 for v in vector] for vector in vectors], width
         )
-        if packed:
-            groups, lane_counts = pack_patterns(
-                [[v & 1 for v in vector] for vector in vectors],
-                self.word_width,
-            )
-            # Nets in a constant cone keep their settled value in a
-            # *state* variable that passes read but (when unfaulted)
-            # never recompute; a fault pinned on such a net would
-            # poison it for every later fault.  Each scan therefore
-            # reloads this replicated steady state, like the scalar
-            # mode does per batch.  For input-driven nets the load is
-            # scratch (overwritten every pass), so any settled state
-            # gives the same — serial-identical — finals.
-            state_words = [
-                (-(settled[net_name] & 1)) & mask
-                for net_name, _t, _i in self.variables.ordered
-            ]
-            # The good words are fault-independent (every mask input is
-            # all-ones, so the splices are identities) — computed once,
-            # shared by every batch whichever machine it compiles, and
-            # memoized across run() calls over the same vectors.
-            goods: Optional[list[int]] = None
-            if self._goods_memo is not None and self._goods_memo[0] == groups:
-                goods = self._goods_memo[1]
-
-        detected: dict[Fault, int] = {}
-        undetected: list[Fault] = []
-        for start in range(0, len(faults), self.lanes_per_batch):
-            batch = list(faults[start:start + self.lanes_per_batch])
-            if packed:
-                outcome, goods = self._run_batch_packed(
-                    batch, groups, lane_counts, mask, goods, state_words,
-                )
-            else:
-                with telemetry.span("fault.screen"):
-                    outcome = self._run_batch(
-                        batch, vectors, initial, settled, mask,
-                        drop_detected,
-                    )
-            for fault, first in zip(batch, outcome):
-                if first is None:
-                    undetected.append(fault)
-                else:
-                    detected[fault] = first
-        if packed and goods is not None:
-            self._goods_memo = (groups, goods)
-        return FaultReport(detected, undetected, len(vectors))
-
-    def _run_batch(
-        self,
-        batch: list[Fault],
-        vectors: Sequence[Sequence[int]],
-        initial: Sequence[int],
-        settled: Mapping[str, int],
-        mask: int,
-        drop_detected: bool,
-    ) -> list[Optional[int]]:
-        faulted_nets = sorted({fault.net for fault in batch})
-        machine, nets, _slots = self._machine_for(faulted_nets)
-
-        # Lane assignment: lane 0 good, lane k+1 = batch[k].
-        fault_mask = {n: mask for n in nets}
-        fault_value = {n: 0 for n in nets}
-        lane_of: list[int] = []
-        for k, fault in enumerate(batch):
-            lane = k + 1
-            lane_of.append(lane)
-            fault_mask[fault.net] &= ~(1 << lane) & mask
-            if fault.value:
-                fault_value[fault.net] |= 1 << lane
-
-        extra = (
-            [fault_mask[n] for n in nets]
-            + [fault_value[n] for n in nets]
-        )
-
-        def vector_words(vector: Sequence[int]) -> list[int]:
-            return [(-(v & 1)) & mask for v in vector] + extra
-
-        # Seed: replicated good steady state, then one warm-up pass on
-        # the initial vector lets every faulty lane settle to its own
-        # steady state (one pass suffices: the program evaluates in
-        # levelized order with the fault masks applied at each write).
-        machine.load_state([
+        # Nets in a constant cone keep their settled value in a *state*
+        # variable that passes read but (when unfaulted) never
+        # recompute; a fault pinned on such a net would poison it for
+        # every later fault.  Each screen therefore reloads this
+        # replicated steady state.  For input-driven nets the load is
+        # scratch (overwritten every pass).
+        settled = steady_state(self.circuit, [0] * len(self.circuit.inputs))
+        state_words = [
             (-(settled[net_name] & 1)) & mask
             for net_name, _t, _i in self.variables.ordered
-        ])
-        machine.step(vector_words(initial))
+        ]
+        unpinned = [mask] * len(self._slot) + [0] * len(self._slot)
+        if self._goods_memo is not None and self._goods_memo[0] == groups:
+            goods = self._goods_memo[1]
+        else:
+            goods = []
+            if groups:
+                with telemetry.span("fault.good"):
+                    machine.load_state(state_words)
+                    machine.run_packed_block(
+                        [group + unpinned for group in groups],
+                        goods,
+                        vectors_represented=len(vectors),
+                    )
+            self._goods_memo = (groups, goods)
 
-        # Vectors run through the machine in chunks: one batched
-        # ``step_many`` call keeps the vector loop inside the generated
-        # code, and the detection scan walks the collected outputs
-        # afterwards.  Chunking (rather than one giant batch) preserves
-        # the drop_detected early exit to within a chunk.
-        first_detection: list[Optional[int]] = [None] * len(batch)
-        remaining = len(batch)
-        for start in range(0, len(vectors), self.CHUNK_VECTORS):
-            chunk = vectors[start:start + self.CHUNK_VECTORS]
-            outputs = machine.step_many(
-                [vector_words(vector) for vector in chunk], masked=True
-            )
-            done = False
-            for offset, out in enumerate(outputs):
-                diff = 0
-                for word in out:
-                    good = -(word & 1)  # lane-0 value replicated
-                    diff |= (word ^ good) & mask
-                if not diff:
-                    continue
-                for k, lane in enumerate(lane_of):
-                    if first_detection[k] is None and (diff >> lane) & 1:
-                        first_detection[k] = start + offset
-                        remaining -= 1
-                if drop_detected and remaining == 0:
-                    done = True
-                    break
-            if done:
-                break
-        return first_detection
-
-    # ------------------------------------------------------------------
-    # packed-pattern mode (PPSFP shape)
-    # ------------------------------------------------------------------
-    def _run_batch_packed(
-        self,
-        batch: list[Fault],
-        groups: list[list[int]],
-        lane_counts: list[int],
-        mask: int,
-        goods: Optional[list[int]],
-        state_words: list[int],
-    ) -> tuple[list[Optional[int]], list[int]]:
-        """First detections for a fault batch, patterns in the lanes.
-
-        Input-driven finals depend on the current lane inputs alone
-        (the circuit is acyclic and the fault is pinned at every
-        write), so no warm-up pass is needed.  Constant-cone finals
-        live in state variables instead; ``state_words`` (the
-        replicated good steady state) is reloaded before every scan so
-        a fault pinned on a constant net cannot leak into the next
-        fault's comparison.
-        """
-        faulted_nets = sorted({fault.net for fault in batch})
-        machine, nets, _slots = self._machine_for(faulted_nets)
-        if goods is None:
-            with telemetry.span("fault.good"):
-                goods = self._good_packed(
-                    machine, nets, groups, lane_counts, state_words
-                )
         n_out = machine.num_outputs
-        first_detection: list[Optional[int]] = []
-        for fault in batch:
+        detected: dict[Fault, int] = {}
+        undetected: list[Fault] = []
+        for fault in faults:
             with telemetry.span("fault.screen"):
-                # Pin the fault in *every* lane: FMASK drops to zero
-                # and FVAL replicates the stuck value across the word.
-                extra = [0 if n == fault.net else mask for n in nets] + [
-                    (mask if fault.value else 0) if n == fault.net else 0
-                    for n in nets
-                ]
+                # Pin the fault in every lane: FMASK drops to zero and
+                # FVAL replicates the stuck value across the word.
+                k = self._slot[fault.net]
+                pinned = list(unpinned)
+                pinned[k] = 0
+                pinned[len(self._slot) + k] = mask if fault.value else 0
                 machine.load_state(state_words)
                 first: Optional[int] = None
                 for g, (group, lanes) in enumerate(zip(groups, lane_counts)):
                     out: list[int] = []
                     machine.run_packed_block(
-                        [group + extra], out, vectors_represented=lanes
+                        [group + pinned], out, vectors_represented=lanes
                     )
                     diff = 0
                     for o in range(n_out):
                         diff |= out[o] ^ goods[g * n_out + o]
-                    diff &= (
-                        mask if lanes == self.word_width
-                        else (1 << lanes) - 1
-                    )
+                    diff &= mask if lanes == width else (1 << lanes) - 1
                     if diff:
                         lowest = (diff & -diff).bit_length() - 1
-                        first = g * self.word_width + lowest
+                        first = g * width + lowest
                         break
-                first_detection.append(first)
-        return first_detection, goods
-
-    def _good_packed(
-        self,
-        machine,
-        nets: list[str],
-        groups: list[list[int]],
-        lane_counts: list[int],
-        state_words: list[int],
-    ) -> list[int]:
-        """Good-machine pre-pass: output words, group-major
-        (``goods[g * n_out + o]``).
-
-        All-ones masks and zero values leave every lane unfaulted, so
-        these are the fault-free settled outputs of every pattern.
-        """
-        mask = (1 << self.word_width) - 1
-        extra = [mask] * len(nets) + [0] * len(nets)
-        flat: list[int] = []
-        if groups:
-            machine.load_state(state_words)
-            machine.run_packed_block(
-                [group + extra for group in groups],
-                flat,
-                vectors_represented=sum(lane_counts),
-            )
-        return flat
+            if first is None:
+                undetected.append(fault)
+            else:
+                detected[fault] = first
+        return FaultReport(detected, undetected, len(vectors))
 
 
 def serial_fault_simulation(
@@ -701,7 +450,6 @@ def run_fault_simulation(
     word_width: int = 32,
     backend: str = "python",
     initial: Optional[Sequence[int]] = None,
-    patterns: str = "auto",
     tiles: int = 1,
     workers: int = 1,
     shards: Optional[int] = None,
@@ -715,8 +463,9 @@ def run_fault_simulation(
     With ``workers > 1`` the fault list is sharded across a worker
     pool (:mod:`repro.faults.sharding`) and the merged report — a
     :class:`~repro.faults.sharding.ShardedFaultReport` — is
-    bit-identical to the single-process run.  ``shards``, ``mp_start``
-    and ``shard_timeout`` tune that path and are ignored otherwise.
+    bit-identical to the single-process run; a count below 1 raises
+    :class:`SimulationError`.  ``shards``, ``mp_start`` and
+    ``shard_timeout`` tune that path and are ignored otherwise.
     ``partitions`` and ``tiles`` must be 1 (see
     :func:`~repro.simbase.check_pinned`).
 
@@ -726,16 +475,20 @@ def run_fault_simulation(
     the ``workers > 1`` report type stays :class:`ShardedFaultReport`).
 
     ``probes`` additionally grades *switching activity*: the fault-free
-    machine runs once with compiled-in toggle counters and the report
-    gains an ``activity`` attribute
-    (:class:`~repro.activity.ActivityReport`) — in sharded mode the
-    per-net counters ride the shard outcomes and the parent keeps the
-    lowest-indexed copy, bit-identical to the single-process run.
+    machine runs once with compiled-in toggle counters, seeded from the
+    ``initial`` steady state (default all zeros), and the report gains
+    an ``activity`` attribute (:class:`~repro.activity.ActivityReport`)
+    — in sharded mode the per-net counters ride the shard outcomes and
+    the parent keeps the lowest-indexed copy, bit-identical to the
+    single-process run.  Detection compares settled values only, so
+    ``initial`` never changes which vector detects a fault.
     """
     check_pinned(partitions, tiles)
+    if workers < 1:
+        raise SimulationError(f"workers must be >= 1: {workers}")
     if faults is not None:
         faults = list(faults)
-        if not faults and workers <= 1:
+        if not faults and workers == 1:
             return FaultReport({}, [], len(vectors))
     if workers > 1:
         from repro.faults.sharding import run_sharded_fault_simulation
@@ -743,15 +496,14 @@ def run_fault_simulation(
         return run_sharded_fault_simulation(
             circuit, vectors, faults,
             word_width=word_width, backend=backend, initial=initial,
-            patterns=patterns, workers=workers, shards=shards,
+            workers=workers, shards=shards,
             mp_start=mp_start, shard_timeout=shard_timeout,
             probes=probes,
         )
     simulator = ParallelFaultSimulator(
-        circuit, word_width=word_width, backend=backend, patterns=patterns,
-        probes=probes,
+        circuit, word_width=word_width, backend=backend, probes=probes,
     )
-    report = simulator.run(vectors, faults, initial=initial)
+    report = simulator.run(vectors, faults)
     report.counters = simulator.batch_counters()
     if simulator.probes is not None:
         report.activity = simulator.good_activity(vectors, initial)

@@ -95,7 +95,7 @@ def generate_tests(
             min(chunk, max_vectors - drawn), width, seed + drawn
         )
         drawn += len(batch)
-        report = simulator.run(batch, remaining, drop_detected=False)
+        report = simulator.run(batch, remaining)
         useful = sorted(set(report.detected.values()))
         for index in useful:
             kept.append(batch[index])
@@ -128,7 +128,7 @@ def compact_tests(
     simulator = ParallelFaultSimulator(
         circuit, word_width=word_width, backend=backend
     )
-    baseline = simulator.run(vectors, universe, drop_detected=False)
+    baseline = simulator.run(vectors, universe)
     keep_indexes = sorted(set(baseline.detected.values()))
     kept = [list(vectors[i]) for i in keep_indexes]
 
@@ -136,9 +136,8 @@ def compact_tests(
     if reverse_pass and len(kept) > 1:
         for position in range(len(kept) - 1, -1, -1):
             trial = kept[:position] + kept[position + 1:]
-            report = simulator.run(trial, detectable,
-                                   drop_detected=False)
+            report = simulator.run(trial, detectable)
             if len(report.detected) == len(detectable):
                 kept = trial
-    final = simulator.run(kept, universe, drop_detected=False)
+    final = simulator.run(kept, universe)
     return TestSet(kept, final)

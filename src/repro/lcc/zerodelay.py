@@ -102,7 +102,6 @@ def _generate_lcc_program(
         program.output.append(Assign(temp, Var(names.get(d))))
     for q, temp in zip(flipflops, nexts):
         program.output.append(Assign(names.get(q), Var(temp)))
-    program.validate()
     return program
 
 

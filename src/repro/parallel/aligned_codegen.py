@@ -127,7 +127,6 @@ def _generate_aligned_program(
         _generate_outputs(
             program, layout, monitored_list, levels.depth, output_mode
         )
-    program.validate()
     return program, layout
 
 

@@ -133,7 +133,6 @@ def _generate_parallel_program(
         _generate_outputs(
             program, layout, monitored_list, levels.depth, output_mode
         )
-    program.validate()
     return program, layout
 
 

@@ -14,7 +14,7 @@ from repro.codegen.probes import ProbeSpec, instrument_parallel_program
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.parallel.codegen import generate_parallel_program
-from repro.simbase import CompiledSimulator
+from repro.simbase import CompiledSimulator, monitored_nets
 
 __all__ = ["ParallelSimulator", "OPTIMIZATIONS"]
 
@@ -78,12 +78,13 @@ class ParallelSimulator(CompiledSimulator):
                 f"choose from {OPTIMIZATIONS}"
             )
         self.optimization = optimization
+        self.monitored = monitored_nets(circuit, monitored)
         if optimization in ("none", "trim"):
             program, layout = generate_parallel_program(
                 circuit,
                 word_width=word_width,
                 trimming=(optimization == "trim"),
-                monitored=monitored,
+                monitored=self.monitored,
                 emit_outputs=with_outputs,
                 comments=comments,
             )
@@ -104,15 +105,12 @@ class ParallelSimulator(CompiledSimulator):
                 alignment,
                 word_width=word_width,
                 trimming=optimization.endswith("+trim"),
-                monitored=monitored,
+                monitored=self.monitored,
                 emit_outputs=with_outputs,
                 comments=comments,
             )
             self.alignment = alignment
         self.layout = layout
-        self.monitored = (
-            list(monitored) if monitored is not None else circuit.outputs
-        )
         self.depth = layout.levels.depth
         spec = ProbeSpec.coerce(probes)
         plan = None

@@ -143,5 +143,4 @@ def _generate_pcset_program(
                     )
                 )
 
-    program.validate()
     return program, variables

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.pcset.codegen import generate_pcset_program
-from repro.simbase import CompiledSimulator
+from repro.simbase import CompiledSimulator, monitored_nets
 
 __all__ = ["MultiVectorPCSetSimulator", "pack_lanes", "unpack_lanes"]
 
@@ -78,17 +78,15 @@ class MultiVectorPCSetSimulator(CompiledSimulator):
                 f"lanes must be in 1..{word_width}, got {lanes}"
             )
         self.lanes = lanes
+        self.monitored = monitored_nets(circuit, monitored)
         program, variables = generate_pcset_program(
             circuit,
             word_width=word_width,
-            monitored=monitored,
+            monitored=self.monitored,
             emit_outputs=with_outputs,
         )
         self.variables = variables
         self.pc_sets = variables.pc_sets
-        self.monitored = (
-            list(monitored) if monitored is not None else circuit.outputs
-        )
         super().__init__(
             circuit,
             program,

@@ -15,7 +15,7 @@ from repro.codegen.probes import ProbeSpec, instrument_pcset_program
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.pcset.codegen import generate_pcset_program
-from repro.simbase import CompiledSimulator
+from repro.simbase import CompiledSimulator, monitored_nets
 
 __all__ = ["PCSetSimulator"]
 
@@ -58,18 +58,16 @@ class PCSetSimulator(CompiledSimulator):
         probes=None,
         **backend_kwargs,
     ) -> None:
+        self.monitored = monitored_nets(circuit, monitored)
         program, variables = generate_pcset_program(
             circuit,
             word_width=word_width,
-            monitored=monitored,
+            monitored=self.monitored,
             emit_outputs=with_outputs,
             comments=comments,
         )
         self.variables = variables
         self.pc_sets = variables.pc_sets
-        self.monitored = (
-            list(monitored) if monitored is not None else circuit.outputs
-        )
         spec = ProbeSpec.coerce(probes)
         plan = None
         base_mode = None

@@ -41,7 +41,12 @@ from repro.errors import SimulationError
 from repro.eventsim.zerodelay import steady_state
 from repro.netlist.circuit import Circuit
 
-__all__ = ["CompiledSimulator", "check_pinned", "input_rows"]
+__all__ = [
+    "CompiledSimulator",
+    "check_pinned",
+    "input_rows",
+    "monitored_nets",
+]
 
 
 def check_pinned(partitions: int, tiles: int) -> None:
@@ -61,6 +66,24 @@ def check_pinned(partitions: int, tiles: int) -> None:
             "tiled and laned execution were removed; tiles must be 1: "
             f"{tiles!r}"
         )
+
+
+def monitored_nets(
+    circuit: Circuit, monitored: Optional[Sequence[str]]
+) -> list[str]:
+    """The nets a facade monitors: ``monitored``, else the primary
+    outputs.
+
+    Checked before any program is generated: a name that is not a net
+    of ``circuit`` raises :class:`SimulationError` naming it.
+    """
+    if monitored is None:
+        return circuit.outputs
+    nets = list(monitored)
+    for net_name in nets:
+        if net_name not in circuit.nets:
+            raise SimulationError(f"no such net to monitor: {net_name!r}")
+    return nets
 
 
 def input_rows(vectors, inputs: Sequence[str]) -> list:

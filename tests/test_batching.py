@@ -148,13 +148,13 @@ def test_fault_simulation_batched_path_unchanged():
     circuit = random_dag_circuit(5, num_inputs=5, num_gates=20)
     vectors = vectors_for(circuit, 40, seed=13)
     parallel = ParallelFaultSimulator(circuit, word_width=8)
-    report = parallel.run(vectors, drop_detected=False)
+    report = parallel.run(vectors)
     reference = serial_fault_simulation(circuit, vectors)
     assert report.detected == reference.detected
     assert set(report.undetected) == set(reference.undetected)
-    # drop_detected only changes how far batches run, never the result.
-    eager = ParallelFaultSimulator(circuit, word_width=8)
-    assert eager.run(vectors).detected == report.detected
+    # A second run over the same vectors reuses the memoized good
+    # words; the report must not change.
+    assert parallel.run(vectors) == report
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for stuck-at fault simulation (serial and lane-parallel)."""
+"""Tests for stuck-at fault simulation (serial and pattern-parallel)."""
 
 import pytest
 
@@ -165,13 +165,6 @@ class TestBatching:
         assert report.first_detection(Fault("A", 0)) == 0
         assert report.first_detection(Fault("A", 1)) == 1
 
-    def test_drop_detected_keeps_results(self):
-        circuit = and_gate()
-        sim = ParallelFaultSimulator(circuit, word_width=8)
-        kept = sim.run([[1, 1], [1, 0], [0, 1]], drop_detected=False)
-        dropped = sim.run([[1, 1], [1, 0], [0, 1]], drop_detected=True)
-        assert kept.detected == dropped.detected
-
 
 class TestReport:
     def test_report_metrics(self):
@@ -195,31 +188,75 @@ class TestReport:
 
 
 class TestInstrumentationModes:
-    def test_batch_mode_matches_all_mode(self):
-        circuit = ripple_carry_adder(2)
-        vectors = vectors_for(circuit, 15, seed=6)
-        faults = full_fault_list(circuit)
-        all_mode = ParallelFaultSimulator(
-            circuit, word_width=8, instrument="all"
-        ).run(vectors, faults)
-        batch_mode = ParallelFaultSimulator(
-            circuit, word_width=8, instrument="batch"
-        ).run(vectors, faults)
-        assert all_mode.detected == batch_mode.detected
-        assert set(all_mode.undetected) == set(batch_mode.undetected)
+    """The one instrumented machine: compiled once, reused by every run."""
 
     def test_all_mode_reuses_one_machine(self):
         circuit = ripple_carry_adder(2)
         sim = ParallelFaultSimulator(circuit, word_width=8)
         faults = full_fault_list(circuit)
         sim.run([[0] * 5], faults)
-        machine = sim._all_machine
+        machine = sim._machine
         sim.run([[1] * 5], faults)
-        assert sim._all_machine is machine
+        assert sim._machine is machine
 
     def test_bad_instrument_rejected(self):
-        with pytest.raises(SimulationError, match="instrument"):
+        # The per-batch programs are gone, and with them the keyword.
+        with pytest.raises(TypeError, match="instrument"):
             ParallelFaultSimulator(and_gate(), instrument="sideways")
+
+
+class TestRemovedKnobs:
+    """One engine: the knobs that chose between engines are gone."""
+
+    @staticmethod
+    def _graders():
+        from repro.faults.sharding import (
+            GradingConfig,
+            run_sharded_fault_simulation,
+        )
+
+        circuit = and_gate()
+        vectors = [[1, 1]]
+        return {
+            "ParallelFaultSimulator": lambda **kw: ParallelFaultSimulator(
+                circuit, **kw
+            ),
+            "ParallelFaultSimulator.run": lambda **kw: ParallelFaultSimulator(
+                circuit
+            ).run(vectors, **kw),
+            "run_fault_simulation": lambda **kw: run_fault_simulation(
+                circuit, vectors, **kw
+            ),
+            "run_sharded_fault_simulation": (
+                lambda **kw: run_sharded_fault_simulation(
+                    circuit, vectors, workers=1, **kw
+                )
+            ),
+            "GradingConfig": lambda **kw: GradingConfig(
+                circuit, vectors, **kw
+            ),
+        }
+
+    @pytest.mark.parametrize("entry", [
+        "ParallelFaultSimulator", "ParallelFaultSimulator.run",
+        "run_fault_simulation", "run_sharded_fault_simulation",
+        "GradingConfig",
+    ])
+    @pytest.mark.parametrize("knob, value", [
+        ("patterns", "auto"), ("instrument", "all"),
+        ("drop_detected", True),
+    ])
+    def test_knob_is_a_type_error(self, entry, knob, value):
+        # Even the old default value is refused.
+        with pytest.raises(TypeError, match=knob):
+            self._graders()[entry](**{knob: value})
+
+    def test_run_takes_no_initial_state(self):
+        # Detection compares settled values only, so a seed state could
+        # never change a report; the grading entry point that keeps
+        # ``initial`` uses it for good-machine activity alone.
+        with pytest.raises(TypeError, match="initial"):
+            ParallelFaultSimulator(and_gate()).run([[1, 1]], initial=[0, 0])
 
 
 class TestVectorValidation:
@@ -231,33 +268,43 @@ class TestVectorValidation:
         circuit = ripple_carry_adder(2)
         vectors = vectors_for(circuit, 6, seed=4)
         width = len(circuit.inputs)
+
+        def batch(rows, index):
+            # "packed": the whole list in one call, the bad vector
+            # sharing a pass with its neighbours; "scalar": the bad
+            # vector alone, the one pattern of its pass, so vector 0.
+            if patterns == "scalar":
+                return [rows[index]], 0
+            return rows, index
+
         short = [list(v) for v in vectors]
         short[3] = short[3][:-1]
+        rows, index = batch(short, 3)
         with pytest.raises(
             SimulationError,
-            match=rf"vector 3 has {width - 1} values, expected {width}",
+            match=rf"vector {index} has {width - 1} values, "
+                  rf"expected {width}",
         ):
-            run_fault_simulation(circuit, short, patterns=patterns,
-                                 backend=backend)
+            run_fault_simulation(circuit, rows, backend=backend)
         for bad in ("1", 1.0, None):
             odd = [list(v) for v in vectors]
             odd[2][1] = bad
+            rows, index = batch(odd, 2)
             with pytest.raises(
                 SimulationError,
-                match=rf"vector 2, input 1: value {bad!r} is not an "
-                      rf"integer",
+                match=rf"vector {index}, input 1: value {bad!r} is not "
+                      rf"an integer",
             ):
-                run_fault_simulation(circuit, odd, patterns=patterns,
-                                     backend=backend)
+                run_fault_simulation(circuit, rows, backend=backend)
 
 
 class TestPackedPatternGrading:
-    """patterns="packed" (PPSFP shape) vs the scalar lane loop.
+    """The PPSFP screen: patterns in the lanes, each fault pinned in all.
 
     Detection compares settled monitored values only, so grading with
     patterns in the lanes and the fault pinned everywhere must produce
-    the same report — same first-detecting vector per fault — as the
-    lane-per-fault loop and as serial injection.
+    the same report — same first-detecting vector per fault — as
+    serial injection and as grading one vector per pass.
     """
 
     @pytest.mark.parametrize("seed", range(3))
@@ -270,32 +317,17 @@ class TestPackedPatternGrading:
         vectors = vectors_for(circuit, width + 5, seed=seed)
         faults = full_fault_list(circuit)
         serial = serial_fault_simulation(circuit, vectors, faults)
-        scalar = ParallelFaultSimulator(
-            circuit, word_width=width, patterns="scalar"
-        ).run(vectors, faults)
-        packed = ParallelFaultSimulator(
-            circuit, word_width=width, patterns="packed"
-        ).run(vectors, faults)
-        assert packed.detected == scalar.detected == serial.detected
+        sim = ParallelFaultSimulator(circuit, word_width=width)
+        packed = sim.run(vectors, faults)
+        # Scalar: one vector per pass, so every detection sits in lane
+        # 0 of a one-lane group; the first detecting vector per fault
+        # must be the one the packed groups report.
+        scalar: dict = {}
+        for index, vector in enumerate(vectors):
+            for fault in sim.run([vector], faults).detected:
+                scalar.setdefault(fault, index)
+        assert packed.detected == scalar == serial.detected
         assert set(packed.undetected) == set(serial.undetected)
-
-    def test_auto_takes_packed_path(self):
-        sim = ParallelFaultSimulator(and_gate())
-        assert sim.patterns == "auto"
-        assert sim._pack_eligible
-
-    def test_instrument_batch_packed(self):
-        circuit = ripple_carry_adder(2)
-        vectors = vectors_for(circuit, 21, seed=2)
-        faults = full_fault_list(circuit)
-        packed = ParallelFaultSimulator(
-            circuit, word_width=8, instrument="batch", patterns="packed"
-        ).run(vectors, faults)
-        scalar = ParallelFaultSimulator(
-            circuit, word_width=8, instrument="batch", patterns="scalar"
-        ).run(vectors, faults)
-        assert packed.detected == scalar.detected
-        assert set(packed.undetected) == set(scalar.undetected)
 
     def test_nonzero_initial_state_is_irrelevant_when_packed(self):
         # Settled values do not depend on the pre-existing state, so
@@ -306,21 +338,50 @@ class TestPackedPatternGrading:
         initial = [1] * len(circuit.inputs)
         serial = serial_fault_simulation(circuit, vectors, initial=initial)
         packed = run_fault_simulation(
-            circuit, vectors, word_width=16, initial=initial,
-            patterns="packed",
+            circuit, vectors, word_width=16, initial=initial
         )
         assert serial.detected == packed.detected
 
     def test_empty_vector_list(self):
-        report = ParallelFaultSimulator(
-            and_gate(), patterns="packed"
-        ).run([])
+        report = ParallelFaultSimulator(and_gate()).run([])
         assert report.detected == {}
         assert report.num_vectors == 0
         assert len(report.undetected) == report.num_faults
 
+    @pytest.mark.parametrize("width", [8, 64])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_circuit_without_inputs_takes_the_screen(self, backend, width):
+        # Every net is in a constant cone: each vector is the empty
+        # vector, and the screen's packed groups carry no input words.
+        from repro.logic import GateType
+        from repro.netlist.circuit import Circuit
+
+        circuit = Circuit("noinputs")
+        circuit.add_gate(GateType.CONST1, "K1", [])
+        circuit.add_gate(GateType.CONST0, "K0", [])
+        circuit.add_gate(GateType.NAND, "A", ["K1", "K0"])
+        circuit.add_gate(GateType.AND, "B", ["A", "K1"])
+        circuit.add_gate(GateType.XOR, "C", ["B", "K0"])
+        for name in ("B", "C"):
+            circuit.add_net(name, is_output=True)
+        circuit.validate()
+        faults = full_fault_list(circuit)
+        for count in (0, 1, width + 3):
+            vectors = [[]] * count
+            sim = ParallelFaultSimulator(
+                circuit, word_width=width, backend=backend
+            )
+            report = sim.run(vectors, faults)
+            assert report == serial_fault_simulation(
+                circuit, vectors, faults
+            )
+            # Constant stuck-at faults are detectable from vector 0.
+            assert bool(report.detected) == bool(count)
+
     def test_bad_patterns_rejected(self):
-        with pytest.raises(SimulationError, match="patterns"):
+        # The screen is the only engine; the keyword that chose between
+        # it and the lane-per-fault loop is gone.
+        with pytest.raises(TypeError, match="patterns"):
             ParallelFaultSimulator(and_gate(), patterns="sideways")
 
     def test_constant_cone_state_not_poisoned_between_faults(self):
@@ -347,7 +408,7 @@ class TestPackedPatternGrading:
         faults = full_fault_list(circuit)
         serial = serial_fault_simulation(circuit, vectors, faults)
         packed = ParallelFaultSimulator(
-            circuit, word_width=16, patterns="packed"
+            circuit, word_width=16
         ).run(vectors, faults)
         assert packed.detected == serial.detected
         assert set(packed.undetected) == set(serial.undetected)

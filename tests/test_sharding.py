@@ -33,6 +33,16 @@ def _workload(bits=3, num_vectors=14, seed=5):
     return circuit, vectors, full_fault_list(circuit)
 
 
+def _batches(vectors, patterns):
+    """The calls a test grades ``vectors`` in: ``"packed"`` hands the
+    whole list to one call, so up to ``word_width`` vectors share each
+    compiled pass; ``"scalar"`` hands over one vector per call, so every
+    pass carries a single pattern in lane 0."""
+    if patterns == "scalar":
+        return [[vector] for vector in vectors]
+    return [vectors]
+
+
 class TestShardFaults:
     def test_contiguous_near_even_partition(self):
         faults = full_fault_list(ripple_carry_adder(3))
@@ -55,6 +65,23 @@ class TestShardFaults:
         assert shard_faults([], 3) == []
         with pytest.raises(SimulationError, match="num_shards"):
             shard_faults([Fault("A", 0)], 0)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_rejected(self, workers):
+        # Every entry point refuses it, rather than quietly grading in
+        # the calling process.
+        from repro.cli import main
+
+        circuit, vectors, faults = _workload()
+        message = rf"workers must be >= 1: {workers}"
+        with pytest.raises(SimulationError, match=message):
+            run_fault_simulation(circuit, vectors, faults, workers=workers)
+        with pytest.raises(SimulationError, match=message):
+            run_sharded_fault_simulation(
+                circuit, vectors, faults, workers=workers
+            )
+        with pytest.raises(SimulationError, match=message):
+            main(["faults", "rca2", "-n", "4", "-j", str(workers)])
 
     def test_empty_fault_list_short_circuits_inline(self):
         circuit, vectors, _ = _workload()
@@ -86,33 +113,34 @@ class TestMergedEqualsSingleProcess:
     @pytest.mark.parametrize("patterns", ["scalar", "packed"])
     def test_patterns_modes_python_backend(self, patterns):
         circuit, vectors, faults = _workload()
-        single = run_fault_simulation(
-            circuit, vectors, faults, word_width=16, patterns=patterns
-        )
-        sharded = run_sharded_fault_simulation(
-            circuit, vectors, faults, word_width=16, patterns=patterns,
-            workers=2, mp_start="fork",
-        )
-        assert isinstance(sharded, ShardedFaultReport)
-        assert sharded == single
-        assert sharded.undetected == single.undetected  # same order too
-        assert sum(sharded.shard_sizes) == len(faults)
-        assert not sharded.retried_shards
-        assert not sharded.degraded
+        for batch in _batches(vectors, patterns):
+            single = run_fault_simulation(
+                circuit, batch, faults, word_width=16
+            )
+            sharded = run_sharded_fault_simulation(
+                circuit, batch, faults, word_width=16,
+                workers=2, mp_start="fork",
+            )
+            assert isinstance(sharded, ShardedFaultReport)
+            assert sharded == single
+            assert sharded.undetected == single.undetected  # same order
+            assert sum(sharded.shard_sizes) == len(faults)
+            assert not sharded.retried_shards
+            assert not sharded.degraded
 
     @NEED_CC
     @pytest.mark.parametrize("patterns", ["scalar", "packed"])
     def test_patterns_modes_c_backend(self, patterns):
         circuit, vectors, faults = _workload(bits=2, num_vectors=10)
-        single = run_fault_simulation(
-            circuit, vectors, faults, word_width=16, backend="c",
-            patterns=patterns,
-        )
-        sharded = run_sharded_fault_simulation(
-            circuit, vectors, faults, word_width=16, backend="c",
-            patterns=patterns, workers=2, mp_start="fork",
-        )
-        assert sharded == single
+        for batch in _batches(vectors, patterns):
+            single = run_fault_simulation(
+                circuit, batch, faults, word_width=16, backend="c",
+            )
+            sharded = run_sharded_fault_simulation(
+                circuit, batch, faults, word_width=16, backend="c",
+                workers=2, mp_start="fork",
+            )
+            assert sharded == single
 
     @NEED_CC
     def test_forked_workers_reuse_parent_programs(self, monkeypatch):

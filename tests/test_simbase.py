@@ -388,3 +388,19 @@ class TestLCCInheritedMethods:
         assert vars(reset.activity_report()) == vars(
             seeded.activity_report()
         )
+
+
+@pytest.mark.parametrize("facade", [
+    PCSetSimulator, ParallelSimulator, MultiVectorPCSetSimulator,
+    "ParallelFaultSimulator",
+])
+def test_unknown_monitored_net_named_at_construction(fig4_circuit, facade):
+    # One check, before any program is generated, for every facade
+    # that takes ``monitored=``: not a bare KeyError from deep inside
+    # code generation, and not a name accepted until the first run.
+    if facade == "ParallelFaultSimulator":
+        from repro.faults.simulator import ParallelFaultSimulator
+
+        facade = ParallelFaultSimulator
+    with pytest.raises(SimulationError, match="'GHOST'"):
+        facade(fig4_circuit, monitored=[fig4_circuit.outputs[0], "GHOST"])
