@@ -36,6 +36,7 @@ from typing import Optional
 
 from repro import telemetry
 from repro.analysis.stats import circuit_report
+from repro.errors import ReproError
 from repro.harness.runner import TECHNIQUES, build_simulator, run_technique
 from repro.harness.tables import format_table
 from repro.harness.timing import time_run
@@ -887,7 +888,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     if profile or metrics_out:
         telemetry.enable(reset_state=True)
     start = time.perf_counter()
-    status = args.func(args)
+    try:
+        status = args.func(args)
+    except ReproError as error:
+        # A library refusal is a usage error, not a crash: one line,
+        # argparse's prefix and exit status.
+        print(f"{parser.prog}: error: {error}", file=sys.stderr)
+        return 2
     wall = time.perf_counter() - start
     if profile:
         print()

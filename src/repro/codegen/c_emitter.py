@@ -6,9 +6,11 @@ this emitter restores that: the program becomes a shared library with a
 (``uint8_t``..``uint64_t`` according to the program's word width),
 batch drivers ``run_block`` (one vector per pass) and
 ``run_packed_block`` (pattern-lane packed: one pass per ``word_width``
-vectors, see :mod:`repro.codegen.packing`), and the two helpers around
+vectors, see :mod:`repro.codegen.packing`), the two helpers around
 it that transpose a batch of 0/1 bytes into lane words and unpack the
-packed outputs (``pack_lanes``/``unpack_lanes``).
+packed outputs (``pack_lanes``/``unpack_lanes``), and ``screen``, the
+one-call PPSFP fault screen over packed lane rows (see
+:mod:`repro.faults.simulator`).
 
 The code is reentrant.  The persistent variables are the members of
 one ``struct state``, in declaration order, and every entry point
@@ -17,6 +19,10 @@ takes ``struct state *restrict S`` first and reads and writes
 one loaded library serves every machine of its program, each passing
 its own state.  Masking is free — the C types wrap naturally — so the
 emitted expressions match the paper's listings one for one.
+
+Rendering is one walk per statement: a variable is written as
+``S->name`` when it is a state variable, as its bare name when it is a
+temporary, and an input slot as ``V[k]``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from repro.codegen.program import (
     Stmt,
     Un,
     Var,
-    retarget_stmt,
 )
 from repro.errors import CodegenError
 
@@ -56,16 +61,20 @@ C_SWORD_TYPES = {
 }
 
 
-def render_expr_c(expr: Expr, word_type: str) -> str:
+def render_expr_c(
+    expr: Expr, word_type: str, state: frozenset = frozenset()
+) -> str:
+    """C text of ``expr``; a variable named in ``state`` reads ``S->``."""
     if isinstance(expr, Var):
-        return expr.name
+        name = expr.name
+        return f"S->{name}" if name in state else name
     if isinstance(expr, Const):
         suffix = "ULL" if word_type == "uint64_t" else "U"
         return f"{expr.value}{suffix}"
     if isinstance(expr, Input):
         return f"V[{expr.slot}]"
     if isinstance(expr, Un):
-        child = _child(expr.a, word_type)
+        child = _child(expr.a, word_type, state)
         if expr.op == "~":
             # Cast back: C integer promotion widens uint8/uint16 to int.
             return f"({word_type})~{child}"
@@ -73,8 +82,8 @@ def render_expr_c(expr: Expr, word_type: str) -> str:
             return f"popcount_w({child})"
         return f"({word_type})(0 - {child})"
     if isinstance(expr, Bin):
-        a = _child(expr.a, word_type)
-        b = _child(expr.b, word_type)
+        a = _child(expr.a, word_type, state)
+        b = _child(expr.b, word_type, state)
         if expr.op == "sar":
             # One signed-shift instruction: the high-order bit
             # replicates into the vacated positions.
@@ -86,46 +95,31 @@ def render_expr_c(expr: Expr, word_type: str) -> str:
     raise CodegenError(f"unknown expression node: {expr!r}")
 
 
-def _child(expr: Expr, word_type: str) -> str:
-    text = render_expr_c(expr, word_type)
+def _child(expr: Expr, word_type: str, state: frozenset) -> str:
+    text = render_expr_c(expr, word_type, state)
     if isinstance(expr, (Bin, Un)):
         return f"({text})"
     return text
 
 
-def _state_ref(program: Program):
-    """``var_ref`` for :func:`retarget_stmt`: state lives behind ``S``.
-
-    Persistent variables become members of the caller's state struct;
-    temporaries stay locals of ``step``.
-    """
-    def ref(name: str) -> str:
-        if program.is_state(name):
-            return f"S->{name}"
-        return name
-    return ref
-
-
 def _statement_lines(
-    stmts: list[Stmt], program: Program, word_type: str, indent: str
+    stmts: list[Stmt], state: frozenset, word_type: str, indent: str
 ) -> list[str]:
-    var_ref = _state_ref(program)
-
-    def input_ref(slot: int) -> str:
-        return f"V[{slot}]"
-
+    """One line per statement.  State variables live behind ``S``;
+    temporaries stay locals of ``step``."""
     lines: list[str] = []
     for stmt in stmts:
-        if isinstance(stmt, Comment):
-            lines.append(f"{indent}/* {stmt.text} */")
-            continue
-        stmt = retarget_stmt(stmt, var_ref, input_ref)
         if isinstance(stmt, Assign):
-            rhs = render_expr_c(stmt.expr, word_type)
-            lines.append(f"{indent}{stmt.dest} = {rhs};")
+            dest = stmt.dest
+            if dest in state:
+                dest = f"S->{dest}"
+            rhs = render_expr_c(stmt.expr, word_type, state)
+            lines.append(f"{indent}{dest} = {rhs};")
         elif isinstance(stmt, Emit):
-            rhs = render_expr_c(stmt.expr, word_type)
+            rhs = render_expr_c(stmt.expr, word_type, state)
             lines.append(f"{indent}*OUT++ = ({rhs}) & OUTMASK;")
+        elif isinstance(stmt, Comment):
+            lines.append(f"{indent}/* {stmt.text} */")
         else:
             raise CodegenError(f"unknown statement: {stmt!r}")
     return lines
@@ -191,6 +185,57 @@ def _lane_helper_lines(interface: MachineInterface) -> list[str]:
     ]
 
 
+def _screen_lines(interface: MachineInterface) -> list[str]:
+    """``screen``: grade ``nf`` state pins over packed lane rows.
+
+    ``LANES`` holds ``ceil(n / W)`` pass rows (``pack_lanes``'s layout)
+    and ``GOOD`` the words ``run_packed_block`` emitted for them from
+    ``S0``.  For each pin ``f`` the state is reset to ``*S0``, word
+    ``PIN[f]`` is cleared and word ``PIN[f] + 1`` set to ``PVAL[f]``
+    (the struct is a flat array of words), and the passes run in
+    order until an emitted word differs from the good one.  The lowest
+    differing lane gives ``FIRST[f]``, the first differing vector, or
+    -1 when none does.  The last pass's lanes past ``n`` are masked
+    off: they carry no vector.
+    """
+    width = interface.word_width
+    emits = interface.num_emits
+    row = max(1, interface.num_inputs)
+    return [
+        "void screen(struct state *restrict S,"
+        " const struct state *restrict S0,",
+        "            const word *LANES, long n, const word *GOOD, long nf,",
+        "            const long *PIN, const word *PVAL, long *FIRST) {",
+        f"    word out[{max(1, emits)}];",
+        "    word diff, last;",
+        "    long f, g, groups;",
+        "    int o;",
+        f"    groups = (n + {width - 1}) / {width};",
+        f"    last = n % {width} ? (word)(((word)1 << (n % {width})) - 1)"
+        " : (word)~(word)0;",
+        "    for (f = 0; f < nf; f++) {",
+        "        *S = *S0;",
+        "        ((word *)S)[PIN[f]] = 0;",
+        "        ((word *)S)[PIN[f] + 1] = PVAL[f];",
+        "        FIRST[f] = -1;",
+        "        for (g = 0; g < groups; g++) {",
+        f"            step(S, LANES + g * {row}, out);",
+        "            diff = 0;",
+        f"            for (o = 0; o < {emits}; o++) {{",
+        f"                diff |= out[o] ^ GOOD[g * {emits} + o];",
+        "            }",
+        "            if (g == groups - 1) diff &= last;",
+        "            if (diff) {",
+        f"                FIRST[f] = g * {width} + ctz_w(diff);",
+        "                break;",
+        "            }",
+        "        }",
+        "    }",
+        "}",
+        "",
+    ]
+
+
 def emit_c(program: Program) -> str:
     """Produce the full C source of the shared-library machine."""
     program.validate()
@@ -206,22 +251,31 @@ def emit_c(program: Program) -> str:
         f"typedef {C_SWORD_TYPES[program.word_width]} sword;",
         "",
     ]
-    if program.stats().popcounts:
-        lines += [
-            "#if defined(__GNUC__) || defined(__clang__)",
-            "static inline word popcount_w(word x) {",
-            "    return (word)__builtin_popcountll("
-            "(unsigned long long)x);",
-            "}",
-            "#else",
-            "static inline word popcount_w(word x) {",
-            "    word n = 0;",
-            "    while (x) { x &= (word)(x - 1); n++; }",
-            "    return n;",
-            "}",
-            "#endif",
-            "",
-        ]
+    # Bit helpers, in every library: probe counters call popcount_w,
+    # screen calls ctz_w.  Unused static inlines cost no code.
+    lines += [
+        "#if defined(__GNUC__) || defined(__clang__)",
+        "static inline word popcount_w(word x) {",
+        "    return (word)__builtin_popcountll("
+        "(unsigned long long)x);",
+        "}",
+        "static inline int ctz_w(word x) {",
+        "    return __builtin_ctzll((unsigned long long)x);",
+        "}",
+        "#else",
+        "static inline word popcount_w(word x) {",
+        "    word n = 0;",
+        "    while (x) { x &= (word)(x - 1); n++; }",
+        "    return n;",
+        "}",
+        "static inline int ctz_w(word x) {",
+        "    int n = 0;",
+        "    while (!(x & 1)) { x >>= 1; n++; }",
+        "    return n;",
+        "}",
+        "#endif",
+        "",
+    ]
     # The caller owns the state: one member per persistent variable,
     # all of type word, so the struct has no padding and its layout is
     # the flat state vector the runtime allocates and initialises.
@@ -239,8 +293,9 @@ def emit_c(program: Program) -> str:
     if program.temp_vars:
         lines.append(f"    word {', '.join(program.temp_vars)};")
     lines.append("    (void)S; (void)V; (void)OUT;")
+    state = frozenset(program.state_vars)
     for section in (program.init, program.body, program.output):
-        lines += _statement_lines(section, program, word_type, "    ")
+        lines += _statement_lines(section, state, word_type, "    ")
     lines.append("}")
     lines.append("")
     num_outputs = interface.num_emits
@@ -281,4 +336,5 @@ def emit_c(program: Program) -> str:
         "",
     ]
     lines += _lane_helper_lines(interface)
+    lines += _screen_lines(interface)
     return "\n".join(lines)

@@ -55,10 +55,12 @@ the ctypes boundary once each way.  :func:`bit_block` joins the rows
 into one byte per value and decides 0/1 eligibility with a single
 ``translate``; the generated library transposes the block into lane
 words, runs ``run_packed_block`` and unpacks the scalar-identical
-words (:meth:`~repro.codegen.runtime.CMachine.run_bit_block`).  Every
-other machine — and fault grading's and ``prepare_packed``'s pre-packed
-groups — uses the Python transposition below, the reference the tests
-compare the C helpers against.
+words (:meth:`~repro.codegen.runtime.CMachine.run_bit_block`); fault
+grading feeds its pre-pass and its ``screen`` from the same
+transposition (:meth:`~repro.codegen.runtime.CMachine.pack_lanes`).
+Every other machine — and ``prepare_packed``'s pre-packed groups —
+uses the Python transposition below, the reference the tests compare
+the C helpers against.
 
 All packing entry points validate their words against the program's
 word width and raise :class:`~repro.errors.SimulationError` on overflow

@@ -45,8 +45,6 @@ __all__ = [
     "Program",
     "ProgramStats",
     "MachineInterface",
-    "retarget_expr",
-    "retarget_stmt",
     "v",
     "c",
 ]
@@ -362,9 +360,6 @@ class Program:
             self.temp_vars.append(name)
         return name
 
-    def is_state(self, name: str) -> bool:
-        return name in self._state_set
-
     def input_slot(self, label: str) -> int:
         """Index of an input label in the vector ``V``."""
         return self.inputs.index(label)
@@ -525,9 +520,10 @@ def _variables(expr: Expr) -> Iterator[str]:
 # the machine interface (shared entry-point surface)
 # ----------------------------------------------------------------------
 #: Request codes of the Python backend's generator protocol.  The C
-#: library exports the three pass entries under their names, each
-#: taking the machine's state first; its state is a buffer the machine
-#: owns, so ``dump_state``/``load_state`` never enter the library.
+#: library exports the three pass entries under their names, and the
+#: fault ``screen`` beside them, each taking the machine's state first;
+#: its state is a buffer the machine owns, so
+#: ``dump_state``/``load_state`` never enter the library.
 OPCODES = {
     "step": 0,
     "dump_state": 1,
@@ -564,46 +560,3 @@ class MachineInterface:
             f"MachineInterface(V={self.num_inputs}, "
             f"S={self.num_state}, O={self.num_emits})"
         )
-
-
-# ----------------------------------------------------------------------
-# retargeting (the C emitter's state-pointer rewriter)
-# ----------------------------------------------------------------------
-def retarget_expr(expr, var_ref, input_ref):
-    """Rewrite an expression for a different storage layout.
-
-    ``var_ref(name)`` and ``input_ref(slot)`` return replacement
-    *names* rendered verbatim by the emitter (e.g. ``"S->n12"`` for a
-    state variable behind the C state pointer).  Structure is
-    preserved — in particular a ``sar`` operand stays a :class:`Var`,
-    so the backend's sign-replication idiom still applies.  Called at
-    emit time on validated programs; the rewritten nodes are rendered,
-    never re-validated.
-    """
-    if isinstance(expr, Var):
-        return Var(var_ref(expr.name))
-    if isinstance(expr, Input):
-        return Var(input_ref(expr.slot))
-    if isinstance(expr, Un):
-        return Un(expr.op, retarget_expr(expr.a, var_ref, input_ref))
-    if isinstance(expr, Bin):
-        return Bin(
-            expr.op,
-            retarget_expr(expr.a, var_ref, input_ref),
-            retarget_expr(expr.b, var_ref, input_ref),
-        )
-    return expr
-
-
-def retarget_stmt(stmt, var_ref, input_ref):
-    """Statement-level counterpart of :func:`retarget_expr`."""
-    if isinstance(stmt, Assign):
-        return Assign(
-            var_ref(stmt.dest),
-            retarget_expr(stmt.expr, var_ref, input_ref),
-        )
-    if isinstance(stmt, Emit):
-        return Emit(
-            retarget_expr(stmt.expr, var_ref, input_ref), stmt.label
-        )
-    return stmt

@@ -39,6 +39,18 @@ generated ``run_block`` routine each backend compiles in:
   machines: one vector per ``run_block`` pass, in order, so passes may
   carry state from one vector to the next (a clocked program's
   flip-flops); it returns bit 0 of every emitted word as one byte.
+- ``pack_lanes(block, count)`` transposes such a block into the
+  machine's lane rows (the library's ``pack_lanes`` on C,
+  :func:`~repro.codegen.packing.pack_patterns` on Python), and
+  ``run_lanes(lanes, count)`` runs them as one ``run_packed_block``
+  batch, returning the packed output words.
+- ``screen(lanes, count, goods, start, pins, values)`` is the fault
+  screen (:mod:`repro.faults.simulator`): for each pin it resets the
+  state to ``start``, writes a pair of state words, runs the lane rows
+  in order and returns the first vector whose outputs differ from
+  ``goods``.  The C library runs the whole list in one ``screen``
+  call; the Python machine's loop, one ``run_packed_block`` per pass
+  and one ``load_state`` per pin, is the reference.
 
 Every batch updates ``machine.counters`` (vectors run, wall time,
 vectors/second) so harness and benchmark reports can quote throughput
@@ -80,7 +92,7 @@ from collections import OrderedDict
 from typing import Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.packing import validate_packed_words
+from repro.codegen.packing import pack_patterns, validate_packed_words
 from repro.codegen.program import Program
 from repro.errors import BackendError
 
@@ -343,6 +355,65 @@ class Machine:
         """
         raise NotImplementedError
 
+    def pack_lanes(self, block: bytes, count: int):
+        """``count`` 0/1 vectors of ``block`` as lane rows, one per pass.
+
+        Pass ``g`` carries vectors ``g*W .. g*W+W-1``; the last pass's
+        lanes past ``count`` are zero.  The rows are in the form
+        :meth:`run_lanes` and :meth:`screen` take.
+        """
+        raise NotImplementedError
+
+    def run_lanes(self, lanes, count: int):
+        """Run every pass of ``lanes`` as one ``run_packed_block`` batch.
+
+        Returns the packed output words, ``num_outputs`` per pass;
+        ``count`` is the number of vectors the counters record.
+        """
+        raise NotImplementedError
+
+    def screen(
+        self,
+        lanes,
+        count: int,
+        goods,
+        start: Sequence[int],
+        pins: Sequence[int],
+        values: Sequence[int],
+    ) -> list[int]:
+        """For each pin, the first vector whose outputs differ from ``goods``.
+
+        ``lanes`` carry ``count`` vectors (:meth:`pack_lanes`) and
+        ``goods`` are the words :meth:`run_lanes` returned for them from
+        the state ``start``.  Pin ``f`` resets the state to ``start``,
+        sets state word ``pins[f]`` to 0 and word ``pins[f] + 1`` to
+        ``values[f]``, and runs the passes in order until one emits a
+        word that differs from the good one in a lane below ``count``.
+        Its entry is that lane's vector index, or -1 when no pass
+        differs.  The state is left as the last pin's run left it.
+        """
+        raise NotImplementedError
+
+    def _check_screen(self, rows, count, goods, start, pins) -> None:
+        """Sizes and pin bounds of a :meth:`screen` call, checked before
+        any word is written: a pin outside the state would write past
+        the C state buffer."""
+        passes = -(-count // self.program.word_width)
+        if rows != passes or len(goods) < passes * self.num_outputs:
+            raise BackendError(
+                f"screen of {count} vectors needs {passes} lane rows and "
+                f"their good words, got {rows} rows and {len(goods)} words"
+            )
+        if len(start) != self.num_state:
+            raise BackendError(
+                f"state has {self.num_state} words, got {len(start)}"
+            )
+        if pins and (min(pins) < 0 or max(pins) + 1 >= self.num_state):
+            raise BackendError(
+                f"pin words {min(pins)}..{max(pins) + 1} lie outside the "
+                f"state of {self.num_state} words"
+            )
+
     def _check_bit_block(self, block: bytes, count: int) -> None:
         if len(block) != count * self.num_inputs:
             raise BackendError(
@@ -482,6 +553,44 @@ class PythonMachine(Machine):
         self.run_block(vectors, words, masked=True)
         return bytes([word & 1 for word in words])
 
+    def pack_lanes(self, block: bytes, count: int) -> list[list[int]]:
+        self._check_bit_block(block, count)
+        width = self.num_inputs
+        rows = [block[i * width:(i + 1) * width] for i in range(count)]
+        return pack_patterns(rows, self.program.word_width)[0]
+
+    def run_lanes(self, lanes, count: int) -> list[int]:
+        out: list[int] = []
+        self.run_packed_block(lanes, out, vectors_represented=count)
+        return out
+
+    def screen(self, lanes, count, goods, start, pins, values):
+        self._check_screen(len(lanes), count, goods, start, pins)
+        width = self.program.word_width
+        emits = self.num_outputs
+        firsts: list[int] = []
+        for pin, value in zip(pins, values):
+            state = list(start)
+            state[pin] = 0
+            state[pin + 1] = value
+            self.load_state(state)
+            first = -1
+            for g, group in enumerate(lanes):
+                carried = min(width, count - g * width)
+                out: list[int] = []
+                self.run_packed_block(
+                    [group], out, vectors_represented=carried
+                )
+                diff = 0
+                for o in range(emits):
+                    diff |= out[o] ^ goods[g * emits + o]
+                diff &= (1 << carried) - 1
+                if diff:
+                    first = g * width + (diff & -diff).bit_length() - 1
+                    break
+            firsts.append(first)
+        return firsts
+
     def dump_state(self) -> list[int]:
         return self._gen.send((1,))
 
@@ -500,9 +609,10 @@ class CMachine(Machine):
     The loaded library comes from the program cache and is shared by
     every machine of the program; a machine owns only its state buffer,
     initialised from ``Program.state_init`` and bound as the first
-    argument of each kernel in :attr:`_entry`, so the entries keep the
-    ``(V, OUT)`` and ``(V, n, OUT)`` call shapes.  ``dump_state`` and
-    ``load_state`` read and write that buffer directly.
+    argument of each kernel in :attr:`_entry`, so the pass entries keep
+    the ``(V, OUT)`` and ``(V, n, OUT)`` call shapes (``screen`` takes
+    the rest of its C arguments, see :meth:`screen`).  ``dump_state``
+    and ``load_state`` read and write that buffer directly.
     """
 
     _CTYPE = {
@@ -516,7 +626,7 @@ class CMachine(Machine):
     _FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
     #: The library's kernel entry points, each taking the state first.
-    _KERNELS = ("step", "run_block", "run_packed_block")
+    _KERNELS = ("step", "run_block", "run_packed_block", "screen")
 
     #: Programs beyond this many generated lines compile at -O0: C
     #: optimizers behave superlinearly on huge straight-line functions
@@ -577,14 +687,18 @@ class CMachine(Machine):
             lib = ctypes.CDLL(so_path)
         word = ctypes.POINTER(self._word)
         count = ctypes.c_long
-        # pack_lanes/unpack_lanes are run_bit_block's byte-level
-        # boundary: helpers, not kernels, so they take no state.
+        # pack_lanes/unpack_lanes are the byte-level boundary of
+        # run_bit_block and fault grading: helpers, not kernels, so
+        # they take no state.
+        longs = ctypes.POINTER(count)
         signatures = {
             "step": [word, word, word],
             "run_block": [word, word, count, word],
             "run_packed_block": [word, word, count, word],
             "pack_lanes": [ctypes.c_char_p, count, count, word],
             "unpack_lanes": [word, count, ctypes.c_int, word],
+            "screen": [word, word, word, count, word, count, longs, word,
+                       longs],
         }
         for symbol, argtypes in signatures.items():
             function = getattr(lib, symbol)
@@ -717,36 +831,81 @@ class CMachine(Machine):
         ``block`` holds one byte per input value, vector after vector,
         every byte 0 or 1 (:func:`~repro.codegen.packing.bit_block`
         builds and checks it).  The batch crosses the ctypes boundary
-        once each way: the library's ``pack_lanes`` transposes it into
-        lane words — plus the all-zeros fill group when
-        ``fill`` — the unchanged ``run_packed_block`` kernel runs the
-        passes, and ``unpack_lanes`` writes each vector's output words:
-        the lane bit in bit 0 and, with ``fill``, the fill group's high
-        bits, exactly the words a scalar pass emits
+        once each way: :meth:`pack_lanes` transposes it into lane
+        words — plus the all-zeros fill group when ``fill`` — the
+        unchanged ``run_packed_block`` kernel runs the passes
+        (:meth:`run_lanes`), and ``unpack_lanes`` writes each vector's
+        output words: the lane bit in bit 0 and, with ``fill``, the
+        fill group's high bits, exactly the words a scalar pass emits
         (:func:`~repro.codegen.packing.packed_apply`).
         """
-        # pack_lanes reads count * inputs bytes, no more.
-        self._check_bit_block(block, count)
         if count == 0:
+            self._check_bit_block(block, count)
             return []
-        word = self._word
-        passes = -(-count // self.program.word_width) + bool(fill)
-        lanes = (word * (passes * max(1, self.num_inputs)))()
-        with telemetry.span("pack"):
-            self._lib.pack_lanes(block, count, passes, lanes)
-        out = (word * max(1, passes * self._num_outputs))()
-        start = time.perf_counter()
-        self._entry["run_packed_block"](lanes, passes, out)
-        self._record_batch(count, time.perf_counter() - start)
+        out = self.run_lanes(self.pack_lanes(block, count, fill=fill), count)
         emits = self.interface.num_emits
         if emits == 0:
             return [[] for _ in range(count)]
-        rows = (word * (count * emits))()
+        rows = (self._word * (count * emits))()
         with telemetry.span("unpack"):
             self._lib.unpack_lanes(out, count, int(fill), rows)
             return memoryview(rows).cast("B").cast(
                 self._FORMAT[self.program.word_width], (count, emits)
             ).tolist()
+
+    def pack_lanes(self, block: bytes, count: int, *, fill: bool = False):
+        """The library's ``pack_lanes``: a word array of pass rows.
+
+        With ``fill`` one all-zeros pass follows the batch's passes.
+        """
+        # pack_lanes reads count * inputs bytes, no more.
+        self._check_bit_block(block, count)
+        passes = -(-count // self.program.word_width) + bool(fill)
+        lanes = (self._word * (passes * max(1, self.num_inputs)))()
+        with telemetry.span("pack"):
+            self._lib.pack_lanes(block, count, passes, lanes)
+        return lanes
+
+    def run_lanes(self, lanes, count: int):
+        passes = len(lanes) // max(1, self.num_inputs)
+        out = (self._word * max(1, passes * self._num_outputs))()
+        start = time.perf_counter()
+        self._entry["run_packed_block"](lanes, passes, out)
+        self._record_batch(count, time.perf_counter() - start)
+        return out
+
+    def screen(self, lanes, count, goods, start, pins, values):
+        """One library call grades every pin (see :meth:`Machine.screen`).
+
+        The counters record one batch of the vectors the passes carried:
+        each pin's passes up to and including its first differing one.
+        """
+        self._check_screen(
+            len(lanes) // max(1, self.num_inputs), count, goods, start, pins
+        )
+        word = self._word
+        pinned = len(pins)
+        longs = ctypes.c_long * max(1, pinned)
+        fresh = (word * max(1, len(start)))(*start)
+        pin_words = longs(*pins)
+        pin_values = (word * max(1, pinned))(*values)
+        found = longs()
+        begin = time.perf_counter()
+        self._entry["screen"](
+            fresh, lanes, count, goods, pinned, pin_words, pin_values, found
+        )
+        seconds = time.perf_counter() - begin
+        width = self.program.word_width
+        firsts = found[:pinned]
+        self._record_batch(
+            sum(
+                count if first < 0
+                else min(count, (first // width + 1) * width)
+                for first in firsts
+            ),
+            seconds,
+        )
+        return firsts
 
     def run_bit_rows(self, block: bytes, count: int) -> bytes:
         """Widen ``block`` into words, run, narrow the outputs to bits.

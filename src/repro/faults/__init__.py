@@ -11,9 +11,10 @@ PPSFP).  This subpackage implements that application end to end:
 - :mod:`repro.faults.model` — stuck-at faults, fault-list generation,
   and circuit transformation for the serial reference simulator;
 - :mod:`repro.faults.simulator` — pattern-parallel fault simulation by
-  instrumenting the generated PC-set program with per-net mask/value
-  inputs, plus the brute-force serial simulator it is validated
-  against;
+  instrumenting the generated PC-set program with a per-net pair of
+  mask/value state words, graded on the C backend by one compiled
+  ``screen`` call, plus the brute-force serial simulator it is
+  validated against;
 - :mod:`repro.faults.sharding` — the fault list sharded across a
   multiprocess worker pool, merged bit-identically to the
   single-process run (``run_fault_simulation(workers=N)``).

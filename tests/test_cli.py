@@ -85,6 +85,16 @@ class TestCommands:
         assert "pcset" in out
 
 
+class TestErrors:
+    def test_library_error_is_one_line_exit_2(self, capsys):
+        # The library refuses the worker count; the command reports it
+        # the way argparse reports a bad option, with no traceback.
+        assert main(["faults", "rca2", "-j", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro-sim: error: workers must be >= 1: 0\n"
+        assert "Traceback" not in captured.out
+
+
 class TestActivityAndVcd:
     def test_activity_command(self, capsys):
         assert main(["activity", "rca3", "-n", "20", "--top", "5"]) == 0

@@ -18,6 +18,48 @@ from repro.netlist.random_circuits import random_dag_circuit
 
 BACKENDS = ("python",) + (("c",) if have_c_compiler() else ())
 
+WIDTHS = (8, 16, 32, 64)
+
+
+def _cases(*axes):
+    """``(backend, *axis values)`` params over every backend.
+
+    A Python case is named by its axis values alone (``8-0``), a C
+    case carries a ``c-`` prefix (``c-8-0``).
+    """
+    cases = [()]
+    for axis in axes:
+        cases = [case + (value,) for case in cases for value in axis]
+    return [
+        pytest.param(
+            backend, *case,
+            id="-".join(
+                ([] if backend == "python" else [backend])
+                + [str(value) for value in case]
+            ),
+        )
+        for backend in BACKENDS for case in cases
+    ]
+
+
+def _graded(circuit, vectors, faults, width):
+    """The report of every backend, checked against serial injection.
+
+    Multi-bit values are graded on bit 0, so the serial reference runs
+    on the vectors' bit 0.
+    """
+    bits = [[value & 1 for value in vector] for vector in vectors]
+    serial = serial_fault_simulation(circuit, bits, faults)
+    reports = {
+        backend: ParallelFaultSimulator(
+            circuit, word_width=width, backend=backend
+        ).run(vectors, faults)
+        for backend in BACKENDS
+    }
+    for backend, report in reports.items():
+        assert report == serial, backend
+    return serial
+
 
 def and_gate():
     b = CircuitBuilder("and2")
@@ -307,9 +349,9 @@ class TestPackedPatternGrading:
     serial injection and as grading one vector per pass.
     """
 
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("width", [8, 32])
-    def test_packed_matches_serial_and_scalar(self, seed, width):
+    @pytest.mark.parametrize("backend, width, seed",
+                             _cases(WIDTHS, range(3)))
+    def test_packed_matches_serial_and_scalar(self, backend, width, seed):
         circuit = random_dag_circuit(seed + 40, num_inputs=5,
                                      num_gates=18)
         # Not a multiple of the width: the last pattern group is
@@ -317,7 +359,8 @@ class TestPackedPatternGrading:
         vectors = vectors_for(circuit, width + 5, seed=seed)
         faults = full_fault_list(circuit)
         serial = serial_fault_simulation(circuit, vectors, faults)
-        sim = ParallelFaultSimulator(circuit, word_width=width)
+        sim = ParallelFaultSimulator(circuit, word_width=width,
+                                     backend=backend)
         packed = sim.run(vectors, faults)
         # Scalar: one vector per pass, so every detection sits in lane
         # 0 of a one-lane group; the first detecting vector per fault
@@ -327,7 +370,9 @@ class TestPackedPatternGrading:
             for fault in sim.run([vector], faults).detected:
                 scalar.setdefault(fault, index)
         assert packed.detected == scalar == serial.detected
-        assert set(packed.undetected) == set(serial.undetected)
+        assert packed == serial
+        python = ParallelFaultSimulator(circuit, word_width=width)
+        assert python.run(vectors, faults) == packed
 
     def test_nonzero_initial_state_is_irrelevant_when_packed(self):
         # Settled values do not depend on the pre-existing state, so
@@ -384,11 +429,14 @@ class TestPackedPatternGrading:
         with pytest.raises(TypeError, match="patterns"):
             ParallelFaultSimulator(and_gate(), patterns="sideways")
 
-    def test_constant_cone_state_not_poisoned_between_faults(self):
+    @pytest.mark.parametrize("backend, width", _cases(WIDTHS))
+    def test_constant_cone_state_not_poisoned_between_faults(
+        self, backend, width
+    ):
         # Regression: a constant net's settled value lives in a state
         # variable the passes read but never recompute.  A fault
         # pinned on that net (N1/sa1 here) rewrites the variable in
-        # every lane; without reloading the steady state before the
+        # every lane; without resetting the steady state before the
         # next fault's scan, the later comparison against the good
         # words diffs in every lane and fakes a detection at vector 0.
         from repro.logic import GateType
@@ -408,10 +456,48 @@ class TestPackedPatternGrading:
         faults = full_fault_list(circuit)
         serial = serial_fault_simulation(circuit, vectors, faults)
         packed = ParallelFaultSimulator(
-            circuit, word_width=16
+            circuit, word_width=width, backend=backend
         ).run(vectors, faults)
-        assert packed.detected == serial.detected
-        assert set(packed.undetected) == set(serial.undetected)
+        assert packed == serial
         # The poisoned run reported N3/sa1 at vector 0; the true first
         # detecting vector is 1 (N3 follows I2, which drops to 0 there).
         assert packed.first_detection(Fault("N3", 1)) == 1
+
+    @pytest.mark.parametrize("backend, width", _cases(WIDTHS))
+    def test_fill_lanes_never_detect(self, backend, width):
+        # Z/sa1 differs from the good machine only on vectors that
+        # drive Z to 0.  The three [1, 1] vectors never do, but the
+        # fill lanes of their partial group carry the all-zeros vector,
+        # which does: the screen must mask them off.
+        fault = Fault("Z", 1)
+        vectors = [[1, 1]] * 3
+        sim = ParallelFaultSimulator(
+            and_gate(), word_width=width, backend=backend
+        )
+        report = sim.run(vectors, [fault])
+        assert report.undetected == [fault]
+        assert sim.run(vectors + [[0, 0]], [fault]).detected == {fault: 3}
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_backends_agree_on_edge_lists(self, width):
+        circuit = ripple_carry_adder(2)
+        vectors = vectors_for(circuit, width + 3, seed=6)
+        faults = full_fault_list(circuit)
+        # A fault named twice is graded twice, as serial injection does.
+        _graded(circuit, vectors, [faults[3], faults[0], faults[3]], width)
+        assert _graded(circuit, vectors, [], width).num_faults == 0
+        assert _graded(circuit, [], faults, width).undetected == faults
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_multi_bit_values_graded_on_bit_0(self, width):
+        circuit = ripple_carry_adder(2)
+        bits = vectors_for(circuit, 2 * width + 1, seed=8)
+        # Every value keeps its bit 0 and gains high bits, some past a
+        # byte.
+        wide = [
+            [value | (2 + 4 * ((index + slot) % 80)) for slot, value
+             in enumerate(vector)]
+            for index, vector in enumerate(bits)
+        ]
+        # Every backend's report equals serial injection over bit 0.
+        _graded(circuit, wide, full_fault_list(circuit), width)

@@ -73,7 +73,6 @@ class TestProgram:
         p = self.make()
         assert p.state_vars == ["x", "y"]
         assert p.state_init == {"x": 5, "y": 0}
-        assert p.is_state("x") and not p.is_state("z")
         with pytest.raises(CodegenError, match="duplicate"):
             p.declare("x")
 

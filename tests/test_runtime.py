@@ -218,6 +218,63 @@ class TestRunBitRows:
             machine.run_bit_rows(b"\x01\x00\x01", 2)
 
 
+def _pinned_program() -> Program:
+    """x = (V[0] & m) | v; emits x.  State words: x, then pin pair m, v."""
+    p = Program("pinned", word_width=8, inputs=["IN"])
+    p.declare("x", 0)
+    p.declare("m", 0xFF)
+    p.declare("v", 0)
+    p.body.append(Assign(
+        "x", Bin("|", Bin("&", Input(0), Var("m")), Var("v"))
+    ))
+    p.output.append(Emit(Var("x"), ("x",)))
+    return p
+
+
+@pytest.mark.parametrize("machine_class", MACHINES)
+class TestScreen:
+    """The generic screen on a one-input program with one pin pair."""
+
+    def _graded(self, machine_class, bits, pins, values):
+        machine = machine_class(_pinned_program())
+        start = machine.dump_state()
+        lanes = machine.pack_lanes(bytes(bits), len(bits))
+        goods = machine.run_lanes(lanes, len(bits))
+        return machine, machine.screen(
+            lanes, len(bits), goods, start, pins, values
+        )
+
+    def test_first_differing_vector_per_pin(self, machine_class):
+        # Ten vectors over two 8-lane passes; the last pass is partial.
+        bits = [1, 1, 1, 1, 1, 1, 1, 1, 1, 0]
+        machine, firsts = self._graded(
+            machine_class, bits, [1, 1, 1], [0xFF, 0, 0xFF]
+        )
+        # x stuck at 1 first differs where the input is 0 (vector 9);
+        # stuck at 0, at the first 1 (vector 0).
+        assert firsts == [9, 0, 9]
+        # Passes up to each first difference: 10 + 8 + 10 vectors.
+        assert machine.counters.vectors == len(bits) + 28
+
+    def test_fill_lanes_ignored(self, machine_class):
+        # Stuck at 1 over all-ones vectors: only the fill lanes differ.
+        _machine, firsts = self._graded(machine_class, [1, 1, 1], [1], [0xFF])
+        assert firsts == [-1]
+
+    def test_bounds_checked_before_running(self, machine_class):
+        machine = machine_class(_pinned_program())
+        start = machine.dump_state()
+        lanes = machine.pack_lanes(b"\x01\x00", 2)
+        goods = machine.run_lanes(lanes, 2)
+        for pins in ([2], [-1]):
+            with pytest.raises(BackendError, match="outside the state"):
+                machine.screen(lanes, 2, goods, start, pins, [0])
+        with pytest.raises(BackendError, match="state has 3 words"):
+            machine.screen(lanes, 2, goods, start[:2], [1], [0])
+        with pytest.raises(BackendError, match="needs 2 lane rows"):
+            machine.screen(lanes, 9, goods, start, [1], [0])
+
+
 class TestCompileProgram:
     def test_backend_selection(self):
         assert isinstance(

@@ -67,7 +67,7 @@ class TestShardFaults:
             shard_faults([Fault("A", 0)], 0)
 
     @pytest.mark.parametrize("workers", [0, -2])
-    def test_worker_count_below_one_rejected(self, workers):
+    def test_worker_count_below_one_rejected(self, workers, capsys):
         # Every entry point refuses it, rather than quietly grading in
         # the calling process.
         from repro.cli import main
@@ -80,8 +80,8 @@ class TestShardFaults:
             run_sharded_fault_simulation(
                 circuit, vectors, faults, workers=workers
             )
-        with pytest.raises(SimulationError, match=message):
-            main(["faults", "rca2", "-n", "4", "-j", str(workers)])
+        assert main(["faults", "rca2", "-n", "4", "-j", str(workers)]) == 2
+        assert capsys.readouterr().err == f"repro-sim: error: {message}\n"
 
     def test_empty_fault_list_short_circuits_inline(self):
         circuit, vectors, _ = _workload()
