@@ -23,9 +23,24 @@ emitted expressions match the paper's listings one for one.
 Rendering is one walk per statement: a variable is written as
 ``S->name`` when it is a state variable, as its bare name when it is a
 temporary, and an input slot as ``V[k]``.
+
+``step`` is cut into parts.  The ``init`` and ``body`` statements run
+as consecutive parts of about :data:`STEP_PART_SIZE` assignments each,
+every part a ``static NOINLINE void step_<i>(S, V)`` declaring the
+temporaries it uses as its own locals; ``step`` calls the parts in
+order and then runs the ``output`` section inline, as the one place
+that writes ``OUT``.  A part ends only where no temporary is live (one
+written earlier and read later), so a temporary never crosses a call.
+The statements and the struct are the same either way — the split
+only bounds function size, because GCC's optimizer passes grow
+superlinearly with it and one straight-line ``step`` of thousands of
+statements spent several seconds in the compiler.  A program of at
+most :data:`STEP_PART_SIZE` assignments renders as one ``step``.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.codegen.program import (
     Assign,
@@ -43,7 +58,14 @@ from repro.codegen.program import (
 )
 from repro.errors import CodegenError
 
-__all__ = ["emit_c", "render_expr_c", "C_WORD_TYPES"]
+__all__ = ["emit_c", "render_expr_c", "C_WORD_TYPES", "STEP_PART_SIZE"]
+
+#: Assignments per ``step`` part.  Measured over the suite's four
+#: workload programs (EXPERIMENTS.md, "Bounded step parts"): ``cc -O1``
+#: time falls 3.9-4.8x from one ``step`` to parts of 50, 25 ties with
+#: 50 at twice the calls, 100 and 250 compile slower, and no size
+#: slows a kernel.
+STEP_PART_SIZE = 50
 
 C_WORD_TYPES = {
     8: "uint8_t",
@@ -62,19 +84,30 @@ C_SWORD_TYPES = {
 
 
 def render_expr_c(
-    expr: Expr, word_type: str, state: frozenset = frozenset()
+    expr: Expr,
+    word_type: str,
+    state: frozenset = frozenset(),
+    temps: Optional[list] = None,
 ) -> str:
-    """C text of ``expr``; a variable named in ``state`` reads ``S->``."""
+    """C text of ``expr``; a variable named in ``state`` reads ``S->``.
+
+    Any other variable is a temporary; with ``temps`` given, the name
+    of each temporary read is appended to it.
+    """
     if isinstance(expr, Var):
         name = expr.name
-        return f"S->{name}" if name in state else name
+        if name in state:
+            return f"S->{name}"
+        if temps is not None:
+            temps.append(name)
+        return name
     if isinstance(expr, Const):
         suffix = "ULL" if word_type == "uint64_t" else "U"
         return f"{expr.value}{suffix}"
     if isinstance(expr, Input):
         return f"V[{expr.slot}]"
     if isinstance(expr, Un):
-        child = _child(expr.a, word_type, state)
+        child = _child(expr.a, word_type, state, temps)
         if expr.op == "~":
             # Cast back: C integer promotion widens uint8/uint16 to int.
             return f"({word_type})~{child}"
@@ -82,8 +115,8 @@ def render_expr_c(
             return f"popcount_w({child})"
         return f"({word_type})(0 - {child})"
     if isinstance(expr, Bin):
-        a = _child(expr.a, word_type, state)
-        b = _child(expr.b, word_type, state)
+        a = _child(expr.a, word_type, state, temps)
+        b = _child(expr.b, word_type, state, temps)
         if expr.op == "sar":
             # One signed-shift instruction: the high-order bit
             # replicates into the vacated positions.
@@ -95,34 +128,109 @@ def render_expr_c(
     raise CodegenError(f"unknown expression node: {expr!r}")
 
 
-def _child(expr: Expr, word_type: str, state: frozenset) -> str:
-    text = render_expr_c(expr, word_type, state)
+def _child(
+    expr: Expr, word_type: str, state: frozenset, temps: Optional[list]
+) -> str:
+    text = render_expr_c(expr, word_type, state, temps)
     if isinstance(expr, (Bin, Un)):
         return f"({text})"
     return text
 
 
 def _statement_lines(
-    stmts: list[Stmt], state: frozenset, word_type: str, indent: str
+    stmts: list[Stmt],
+    state: frozenset,
+    word_type: str,
+    indent: str,
+    uses: Optional[dict] = None,
 ) -> list[str]:
     """One line per statement.  State variables live behind ``S``;
-    temporaries stay locals of ``step``."""
+    temporaries are locals.  With ``uses`` given, each statement ``i``
+    that touches a temporary records ``uses[i] = (temporary it assigns
+    or None, temporaries it reads)``, collected in the same walk."""
     lines: list[str] = []
-    for stmt in stmts:
+    reads = None if uses is None else []
+    for index, stmt in enumerate(stmts):
+        dest = None
         if isinstance(stmt, Assign):
-            dest = stmt.dest
-            if dest in state:
-                dest = f"S->{dest}"
-            rhs = render_expr_c(stmt.expr, word_type, state)
-            lines.append(f"{indent}{dest} = {rhs};")
+            rhs = render_expr_c(stmt.expr, word_type, state, reads)
+            if stmt.dest in state:
+                lines.append(f"{indent}S->{stmt.dest} = {rhs};")
+            else:
+                dest = stmt.dest
+                lines.append(f"{indent}{dest} = {rhs};")
         elif isinstance(stmt, Emit):
-            rhs = render_expr_c(stmt.expr, word_type, state)
+            rhs = render_expr_c(stmt.expr, word_type, state, reads)
             lines.append(f"{indent}*OUT++ = ({rhs}) & OUTMASK;")
         elif isinstance(stmt, Comment):
             lines.append(f"{indent}/* {stmt.text} */")
         else:
             raise CodegenError(f"unknown statement: {stmt!r}")
+        if reads or dest is not None:
+            uses[index] = (dest, reads)
+            reads = []
     return lines
+
+
+def _live_ranges(uses: dict) -> dict[int, int]:
+    """Where no cut may fall, as ``{first: last}`` statement indices:
+    a read at statement ``r`` of a temporary last written at ``w``
+    forbids a cut before any statement ``w < p <= r``."""
+    ranges: dict[int, int] = {}
+    written: dict[str, int] = {}
+    for index, (dest, reads) in uses.items():
+        for name in reads:
+            first = written.get(name, -1) + 1
+            if ranges.get(first, -1) < index:
+                ranges[first] = index
+        if dest is not None:
+            written[dest] = index
+    return ranges
+
+
+def _parts(
+    stmts: list[Stmt], ranges: dict[int, int], size: int
+) -> tuple[list[tuple[int, int]], int]:
+    """Cut ``stmts`` (``init`` + ``body``) into ``step`` parts.
+
+    Returns ``(parts, inline)``: the ``(start, end)`` ranges that
+    become ``step_<i>``, and the index from which the statements stay
+    inline in ``step``.  A part closes before the first assignment
+    past ``size`` that no live range of ``ranges`` covers; the last
+    run stays inline when a temporary is live into ``output``, and a
+    program that never reaches a cut has no parts at all.
+    """
+    parts: list[tuple[int, int]] = []
+    start = count = 0
+    live_to = -1  # the furthest end of a range begun so far
+    for index, stmt in enumerate(stmts):
+        if ranges:
+            live_to = max(live_to, ranges.get(index, -1))
+        if isinstance(stmt, Assign):
+            if count >= size and live_to < index:
+                parts.append((start, index))
+                start, count = index, 0
+            count += 1
+    end = len(stmts)
+    if not parts:
+        return [], 0
+    if max(live_to, ranges.get(end, -1)) >= end:
+        return parts, start
+    parts.append((start, end))
+    return parts, end
+
+
+def _locals(uses: dict, start: int, end: int) -> list[str]:
+    """The temporaries statements ``start .. end - 1`` touch, in order
+    of first use."""
+    names: dict = {}
+    for index in range(start, end):
+        if index in uses:
+            dest, reads = uses[index]
+            names.update(dict.fromkeys(reads))
+            if dest is not None:
+                names[dest] = None
+    return list(names)
 
 
 def _lane_helper_lines(interface: MachineInterface) -> list[str]:
@@ -242,8 +350,10 @@ def emit_c(program: Program) -> str:
     word_type = C_WORD_TYPES[program.word_width]
     suffix = "ULL" if word_type == "uint64_t" else "U"
     interface = program.interface()
+    # A "*/" in the name must not close the header comment early.
+    title = repr(program.name).replace("*/", "*\\/")
     lines: list[str] = [
-        f"/* generated by repro - program {program.name!r} */",
+        f"/* generated by repro - program {title} */",
         "#include <stdint.h>",
         "",
         f"#define OUTMASK {program.output_mask}{suffix}",
@@ -253,8 +363,12 @@ def emit_c(program: Program) -> str:
     ]
     # Bit helpers, in every library: probe counters call popcount_w,
     # screen calls ctz_w.  Unused static inlines cost no code.
+    # NOINLINE keeps each step part a function of its own: at -O1 GCC
+    # inlines parts called once back into step until its growth
+    # limits stop it, and compiles 1.2-1.9x slower.
     lines += [
         "#if defined(__GNUC__) || defined(__clang__)",
+        "#define NOINLINE __attribute__((noinline))",
         "static inline word popcount_w(word x) {",
         "    return (word)__builtin_popcountll("
         "(unsigned long long)x);",
@@ -263,6 +377,7 @@ def emit_c(program: Program) -> str:
         "    return __builtin_ctzll((unsigned long long)x);",
         "}",
         "#else",
+        "#define NOINLINE",
         "static inline word popcount_w(word x) {",
         "    word n = 0;",
         "    while (x) { x &= (word)(x - 1); n++; }",
@@ -286,16 +401,36 @@ def emit_c(program: Program) -> str:
         lines.append("    word unused;")  # C has no empty structs
     lines.append("};")
     lines.append("")
+    state = frozenset(program.state_vars)
+    split = program.init + program.body
+    # Only a program with temporaries needs their uses to place cuts.
+    uses: Optional[dict] = {} if program.temp_vars else None
+    text = _statement_lines(split + program.output, state, word_type,
+                            "    ", uses)
+    parts, inline = _parts(split, _live_ranges(uses) if uses else {},
+                           STEP_PART_SIZE)
+    for index, (start, end) in enumerate(parts):
+        lines.append(f"static NOINLINE void step_{index}("
+                     "struct state *restrict S, const word *V) {")
+        temps = _locals(uses, start, end) if uses else ()
+        if temps:
+            lines.append(f"    word {', '.join(temps)};")
+        lines += text[start:end]
+        lines.append("}")
+        lines.append("")
     # restrict on S lets the compiler keep state in registers across
     # stores through OUT.
     lines.append("void step(struct state *restrict S, const word *V,"
                  " word *OUT) {")
-    if program.temp_vars:
-        lines.append(f"    word {', '.join(program.temp_vars)};")
+    if parts and uses:
+        temps = _locals(uses, inline, len(text))
+    else:
+        temps = program.temp_vars
+    if temps:
+        lines.append(f"    word {', '.join(temps)};")
     lines.append("    (void)S; (void)V; (void)OUT;")
-    state = frozenset(program.state_vars)
-    for section in (program.init, program.body, program.output):
-        lines += _statement_lines(section, state, word_type, "    ")
+    lines += [f"    step_{index}(S, V);" for index in range(len(parts))]
+    lines += text[inline:]
     lines.append("}")
     lines.append("")
     num_outputs = interface.num_emits

@@ -19,8 +19,8 @@ _INVALID = re.compile(r"[^0-9A-Za-z_]")
 _RESERVED = {
     # Python keywords that plausibly collide with short net names,
     # plus names the emitters use internally.
-    "V", "OUT", "S", "MASK", "OUTMASK", "cmd", "machine", "word", "step",
-    "pack_lanes", "unpack_lanes",
+    "V", "OUT", "S", "MASK", "OUTMASK", "NOINLINE", "cmd", "machine",
+    "word", "step", "pack_lanes", "unpack_lanes",
     "if", "else", "while", "yield", "not", "and", "or", "in", "is",
     "def", "return", "int", "char", "for", "do", "case", "switch",
     "static", "void", "const", "unsigned", "signed", "long", "short",

@@ -396,43 +396,52 @@ class Program:
         ``declare``); this catches typos in generated code early, where
         they are cheap to debug.  Input slots must lie inside the
         declared vector width — an out-of-range slot would read past
-        the vector buffer on the C backend.
+        the vector buffer on the C backend.  Emits belong in the
+        ``output`` section: the C emitter splits ``init`` and ``body``
+        into functions that have no output buffer.
 
         The emitters (:func:`~repro.codegen.c_emitter.emit_c`,
         :func:`~repro.codegen.python_emitter.emit_python`) call this
         once per render; every program, generated, instrumented or
         hand-built, passes through one of them before it runs, so
-        generators do not repeat the check.
+        generators do not repeat the check.  It is one iterative walk
+        over each statement's expression, checking slots and names
+        together.
         """
-        for stmt in self.statements():
-            if isinstance(stmt, (Assign, Emit)):
-                for slot in _input_slots(stmt.expr):
-                    if not 0 <= slot < max(1, len(self.inputs)):
-                        raise CodegenError(
-                            f"{self.name}: input slot {slot} outside "
-                            f"vector of {len(self.inputs)} inputs"
-                        )
         known = set(self.state_vars) | set(self.temp_vars)
-        for stmt in self.statements():
-            if isinstance(stmt, Assign):
-                for ref in _variables(stmt.expr):
-                    if ref not in known:
+        slots = max(1, len(self.inputs))
+        for section in (self.init, self.body, self.output):
+            for stmt in section:
+                if not isinstance(stmt, (Assign, Emit)):
+                    continue
+                bad = _first_bad_leaf(stmt.expr, known, slots)
+                if isinstance(bad, Input):
+                    raise CodegenError(
+                        f"{self.name}: input slot {bad.slot} outside "
+                        f"vector of {len(self.inputs)} inputs"
+                    )
+                if isinstance(stmt, Emit):
+                    if bad is not None:
                         raise CodegenError(
-                            f"{self.name}: use of undeclared variable "
-                            f"{ref!r} in {stmt!r}"
+                            f"{self.name}: emit of undeclared variable "
+                            f"{bad.name!r}"
                         )
+                    if section is not self.output:
+                        raise CodegenError(
+                            f"{self.name}: emit outside the output "
+                            f"section: {stmt!r}"
+                        )
+                    continue
+                if bad is not None:
+                    raise CodegenError(
+                        f"{self.name}: use of undeclared variable "
+                        f"{bad.name!r} in {stmt!r}"
+                    )
                 if stmt.dest not in known:
                     raise CodegenError(
                         f"{self.name}: assignment to undeclared variable "
                         f"{stmt.dest!r}"
                     )
-            elif isinstance(stmt, Emit):
-                for ref in _variables(stmt.expr):
-                    if ref not in known:
-                        raise CodegenError(
-                            f"{self.name}: emit of undeclared variable "
-                            f"{ref!r}"
-                        )
 
     def without_output(self) -> "Program":
         """A shallow copy with the output section dropped (timing runs)."""
@@ -496,24 +505,24 @@ def _count(expr: Expr, stats: ProgramStats) -> None:
         _count(expr.a, stats)
 
 
-def _input_slots(expr: Expr) -> Iterator[int]:
-    if isinstance(expr, Input):
-        yield expr.slot
-    elif isinstance(expr, Bin):
-        yield from _input_slots(expr.a)
-        yield from _input_slots(expr.b)
-    elif isinstance(expr, Un):
-        yield from _input_slots(expr.a)
-
-
-def _variables(expr: Expr) -> Iterator[str]:
-    if isinstance(expr, Var):
-        yield expr.name
-    elif isinstance(expr, Bin):
-        yield from _variables(expr.a)
-        yield from _variables(expr.b)
-    elif isinstance(expr, Un):
-        yield from _variables(expr.a)
+def _first_bad_leaf(expr: Expr, known: set, slots: int) -> Optional[Expr]:
+    """The first ``Var`` not in ``known`` or ``Input`` not below
+    ``slots`` in ``expr``, left to right, or ``None``."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            if node.name not in known:
+                return node
+        elif isinstance(node, Bin):
+            stack.append(node.b)
+            stack.append(node.a)
+        elif isinstance(node, Un):
+            stack.append(node.a)
+        elif isinstance(node, Input):
+            if not 0 <= node.slot < slots:
+                return node
+    return None
 
 
 # ----------------------------------------------------------------------

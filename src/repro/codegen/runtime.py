@@ -72,9 +72,17 @@ into its own namespace.  C entries are the loaded library itself: the
 generated code is reentrant (state is passed by pointer, see
 :mod:`repro.codegen.c_emitter`), so every machine of a program shares
 one library and owns only its state buffer.  The library is built in
-a temporary directory that is removed as soon as it is loaded, so
-nothing is left on disk, and a forked child keeps serving the
-parent's loaded programs.
+a temporary directory, under fixed file names (a program's name is
+free text and never part of a path), that is removed as soon as it is
+loaded, so nothing is left on disk, and a forked child keeps serving
+the parent's loaded programs.
+
+A miss costs one ``cc`` call, which is nearly all of a cold set-up.
+The C emitter keeps every compiled function short (``step`` runs as
+parts of :data:`~repro.codegen.c_emitter.STEP_PART_SIZE` assignments),
+because the optimizer's time grows superlinearly with function size;
+programs past :attr:`CMachine.O0_LINE_THRESHOLD` statements still
+build at ``-O0``.
 """
 
 from __future__ import annotations
@@ -93,7 +101,7 @@ from typing import Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.packing import pack_patterns, validate_packed_words
-from repro.codegen.program import Program
+from repro.codegen.program import Comment, Program
 from repro.errors import BackendError
 
 __all__ = [
@@ -628,10 +636,14 @@ class CMachine(Machine):
     #: The library's kernel entry points, each taking the state first.
     _KERNELS = ("step", "run_block", "run_packed_block", "screen")
 
-    #: Programs beyond this many generated lines compile at -O0: C
+    #: Programs beyond this many statements compile at -O0: C
     #: optimizers behave superlinearly on huge straight-line functions
     #: (amusingly, the paper hit a compiler bug on exactly the same two
-    #: circuits' cycle-breaking programs).
+    #: circuits' cycle-breaking programs).  ``step`` is emitted as parts
+    #: of :data:`~repro.codegen.c_emitter.STEP_PART_SIZE` assignments,
+    #: which bounds each function, yet the threshold stays: the one
+    #: program past it, the PC-set c6288 program, took 164 s split at
+    #: -O1 against 30 s split at -O0 (ROADMAP item 4).
     O0_LINE_THRESHOLD = 60_000
 
     def __init__(
@@ -648,8 +660,10 @@ class CMachine(Machine):
             )
         self.source = program.c_source()
         if opt_level is None:
-            big = program.stats().source_lines > self.O0_LINE_THRESHOLD
-            opt_level = "-O0" if big else "-O1"
+            # Stats' source_lines, without walking the expressions.
+            lines = sum(not isinstance(stmt, Comment)
+                        for stmt in program.statements())
+            opt_level = "-O0" if lines > self.O0_LINE_THRESHOLD else "-O1"
         self.opt_level = opt_level
         word = self._CTYPE[program.word_width]
         self._word = word
@@ -674,15 +688,16 @@ class CMachine(Machine):
         """Compile and load the library; leave nothing on disk.
 
         The loader keeps the mapping after the directory is removed.
+        The files have fixed names: a program name is free text and
+        never becomes part of a path.
         """
-        name = self.program.name
         with tempfile.TemporaryDirectory(prefix="repro_c_") as work:
-            c_path = os.path.join(work, f"{name}.c")
-            so_path = os.path.join(work, f"{name}.so")
+            c_path = os.path.join(work, "program.c")
+            so_path = os.path.join(work, "program.so")
             with open(c_path, "w") as handle:
                 handle.write(self.source)
             with telemetry.span("cc", backend="c", opt=opt_level,
-                                program=name):
+                                program=self.program.name):
                 self._compile(compiler, opt_level, c_path, so_path)
             lib = ctypes.CDLL(so_path)
         word = ctypes.POINTER(self._word)

@@ -6,10 +6,11 @@ programs are generated and run on both.
 """
 
 import random
+import re
 
 import pytest
 
-from repro.codegen.c_emitter import emit_c, render_expr_c
+from repro.codegen.c_emitter import STEP_PART_SIZE, emit_c, render_expr_c
 from repro.codegen.program import (
     Assign,
     Bin,
@@ -24,6 +25,8 @@ from repro.codegen.program import (
 from repro.codegen.python_emitter import emit_python, render_expr_python
 from repro.codegen.runtime import compile_program, have_c_compiler
 from repro.errors import CodegenError
+from repro.netlist.generators import array_multiplier
+from repro.parallel.codegen import generate_parallel_program
 
 NEED_CC = pytest.mark.skipif(
     have_c_compiler() is None, reason="no C compiler available"
@@ -113,14 +116,25 @@ class TestCRendering:
         ) in source
 
 
-def _random_program(seed: int, word_width: int) -> Program:
-    """A random valid straight-line program over 6 state vars."""
+def _random_program(
+    seed: int, word_width: int, statements: int = 20
+) -> Program:
+    """A random valid straight-line program over 6 state vars.
+
+    ``statements`` assignments make up the body.  Temporary ``t0`` is
+    written two assignments before each multiple of
+    :data:`STEP_PART_SIZE` and read one after it, so it is live across
+    every would-be cut; ``t1`` is written near the end and emitted, so
+    it is live into the output section.
+    """
     rng = random.Random(seed)
-    p = Program(f"rand{seed}", word_width=word_width,
+    p = Program(f"rand{seed}_{statements}", word_width=word_width,
                 inputs=["I0", "I1"], mask_assignments=True)
     names = [f"s{i}" for i in range(6)]
     for i, name in enumerate(names):
         p.declare(name, rng.randrange(1 << word_width))
+    t0 = p.declare_temp("t0")
+    t1 = p.declare_temp("t1")
 
     def leaf():
         kind = rng.random()
@@ -144,18 +158,41 @@ def _random_program(seed: int, word_width: int) -> Program:
             return Bin(op, base, Const(rng.randrange(word_width)))
         return Bin(op, expr(depth - 1), expr(depth - 1))
 
-    for _ in range(20):
-        p.body.append(Assign(rng.choice(names), expr(rng.randrange(3))))
+    for index in range(statements):
+        dest = rng.choice(names)
+        value = expr(rng.randrange(3))
+        if (index + 2) % STEP_PART_SIZE == 0 and index + 3 < statements:
+            dest = t0
+        elif (index - 1) % STEP_PART_SIZE == 0 and index > 1:
+            value = Bin("^", value, Var(t0))
+        elif index == statements - 3:
+            dest = t1
+        p.body.append(Assign(dest, value))
     for name in names:
         p.output.append(Emit(Var(name), (name,)))
+    if statements >= 3:
+        p.output.append(Emit(Var(t1), ("t1",)))
     return p
 
 
+def _parity_cases():
+    """Seed and width, then the body length: below one part (ids
+    ``<seed>-<width>``), exactly one part, one assignment past it, and
+    several parts (ids ending ``-n<length>``)."""
+    for statements in (20, STEP_PART_SIZE, STEP_PART_SIZE + 1,
+                       4 * STEP_PART_SIZE + 3):
+        for seed in range(5):
+            for word_width in (8, 32, 64):
+                tag = "" if statements == 20 else f"-n{statements}"
+                yield pytest.param(seed, word_width, statements,
+                                   id=f"{seed}-{word_width}{tag}")
+
+
 @NEED_CC
-@pytest.mark.parametrize("word_width", [8, 32, 64])
-@pytest.mark.parametrize("seed", range(5))
-def test_backend_parity_on_random_programs(seed, word_width):
-    program = _random_program(seed * 31 + word_width, word_width)
+@pytest.mark.parametrize("seed,word_width,statements", _parity_cases())
+def test_backend_parity_on_random_programs(seed, word_width, statements):
+    program = _random_program(seed * 31 + word_width, word_width,
+                              statements)
     py = compile_program(program, "python")
     cc = compile_program(program, "c")
     rng = random.Random(seed + 1)
@@ -174,3 +211,86 @@ def test_backend_parity_state_roundtrip():
     py.load_state(state)
     cc.load_state(state)
     assert py.dump_state() == cc.dump_state() == [s & 0xFFFFFFFF for s in state]
+
+
+_PART = re.compile(
+    r"static NOINLINE void step_(\d+)\(struct state \*restrict S,"
+    r" const word \*V\) \{\n(.*?)\n\}\n",
+    re.S,
+)
+_STEP = re.compile(
+    r"void step\(struct state \*restrict S, const word \*V,"
+    r" word \*OUT\) \{\n(.*?)\n\}\n",
+    re.S,
+)
+_NAME = re.compile(r"(S->)?\b([A-Za-z_]\w*)")
+
+
+def _check_parts(source: str) -> int:
+    """Assert the part structure of ``source``; return the part count.
+
+    ``step`` calls its parts in order; a part holds at most
+    ``STEP_PART_SIZE`` assignments unless a temporary live at the cut
+    stretched it; every temporary a part reads was assigned earlier
+    in that part; only ``step`` writes ``OUT``.
+    """
+    parts = _PART.findall(source)
+    assert [int(index) for index, _ in parts] == list(range(len(parts)))
+    step = _STEP.search(source).group(1)
+    calls = re.findall(r"^    step_(\d+)\(S, V\);$", step, re.M)
+    assert [int(index) for index in calls] == list(range(len(parts)))
+    for index, text in parts:
+        lines = text.split("\n")
+        temps: set = set()
+        if lines[0].startswith("    word "):
+            temps = set(lines.pop(0)[len("    word "):-1].split(", "))
+        assigns = []  # (dest, temporaries read), in order
+        for line in lines:
+            assert "OUT" not in line
+            if line.lstrip().startswith("/*"):
+                continue
+            dest, rhs = line.strip().rstrip(";").split(" = ", 1)
+            reads = {
+                name for prefix, name in _NAME.findall(rhs)
+                if not prefix and name in temps
+            }
+            assigns.append((dest, reads))
+        written: set = set()
+        for dest, reads in assigns:
+            assert reads <= written, (index, reads - written)
+            written.add(dest)
+        for cut in range(STEP_PART_SIZE, len(assigns)):
+            # The part ran past its size: a temporary written before
+            # this point is read at or after it.
+            before = {dest for dest, _ in assigns[:cut]} & temps
+            after = set().union(*(reads for _, reads in assigns[cut:]))
+            assert before & after, (index, cut)
+    return len(parts)
+
+
+def test_short_programs_render_one_step():
+    for statements in (STEP_PART_SIZE // 2, STEP_PART_SIZE):
+        source = emit_c(_random_program(1, 32, statements))
+        assert "NOINLINE void step_" not in source
+        assert "word t0, t1;" in source  # every temporary, in step
+
+
+def test_parts_of_random_program():
+    program = _random_program(7, 32, 4 * STEP_PART_SIZE + 3)
+    source = emit_c(program)
+    # At least four runs: the last stays in step, because t1 is live
+    # into the output section, and step declares it.
+    assert _check_parts(source) >= 3
+    step = _STEP.search(source).group(1)
+    declared = step.split("\n", 1)[0]
+    assert declared.startswith("    word ") and "t1" in declared
+    assert "    t1 = " in step
+
+
+def test_parts_of_generated_program():
+    # Eight-bit words split the multiplier's fields, so the body
+    # carries the multi-word temporaries ``tmp<j>``.
+    program, _ = generate_parallel_program(array_multiplier(4),
+                                           word_width=8)
+    assert program.temp_vars
+    assert _check_parts(emit_c(program)) > 1

@@ -108,6 +108,22 @@ class TestProgram:
         with pytest.raises(CodegenError, match="ghost"):
             p.validate()
 
+    def test_validate_catches_undeclared_nested(self):
+        # The name sits under a Un inside a Bin inside a Bin.
+        p = self.make()
+        nested = Bin("&", v("y"), Un("~", v("ghost")))
+        p.body.append(Assign("y", Bin("|", v("x"), nested)))
+        with pytest.raises(CodegenError,
+                           match="use of undeclared variable 'ghost'"):
+            p.validate()
+
+    def test_validate_rejects_emit_outside_output(self):
+        p = self.make()
+        p.body.append(Emit(v("y"), ("y", 1)))
+        with pytest.raises(CodegenError,
+                           match="outside the output section"):
+            p.validate()
+
     def test_stats_counts(self):
         p = Program("t", word_width=32)
         p.declare("a")
@@ -153,6 +169,14 @@ class TestInputSlotValidation:
         p.declare("x")
         p.body.append(Assign("x", Input(3)))
         with pytest.raises(CodegenError, match="slot 3"):
+            p.validate()
+
+    def test_out_of_range_slot_in_emit_rejected(self):
+        p = Program("t", inputs=["A", "B"])
+        p.declare("x")
+        p.output.append(Emit(Bin("^", Var("x"), Un("~", Input(2))), ("x",)))
+        with pytest.raises(CodegenError,
+                           match="input slot 2 outside vector of 2"):
             p.validate()
 
     def test_in_range_slot_accepted(self):

@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 
@@ -346,20 +347,25 @@ class TestProgramCache:
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
                         reason="needs /proc")
     def test_dropped_machines_leave_one_library(self):
-        def mapped():
+        # The build files have fixed names, so the library is found by
+        # the path each machine's library was loaded from.
+        def mapped(paths):
             with open("/proc/self/maps") as maps:
                 return {
                     line.split(None, 5)[5].strip()
                     for line in maps
-                    if "/dropped" in line and ".so" in line
+                    if any(path in line for path in paths)
                 }
 
+        paths = set()
         for value in range(50):
             machine = CMachine(_counter_program("dropped"))
             assert machine.step([value]) == [value]
+            paths.add(machine._lib._name)
             del machine
         gc.collect()
-        assert len(mapped()) == 1
+        assert len(paths) == 1
+        assert len(mapped(paths)) == 1
 
     @NEED_CC
     def test_wiped_tempdir_keeps_cache_hits_working(self, tmp_path):
@@ -502,3 +508,21 @@ def test_opt_level_auto_downgrade():
         big.body.append(Assign("x", Bin("&", Var("x"), Var("x"))))
     machine = CMachine(big)
     assert machine.opt_level == "-O0"
+
+
+@NEED_CC
+@pytest.mark.parametrize("name", ["a/b", "../escaped", "x*/ y"])
+def test_program_name_never_becomes_a_path(name, tmp_path, monkeypatch):
+    # The build files have fixed names in a private directory: a slash
+    # or a parent step in the name neither fails nor escapes it, and a
+    # "*/" does not close the source's header comment.
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    program = _toggle_program()
+    program.name = name
+    rows = [[1, 0], [1, 1], [0, 1], [1, 1]]
+    expected = PythonMachine(program).step_many(rows)
+    assert CMachine(program).step_many(rows) == expected
+    assert list(tmp_path.iterdir()) == [temp]
+    assert list(temp.iterdir()) == []
