@@ -394,7 +394,11 @@ class Program:
 
         Temporaries must be declared too (generators declare them with
         ``declare``); this catches typos in generated code early, where
-        they are cheap to debug.  Input slots must lie inside the
+        they are cheap to debug.  A temporary must also be written
+        before a pass reads it, walking ``init``, ``body`` and
+        ``output`` in pass order: it holds nothing between passes (a C
+        local, uninitialised; an unbound Python local on the first
+        vector).  Input slots must lie inside the
         declared vector width — an out-of-range slot would read past
         the vector buffer on the C backend.  Emits belong in the
         ``output`` section: the C emitter splits ``init`` and ``body``
@@ -409,16 +413,23 @@ class Program:
         together.
         """
         known = set(self.state_vars) | set(self.temp_vars)
+        # The temporaries this pass has not written yet.
+        unwritten = set(self.temp_vars)
         slots = max(1, len(self.inputs))
         for section in (self.init, self.body, self.output):
             for stmt in section:
                 if not isinstance(stmt, (Assign, Emit)):
                     continue
-                bad = _first_bad_leaf(stmt.expr, known, slots)
+                bad = _first_bad_leaf(stmt.expr, known, slots, unwritten)
                 if isinstance(bad, Input):
                     raise CodegenError(
                         f"{self.name}: input slot {bad.slot} outside "
                         f"vector of {len(self.inputs)} inputs"
+                    )
+                if bad is not None and bad.name in unwritten:
+                    raise CodegenError(
+                        f"{self.name}: temporary {bad.name!r} read "
+                        f"before it is written in {stmt!r}"
                     )
                 if isinstance(stmt, Emit):
                     if bad is not None:
@@ -442,6 +453,7 @@ class Program:
                         f"{self.name}: assignment to undeclared variable "
                         f"{stmt.dest!r}"
                     )
+                unwritten.discard(stmt.dest)
 
     def without_output(self) -> "Program":
         """A shallow copy with the output section dropped (timing runs)."""
@@ -505,14 +517,17 @@ def _count(expr: Expr, stats: ProgramStats) -> None:
         _count(expr.a, stats)
 
 
-def _first_bad_leaf(expr: Expr, known: set, slots: int) -> Optional[Expr]:
-    """The first ``Var`` not in ``known`` or ``Input`` not below
-    ``slots`` in ``expr``, left to right, or ``None``."""
+def _first_bad_leaf(
+    expr: Expr, known: set, slots: int, unwritten: set
+) -> Optional[Expr]:
+    """The first ``Var`` not in ``known`` or in ``unwritten``, or
+    ``Input`` not below ``slots``, in ``expr``, left to right, or
+    ``None``."""
     stack = [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, Var):
-            if node.name not in known:
+            if node.name not in known or node.name in unwritten:
                 return node
         elif isinstance(node, Bin):
             stack.append(node.b)

@@ -142,33 +142,39 @@ def _check_shifts(expr: Expr, width: int) -> None:
 
 def _statement_lines(
     stmts: list[Stmt], program: Program, indent: str
-) -> list[str]:
+) -> tuple[list[str], bool]:
+    """One line per statement, and whether any calls ``_popcount``:
+    only a popcount renders that call (names are identifiers)."""
     lines: list[str] = []
+    popcount = False
     mask = program.mask_assignments
     for stmt in stmts:
         if isinstance(stmt, Comment):
             lines.append(f"{indent}# {stmt.text}")
-        elif isinstance(stmt, Assign):
-            _check_shifts(stmt.expr, program.word_width)
-            rhs = render_expr_python(stmt.expr, masked=mask)
-            if mask and not isinstance(stmt.expr, Un):
-                # Unary expressions are already masked inline.
-                lines.append(f"{indent}{stmt.dest} = ({rhs}) & MASK")
-            else:
-                lines.append(f"{indent}{stmt.dest} = {rhs}")
-        elif isinstance(stmt, Emit):
-            _check_shifts(stmt.expr, program.word_width)
-            rhs = render_expr_python(stmt.expr, masked=mask)
-            lines.append(f"{indent}_append(({rhs}) & OUTMASK)")
-        else:
+            continue
+        if not isinstance(stmt, (Assign, Emit)):
             raise CodegenError(f"unknown statement: {stmt!r}")
-    return lines
+        _check_shifts(stmt.expr, program.word_width)
+        rhs = render_expr_python(stmt.expr, masked=mask)
+        popcount = popcount or "_popcount(" in rhs
+        if isinstance(stmt, Emit):
+            lines.append(f"{indent}_append(({rhs}) & OUTMASK)")
+        elif mask and not isinstance(stmt.expr, Un):
+            # Unary expressions are already masked inline.
+            lines.append(f"{indent}{stmt.dest} = ({rhs}) & MASK")
+        else:
+            lines.append(f"{indent}{stmt.dest} = {rhs}")
+    return lines, popcount
 
 
 def emit_python(program: Program) -> str:
     """Produce the full Python source of the coroutine machine."""
     program.validate()
     state_names = program.state_vars
+    body_indent = "                "
+    body, popcount = _statement_lines(
+        program.init + program.body + program.output, program, body_indent
+    )
     lines: list[str] = [
         f"# generated by repro - program {program.name!r}",
         f"# word width {program.word_width}, "
@@ -178,7 +184,7 @@ def emit_python(program: Program) -> str:
         f"    OUTMASK = {program.output_mask}",
         f"    HBIT = {1 << (program.word_width - 1)}",
     ]
-    if program.stats().popcounts:
+    if popcount:
         lines.append(
             "    _popcount = getattr(int, 'bit_count', None) or "
             "(lambda x: bin(x).count('1'))"
@@ -199,9 +205,7 @@ def emit_python(program: Program) -> str:
     lines.append("                OUT = cmd[2]")
     lines.append("            _append = OUT.append")
     lines.append("            for V in VS:")
-    body_indent = "                "
-    for section in (program.init, program.body, program.output):
-        lines += _statement_lines(section, program, body_indent)
+    lines += body
     # A bare ``pass`` keeps the loop syntactically valid when every
     # section is empty (or holds only comments); it compiles to no
     # bytecode, so populated programs pay nothing for it.

@@ -76,6 +76,34 @@ class TestPythonRendering:
         p.body.append(Comment("hello"))
         assert "# hello" in emit_python(p)
 
+    @pytest.mark.parametrize("where", ["none", "init", "nested", "emit"])
+    def test_popcount_helper_exactly_when_used(self, where):
+        p = Program("t", word_width=16, inputs=["A"])
+        p.declare("a")
+        p.declare("n")
+        p.init.append(Assign("a", Input(0)))
+        # A name or comment that mentions it is not a use.
+        p.body.append(Comment("_popcount(a) is not called here"))
+        p.body.append(Assign("n", Bin("+", Var("n"), Var("a"))))
+        count = Un("popcount", Var("a"))
+        if where == "init":
+            p.init.append(Assign("n", count))
+        elif where == "nested":
+            p.body.append(Assign("n", Bin("+", Var("n"), Bin(
+                "&", count, Const(3)
+            ))))
+        p.output.append(Emit(count if where == "emit" else Var("n"),
+                             ("n",)))
+        source = emit_python(p)
+        helper = "    _popcount = getattr(int, 'bit_count', None)"
+        assert (helper in source) == (where != "none")
+        # It runs, and agrees with C where there is a compiler.
+        machines = [compile_program(p, "python")]
+        if have_c_compiler():
+            machines.append(compile_program(p, "c"))
+        outputs = [m.step_many([[0xF0F1], [3]]) for m in machines]
+        assert all(out == outputs[0] for out in outputs)
+
 
 class TestCRendering:
     def test_basic_exprs(self):

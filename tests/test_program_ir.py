@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.codegen.c_emitter import emit_c
 from repro.codegen.program import (
     Assign,
     Bin,
@@ -15,6 +16,7 @@ from repro.codegen.program import (
     c,
     v,
 )
+from repro.codegen.python_emitter import emit_python
 from repro.errors import CodegenError
 
 
@@ -116,6 +118,38 @@ class TestProgram:
         with pytest.raises(CodegenError,
                            match="use of undeclared variable 'ghost'"):
             p.validate()
+
+    @pytest.mark.parametrize("emitter", [emit_c, emit_python])
+    def test_temporary_read_before_written_rejected(self, emitter):
+        # x = t ^ V[0]; t = V[0] left C reading an uninitialised local
+        # and the Python machine raising UnboundLocalError.
+        p = Program("t", word_width=8, inputs=["A"])
+        p.declare("x")
+        p.declare_temp("t")
+        p.body.append(Assign("x", Bin("^", Var("t"), Input(0))))
+        p.body.append(Assign("t", Input(0)))
+        with pytest.raises(CodegenError, match=(
+            r"temporary 't' read before it is written in "
+            r"Assign\(x = Bin\(\^, Var\(t\), Input\(V\[0\]\)\)\)"
+        )):
+            emitter(p)
+        # Written earlier in the pass, in init, it is fine; a later
+        # section reads what an earlier one wrote.
+        p.body.reverse()
+        emitter(p)
+        q = Program("u", word_width=8, inputs=["A"])
+        q.declare("x")
+        q.declare_temp("t")
+        q.init.append(Assign("t", Input(0)))
+        q.body.append(Assign("x", Var("t")))
+        q.output.append(Emit(Bin("&", Var("t"), Var("x")), ("x",)))
+        emitter(q)
+        # An emit may not read one the pass never wrote either.
+        q.init.clear()
+        q.body.clear()
+        with pytest.raises(CodegenError, match=r"read before it is written "
+                                               r"in Emit"):
+            emitter(q)
 
     def test_validate_rejects_emit_outside_output(self):
         p = self.make()
