@@ -2,9 +2,9 @@
 """Parallel stuck-at fault simulation — the classic application of
 bit-parallel compiled simulation.
 
-The PC-set method's generated code is purely bit-wise, so one run can
-carry 32 test patterns (one per bit lane) with a fault pinned in every
-lane.  This example grades a random test set against every stuck-at
+Compiled zero-delay code is purely bit-wise, so one run can carry 32
+test patterns (one per bit lane) with a fault pinned in every lane.
+This example grades a random test set against every stuck-at
 fault of a 4-bit ripple adder, cross-checks the pattern-parallel
 engine against one-fault-at-a-time serial simulation, and shows a
 provably undetectable (redundant) fault.
