@@ -78,8 +78,10 @@ def _generate_lcc_program(
     for slot, net_name in enumerate(inputs):
         program.init.append(Assign(names.get(net_name), Input(slot)))
     levels = levelize(circuit)
+    # (level, name) orders the gates totally, so any input order does;
+    # levelize has already checked the circuit for cycles.
     ordered = sorted(
-        circuit.topological_gates(),
+        circuit.gates.values(),
         key=lambda g: (levels.gate_levels[g.name], g.name),
     )
     for gate in ordered:
