@@ -39,6 +39,16 @@ generated ``run_block`` routine each backend compiles in:
   machines: one vector per ``run_block`` pass, in order, so passes may
   carry state from one vector to the next (a clocked program's
   flip-flops); it returns bit 0 of every emitted word as one byte.
+  ``step_bits(block, count)`` runs the same passes and returns every
+  vector's full output words, as ``step_many`` would.  On C both cross
+  the ctypes boundary through one byte-block path: the block is
+  widened into an input buffer the machine holds with one
+  extended-slice store, the kernel writes a held output buffer, and
+  one slice (bits) or one ``memoryview.cast(...).tolist()`` (words)
+  reads it back.  No per-value Python loop runs on either side, and
+  a batch allocates no word buffer unless it is the machine's largest
+  so far.  The Python machine runs its ``run_block`` loop, the
+  reference.
 - ``pack_lanes(block, count)`` transposes such a block into the
   machine's lane rows (the library's ``pack_lanes`` on C,
   :func:`~repro.codegen.packing.pack_patterns` on Python), and
@@ -359,9 +369,28 @@ class Machine:
         every byte 0 or 1.  The vectors run in order through the
         scalar ``run_block`` kernel, so each pass sees the state the
         previous one left.  The result holds bit 0 of every emitted
-        word as one byte, vector after vector.
+        word as one byte, vector after vector (``bytes`` on the Python
+        machine, a fresh ``bytearray`` on the C machine).
         """
         raise NotImplementedError
+
+    def step_bits(self, block: bytes, count: int) -> list[list[int]]:
+        """Run ``count`` 0/1 vectors one per pass; return output words.
+
+        The full-word sibling of :meth:`run_bit_rows`: the same block
+        and the same passes, and every vector's emitted words as one
+        list, bit-identical to :meth:`step_many` of the block's rows.
+        """
+        raise NotImplementedError
+
+    def _bit_vectors(self, block: bytes, count: int) -> list[bytes]:
+        """The rows of a bit block, one ``bytes`` per vector.
+
+        A ``bytes`` row indexes to ints, which is all ``V[k]`` needs.
+        """
+        self._check_bit_block(block, count)
+        width = self.num_inputs
+        return [block[i * width:(i + 1) * width] for i in range(count)]
 
     def pack_lanes(self, block: bytes, count: int):
         """``count`` 0/1 vectors of ``block`` as lane rows, one per pass.
@@ -553,18 +582,15 @@ class PythonMachine(Machine):
         return out
 
     def run_bit_rows(self, block: bytes, count: int) -> bytes:
-        self._check_bit_block(block, count)
-        width = self.num_inputs
-        # A bytes row indexes to ints, which is all V[k] needs.
-        vectors = [block[i * width:(i + 1) * width] for i in range(count)]
         words: list[int] = []
-        self.run_block(vectors, words, masked=True)
+        self.run_block(self._bit_vectors(block, count), words, masked=True)
         return bytes([word & 1 for word in words])
 
+    def step_bits(self, block: bytes, count: int) -> list[list[int]]:
+        return self.step_many(self._bit_vectors(block, count), masked=True)
+
     def pack_lanes(self, block: bytes, count: int) -> list[list[int]]:
-        self._check_bit_block(block, count)
-        width = self.num_inputs
-        rows = [block[i * width:(i + 1) * width] for i in range(count)]
+        rows = self._bit_vectors(block, count)
         return pack_patterns(rows, self.program.word_width)[0]
 
     def run_lanes(self, lanes, count: int) -> list[int]:
@@ -621,6 +647,16 @@ class CMachine(Machine):
     the ``(V, OUT)`` and ``(V, n, OUT)`` call shapes (``screen`` takes
     the rest of its C arguments, see :meth:`screen`).  ``dump_state``
     and ``load_state`` read and write that buffer directly.
+
+    Scalar 0/1 batches (:meth:`run_bit_rows`, :meth:`step_bits`) cross
+    the ctypes boundary through two more buffers the machine holds: an
+    input and an output ``bytearray``, each viewed as words.  Each
+    grows, zeroed, only when a batch needs more words than any batch
+    before, so it lives as long as the machine and is as large as its
+    largest batch: about 1 MB each way for 4096 vectors of 32 inputs
+    and 32 words out at 64 bits.  Like the state buffer, the held
+    buffers serve one caller at a time: a machine is not shared
+    between threads.
     """
 
     _CTYPE = {
@@ -683,6 +719,11 @@ class CMachine(Machine):
         self._num_outputs = self.interface.num_emits
         self._v_buffer = (word * max(1, self.num_inputs))()
         self._out_buffer = (word * max(1, self._num_outputs))()
+        self._size = ctypes.sizeof(word)
+        # The byte of a word that holds its low 8 bits.
+        self._low = 0 if sys.byteorder == "little" else self._size - 1
+        self._in_bytes, self._in_words = self._held_buffer(1)
+        self._out_bytes, self._out_words = self._held_buffer(1)
 
     def _build(self, compiler: str, opt_level: str) -> ctypes.CDLL:
         """Compile and load the library; leave nothing on disk.
@@ -922,26 +963,66 @@ class CMachine(Machine):
         )
         return firsts
 
-    def run_bit_rows(self, block: bytes, count: int) -> bytes:
-        """Widen ``block`` into words, run, narrow the outputs to bits.
+    def _held_buffer(self, words: int):
+        """A zeroed ``bytearray`` of ``words`` words and its word view."""
+        raw = bytearray(words * self._size)
+        return raw, (self._word * words).from_buffer(raw)
 
-        Both conversions are byte slices: each input byte is copied
-        into the low byte of a zeroed word (which byte that is depends
-        on ``sys.byteorder``), and the low byte of every output word is
-        cut out and reduced to bit 0 with ``bytes.translate``.
+    def _run_bits(self, block: bytes, count: int) -> bytearray:
+        """Run a 0/1 block through the held buffers; return the output.
+
+        One extended-slice store widens ``block`` into the held input
+        words: each byte lands in the low byte of its word (which byte
+        that is depends on ``sys.byteorder``).  Nothing else ever
+        writes the input buffer, so the other bytes stay zero and it
+        is never re-zeroed.  The scalar ``run_block`` kernel then
+        writes the held output words; the first ``count *
+        num_outputs`` of them are this batch's, and they stay valid
+        until the machine's next batch.
         """
         self._check_bit_block(block, count)
-        size = ctypes.sizeof(self._word)
-        low = 0 if sys.byteorder == "little" else size - 1
-        wide = bytearray(len(block) * size)
-        wide[low::size] = block
-        words = (self._word * len(block)).from_buffer(wide)
+        size = self._size
+        values = len(block)
         emitted = count * self._num_outputs
-        out = (self._word * max(1, emitted))()
+        if len(self._in_words) < values:
+            self._in_bytes, self._in_words = self._held_buffer(values)
+        if len(self._out_words) < emitted:
+            self._out_bytes, self._out_words = self._held_buffer(emitted)
+        # An empty extended-slice store counts as a resize, which the
+        # exported buffer refuses; an empty block has nothing to store.
+        with telemetry.span("pack"):
+            if values:
+                self._in_bytes[self._low:values * size:size] = block
         start = time.perf_counter()
-        self._entry["run_block"](words, count, out)
+        self._entry["run_block"](self._in_words, count, self._out_words)
         self._record_batch(count, time.perf_counter() - start)
-        return bytes(out)[low:emitted * size:size].translate(_BIT0)
+        return self._out_bytes
+
+    def run_bit_rows(self, block: bytes, count: int) -> bytearray:
+        """Run through the held buffers; narrow the outputs to bits.
+
+        The low byte of every output word is cut out of the held
+        output buffer with one bytearray slice and reduced to bit 0
+        with ``translate``.
+        """
+        out = self._run_bits(block, count)
+        size = self._size
+        with telemetry.span("unpack"):
+            return out[
+                self._low:count * self._num_outputs * size:size
+            ].translate(_BIT0)
+
+    def step_bits(self, block: bytes, count: int) -> list[list[int]]:
+        """Run through the held buffers; return each vector's words."""
+        out = self._run_bits(block, count)
+        emits = self._num_outputs
+        with telemetry.span("unpack"):
+            if not count * emits:
+                # memoryview.cast refuses a zero in the shape.
+                return [[] for _ in range(count)]
+            return memoryview(out)[:count * emits * self._size].cast(
+                self._FORMAT[self.program.word_width], (count, emits)
+            ).tolist()
 
     def dump_state(self) -> list[int]:
         return self._state[: self.num_state]

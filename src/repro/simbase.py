@@ -14,13 +14,17 @@ The batch executor
 A batch crosses one boundary (:meth:`CompiledSimulator._batch`): the
 vectors become rows (:func:`input_rows`) and one
 :func:`~repro.codegen.packing.bit_block` decides whether they are plain
-0/1.  One decision (:meth:`CompiledSimulator._packs`) picks packed or
-scalar, one run loop (:meth:`CompiledSimulator._run`) chunks it so no
-probe counter can wrap, and one prepared-batch shape
+0/1; a batch masked to bit 0 gets the block of its masked rows.  One
+decision (:meth:`CompiledSimulator._packs`) picks packed or scalar,
+one run loop (:meth:`CompiledSimulator._run`) chunks it so no probe
+counter can wrap, and one prepared-batch shape
 (:meth:`CompiledSimulator._prepare`) serves the timing fast path.
-A packed batch runs all but its last vector pattern-packed and the
-last one on the scalar path, so the machine ends in the state the
-scalar loop leaves.
+A scalar batch with a block hands the block to the machine
+(:meth:`~repro.codegen.runtime.Machine.step_bits`: on C one byte-block
+crossing each way, no per-value loop); lane words and probed chunks
+run their rows through ``step_many``.  A packed batch runs all but its
+last vector pattern-packed and the last one on the scalar path, so the
+machine ends in the state the scalar loop leaves.
 """
 
 from __future__ import annotations
@@ -237,9 +241,11 @@ class CompiledSimulator:
         Rows come from :func:`input_rows`; one
         :func:`~repro.codegen.packing.bit_block` checks every value's
         type and decides 0/1 eligibility (``None``: not 0/1).  A batch
-        that is not 0/1 keeps bit 0 of every value unless the facade
-        takes :attr:`_lane_words`.  Probes with an occupancy input
-        (LCC) require 0/1 vectors and get the occupancy 1 appended.
+        that is not 0/1 keeps bit 0 of every value, and gets the block
+        of those masked rows, unless the facade takes
+        :attr:`_lane_words`: it then runs exactly like the same batch
+        masked by the caller.  Probes with an occupancy input (LCC)
+        require 0/1 vectors and get the occupancy 1 appended.
         """
         rows = input_rows(vectors, self._inputs)
         block = bit_block(rows, len(self._inputs))
@@ -256,6 +262,7 @@ class CompiledSimulator:
                 )
             if not self._lane_words:
                 rows = [[value & 1 for value in row] for row in rows]
+                block = b"".join(map(bytes, rows))
         elif counts_lanes:
             rows = [[*row, 1] for row in rows]
         return rows, block
@@ -323,20 +330,32 @@ class CompiledSimulator:
     ) -> list[list[int]]:
         """One chunk of :meth:`_run`.
 
-        A packed chunk runs all but its last vector pattern-packed
-        (:func:`~repro.codegen.packing.packed_apply`; ``block`` is
-        their bit block when the rows are the batch's own) and the
-        last one scalar: the machine then holds the state the scalar
-        loop would, not the packed lanes.
+        ``block`` is the rows' bit block when the rows are the batch's
+        own.  A scalar chunk with a block runs through the machine's
+        byte-block path (:meth:`~repro.codegen.runtime.Machine.step_bits`);
+        lane words and probed chunks, which have none, take
+        ``step_many``.  A packed chunk runs all but its last vector
+        pattern-packed (:func:`~repro.codegen.packing.packed_apply`)
+        and the last one scalar: the machine then holds the state the
+        scalar loop would, not the packed lanes.
         """
         if not packed or len(rows) < 2:
-            return self.machine.step_many(rows, masked=True)
+            return self._run_scalar(rows, block)
         head = len(rows) - 1
+        last = None
         if block is not None:
-            block = block[:head * len(self._inputs)]
+            split = head * len(self._inputs)
+            block, last = block[:split], block[split:]
         out = packed_apply(self.machine, rows[:head], block=block)
-        out += self.machine.step_many(rows[head:], masked=True)
+        out += self._run_scalar(rows[head:], last)
         return out
+
+    def _run_scalar(
+        self, rows: list, block: Optional[bytes]
+    ) -> list[list[int]]:
+        if block is None:
+            return self.machine.step_many(rows, masked=True)
+        return self.machine.step_bits(block, len(rows))
 
     def _apply(self, vectors) -> list[list[int]]:
         """The body of every facade's ``apply_vectors``."""

@@ -11,6 +11,7 @@ checks; ``benchmarks/bench_batch_dispatch.py`` measures the time.
 
 import pytest
 
+from repro import telemetry
 from repro.codegen.runtime import have_c_compiler
 from repro.faults.simulator import (
     ParallelFaultSimulator,
@@ -19,6 +20,7 @@ from repro.faults.simulator import (
 from repro.harness.runner import simulate_outputs
 from repro.harness.vectors import vectors_for
 from repro.lcc.zerodelay import LCCSimulator
+from repro.netlist.generators import ripple_carry_adder
 from repro.netlist.random_circuits import random_dag_circuit
 from repro.parallel.simulator import ParallelSimulator
 from repro.pcset.simulator import PCSetSimulator
@@ -100,6 +102,91 @@ def test_oversized_inputs_do_not_diverge(backend):
     reference = _fresh(PCSetSimulator, circuit, backend, word_width=16)
     masked = [value & 0xFFFF for value in huge]
     assert machine.step(huge) == reference.machine.step(masked)
+
+
+# ----------------------------------------------------------------------
+# the scalar byte path (Machine.step_bits)
+# ----------------------------------------------------------------------
+WIDTHS = (8, 16, 32, 64)
+
+#: The facades whose 0/1 scalar batches run through ``step_bits``.
+BYTE_PATH_FACADES = {
+    "parallel": (ParallelSimulator, {}),
+    "pcset": (PCSetSimulator, {}),
+    "lcc-scalar": (LCCSimulator, {"packed": False}),
+}
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("facade", sorted(BYTE_PATH_FACADES))
+def test_byte_path_matches_apply_vector_loop(facade, backend, width):
+    """Batches of 0, 1, W-1, W and W+1 vectors, one simulator each.
+
+    rca4 is 11 levels deep, so at 8 bits every parallel bit-field
+    takes two words.
+    """
+    sim_cls, kw = BYTE_PATH_FACADES[facade]
+    circuit = ripple_carry_adder(4)
+    batched = _fresh(sim_cls, circuit, backend, word_width=width, **kw)
+    scalar = _fresh(sim_cls, circuit, backend, word_width=width, **kw)
+    if facade == "parallel" and width == 8:
+        assert batched.machine.num_outputs == 2 * len(circuit.outputs)
+    for count in (0, 1, width - 1, width, width + 1):
+        vectors = vectors_for(circuit, count, seed=count)
+        expected = [scalar.apply_vector(v) for v in vectors]
+        assert batched.apply_vectors(vectors) == expected
+        assert batched.machine.dump_state() == scalar.machine.dump_state()
+
+
+def _odd_values(vectors):
+    """``vectors`` with each 1 written as 3, 255 or ``True`` and some
+    0s as 2: values that are not 0/1 but keep the same bit 0."""
+    ones, zeros = (3, 255, True), (0, 2)
+    return [
+        [
+            ones[(i + k) % 3] if value else zeros[(i * k) % 2]
+            for k, value in enumerate(vector)
+        ]
+        for i, vector in enumerate(vectors)
+    ]
+
+
+def _counted(call, vectors):
+    """``call(vectors)`` with telemetry on: the result and ``packing``."""
+    prior = telemetry.enabled()
+    telemetry.enable(reset_state=True)
+    try:
+        out = call(vectors)
+        return out, telemetry.snapshot()["packing"]
+    finally:
+        telemetry.enable() if prior else telemetry.disable()
+        telemetry.reset()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("method", [
+    "parallel.apply_vectors", "pcset.apply_vectors",
+    "pcset.settled_outputs",
+])
+def test_masked_batch_runs_like_the_premasked_batch(method, backend):
+    """A batch that is not 0/1 is masked to bit 0 and gets the block
+    of its masked rows: outputs, end state and ``packing.*`` counters
+    equal those of the same batch masked by the caller."""
+    facade, name = method.split(".")
+    sim_cls = BYTE_PATH_FACADES[facade][0]
+    circuit = ripple_carry_adder(4)
+    vectors = vectors_for(circuit, 21, seed=6)
+    odd = _odd_values(vectors)
+    assert {value for row in odd for value in row} == {0, 2, 3, 255, True}
+    masked = _fresh(sim_cls, circuit, backend, word_width=8)
+    premasked = _fresh(sim_cls, circuit, backend, word_width=8)
+    got = _counted(getattr(masked, name), odd)
+    expected = _counted(getattr(premasked, name), vectors)
+    assert got == expected
+    assert masked.machine.dump_state() == premasked.machine.dump_state()
+    # Only settled observers of the PC-set program may pack.
+    assert got[1]["packed_batches"] == (name == "settled_outputs")
 
 
 def test_seqsim_apply_vectors_matches_per_cycle_step():

@@ -3,11 +3,13 @@
 import gc
 import inspect
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import textwrap
 import threading
+import tracemalloc
 
 import pytest
 
@@ -173,10 +175,12 @@ class TestCMachine:
             machine.load_state([])
 
 
-def _toggle_program(inputs: int = 2, emits: bool = True) -> Program:
+def _toggle_program(
+    inputs: int = 2, emits: bool = True, word_width: int = 32
+) -> Program:
     """x' = x ^ V[0]; emits x, ~x (high bits set) and x & V[last]."""
-    p = Program("toggle", word_width=32, inputs=[f"I{k}" for k in
-                                                range(inputs)])
+    p = Program("toggle", word_width=word_width,
+                inputs=[f"I{k}" for k in range(inputs)])
     p.declare("x", 0)
     if inputs:
         p.body.append(Assign("x", Bin("^", Var("x"), Input(0))))
@@ -217,6 +221,124 @@ class TestRunBitRows:
         machine = machine_class(_toggle_program())
         with pytest.raises(BackendError, match="3 bytes, expected 2"):
             machine.run_bit_rows(b"\x01\x00\x01", 2)
+
+
+WIDTHS = (8, 16, 32, 64)
+
+
+def _fanin_program(inputs: int, word_width: int) -> Program:
+    """x' = x ^ V[0]; emits x, then V[k] ^ ~x for every input k.
+
+    Every input reaches an output, and every word but the first has
+    its high bits set, so a stale or misplaced byte of either buffer
+    shows in the full words and in bit 0.
+    """
+    p = Program("fanin", word_width=word_width,
+                inputs=[f"I{k}" for k in range(inputs)])
+    p.declare("x", 0)
+    p.body.append(Assign("x", Bin("^", Var("x"), Input(0))))
+    p.output.append(Emit(Var("x"), ("x",)))
+    for k in range(inputs):
+        p.output.append(Emit(Bin("^", Input(k), ~Var("x")), (f"o{k}",)))
+    return p
+
+
+def _random_block(count: int, inputs: int, seed: int = 0) -> bytes:
+    rng = random.Random(seed)
+    return bytes(rng.getrandbits(1) for _ in range(count * inputs))
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("machine_class", MACHINES)
+class TestStepBits:
+    """``step_bits``, the full-word sibling of ``run_bit_rows``."""
+
+    def test_matches_step_loop(self, machine_class, width):
+        program = _fanin_program(3, width)
+        for count in (0, 1, width - 1, width, width + 1):
+            block = _random_block(count, 3, seed=count)
+            bits = machine_class(program)
+            loop = machine_class(program)
+            expected = [
+                loop.step(list(block[i * 3:(i + 1) * 3]))
+                for i in range(count)
+            ]
+            assert bits.step_bits(block, count) == expected
+            assert bits.dump_state() == loop.dump_state()
+            assert bits.counters.vectors == count
+
+    def test_no_inputs_and_no_outputs(self, machine_class, width):
+        mask = (1 << width) - 1
+        bare = machine_class(_toggle_program(inputs=0, word_width=width))
+        assert bare.step_bits(b"", 3) == [[0, mask]] * 3
+        silent = machine_class(
+            _toggle_program(emits=False, word_width=width)
+        )
+        assert silent.step_bits(b"\x01\x00\x01\x00", 2) == [[], []]
+        assert silent.dump_state() == [0]
+        empty = machine_class(_toggle_program(word_width=width))
+        assert empty.step_bits(b"", 0) == []
+
+    def test_block_length_checked(self, machine_class, width):
+        machine = machine_class(_toggle_program(word_width=width))
+        with pytest.raises(BackendError, match="3 bytes, expected 2"):
+            machine.step_bits(b"\x01\x00\x01", 2)
+
+    def test_sizes_up_and_down_equal_a_fresh_machine(
+        self, machine_class, width
+    ):
+        """One machine through 4096 -> 1 -> 0 -> 5000 vectors, twice,
+        alternating the two byte-path methods: every call equals a
+        fresh machine's from the same state, so no call reads a stale
+        or short held buffer."""
+        program = _fanin_program(5, width)
+        driven = machine_class(program)
+        methods = ("run_bit_rows", "step_bits")
+        calls = [
+            (count, methods[(index + turn) % 2])
+            for turn in range(2)
+            for index, count in enumerate((4096, 1, 0, 5000))
+        ]
+        for seed, (count, method) in enumerate(calls):
+            block = _random_block(count, 5, seed=seed)
+            fresh = machine_class(program)
+            fresh.load_state(driven.dump_state())
+            got = getattr(driven, method)(block, count)
+            assert got == getattr(fresh, method)(block, count)
+            assert len(got) == count * (1 if method == "step_bits" else 6)
+            assert driven.dump_state() == fresh.dump_state()
+
+
+@NEED_CC
+@pytest.mark.parametrize("width", WIDTHS)
+def test_second_batch_allocates_no_word_buffers(width):
+    """The held buffers serve a batch no larger than an earlier one.
+
+    A call that built its own word buffers would allocate the widened
+    block and the output words, as the machine's first call does.  The
+    second call may allocate only its narrowed result and the one
+    staging copy a ``bytearray`` slice store makes of a ``bytes`` block
+    (as large as the widened block at 8 bits, where a word is a byte).
+    """
+    inputs, emits, count = 32, 3, 1024
+    machine = CMachine(_toggle_program(inputs=inputs, word_width=width))
+    block = _random_block(count, inputs)
+    machine.run_bit_rows(block, count)
+    state = machine.dump_state()
+    word_buffers = count * (inputs + emits) * width // 8
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        again = machine.run_bit_rows(block, count)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < word_buffers
+    if width > 8:
+        assert peak - before < len(block) * width // 8
+    fresh = CMachine(machine.program)
+    fresh.load_state(state)
+    assert again == fresh.run_bit_rows(block, count)
 
 
 def _pinned_program() -> Program:

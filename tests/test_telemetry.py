@@ -20,6 +20,7 @@ from repro.faults.sharding import run_sharded_fault_simulation
 from repro.harness.vectors import vectors_for
 from repro.lcc.zerodelay import LCCSimulator
 from repro.netlist.generators import ripple_carry_adder
+from repro.parallel.simulator import ParallelSimulator
 from repro.telemetry import MetricsRegistry
 
 NEED_CC = pytest.mark.skipif(
@@ -271,6 +272,20 @@ class TestSnapshots:
         assert snap["packing"]["packed_batches"] == 1
         assert snap["counters"]["run.vectors"] == 20
         assert {"pack", "run", "unpack"} <= set(snap["phases"])
+
+    @NEED_CC
+    def test_c_scalar_batch_records_its_byte_boundary(self):
+        """A C parallel batch: one pack, run and unpack per batch."""
+        circuit = ripple_carry_adder(2)
+        sim = ParallelSimulator(circuit, backend="c", word_width=8)
+        sim.reset()
+        telemetry.enable()
+        for seed in range(3):
+            sim.apply_vectors(vectors_for(circuit, 9, seed=seed))
+        phases = telemetry.snapshot()["phases"]
+        assert {name: entry["count"] for name, entry in phases.items()} == {
+            "pack": 3, "run": 3, "unpack": 3,
+        }
 
     def test_write_metrics(self, tmp_path):
         telemetry.enable()
