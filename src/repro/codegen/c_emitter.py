@@ -8,9 +8,11 @@ batch drivers ``run_block`` (one vector per pass) and
 ``run_packed_block`` (pattern-lane packed: one pass per ``word_width``
 vectors, see :mod:`repro.codegen.packing`), the two helpers around
 it that transpose a batch of 0/1 bytes into lane words and unpack the
-packed outputs (``pack_lanes``/``unpack_lanes``), and ``screen``, the
+packed outputs (``pack_lanes``/``unpack_lanes``), ``screen``, the
 one-call PPSFP fault screen over packed lane rows (see
-:mod:`repro.faults.simulator`).
+:mod:`repro.faults.simulator`), and ``fold_rows``, which folds a
+replay chunk's output bits into its checksum and toggle counts (see
+:mod:`repro.replay.harness`).
 
 The code is reentrant.  The persistent variables are the members of
 one ``struct state``, in declaration order, and every entry point
@@ -344,6 +346,37 @@ def _screen_lines(interface: MachineInterface) -> list[str]:
     ]
 
 
+#: ``fold_rows``: a clocked replay's checksum and toggle counts over
+#: ``n`` rows of ``width`` output bits, one byte each (bit 0 counts).
+#: The sum is ``fold_outputs`` (:mod:`repro.replay.harness`) applied
+#: value by value; ``TOGGLES[j]`` counts the rows whose column ``j``
+#: differs from the row before, the first row comparing with ``PREV``
+#: unless it is NULL.  It takes no state and no program-specific size,
+#: so every library carries the same text.
+_FOLD_LINES = [
+    "void fold_rows(const unsigned char *B, long n, long width,",
+    "               const unsigned char *PREV, uint64_t *SUM,"
+    " int64_t *TOGGLES) {",
+    "    const unsigned char *last = PREV, *row = B;",
+    "    uint64_t sum = *SUM;",
+    "    long r, j;",
+    "    for (r = 0; r < n; r++, row += width) {",
+    "        for (j = 0; j < width; j++) {",
+    "            sum = ((sum << 1) | (sum >> 63)) ^ (uint64_t)(row[j] & 1);",
+    "        }",
+    "        if (last) {",
+    "            for (j = 0; j < width; j++) {",
+    "                TOGGLES[j] += (row[j] ^ last[j]) & 1;",
+    "            }",
+    "        }",
+    "        last = row;",
+    "    }",
+    "    *SUM = sum;",
+    "}",
+    "",
+]
+
+
 def emit_c(program: Program) -> str:
     """Produce the full C source of the shared-library machine."""
     program.validate()
@@ -472,4 +505,5 @@ def emit_c(program: Program) -> str:
     ]
     lines += _lane_helper_lines(interface)
     lines += _screen_lines(interface)
+    lines += _FOLD_LINES
     return "\n".join(lines)

@@ -18,9 +18,13 @@ _INVALID = re.compile(r"[^0-9A-Za-z_]")
 #: Words that may not be used bare as identifiers in the generated code.
 _RESERVED = {
     # Python keywords that plausibly collide with short net names,
-    # plus names the emitters use internally.
+    # plus names the emitters use internally: the Python coroutine's
+    # locals, and the C library's macros, types and functions.
     "V", "OUT", "S", "MASK", "OUTMASK", "NOINLINE", "cmd", "machine",
-    "word", "step", "pack_lanes", "unpack_lanes",
+    "HBIT", "_append", "_s", "_popcount", "VS", "op",
+    "word", "sword", "step", "run_block", "run_packed_block",
+    "pack_lanes", "unpack_lanes", "screen", "popcount_w", "ctz_w",
+    "fold_rows",
     "if", "else", "while", "yield", "not", "and", "or", "in", "is",
     "def", "return", "int", "char", "for", "do", "case", "switch",
     "static", "void", "const", "unsigned", "signed", "long", "short",

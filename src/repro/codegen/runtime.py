@@ -61,6 +61,11 @@ generated ``run_block`` routine each backend compiles in:
   ``goods``.  The C library runs the whole list in one ``screen``
   call; the Python machine's loop, one ``run_packed_block`` per pass
   and one ``load_state`` per pin, is the reference.
+- ``CMachine.fold_rows(rows, prev, checksum, toggles)`` folds the
+  output bits :meth:`run_bit_rows` returned into a replay's rolling
+  checksum and per-output toggle counts inside the library
+  (:mod:`repro.replay.harness` holds the Python reference, which
+  every other machine and engine runs).
 
 Every batch updates ``machine.counters`` (vectors run, wall time,
 vectors/second) so harness and benchmark reports can quote throughput
@@ -744,8 +749,8 @@ class CMachine(Machine):
         word = ctypes.POINTER(self._word)
         count = ctypes.c_long
         # pack_lanes/unpack_lanes are the byte-level boundary of
-        # run_bit_block and fault grading: helpers, not kernels, so
-        # they take no state.
+        # run_bit_block and fault grading, and fold_rows that of
+        # replay: helpers, not kernels, so they take no state.
         longs = ctypes.POINTER(count)
         signatures = {
             "step": [word, word, word],
@@ -755,6 +760,9 @@ class CMachine(Machine):
             "unpack_lanes": [word, count, ctypes.c_int, word],
             "screen": [word, word, word, count, word, count, longs, word,
                        longs],
+            "fold_rows": [ctypes.c_char_p, count, count, ctypes.c_char_p,
+                          ctypes.POINTER(ctypes.c_uint64),
+                          ctypes.POINTER(ctypes.c_int64)],
         }
         for symbol, argtypes in signatures.items():
             function = getattr(lib, symbol)
@@ -973,7 +981,10 @@ class CMachine(Machine):
 
         One extended-slice store widens ``block`` into the held input
         words: each byte lands in the low byte of its word (which byte
-        that is depends on ``sys.byteorder``).  Nothing else ever
+        that is depends on ``sys.byteorder``).  The store reads a
+        ``bytearray`` block in place (what ``Tape.read_bits`` returns)
+        but first copies any other, ``bytes`` included, into a
+        temporary ``bytearray`` of the block's size.  Nothing else ever
         writes the input buffer, so the other bytes stay zero and it
         is never re-zeroed.  The scalar ``run_block`` kernel then
         writes the held output words; the first ``count *
@@ -1023,6 +1034,34 @@ class CMachine(Machine):
             return memoryview(out)[:count * emits * self._size].cast(
                 self._FORMAT[self.program.word_width], (count, emits)
             ).tolist()
+
+    def fold_rows(self, rows, prev, checksum, toggles) -> None:
+        """Fold output rows into a replay's checksum and toggle counts.
+
+        The library's ``fold_rows`` with the arguments of its Python
+        reference, ``repro.replay.harness._fold_rows``: ``rows``
+        holds rows of ``len(toggles)`` 0/1 bytes, ``prev`` the row
+        before them or ``None``; ``checksum`` (a ``c_uint64``) and
+        ``toggles`` (a ``c_int64`` array, one count per column) are
+        updated in place.  A ``bytearray``, which :meth:`run_bit_rows`
+        returns, goes over as a ``c_char`` array on its own memory
+        (``c_char_p`` refuses one), so no row is copied.
+        """
+        width = len(toggles)
+        count = len(rows) // width if width else 0
+        if len(rows) != count * width:
+            raise BackendError(
+                f"{len(rows)} row bytes are not whole rows of {width}"
+            )
+        if prev is not None and len(prev) != width:
+            raise BackendError(
+                f"previous row has {len(prev)} bytes, expected {width}"
+            )
+        if isinstance(rows, bytearray):
+            rows = (ctypes.c_char * len(rows)).from_buffer(rows)
+        if isinstance(prev, bytearray):
+            prev = (ctypes.c_char * width).from_buffer(prev)
+        self._lib.fold_rows(rows, count, width, prev, checksum, toggles)
 
     def dump_state(self) -> list[int]:
         return self._state[: self.num_state]

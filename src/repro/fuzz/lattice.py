@@ -606,7 +606,10 @@ def _check_sequential(
 
     # 4. replay_tape from a tape on disk, in chunks that do not divide
     # the row count, against the reference outputs' checksum and
-    # per-output toggle counts.
+    # per-output toggle counts; then again in two segments, cut at a
+    # checkpoint off the chunk grid and resumed from its JSON document
+    # in a fresh simulator, so the fold's carried sum, counts and
+    # previous row cross a chunk boundary mid-stream.
     if rows:
         from repro.replay import Tape, fold_outputs, replay_tape, write_tape
 
@@ -619,22 +622,44 @@ def _check_sequential(
                 for o in outputs:
                     toggles[o] += want[o] != ref_outputs[cycle - 1][o]
         chunk = next(c for c in itertools.count(2) if len(rows) % c)
+        # Never a multiple of the chunk; inside the tape when it fits.
+        cut = chunk + 1 if chunk + 1 < len(rows) else 1
+
+        def check(got, what: str) -> None:
+            if got.checksum != checksum or got.toggles != toggles:
+                bad = sorted(
+                    o for o in outputs if got.toggles[o] != toggles[o]
+                )
+                raise Mismatch(
+                    label, len(rows) - 1, bad,
+                    f"  replay_tape ({what}) diverged: checksum "
+                    f"{got.checksum:#018x} vs {checksum:#018x}, toggles "
+                    f"{ {o: got.toggles[o] for o in bad[:5]} } vs "
+                    f"{ {o: toggles[o] for o in bad[:5]} }",
+                )
+
         with tempfile.TemporaryDirectory(prefix="repro_fuzz_") as work:
             path = os.path.join(work, "stimulus.tape")
             write_tape(path, external, rows)
-            got = replay_tape(make_sim(), Tape(path), chunk_cycles=chunk)
-        if got.checksum != checksum or got.toggles != toggles:
-            bad = sorted(
-                o for o in outputs if got.toggles[o] != toggles[o]
+            tape = Tape(path)
+            check(
+                replay_tape(make_sim(), tape, chunk_cycles=chunk),
+                f"chunks of {chunk}",
             )
-            raise Mismatch(
-                label, len(rows) - 1, bad,
-                f"  replay_tape (chunks of {chunk}) diverged: checksum "
-                f"{got.checksum:#018x} vs {checksum:#018x}, toggles "
-                f"{ {o: got.toggles[o] for o in bad[:5]} } vs "
-                f"{ {o: toggles[o] for o in bad[:5]} }",
-            )
-        checks += 1
+            checks += 1
+            if len(rows) >= 2:
+                head = replay_tape(
+                    make_sim(), tape, chunk_cycles=chunk,
+                    checkpoint_every=cut, checkpoint_dir=work, limit=cut,
+                )
+                check(
+                    replay_tape(
+                        make_sim(), tape, chunk_cycles=chunk,
+                        resume_from=head.checkpoints[-1],
+                    ),
+                    f"chunks of {chunk}, resumed at cycle {cut}",
+                )
+                checks += 1
     return checks
 
 

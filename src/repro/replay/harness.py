@@ -11,6 +11,15 @@ byte compare), per-output toggle counts accumulate as coverage, and a
 rolling checksum folds every output of every cycle — the one-number
 bit-identity witness used by the tests — in one step per chunk.
 
+Two implementations of that fold take the same arguments.  On a
+clocked C machine the library's ``fold_rows``
+(:meth:`~repro.codegen.runtime.CMachine.fold_rows`) reads the output
+bytes in place; every other machine and engine runs :func:`_fold_rows`,
+the Python reference it is tested against.  Either way the checksum
+lives in a ``c_uint64`` and the counts in a ``c_int64`` array across
+chunks, and the ``toggles`` dict is built only for a checkpoint and
+the result.
+
 Chunk boundaries are aligned to checkpoint boundaries, so a checkpoint
 always lands *exactly* after its cycle regardless of chunk size — the
 restore contract is "cycle C completed, cycle C+1 not started".
@@ -18,11 +27,13 @@ restore contract is "cycle C completed, cycle C+1 not started".
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 from typing import Callable, Optional
 
 from repro import telemetry
+from repro.codegen.runtime import CMachine
 from repro.errors import SimulationError
 from repro.replay.checkpoint import ReplayCheckpoint, load_checkpoint
 from repro.replay.tape import TAPE_MAGIC, Tape
@@ -67,6 +78,31 @@ def _fold_digits(checksum: int, digits: bytes) -> int:
         half = 64 * ((value.bit_length() + 127) // 128)
         value = (value >> half) ^ (value & ((1 << half) - 1))
     return checksum ^ value
+
+
+def _fold_rows(rows, prev, checksum, toggles) -> None:
+    """Fold a chunk's output rows into the checksum and toggle counts.
+
+    The reference of the C library's ``fold_rows``
+    (:meth:`~repro.codegen.runtime.CMachine.fold_rows`), with the same
+    arguments: ``rows`` holds rows of ``len(toggles)`` 0/1 bytes,
+    ``prev`` the row before them or ``None``.  ``checksum`` (a
+    ``c_uint64``) folds every bit as :func:`fold_outputs` would, and
+    ``toggles[j]`` gains the rows whose column ``j`` differs from the
+    row before.
+    """
+    if not rows:
+        return
+    width = len(toggles)
+    checksum.value = _fold_digits(checksum.value, rows.translate(_DIGIT))
+    # Row r's bytes XOR row r-1's: 1 where an output toggled.
+    both = rows if prev is None else prev + rows
+    changed = (
+        int.from_bytes(both[width:], "big")
+        ^ int.from_bytes(both[:len(both) - width], "big")
+    ).to_bytes(len(both) - width, "big")
+    for j in range(width):
+        toggles[j] += changed[j::width].count(1)
 
 
 class ReplayResult:
@@ -231,8 +267,10 @@ def replay_tape(
                 f"({tape.cycles} cycles)"
             )
         sim.restore({"state": cp.state, "cycle": cp.cycle})
-        checksum = cp.checksum
-        toggles = {o: cp.toggles.get(o, 0) for o in outputs}
+        checksum = ctypes.c_uint64(cp.checksum)
+        toggles = (ctypes.c_int64 * width)(
+            *[cp.toggles.get(o, 0) for o in outputs]
+        )
         prev = (
             bytes(cp.prev_outputs[o] for o in outputs)
             if cp.prev_outputs else None
@@ -242,11 +280,14 @@ def replay_tape(
         telemetry.counter("seq.restores")
     else:
         sim.reset()
-        checksum = 0
-        toggles = {o: 0 for o in outputs}
+        checksum = ctypes.c_uint64(0)
+        toggles = (ctypes.c_int64 * width)()
         prev = None
         start = 0
         resumed_from = None
+    # The machine's type picks the fold, as it picks the fault screen.
+    machine = sim.machine
+    fold = machine.fold_rows if isinstance(machine, CMachine) else _fold_rows
 
     end = tape.cycles if limit is None else min(start + limit, tape.cycles)
     checkpoints: list[str] = []
@@ -298,18 +339,10 @@ def replay_tape(
                     ) * checkpoint_every
                     n = min(n, boundary - cursor)
                 out = sim.apply_bits(tape.read_bits(cursor, n), n)
-                digits = out.translate(_DIGIT)
-                checksum = _fold_digits(checksum, digits)
-                # Row r's bytes XOR row r-1's: 1 where an output toggled.
-                rows = out if prev is None else prev + out
-                changed = (
-                    int.from_bytes(rows[width:], "big")
-                    ^ int.from_bytes(rows[:len(rows) - width], "big")
-                ).to_bytes(len(rows) - width, "big")
-                for j, o in enumerate(outputs):
-                    toggles[o] += changed[j::width].count(1)
+                fold(out, prev, checksum, toggles)
                 prev = out[len(out) - width:]
                 if out_stream is not None:
+                    digits = out.translate(_DIGIT)
                     # Column j of every line, then the newlines between.
                     lines = bytearray(b"\n" * (n * (width + 1)))
                     for j in range(width):
@@ -328,8 +361,8 @@ def replay_tape(
                     cp = ReplayCheckpoint(
                         cycle=sim.cycle,
                         state=sim.state,
-                        checksum=checksum,
-                        toggles=toggles,
+                        checksum=checksum.value,
+                        toggles=dict(zip(outputs, toggles)),
                         prev_outputs=(
                             dict(zip(outputs, prev))
                             if prev is not None else None
@@ -369,8 +402,8 @@ def replay_tape(
     return ReplayResult(
         cycles=sim.cycle - start,
         cycle=sim.cycle,
-        checksum=checksum,
-        toggles=toggles,
+        checksum=checksum.value,
+        toggles=dict(zip(outputs, toggles)),
         seconds=time.perf_counter() - t0,
         checkpoints=checkpoints,
         resumed_from=resumed_from,

@@ -82,7 +82,7 @@ class Tape:
         self.cycles = payload // self._line_width
 
     # ------------------------------------------------------------------
-    def read_bits(self, start: int, count: int) -> bytes:
+    def read_bits(self, start: int, count: int) -> bytearray:
         """``count`` stimulus vectors starting at cycle ``start``, as bytes.
 
         One byte per input, vector after vector, each 0 or 1 — the
@@ -90,6 +90,11 @@ class Tape:
         clocks.  Every line must hold ``0``/``1`` characters only and
         end in ``\\n`` right after its last column; otherwise
         :class:`TapeError` names the first bad cycle.
+
+        The lines are read into a ``bytearray`` and decoded with
+        ``bytearray.translate``, so the block is a ``bytearray``: a C
+        machine widens it into its held input words without first
+        copying it (a slice store copies any other right-hand side).
         """
         if start < 0 or count < 0 or start + count > self.cycles:
             raise TapeError(
@@ -97,9 +102,12 @@ class Tape:
                 f"range (tape has {self.cycles})"
             )
         width = len(self.inputs)
+        blob = bytearray(count * self._line_width)
         with open(self.path, "rb") as handle:
             handle.seek(self._data_start + start * self._line_width)
-            blob = handle.read(count * self._line_width)
+            got = handle.readinto(blob)
+        # A file cut short since the header was read: check what came.
+        del blob[got:]
         # Deleting every byte but the digits leaves count * width of
         # them exactly when the terminator columns hold only newlines
         # and the data columns only digits.
@@ -111,7 +119,7 @@ class Tape:
             self._raise_first_bad(blob, start)
         return bits
 
-    def _raise_first_bad(self, blob: bytes, start: int) -> None:
+    def _raise_first_bad(self, blob: bytearray, start: int) -> None:
         width = len(self.inputs)
         for c in range(len(blob) // self._line_width):
             line = blob[c * self._line_width:(c + 1) * self._line_width]

@@ -542,6 +542,32 @@ class TestSequentialAxis:
             with pytest.raises(Exception):
                 run_check(circuit, vectors, config)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_resume_losing_previous_row_caught(self, monkeypatch, backend):
+        # An output that toggles every cycle: a resumed replay that
+        # forgets the checkpoint's previous row misses one toggle.
+        from repro.replay import harness
+
+        circuit = parse_bench(
+            "INPUT(A)\nINPUT(FQ0)\nOUTPUT(FD0)\nOUTPUT(Y)\n"
+            "FD0 = NOT(FQ0)\nY = AND(FQ0, A)\n", "toggler",
+        )
+        vectors = vectors_for(circuit, 7, seed=2)
+        config = FuzzConfig(
+            check="sequential", technique="lcc", backend=backend
+        )
+        assert run_check(circuit, vectors, config) > 0
+        load = harness.load_checkpoint
+
+        def forgetful(path):
+            checkpoint = load(path)
+            checkpoint.prev_outputs = None
+            return checkpoint
+
+        monkeypatch.setattr(harness, "load_checkpoint", forgetful)
+        with pytest.raises(Mismatch, match="resumed at cycle 3"):
+            run_check(circuit, vectors, config)
+
     def test_corpus_round_trip_keeps_state(self, tmp_path, seq_triple):
         from repro.netlist.random_circuits import derive_flipflops
 

@@ -22,6 +22,7 @@ from repro.replay import (
 from repro.seqsim import CompiledSequentialSimulator
 
 BACKENDS = ["python"] + (["c"] if have_c_compiler() else [])
+NEED_CC = pytest.mark.skipif(not have_c_compiler(), reason="no C compiler")
 
 
 class TestTape:
@@ -545,6 +546,126 @@ class TestReplay:
         finally:
             telemetry.disable()
             telemetry.reset()
+
+
+def _wide_sequential(outputs: int, inputs: int):
+    """A clocked circuit with many more outputs than inputs, so a replay
+    chunk's output rows are its largest buffers."""
+    from repro.netlist.bench import parse_bench_sequential
+
+    lines = [f"INPUT(A{i})" for i in range(inputs)]
+    lines += [f"OUTPUT(O{k})" for k in range(outputs)]
+    for k in range(outputs):
+        lines += [
+            f"Q{k} = DFF(D{k})",
+            f"D{k} = XOR(Q{k}, A{k % inputs})",
+            f"O{k} = NAND(D{k}, Q{(7 * k + 1) % outputs})",
+        ]
+    return parse_bench_sequential("\n".join(lines) + "\n", "wide")
+
+
+class _PythonFoldRan(Exception):
+    pass
+
+
+@NEED_CC
+class TestCompiledFold:
+    """``replay_tape`` folds on a clocked C machine through the library's
+    ``fold_rows``; the Python reference serves everything else."""
+
+    def test_c_replay_never_reaches_python_fold(self, tmp_path, monkeypatch):
+        from repro.replay import harness
+
+        seq, tape = _replay_setup(tmp_path, cycles=120)
+        want = replay_tape(
+            CompiledSequentialSimulator(seq), tape, chunk_cycles=50
+        )
+
+        def refuse(*args):
+            raise _PythonFoldRan
+
+        monkeypatch.setattr(harness, "_fold_rows", refuse)
+        got = replay_tape(
+            CompiledSequentialSimulator(seq, backend="c"), tape,
+            chunk_cycles=50,
+        )
+        assert (got.checksum, got.toggles) == (want.checksum, want.toggles)
+        for options in (
+            {"backend": "python"},
+            {"backend": "c", "engine": "parallel"},
+            {"backend": "c", "engine": "pcset"},
+        ):
+            with pytest.raises(_PythonFoldRan):
+                replay_tape(CompiledSequentialSimulator(seq, **options), tape)
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_c_replay_equals_python_replay(self, tmp_path, chunk):
+        """The same outputs file, checksum and toggles on both backends:
+        a whole tape, a ``limit``ed head that checkpoints at cycle 100
+        (off the chunk grid), and the tail resumed from that checkpoint
+        in a fresh simulator."""
+        seq = _wide_sequential(outputs=23, inputs=3)
+        tape = random_tape(
+            str(tmp_path / "stim.tape"), seq.external_inputs, 300, seed=4
+        )
+        runs = {}
+        for backend in ("python", "c"):
+            def sim():
+                return CompiledSequentialSimulator(seq, backend=backend)
+
+            work = tmp_path / backend
+            work.mkdir()
+            full = replay_tape(
+                sim(), tape, chunk_cycles=chunk,
+                outputs_path=str(work / "full.out"),
+            )
+            head = replay_tape(
+                sim(), tape, chunk_cycles=chunk, checkpoint_every=100,
+                checkpoint_dir=str(work), limit=150,
+                outputs_path=str(work / "head.out"),
+            )
+            assert head.cycle == 150
+            assert head.checkpoints[-1].endswith("000000000100.json")
+            tail = replay_tape(
+                sim(), tape, chunk_cycles=chunk,
+                resume_from=head.checkpoints[-1],
+                outputs_path=str(work / "tail.out"),
+            )
+            assert (tail.checksum, tail.toggles) == (
+                full.checksum, full.toggles
+            )
+            runs[backend] = [
+                (run.checksum, run.toggles, (work / name).read_bytes())
+                for run, name in (
+                    (full, "full.out"), (head, "head.out"), (tail, "tail.out")
+                )
+            ]
+        assert runs["c"] == runs["python"]
+        assert len(set(runs["c"][0][1].values())) > 1
+
+    def test_warm_c_replay_peak(self, tmp_path):
+        """A warm C ``replay_tape`` peaks at about three chunks of output
+        bytes: the last chunk's, the narrowed new one and the slice it
+        is cut from.  The Python fold's temporaries took eight."""
+        import tracemalloc
+
+        seq = _wide_sequential(outputs=100, inputs=5)
+        tape = random_tape(
+            str(tmp_path / "stim.tape"), seq.external_inputs, 2048, seed=3
+        )
+        sim = CompiledSequentialSimulator(seq, backend="c")
+        first = replay_tape(sim, tape, chunk_cycles=1024)
+        tracemalloc.start()
+        try:
+            before, _peak = tracemalloc.get_traced_memory()
+            again = replay_tape(sim, tape, chunk_cycles=1024)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 4 * 1024 * 100
+        assert (again.checksum, again.toggles) == (
+            first.checksum, first.toggles
+        )
 
 
 class TestReplayCLI:

@@ -341,6 +341,132 @@ def test_second_batch_allocates_no_word_buffers(width):
     assert again == fresh.run_bit_rows(block, count)
 
 
+@NEED_CC
+@pytest.mark.parametrize("width", WIDTHS)
+def test_tape_block_is_not_copied(tmp_path, width):
+    """``Tape.read_bits`` returns a ``bytearray``, which the widening
+    store reads in place: a warm call allocates nothing near the
+    block's size, only its narrowed result and the slice it is cut
+    from (``3 * count`` bytes each here)."""
+    from repro.replay import Tape, write_tape
+
+    inputs, count = 32, 1024
+    path = str(tmp_path / "block.tape")
+    block = _random_block(count, inputs)
+    write_tape(path, [f"I{k}" for k in range(inputs)], (
+        block[i * inputs:(i + 1) * inputs] for i in range(count)
+    ))
+    block = Tape(path).read_bits(0, count)
+    assert isinstance(block, bytearray)
+    machine = CMachine(_toggle_program(inputs=inputs, word_width=width))
+    first = machine.run_bit_rows(block, count)
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        again = machine.run_bit_rows(block, count)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < len(block) // 2
+    assert len(again) == len(first) == 3 * count
+
+
+def _fold_reference(rows: bytes, prev, start: int, width: int):
+    """The fold by its definition: ``fold_outputs`` row by row, and
+    per column the rows that differ from the row before."""
+    from repro.replay.harness import fold_outputs
+
+    checksum, toggles, last = start, [0] * width, prev
+    for r in range(len(rows) // width if width else 0):
+        row = rows[r * width:(r + 1) * width]
+        checksum = fold_outputs(checksum, list(row))
+        if last is not None:
+            for j in range(width):
+                toggles[j] += row[j] != last[j]
+        last = row
+    return checksum, toggles
+
+
+#: ``(columns, rows)`` shapes of the fold tests.
+FOLD_SHAPES = [
+    (width, rows) for width in (0, 1, 7, 64, 187) for rows in (0, 1, 2, 1000)
+]
+
+
+def _fold_case(width: int, rows: int, seed: int):
+    rng = random.Random(seed * 1009 + width * 31 + rows)
+    block = bytes(rng.getrandbits(1) for _ in range(rows * width))
+    prev = bytes(rng.getrandbits(1) for _ in range(width))
+    starts = (0, 1, (1 << 64) - 1, rng.getrandbits(64))
+    return block, prev, starts
+
+
+def _fold_with(fold, rows, prev, start: int, width: int):
+    import ctypes
+
+    checksum = ctypes.c_uint64(start)
+    toggles = (ctypes.c_int64 * width)(*range(width))
+    fold(rows, prev, checksum, toggles)
+    return checksum.value, [t - j for j, t in enumerate(toggles)]
+
+
+@pytest.mark.parametrize(
+    "width,rows", [(w, r) for w, r in FOLD_SHAPES if w * r <= 7000]
+)
+def test_reference_fold_matches_definition(width, rows):
+    """The harness's chunk fold equals the row-by-row definition."""
+    from repro.replay.harness import _fold_rows
+
+    block, prev, starts = _fold_case(width, rows, seed=1)
+    for start in starts:
+        for before in (None, prev):
+            want = _fold_reference(block, before, start, width)
+            assert _fold_with(_fold_rows, block, before, start,
+                              width) == want
+
+
+@NEED_CC
+@pytest.mark.parametrize("word_width", WIDTHS)
+def test_compiled_fold_matches_reference(word_width):
+    """The library's ``fold_rows`` equals the Python reference at every
+    shape, with and without a previous row, from any starting sum, in
+    every word width's library, on ``bytes`` and ``bytearray`` rows."""
+    from repro.replay.harness import _fold_rows
+
+    machine = CMachine(_toggle_program(word_width=word_width))
+    for width, rows in FOLD_SHAPES:
+        block, prev, starts = _fold_case(width, rows, seed=word_width)
+        for start in starts:
+            for before in (None, prev):
+                want = _fold_with(_fold_rows, block, before, start, width)
+                for kind in (bytes, bytearray):
+                    given = None if before is None else kind(before)
+                    got = _fold_with(machine.fold_rows, kind(block),
+                                     given, start, width)
+                    assert got == want, (width, rows, start, kind)
+
+
+@NEED_CC
+def test_compiled_fold_checks_sizes_and_text_is_shared():
+    import ctypes
+
+    machine = CMachine(_toggle_program())
+    checksum, toggles = ctypes.c_uint64(0), (ctypes.c_int64 * 3)()
+    with pytest.raises(BackendError, match="not whole rows of 3"):
+        machine.fold_rows(b"\x01" * 4, None, checksum, toggles)
+    with pytest.raises(BackendError, match="not whole rows of 0"):
+        machine.fold_rows(b"\x01", None, checksum, toggles[:0])
+    with pytest.raises(BackendError, match="has 2 bytes, expected 3"):
+        machine.fold_rows(b"\x01" * 3, b"\x00\x01", checksum, toggles)
+    assert (checksum.value, list(toggles)) == (0, [0, 0, 0])
+    # No program-specific size: every library carries the same text.
+    def helper(source):
+        return source[source.index("void fold_rows("):]
+
+    other = CMachine(_counter_program("fold-text"))
+    assert helper(machine.source) == helper(other.source)
+
+
 def _pinned_program() -> Program:
     """x = (V[0] & m) | v; emits x.  State words: x, then pin pair m, v."""
     p = Program("pinned", word_width=8, inputs=["IN"])
