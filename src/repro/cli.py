@@ -117,7 +117,8 @@ def resolve_sequential(spec: str, scale: float = 1.0):
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.codegen.runtime import have_c_compiler, program_cache
+    from repro.codegen.c_emitter import STEP_PART_OPTIMIZE
+    from repro.codegen.runtime import CMachine, have_c_compiler, program_cache
 
     circuit = resolve_circuit(args.circuit, args.scale)
     report = circuit_report(circuit, include_alignments=not args.fast)
@@ -128,7 +129,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         f"{cache['misses']} misses"
     )
     compiler = have_c_compiler()
-    report["c compiler"] = compiler if compiler else "none (python backend only)"
+    if compiler:
+        passes = ", ".join(f'"{name}"' for name in STEP_PART_OPTIMIZE)
+        report["c compiler"] = (
+            f"{compiler} {CMachine.OPT_LEVEL}, step parts at "
+            f"optimize({passes}), -O0 past "
+            f"{CMachine.O0_LINE_THRESHOLD} statements"
+        )
+    else:
+        report["c compiler"] = "none (python backend only)"
     width = max(len(k) for k in report)
     for key, value in report.items():
         print(f"{key.ljust(width)}  {value}")

@@ -38,6 +38,14 @@ only bounds function size, because GCC's optimizer passes grow
 superlinearly with it and one straight-line ``step`` of thousands of
 statements spent several seconds in the compiler.  A program of at
 most :data:`STEP_PART_SIZE` assignments renders as one ``step``.
+
+The part definitions, and nothing else, sit between ``#pragma GCC
+push_options`` / ``#pragma GCC optimize`` (:data:`STEP_PART_OPTIMIZE`)
+and ``#pragma GCC pop_options``, guarded so that only an optimizing
+GCC build reads them: an ``-O0`` build or another compiler sees plain
+functions.  The parts are ``noinline`` leaves, so nothing is inlined
+across the option boundary; ``step``, the batch drivers and the
+helpers' loops keep the library's level.
 """
 
 from __future__ import annotations
@@ -60,7 +68,13 @@ from repro.codegen.program import (
 )
 from repro.errors import CodegenError
 
-__all__ = ["emit_c", "render_expr_c", "C_WORD_TYPES", "STEP_PART_SIZE"]
+__all__ = [
+    "emit_c",
+    "render_expr_c",
+    "C_WORD_TYPES",
+    "STEP_PART_SIZE",
+    "STEP_PART_OPTIMIZE",
+]
 
 #: Assignments per ``step`` part.  Measured over the suite's four
 #: workload programs (EXPERIMENTS.md, "Bounded step parts"): ``cc -O1``
@@ -68,6 +82,23 @@ __all__ = ["emit_c", "render_expr_c", "C_WORD_TYPES", "STEP_PART_SIZE"]
 #: 50 at twice the calls, 100 and 250 compile slower, and no size
 #: slows a kernel.
 STEP_PART_SIZE = 50
+
+#: GCC's ``optimize`` pragma arguments for the ``step_<i>`` parts of an
+#: optimized build: ``-Og`` plus dead-store elimination.  On these
+#: straight-line leaves the rest of ``-O1`` (points-to, SRA, loop,
+#: branch and IPA passes) buys no kernel speed, and dropping it cut
+#: ``gcc`` CPU time 31-39% on the four suite workload programs, with
+#: kernels and ``.text`` unchanged (EXPERIMENTS.md, "Step parts at
+#: -Og").  DSE stays: without it each fault-program pair
+#: ``N = ...; N = (N & FM) | FV`` keeps both stores, the fault
+#: library's ``.text`` grows by a fifth and ``screen`` runs 11% slower.
+STEP_PART_OPTIMIZE = ("Og", "tree-dse")
+
+#: Which compilers read the parts' pragma: GCC, optimizing.  An
+#: ``-O0`` build or another compiler preprocesses the bracket away.
+_PART_PRAGMA_GUARD = (
+    "#if defined(__OPTIMIZE__) && defined(__GNUC__) && !defined(__clang__)"
+)
 
 C_WORD_TYPES = {
     8: "uint8_t",
@@ -398,7 +429,9 @@ def emit_c(program: Program) -> str:
     # screen calls ctz_w.  Unused static inlines cost no code.
     # NOINLINE keeps each step part a function of its own: at -O1 GCC
     # inlines parts called once back into step until its growth
-    # limits stop it, and compiles 1.2-1.9x slower.
+    # limits stop it, and compiles 1.2-1.9x slower.  It also keeps the
+    # parts' own optimize options (STEP_PART_OPTIMIZE) from meeting
+    # step's in one function.
     lines += [
         "#if defined(__GNUC__) || defined(__clang__)",
         "#define NOINLINE __attribute__((noinline))",
@@ -442,6 +475,15 @@ def emit_c(program: Program) -> str:
                             "    ", uses)
     parts, inline = _parts(split, _live_ranges(uses) if uses else {},
                            STEP_PART_SIZE)
+    if parts:
+        passes = ", ".join(f'"{name}"' for name in STEP_PART_OPTIMIZE)
+        lines += [
+            _PART_PRAGMA_GUARD,
+            "#pragma GCC push_options",
+            f"#pragma GCC optimize ({passes})",
+            "#endif",
+            "",
+        ]
     for index, (start, end) in enumerate(parts):
         lines.append(f"static NOINLINE void step_{index}("
                      "struct state *restrict S, const word *V) {")
@@ -451,6 +493,8 @@ def emit_c(program: Program) -> str:
         lines += text[start:end]
         lines.append("}")
         lines.append("")
+    if parts:
+        lines += [_PART_PRAGMA_GUARD, "#pragma GCC pop_options", "#endif", ""]
     # restrict on S lets the compiler keep state in registers across
     # stores through OUT.
     lines.append("void step(struct state *restrict S, const word *V,"

@@ -92,12 +92,16 @@ free text and never part of a path), that is removed as soon as it is
 loaded, so nothing is left on disk, and a forked child keeps serving
 the parent's loaded programs.
 
-A miss costs one ``cc`` call, which is nearly all of a cold set-up.
-The C emitter keeps every compiled function short (``step`` runs as
-parts of :data:`~repro.codegen.c_emitter.STEP_PART_SIZE` assignments),
-because the optimizer's time grows superlinearly with function size;
-programs past :attr:`CMachine.O0_LINE_THRESHOLD` statements still
-build at ``-O0``.
+A miss costs one ``cc`` call, which is most of a cold set-up.  The C
+emitter keeps every compiled function short (``step`` runs as parts of
+:data:`~repro.codegen.c_emitter.STEP_PART_SIZE` assignments), because
+the optimizer's time grows superlinearly with function size, and GCC
+builds those parts with only the passes that pay on straight-line code
+(:data:`~repro.codegen.c_emitter.STEP_PART_OPTIMIZE`, a pragma in the
+source), while the rest of the library takes :attr:`CMachine.OPT_LEVEL`.
+Programs past :attr:`CMachine.O0_LINE_THRESHOLD` statements still
+build at ``-O0``.  The command line and the cache key are the same
+either way: the pragma is part of the source.
 """
 
 from __future__ import annotations
@@ -677,14 +681,22 @@ class CMachine(Machine):
     #: The library's kernel entry points, each taking the state first.
     _KERNELS = ("step", "run_block", "run_packed_block", "screen")
 
+    #: The library's level.  Under GCC the ``step_<i>`` parts build
+    #: with :data:`~repro.codegen.c_emitter.STEP_PART_OPTIMIZE`
+    #: instead; ``step``, the batch drivers and the helpers' loops keep
+    #: this one.
+    OPT_LEVEL = "-O1"
+
     #: Programs beyond this many statements compile at -O0: C
     #: optimizers behave superlinearly on huge straight-line functions
     #: (amusingly, the paper hit a compiler bug on exactly the same two
     #: circuits' cycle-breaking programs).  ``step`` is emitted as parts
     #: of :data:`~repro.codegen.c_emitter.STEP_PART_SIZE` assignments,
     #: which bounds each function, yet the threshold stays: the one
-    #: program past it, the PC-set c6288 program, took 164 s split at
-    #: -O1 against 30 s split at -O0 (ROADMAP item 4).
+    #: program past it, the PC-set c6288 program (126,670 statements),
+    #: took 164 s at -O1 against 30 s at -O0 in parts of 250, and still
+    #: 47 s at -O1 against 26 s at -O0 in parts of 50 under the parts'
+    #: ``-Og`` pragma (EXPERIMENTS.md, "Step parts at -Og").
     O0_LINE_THRESHOLD = 60_000
 
     def __init__(
@@ -704,7 +716,8 @@ class CMachine(Machine):
             # Stats' source_lines, without walking the expressions.
             lines = sum(not isinstance(stmt, Comment)
                         for stmt in program.statements())
-            opt_level = "-O0" if lines > self.O0_LINE_THRESHOLD else "-O1"
+            opt_level = ("-O0" if lines > self.O0_LINE_THRESHOLD
+                         else self.OPT_LEVEL)
         self.opt_level = opt_level
         word = self._CTYPE[program.word_width]
         self._word = word

@@ -1,10 +1,23 @@
 """The path-tracing shift-elimination algorithm (§4, Fig. 17).
 
-A min-relaxation sweep from the primary outputs up toward the primary
-inputs: a net aligned at ``x`` pulls its driving gate to ``x``; a gate
-aligned at ``x`` pulls its inputs to ``x - 1``; only strictly smaller
-values propagate.  Properties proved in the paper and enforced here by
-tests:
+Fig. 17 is a min-relaxation from the primary outputs up toward the
+primary inputs: a net aligned at ``x`` pulls its driving gate to
+``x``; a gate aligned at ``x`` pulls its inputs to ``x - 1``; only
+strictly smaller values propagate.  Its fixpoint is computed here in
+one sweep over the nets in descending level order, where every reader
+of a net is settled before the net itself:
+
+- a net with no fanout is aligned at its minlevel, and any other net
+  at the minimum of its reader gates' alignments, minus 1;
+- a gate takes its output net's alignment.
+
+Fig. 17 also starts an output that fans out at its minlevel, but that
+start never wins: every net ends at or below its minlevel, and a
+reader's output net has a minlevel at most one above the net's.
+
+The test suite keeps the worklist form of Fig. 17 as the reference and
+checks that both give the same alignments.  Properties proved in the
+paper and enforced here by tests:
 
 - alignments only ever move *up* the network, so the bit-field never
   widens (and may shrink);
@@ -24,17 +37,14 @@ from repro.parallel.alignment import Alignment
 
 __all__ = ["path_tracing_alignment"]
 
-_INFINITY = 10**9
-
 
 def path_tracing_alignment(
     circuit: Circuit, levels: Optional[Levelization] = None
 ) -> Alignment:
     """Compute alignments with the Fig. 17 path-tracing algorithm.
 
-    The sweep starts from every primary output, aligned to its minimum
-    PC-set value (= its minlevel); any sink nets that are not monitored
-    are processed afterwards so the whole circuit gets aligned.
+    Every sink net starts at its minimum PC-set value (= its
+    minlevel), monitored or not, so the whole circuit gets aligned.
     """
     with telemetry.span("align", algorithm="pathtrace",
                         circuit=circuit.name):
@@ -47,52 +57,22 @@ def _path_tracing_alignment(
     if levels is None:
         levels = levelize(circuit)
     minlevel = levels.net_minlevels
-
-    net_align: dict[str, int] = {n: _INFINITY for n in circuit.nets}
-    gate_align: dict[str, int] = {g: _INFINITY for g in circuit.gates}
-
-    # Iterative worklist version of the mutually recursive
-    # net_align()/gate_align() procedures of Fig. 17.
-    stack: list[tuple[str, str, int]] = []
-
-    def relax_net(net_name: str, new_alignment: int) -> None:
-        if new_alignment < net_align[net_name]:
-            net_align[net_name] = new_alignment
-            driver = circuit.nets[net_name].driver
-            if driver is not None:
-                stack.append(("gate", driver, new_alignment))
-
-    def relax_gate(gate_name: str, new_alignment: int) -> None:
-        if new_alignment < gate_align[gate_name]:
-            gate_align[gate_name] = new_alignment
-            for in_net in circuit.gates[gate_name].inputs:
-                stack.append(("net", in_net, new_alignment - 1))
-
-    starts = list(circuit.outputs)
-    starts += [
-        net_name
-        for net_name, net in circuit.nets.items()
-        if not net.fanout and net_name not in set(circuit.outputs)
-    ]
-    for start in starts:
-        relax_net(start, minlevel[start])
-        while stack:
-            kind, name, value = stack.pop()
-            if kind == "gate":
-                relax_gate(name, value)
-            else:
-                relax_net(name, value)
-
-    # Unreached items can only be nets/gates with no path to any sink,
-    # which cannot exist in a finite acyclic circuit; guard anyway.
-    for net_name, value in net_align.items():
-        if value >= _INFINITY:
-            net_align[net_name] = minlevel[net_name]
-    for gate_name, value in gate_align.items():
-        if value >= _INFINITY:
-            gate_align[gate_name] = net_align[
-                circuit.gates[gate_name].output
-            ]
+    gates = circuit.gates
+    # A reader gate's output is at least one level above its input, so
+    # every reader is aligned before the net it reads.
+    order = sorted(circuit.nets.values(),
+                   key=lambda net: levels.net_levels[net.name],
+                   reverse=True)
+    aligned: dict[str, int] = {}
+    for net in order:
+        if net.fanout:
+            aligned[net.name] = min(
+                aligned[gates[name].output] for name in net.fanout
+            ) - 1
+        else:
+            aligned[net.name] = minlevel[net.name]
+    net_align = {name: aligned[name] for name in circuit.nets}
+    gate_align = {name: aligned[gate.output] for name, gate in gates.items()}
 
     alignment = Alignment(
         circuit, net_align, gate_align, "pathtrace", levels

@@ -344,15 +344,18 @@ def replay_tape(
                 if out_stream is not None:
                     digits = out.translate(_DIGIT)
                     # Column j of every line, then the newlines between.
-                    lines = bytearray(b"\n" * (n * (width + 1)))
+                    lines = bytearray(b"\n") * (n * (width + 1))
                     for j in range(width):
                         lines[j::width + 1] = digits[j::width]
                     out_stream.write(lines)
+                    del digits, lines
                 if vcd_writer is not None:
                     for row in range(0, n * width, width):
                         vcd_writer.add_vector({
                             o: ((0, out[row + j]),) for o, j in vcd_slots
                         })
+                # prev is a copy: free this chunk before the next runs.
+                del out
                 cursor += n
                 if (
                     checkpoint_every

@@ -2,10 +2,13 @@
 
 import pytest
 
+import random
+
 from repro.analysis.levelize import levelize
 from repro.errors import AlignmentError
 from repro.netlist.builder import CircuitBuilder
-from repro.netlist.random_circuits import random_dag_circuit
+from repro.netlist.iscas85 import ISCAS85_SPECS, make_circuit
+from repro.netlist.random_circuits import layered_circuit, random_dag_circuit
 from repro.parallel.alignment import Alignment, unoptimized_shift_count
 from repro.parallel.cyclebreak import cycle_breaking_alignment, spanning_forest
 from repro.parallel.pathtrace import path_tracing_alignment
@@ -107,6 +110,110 @@ class TestPathTracingProperties:
         for gate in small_random_circuit.gates.values():
             assert alignment.gate_align[gate.name] == \
                 alignment.stored_align(gate.output)
+
+
+def _worklist_alignment(circuit):
+    """Fig. 17 as its worklist of mutually recursive relaxations, the
+    reference the one-sweep path tracing must match: a net aligned at
+    ``x`` pulls its driver to ``x``, a gate aligned at ``x`` pulls its
+    inputs to ``x - 1``, and only strictly smaller values propagate."""
+    levels = levelize(circuit)
+    minlevel = levels.net_minlevels
+    infinity = 10**9
+    net_align = dict.fromkeys(circuit.nets, infinity)
+    gate_align = dict.fromkeys(circuit.gates, infinity)
+    stack = []
+
+    def relax_net(name, value):
+        if value < net_align[name]:
+            net_align[name] = value
+            driver = circuit.nets[name].driver
+            if driver is not None:
+                stack.append((relax_gate, driver, value))
+
+    def relax_gate(name, value):
+        if value < gate_align[name]:
+            gate_align[name] = value
+            for net_name in circuit.gates[name].inputs:
+                stack.append((relax_net, net_name, value - 1))
+
+    outputs = set(circuit.outputs)
+    starts = list(circuit.outputs) + [
+        name for name, net in circuit.nets.items()
+        if not net.fanout and name not in outputs
+    ]
+    for start in starts:
+        relax_net(start, minlevel[start])
+        while stack:
+            relax, name, value = stack.pop()
+            relax(name, value)
+    # Every net of an acyclic circuit reaches a sink.
+    assert infinity not in net_align.values()
+    assert infinity not in gate_align.values()
+    alignment = Alignment(circuit, net_align, gate_align, "pathtrace",
+                          levels)
+    alignment.normalize()
+    return alignment
+
+
+def _random_sweep_circuits():
+    """120 random circuits.  Half are random DAGs, some with extra
+    outputs that fan out; half are layered circuits whose outputs leave
+    some sinks unmonitored or take nets with fanout."""
+    rng = random.Random(1990)
+    for seed in range(60):
+        circuit = random_dag_circuit(
+            seed, num_inputs=rng.randint(1, 8),
+            num_gates=rng.randint(1, 80), max_fan_in=rng.randint(2, 4),
+        )
+        if seed % 2:
+            driven = sorted(n for n, net in circuit.nets.items()
+                            if net.fanout and net.driver is not None)
+            for name in rng.sample(driven, min(3, len(driven))):
+                circuit.add_net(name, is_output=True)
+        yield circuit
+    for seed in range(60):
+        gates = rng.randint(10, 120)
+        yield layered_circuit(
+            seed, num_inputs=rng.randint(2, 10), num_gates=gates,
+            depth=rng.randint(2, min(gates, 20)),
+            num_outputs=rng.randint(1, 12),
+        )
+
+
+class TestPathTracingSweep:
+    """The one-sweep fixpoint equals Fig. 17's worklist."""
+
+    @staticmethod
+    def _check(circuit):
+        sweep = path_tracing_alignment(circuit)
+        reference = _worklist_alignment(circuit)
+        assert sweep.net_align == reference.net_align, circuit.name
+        assert sweep.gate_align == reference.gate_align, circuit.name
+
+    @pytest.mark.parametrize("name", sorted(ISCAS85_SPECS))
+    def test_matches_worklist_on_analogs(self, name):
+        self._check(make_circuit(name, seed=1990))
+
+    def test_matches_worklist_on_paper_figures(
+        self, fig1_circuit, fig4_circuit, fig11_circuit, fig12_circuit
+    ):
+        for circuit in (fig1_circuit, fig4_circuit, fig11_circuit,
+                        fig12_circuit):
+            self._check(circuit)
+
+    def test_matches_worklist_on_random_circuits(self):
+        circuits = list(_random_sweep_circuits())
+        assert len(circuits) >= 100
+        # Both start kinds occur: unmonitored sinks and outputs that
+        # fan out.
+        assert any(
+            not net.fanout and name not in c.outputs
+            for c in circuits for name, net in c.nets.items()
+        )
+        assert any(c.nets[o].fanout for c in circuits for o in c.outputs)
+        for circuit in circuits:
+            self._check(circuit)
 
 
 class TestCycleBreaking:

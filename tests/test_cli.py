@@ -40,6 +40,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "shifts_pathtrace" not in out
 
+    def test_stats_names_the_c_flags(self, capsys):
+        from repro.codegen.c_emitter import STEP_PART_OPTIMIZE
+        from repro.codegen.runtime import CMachine, have_c_compiler
+
+        assert main(["--scale", "0.2", "stats", "c432", "--fast"]) == 0
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("c compiler")
+        )
+        if have_c_compiler() is None:
+            assert "none" in line
+            return
+        assert f" {CMachine.OPT_LEVEL}," in line
+        passes = ", ".join(f'"{name}"' for name in STEP_PART_OPTIMIZE)
+        assert f"step parts at optimize({passes})" in line
+        assert f"-O0 past {CMachine.O0_LINE_THRESHOLD} statements" in line
+
     def test_compile_to_stdout(self, capsys):
         assert main(["compile", "rca2", "-t", "parallel", "-l", "c"]) == 0
         out = capsys.readouterr().out

@@ -7,10 +7,16 @@ programs are generated and run on both.
 
 import random
 import re
+import subprocess
 
 import pytest
 
-from repro.codegen.c_emitter import STEP_PART_SIZE, emit_c, render_expr_c
+from repro.codegen.c_emitter import (
+    STEP_PART_OPTIMIZE,
+    STEP_PART_SIZE,
+    emit_c,
+    render_expr_c,
+)
 from repro.codegen.program import (
     Assign,
     Bin,
@@ -206,23 +212,35 @@ def _random_program(
 def _parity_cases():
     """Seed and width, then the body length: below one part (ids
     ``<seed>-<width>``), exactly one part, one assignment past it, and
-    several parts (ids ending ``-n<length>``)."""
+    several parts (ids ending ``-n<length>``).  The several-part
+    programs build at the default level, where the parts take
+    :data:`STEP_PART_OPTIMIZE`, and again at ``-O0`` (ids ending
+    ``-O0``), where the preprocessor drops that bracket."""
     for statements in (20, STEP_PART_SIZE, STEP_PART_SIZE + 1,
                        4 * STEP_PART_SIZE + 3):
         for seed in range(5):
             for word_width in (8, 32, 64):
                 tag = "" if statements == 20 else f"-n{statements}"
-                yield pytest.param(seed, word_width, statements,
-                                   id=f"{seed}-{word_width}{tag}")
+                levels = [None]
+                if statements > 2 * STEP_PART_SIZE:
+                    levels.append("-O0")
+                for level in levels:
+                    suffix = level or ""
+                    yield pytest.param(
+                        seed, word_width, statements, level,
+                        id=f"{seed}-{word_width}{tag}{suffix}",
+                    )
 
 
 @NEED_CC
-@pytest.mark.parametrize("seed,word_width,statements", _parity_cases())
-def test_backend_parity_on_random_programs(seed, word_width, statements):
+@pytest.mark.parametrize("seed,word_width,statements,opt_level",
+                         _parity_cases())
+def test_backend_parity_on_random_programs(seed, word_width, statements,
+                                           opt_level):
     program = _random_program(seed * 31 + word_width, word_width,
                               statements)
     py = compile_program(program, "python")
-    cc = compile_program(program, "c")
+    cc = compile_program(program, "c", opt_level=opt_level)
     rng = random.Random(seed + 1)
     for step in range(10):
         vector = [rng.randrange(1 << word_width) for _ in range(2)]
@@ -300,7 +318,57 @@ def test_short_programs_render_one_step():
     for statements in (STEP_PART_SIZE // 2, STEP_PART_SIZE):
         source = emit_c(_random_program(1, 32, statements))
         assert "NOINLINE void step_" not in source
+        assert "#pragma" not in source  # no parts, no bracket
         assert "word t0, t1;" in source  # every temporary, in step
+
+
+_GUARD = (
+    "#if defined(__OPTIMIZE__) && defined(__GNUC__) && !defined(__clang__)\n"
+)
+_PUSH = (
+    _GUARD + "#pragma GCC push_options\n#pragma GCC optimize ("
+    + ", ".join(f'"{name}"' for name in STEP_PART_OPTIMIZE)
+    + ")\n#endif\n\n"
+)
+_POP = _GUARD + "#pragma GCC pop_options\n#endif\n\n"
+
+
+def test_parts_bracketed_by_one_optimize_pragma():
+    """One guarded push/optimize/pop holds every ``step_<i>``
+    definition and nothing else: ``step`` and the loops keep the
+    library's level."""
+    source = emit_c(_random_program(7, 32, 4 * STEP_PART_SIZE + 3))
+    assert source.count("#pragma") == 3
+    assert source.count(_PUSH) == source.count(_POP) == 1
+    head, rest = source.split(_PUSH)
+    inside, tail = rest.split(_POP)
+    assert _PART.sub("", inside).strip() == ""
+    assert len(_PART.findall(inside)) == len(_PART.findall(source)) >= 3
+    assert "step_" not in head
+    assert tail.startswith("void step(")
+
+
+def _is_gcc(compiler: str) -> bool:
+    macros = subprocess.run(
+        [compiler, "-dM", "-E", "-x", "c", "-"],
+        input="", capture_output=True, text=True, check=True,
+    ).stdout
+    return "#define __GNUC__ " in macros and "__clang__" not in macros
+
+
+@NEED_CC
+@pytest.mark.parametrize("level,kept", [("-O1", True), ("-O0", False)])
+def test_part_pragma_only_in_optimized_builds(level, kept):
+    compiler = have_c_compiler()
+    if not _is_gcc(compiler):
+        pytest.skip("the parts' pragma is for GCC only")
+    source = emit_c(_random_program(7, 32, 4 * STEP_PART_SIZE + 3))
+    preprocessed = subprocess.run(
+        [compiler, level, "-E", "-x", "c", "-"],
+        input=source, capture_output=True, text=True, check=True,
+    ).stdout
+    assert ("#pragma GCC optimize" in preprocessed) is kept
+    assert ("#pragma GCC pop_options" in preprocessed) is kept
 
 
 def test_parts_of_random_program():
