@@ -12,8 +12,9 @@ test:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # The pre-merge gate: byte-compile everything, run the tier-1 suite
-# in development mode with a leaked file (ResourceWarning) as an
-# error, import-smoke every benchmark module (catches drift in the
+# in development mode with a leaked file (ResourceWarning), an
+# exception no one collected and an exception that escaped a thread
+# as errors, import-smoke every benchmark module (catches drift in the
 # benchmark drivers without paying for a timed run), run the
 # repository benchmark's own tests, run every example, and run the
 # fixed-seed fuzz campaign.  Writes nothing into the tree.  Ends by
@@ -22,7 +23,8 @@ check:
 	PYTHONPATH=src $(PYTHON) -m compileall -q src
 	PYTHONPATH=src $(PYTHON) -X dev -m pytest tests/ -x -q \
 		-W error::ResourceWarning \
-		-W error::pytest.PytestUnraisableExceptionWarning
+		-W error::pytest.PytestUnraisableExceptionWarning \
+		-W error::pytest.PytestUnhandledThreadExceptionWarning
 	@for bench in benchmarks/bench_*.py; do \
 		echo "import $$bench"; \
 		PYTHONPATH=src:benchmarks $(PYTHON) -c \

@@ -304,28 +304,12 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     report = grade_faults(
         circuit, vectors,
         word_width=args.word_width, backend=args.backend,
-        workers=args.workers, shards=args.shards,
-        mp_start=args.mp_start, shard_timeout=args.shard_timeout,
+        workers=args.workers,
     )
     print(f"{circuit.name}: {report.num_faults} stuck-at faults, "
           f"{len(report.detected)} detected by {args.vectors} random "
           f"vectors (coverage {report.coverage:.1%})")
-    if hasattr(report, "sharding_stats"):
-        stats = report.sharding_stats()
-        line = (f"sharded: {stats['workers']} workers, "
-                f"{stats['num_shards']} shards "
-                f"(sizes {stats['shard_sizes']}), "
-                f"start={stats['mp_start']}")
-        if stats["retried_shards"]:
-            line += f", retried shards {stats['retried_shards']}"
-        if stats["degraded"]:
-            line += ", DEGRADED to single-process"
-        print(line)
-        events = stats.get("events", {})
-        if events.get("retries") or events.get("timeouts"):
-            print(f"events: {events['retries']} retries, "
-                  f"{events['timeouts']} timeouts")
-    counters = getattr(report, "counters", None)
+    counters = report.counters
     if counters is not None and counters.seconds > 0:
         print(f"throughput: {counters.vectors} machine vectors in "
               f"{counters.batches} batches, "
@@ -557,7 +541,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument(
             "--metrics-out", default=None, metavar="FILE",
             help="write the full telemetry snapshot (phases, counters, "
-                 "cache/packing/sharding sections) as JSON",
+                 "cache/packing sections) as JSON",
         )
 
     p_stats = sub.add_parser("stats", help="static circuit report")
@@ -673,22 +657,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                           choices=[8, 16, 32, 64])
     p_faults.add_argument(
         "-j", "--workers", type=int, default=1,
-        help="worker processes for sharded grading (default 1: "
-             "single-process; the merged report is bit-identical)",
-    )
-    p_faults.add_argument(
-        "--shards", type=int, default=None,
-        help="fault-list shards (default 2x workers)",
-    )
-    p_faults.add_argument(
-        "--mp-start", default="auto",
-        choices=["auto", "fork", "spawn", "forkserver"],
-        help="multiprocessing start method (auto: fork if available)",
-    )
-    p_faults.add_argument(
-        "--shard-timeout", type=float, default=None,
-        help="per-shard result timeout in seconds; late shards are "
-             "regraded in-process",
+        help="threads that split the C screen's fault list (default 1; "
+             "the report is the same at every count)",
     )
     _add_telemetry_args(p_faults)
     p_faults.set_defaults(func=_cmd_faults)

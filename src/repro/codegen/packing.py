@@ -229,12 +229,13 @@ def _pack_patterns(
 
 def bit_block(
     vectors: Sequence[Sequence[int]], num_inputs: int
-) -> Optional[bytes]:
+) -> Optional[bytearray]:
     """The batch as one byte per value, or ``None`` when it is not 0/1.
 
     The byte-level boundary of a packed batch on the C backend
     (:meth:`~repro.codegen.runtime.CMachine.run_bit_block`): each row
-    becomes ``bytes`` in one call, the rows are joined, and the 0/1
+    becomes ``bytes`` in one call, the rows are joined into one
+    ``bytearray``, which the C machine reads in place, and the 0/1
     test is one ``translate`` over the joined block.  Every vector must
     hold ``num_inputs`` values and every value must be an ``int``
     (``bool`` included); either failure raises
@@ -249,7 +250,7 @@ def bit_block(
                     f"expected {num_inputs}"
                 )
     try:
-        block = b"".join(map(bytes, vectors))
+        block = bytearray().join(map(bytes, vectors))
     except (TypeError, ValueError):
         # TypeError: a value is not an integer; ValueError: one lies
         # outside 0..255.

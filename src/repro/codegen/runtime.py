@@ -61,6 +61,8 @@ generated ``run_block`` routine each backend compiles in:
   ``goods``.  The C library runs the whole list in one ``screen``
   call; the Python machine's loop, one ``run_packed_block`` per pass
   and one ``load_state`` per pin, is the reference.
+  ``CMachine.screen_call`` splits a C screen into its library call,
+  which may run on another thread, and its bookkeeping, which may not.
 - ``CMachine.fold_rows(rows, prev, checksum, toggles)`` folds the
   output bits :meth:`run_bit_rows` returned into a replay's rolling
   checksum and per-output toggle counts inside the library
@@ -89,8 +91,7 @@ generated code is reentrant (state is passed by pointer, see
 one library and owns only its state buffer.  The library is built in
 a temporary directory, under fixed file names (a program's name is
 free text and never part of a path), that is removed as soon as it is
-loaded, so nothing is left on disk, and a forked child keeps serving
-the parent's loaded programs.
+loaded, so nothing is left on disk.
 
 A miss costs one ``cc`` call, which is most of a cold set-up.  The C
 emitter keeps every compiled function short (``step`` runs as parts of
@@ -440,10 +441,15 @@ class Machine:
         """
         raise NotImplementedError
 
-    def _check_screen(self, rows, count, goods, start, pins) -> None:
+    def _check_screen(self, rows, count, goods, start, pins, values) -> None:
         """Sizes and pin bounds of a :meth:`screen` call, checked before
         any word is written: a pin outside the state would write past
-        the C state buffer."""
+        the C state buffer, and a pin without its value would be graded
+        against a zero the C call fills in."""
+        if len(values) != len(pins):
+            raise BackendError(
+                f"screen of {len(pins)} pins got {len(values)} values"
+            )
         passes = -(-count // self.program.word_width)
         if rows != passes or len(goods) < passes * self.num_outputs:
             raise BackendError(
@@ -608,7 +614,7 @@ class PythonMachine(Machine):
         return out
 
     def screen(self, lanes, count, goods, start, pins, values):
-        self._check_screen(len(lanes), count, goods, start, pins)
+        self._check_screen(len(lanes), count, goods, start, pins, values)
         width = self.program.word_width
         emits = self.num_outputs
         firsts: list[int] = []
@@ -665,7 +671,9 @@ class CMachine(Machine):
     largest batch: about 1 MB each way for 4096 vectors of 32 inputs
     and 32 words out at 64 bits.  Like the state buffer, the held
     buffers serve one caller at a time: a machine is not shared
-    between threads.
+    between threads.  Threads share a program through sibling
+    machines instead, each with its own state (fault grading's
+    ``workers``, see :meth:`screen_call`).
     """
 
     _CTYPE = {
@@ -933,14 +941,16 @@ class CMachine(Machine):
     def pack_lanes(self, block: bytes, count: int, *, fill: bool = False):
         """The library's ``pack_lanes``: a word array of pass rows.
 
-        With ``fill`` one all-zeros pass follows the batch's passes.
+        With ``fill`` one all-zeros pass follows the batch's passes.  A
+        ``bytearray`` block, which :func:`~repro.codegen.packing.bit_block`
+        returns, is read in place (:func:`_chars`).
         """
         # pack_lanes reads count * inputs bytes, no more.
         self._check_bit_block(block, count)
         passes = -(-count // self.program.word_width) + bool(fill)
         lanes = (self._word * (passes * max(1, self.num_inputs)))()
         with telemetry.span("pack"):
-            self._lib.pack_lanes(block, count, passes, lanes)
+            self._lib.pack_lanes(_chars(block), count, passes, lanes)
         return lanes
 
     def run_lanes(self, lanes, count: int):
@@ -957,8 +967,26 @@ class CMachine(Machine):
         The counters record one batch of the vectors the passes carried:
         each pin's passes up to and including its first differing one.
         """
+        call, finish = self.screen_call(
+            lanes, count, goods, start, pins, values
+        )
+        return finish(call())
+
+    def screen_call(self, lanes, count, goods, start, pins, values):
+        """:meth:`screen`, checked and marshalled but not yet run.
+
+        Returns ``(call, finish)``.  ``call()`` runs the library's
+        ``screen`` and nothing else, and returns its seconds: it writes
+        only the arrays built here, and ctypes releases the GIL for the
+        call, so sibling machines of one program may run theirs on
+        other threads at the same time over shared ``lanes`` and
+        ``goods``.  ``finish(seconds)`` records the batch in the
+        counters and telemetry, which are not thread-safe, and returns
+        the first detections; it belongs on the calling thread.
+        """
         self._check_screen(
-            len(lanes) // max(1, self.num_inputs), count, goods, start, pins
+            len(lanes) // max(1, self.num_inputs), count, goods, start,
+            pins, values,
         )
         word = self._word
         pinned = len(pins)
@@ -967,22 +995,30 @@ class CMachine(Machine):
         pin_words = longs(*pins)
         pin_values = (word * max(1, pinned))(*values)
         found = longs()
-        begin = time.perf_counter()
-        self._entry["screen"](
-            fresh, lanes, count, goods, pinned, pin_words, pin_values, found
-        )
-        seconds = time.perf_counter() - begin
-        width = self.program.word_width
-        firsts = found[:pinned]
-        self._record_batch(
-            sum(
-                count if first < 0
-                else min(count, (first // width + 1) * width)
-                for first in firsts
-            ),
-            seconds,
-        )
-        return firsts
+        kernel = self._entry["screen"]
+
+        def call() -> float:
+            begin = time.perf_counter()
+            kernel(
+                fresh, lanes, count, goods, pinned, pin_words, pin_values,
+                found,
+            )
+            return time.perf_counter() - begin
+
+        def finish(seconds: float) -> list[int]:
+            width = self.program.word_width
+            firsts = found[:pinned]
+            self._record_batch(
+                sum(
+                    count if first < 0
+                    else min(count, (first // width + 1) * width)
+                    for first in firsts
+                ),
+                seconds,
+            )
+            return firsts
+
+        return call, finish
 
     def _held_buffer(self, words: int):
         """A zeroed ``bytearray`` of ``words`` words and its word view."""
@@ -995,9 +1031,10 @@ class CMachine(Machine):
         One extended-slice store widens ``block`` into the held input
         words: each byte lands in the low byte of its word (which byte
         that is depends on ``sys.byteorder``).  The store reads a
-        ``bytearray`` block in place (what ``Tape.read_bits`` returns)
-        but first copies any other, ``bytes`` included, into a
-        temporary ``bytearray`` of the block's size.  Nothing else ever
+        ``bytearray`` block in place (what ``Tape.read_bits`` and
+        :func:`~repro.codegen.packing.bit_block` return) but first
+        copies any other, ``bytes`` included, into a temporary
+        ``bytearray`` of the block's size.  Nothing else ever
         writes the input buffer, so the other bytes stay zero and it
         is never re-zeroed.  The scalar ``run_block`` kernel then
         writes the held output words; the first ``count *
@@ -1057,8 +1094,7 @@ class CMachine(Machine):
         before them or ``None``; ``checksum`` (a ``c_uint64``) and
         ``toggles`` (a ``c_int64`` array, one count per column) are
         updated in place.  A ``bytearray``, which :meth:`run_bit_rows`
-        returns, goes over as a ``c_char`` array on its own memory
-        (``c_char_p`` refuses one), so no row is copied.
+        returns, is read in place (:func:`_chars`), so no row is copied.
         """
         width = len(toggles)
         count = len(rows) // width if width else 0
@@ -1070,11 +1106,9 @@ class CMachine(Machine):
             raise BackendError(
                 f"previous row has {len(prev)} bytes, expected {width}"
             )
-        if isinstance(rows, bytearray):
-            rows = (ctypes.c_char * len(rows)).from_buffer(rows)
-        if isinstance(prev, bytearray):
-            prev = (ctypes.c_char * width).from_buffer(prev)
-        self._lib.fold_rows(rows, count, width, prev, checksum, toggles)
+        self._lib.fold_rows(
+            _chars(rows), count, width, _chars(prev), checksum, toggles
+        )
 
     def dump_state(self) -> list[int]:
         return self._state[: self.num_state]
@@ -1086,6 +1120,15 @@ class CMachine(Machine):
             )
         mask = self.program.word_mask
         self._state[: self.num_state] = [value & mask for value in values]
+
+
+def _chars(data):
+    """A ``bytearray`` as a ``c_char`` array on its own memory, for a
+    ``c_char_p`` argument, which refuses a ``bytearray``; ``bytes`` and
+    ``None`` pass as they are."""
+    if isinstance(data, bytearray):
+        return (ctypes.c_char * len(data)).from_buffer(data)
+    return data
 
 
 def compile_program(

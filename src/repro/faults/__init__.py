@@ -16,20 +16,13 @@ that application end to end:
 - :mod:`repro.faults.simulator` — pattern-parallel fault simulation by
   instrumenting the generated LCC program with a per-net pair of
   mask/value state words, graded on the C backend by one compiled
-  ``screen`` call, plus the brute-force serial simulator it is
-  validated against;
-- :mod:`repro.faults.sharding` — the fault list sharded across a
-  multiprocess worker pool, merged bit-identically to the
-  single-process run (``run_fault_simulation(workers=N)``).
+  ``screen`` call (or one per thread, ``workers=N``), plus the
+  brute-force serial simulator it is validated against;
+- :mod:`repro.faults.testgen` — test generation and compaction on top
+  of the fault simulator.
 """
 
 from repro.faults.model import Fault, full_fault_list, inject_stuck_at
-from repro.faults.sharding import (
-    ShardedFaultReport,
-    merge_shard_outcomes,
-    run_sharded_fault_simulation,
-    shard_faults,
-)
 from repro.faults.simulator import (
     FaultReport,
     ParallelFaultSimulator,
@@ -46,10 +39,6 @@ __all__ = [
     "ParallelFaultSimulator",
     "serial_fault_simulation",
     "run_fault_simulation",
-    "ShardedFaultReport",
-    "shard_faults",
-    "merge_shard_outcomes",
-    "run_sharded_fault_simulation",
     "TestSet",
     "compact_tests",
     "generate_tests",

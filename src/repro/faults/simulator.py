@@ -34,6 +34,18 @@ Grading a fault list is then one flow on either backend:
    one call; the Python machine's per-group loop is the reference
    (:meth:`~repro.codegen.runtime.Machine.screen`).
 
+With ``workers = W > 1`` a C screen splits the list across
+``min(W, len(faults))`` threads: fault ``i`` goes to thread ``i mod
+W``, and each thread runs one ``screen`` call on a sibling machine of
+the one compiled program over the pre-pass's shared lanes and good
+words.  ctypes releases the GIL for the call, so the parts run side by
+side; a thread runs nothing but the library call, and the counters,
+the telemetry and any exception are taken on the calling thread once
+every thread has joined.  The results go back in fault order, so the
+report equals the inline one.  The Python machine's screen holds the
+GIL, so that backend grades the whole list in one call at any
+``workers``.
+
 In an acyclic circuit a net's settled value depends on the current
 inputs alone, and every pass recomputes every net, constant ones
 included, so no pass threads state from the previous vector: the
@@ -50,13 +62,14 @@ to validate the compiled screen and for small jobs.
 
 from __future__ import annotations
 
+import threading
 from typing import Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.packing import bit_block
 from repro.codegen.probes import ProbeSpec
 from repro.codegen.program import Assign, Bin, Program, Var
-from repro.codegen.runtime import compile_program
+from repro.codegen.runtime import BatchCounters, CMachine, compile_program
 from repro.errors import SimulationError
 from repro.eventsim.simulator import EventDrivenSimulator
 from repro.faults.model import Fault, full_fault_list, inject_stuck_at
@@ -84,9 +97,9 @@ class FaultReport:
     num_vectors:
         Vectors simulated.
     counters:
-        The engine's :class:`~repro.codegen.runtime.BatchCounters`
-        snapshot when the grading run attaches one (single-process
-        :func:`run_fault_simulation`), else ``None``.
+        The :class:`~repro.codegen.runtime.BatchCounters` of the
+        grading machines, summed, when the grading run attaches them
+        (:func:`run_fault_simulation`), else ``None``.
     """
 
     #: Throughput counters; attached by the grading entry points.
@@ -123,8 +136,8 @@ class FaultReport:
     def __eq__(self, other: object) -> bool:
         """Bit-identical reports: same detected map (fault -> first
         detecting vector), same undetected faults *in the same order*,
-        same vector count.  This is the contract sharded grading is
-        held to against the single-process run."""
+        same vector count.  This is the contract threaded grading is
+        held to against the inline run."""
         if not isinstance(other, FaultReport):
             return NotImplemented
         return (
@@ -149,7 +162,8 @@ class ParallelFaultSimulator:
     One instrumented program with a pin pair of state words for every
     net is compiled on first use (or by :meth:`warm_up`) and grades
     every fault list given to :meth:`run` (see the module docstring).
-    ``partitions`` and ``tiles`` must be 1 (see
+    The sibling machines a threaded C screen needs are built on first
+    use and kept.  ``partitions`` and ``tiles`` must be 1 (see
     :func:`~repro.simbase.check_pinned`).
     """
 
@@ -182,33 +196,30 @@ class ParallelFaultSimulator:
             for k, net_name in enumerate(sorted(circuit.nets))
         }
         self._machine = None
+        # Sibling machines of the compiled program, for threaded screens.
+        self._siblings: list = []
         # The compiled machine's fresh state: every pin unpinned.
         self._start: list[int] = []
-        # Good-pre-pass memo: ((count, block), lanes, goods).  The good
-        # words depend only on the circuit, word width and vectors, so
-        # repeated run() calls over the same vectors — the sharded
-        # grading shape — reuse them instead of re-running the pre-pass
-        # per shard.  ``goods`` is pass-major, one word per monitored
-        # output.
-        self._goods_memo: Optional[tuple] = None
         #: Good-machine switching probes (see :meth:`good_activity`).
         self.probes = ProbeSpec.coerce(probes)
-        self._activity_memo = None
 
     def warm_up(self) -> None:
-        """Build and compile the instrumented machine now.
-
-        Sharded grading calls this once per worker process, so backend
-        compilation — gcc, on the C backend — runs once per worker
-        instead of once per shard.
-        """
+        """Build and compile the instrumented machine now, so that a
+        caller can pay the compile (gcc, on the C backend) before its
+        first :meth:`run`."""
         self._compiled()
 
-    def batch_counters(self):
-        """The machine's live :class:`BatchCounters` (``None`` before
-        the machine is built)."""
-        machine = self._machine
-        return None if machine is None else machine.counters
+    def batch_counters(self) -> Optional[BatchCounters]:
+        """The :class:`BatchCounters` of every machine, summed
+        (``None`` before the machine is built)."""
+        if self._machine is None:
+            return None
+        total = BatchCounters()
+        for machine in (self._machine, *self._siblings):
+            total.batches += machine.counters.batches
+            total.vectors += machine.counters.vectors
+            total.seconds += machine.counters.seconds
+        return total
 
     def good_activity(
         self,
@@ -221,11 +232,8 @@ class ParallelFaultSimulator:
         (a probed PC-set simulator seeded from the ``initial`` steady
         state) and returns its
         :class:`~repro.activity.ActivityReport`.  The counters are
-        fault-independent — exactly like the good pre-pass — so the
-        report is memoized per simulator: sharded grading pays one
-        probed pass per worker regardless of shard count, and the
-        outcome merged from any shard is bit-identical to the
-        single-process run.
+        fault-independent, like the good pre-pass, so a grading run
+        computes them once whatever its ``workers``.
         """
         if self.probes is None:
             raise SimulationError(
@@ -234,12 +242,6 @@ class ParallelFaultSimulator:
             )
         if initial is None:
             initial = [0] * len(self.circuit.inputs)
-        key = (
-            tuple(tuple(v & 1 for v in vector) for vector in vectors),
-            tuple(v & 1 for v in initial),
-        )
-        if self._activity_memo is not None and self._activity_memo[0] == key:
-            return self._activity_memo[1]
         from repro.pcset.simulator import PCSetSimulator
 
         with telemetry.span("fault.activity"):
@@ -251,9 +253,7 @@ class ParallelFaultSimulator:
             )
             sim.reset(list(initial))
             sim.apply_vectors([list(vector) for vector in vectors])
-            report = sim.activity_report()
-        self._activity_memo = (key, report)
-        return report
+            return sim.activity_report()
 
     def _compiled(self):
         """The instrumented machine, built on first use."""
@@ -341,6 +341,8 @@ class ParallelFaultSimulator:
         self,
         vectors: Sequence[Sequence[int]],
         faults: Optional[Sequence[Fault]] = None,
+        *,
+        workers: int = 1,
     ) -> FaultReport:
         """Grade ``faults`` (default: all) over ``vectors``.
 
@@ -348,11 +350,16 @@ class ParallelFaultSimulator:
         of the wrong length or a non-integer value raises
         :class:`SimulationError` naming the vector (and the input)
         before any machine runs.  Multi-bit values are graded on bit 0.
+        ``workers`` threads share a C screen (see the module
+        docstring); a count below 1 raises :class:`SimulationError`.
         """
+        _check_workers(workers)
         count = len(vectors)
         block = bit_block(vectors, len(self.circuit.inputs))
         if block is None:
-            block = bytes(value & 1 for vector in vectors for value in vector)
+            block = bytearray(
+                value & 1 for vector in vectors for value in vector
+            )
         if faults is None:
             faults = full_fault_list(self.circuit)
         for fault in faults:
@@ -362,24 +369,20 @@ class ParallelFaultSimulator:
         if not count:
             return FaultReport({}, list(faults), 0)
         # A circuit without inputs has an empty block at every count.
-        key = (count, block)
-        if self._goods_memo is not None and self._goods_memo[0] == key:
-            _key, lanes, goods = self._goods_memo
-        else:
-            with telemetry.span("fault.good"):
-                machine.load_state(self._start)
-                lanes = machine.pack_lanes(block, count)
-                goods = machine.run_lanes(lanes, count)
-            self._goods_memo = (key, lanes, goods)
+        with telemetry.span("fault.good"):
+            machine.load_state(self._start)
+            lanes = machine.pack_lanes(block, count)
+            goods = machine.run_lanes(lanes, count)
 
         # Pin each fault in every lane: FMASK drops to zero and FVAL
         # replicates the stuck value across the word.
         mask = machine.program.word_mask
         with telemetry.span("fault.screen"):
-            firsts = machine.screen(
-                lanes, count, goods, self._start,
+            firsts = self._screen(
+                lanes, count, goods,
                 [self._pin[fault.net] for fault in faults],
                 [mask if fault.value else 0 for fault in faults],
+                workers,
             )
         detected: dict[Fault, int] = {}
         undetected: list[Fault] = []
@@ -389,6 +392,56 @@ class ParallelFaultSimulator:
             else:
                 detected[fault] = first
         return FaultReport(detected, undetected, count)
+
+    def _screen(self, lanes, count, goods, pins, values, workers):
+        """Every pin's first detection, on ``workers`` threads on C."""
+        machine = self._machine
+        parts = min(workers, len(pins))
+        if parts < 2 or not isinstance(machine, CMachine):
+            return machine.screen(
+                lanes, count, goods, self._start, pins, values
+            )
+        while len(self._siblings) < parts - 1:
+            self._siblings.append(
+                compile_program(machine.program, self.backend)
+            )
+        jobs = [
+            part.screen_call(
+                lanes, count, goods, self._start,
+                pins[k::parts], values[k::parts],
+            )
+            for k, part in enumerate((machine, *self._siblings[:parts - 1]))
+        ]
+        seconds: list = [None] * parts
+        errors: list = [None] * parts
+
+        def work(k: int) -> None:
+            try:
+                seconds[k] = jobs[k][0]()
+            except BaseException as error:  # re-raised after the join
+                errors[k] = error
+
+        threads = [
+            threading.Thread(target=work, args=(k,))
+            for k in range(1, parts)
+        ]
+        for thread in threads:
+            thread.start()
+        work(0)
+        for thread in threads:
+            thread.join()
+        for error in errors:
+            if error is not None:
+                raise error
+        firsts = [0] * len(pins)
+        for k, (_call, finish) in enumerate(jobs):
+            firsts[k::parts] = finish(seconds[k])
+        return firsts
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise SimulationError(f"workers must be >= 1: {workers}")
 
 
 def serial_fault_simulation(
@@ -443,58 +496,38 @@ def run_fault_simulation(
     initial: Optional[Sequence[int]] = None,
     tiles: int = 1,
     workers: int = 1,
-    shards: Optional[int] = None,
-    mp_start: str = "auto",
-    shard_timeout: Optional[float] = None,
     partitions: int = 1,
     probes=None,
 ) -> FaultReport:
     """Convenience wrapper around :class:`ParallelFaultSimulator`.
 
-    With ``workers > 1`` the fault list is sharded across a worker
-    pool (:mod:`repro.faults.sharding`) and the merged report — a
-    :class:`~repro.faults.sharding.ShardedFaultReport` — is
-    bit-identical to the single-process run; a count below 1 raises
-    :class:`SimulationError`.  ``shards``, ``mp_start`` and
-    ``shard_timeout`` tune that path and are ignored otherwise.
-    ``partitions`` and ``tiles`` must be 1 (see
+    With ``workers > 1`` a C screen splits the fault list across that
+    many threads (:meth:`ParallelFaultSimulator.run`); the report is
+    the same at every count, and a count below 1 raises
+    :class:`SimulationError`.  The report's ``counters`` sum every
+    grading machine's.  ``partitions`` and ``tiles`` must be 1 (see
     :func:`~repro.simbase.check_pinned`).
 
-    An explicitly empty fault list short-circuits to an empty report —
-    no simulator is built, no program compiled, no pool spun up (the
-    sharded path likewise returns its empty merged report inline, so
-    the ``workers > 1`` report type stays :class:`ShardedFaultReport`).
+    An explicitly empty fault list short-circuits to an empty report:
+    no simulator is built and no program compiled.
 
     ``probes`` additionally grades *switching activity*: the fault-free
     machine runs once with compiled-in toggle counters, seeded from the
     ``initial`` steady state (default all zeros), and the report gains
-    an ``activity`` attribute (:class:`~repro.activity.ActivityReport`)
-    — in sharded mode the per-net counters ride the shard outcomes and
-    the parent keeps the lowest-indexed copy, bit-identical to the
-    single-process run.  Detection compares settled values only, so
-    ``initial`` never changes which vector detects a fault.
+    an ``activity`` attribute (:class:`~repro.activity.ActivityReport`).
+    Detection compares settled values only, so ``initial`` never
+    changes which vector detects a fault.
     """
     check_pinned(partitions, tiles)
-    if workers < 1:
-        raise SimulationError(f"workers must be >= 1: {workers}")
+    _check_workers(workers)
     if faults is not None:
         faults = list(faults)
-        if not faults and workers == 1:
+        if not faults:
             return FaultReport({}, [], len(vectors))
-    if workers > 1:
-        from repro.faults.sharding import run_sharded_fault_simulation
-
-        return run_sharded_fault_simulation(
-            circuit, vectors, faults,
-            word_width=word_width, backend=backend, initial=initial,
-            workers=workers, shards=shards,
-            mp_start=mp_start, shard_timeout=shard_timeout,
-            probes=probes,
-        )
     simulator = ParallelFaultSimulator(
         circuit, word_width=word_width, backend=backend, probes=probes,
     )
-    report = simulator.run(vectors, faults)
+    report = simulator.run(vectors, faults, workers=workers)
     report.counters = simulator.batch_counters()
     if simulator.probes is not None:
         report.activity = simulator.good_activity(vectors, initial)

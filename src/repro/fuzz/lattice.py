@@ -2,7 +2,7 @@
 
 Five execution paths must agree bit for bit — the event-driven
 reference, the PC-set method, the parallel variants, both backends,
-and the scalar/packed/batched/sharded execution shapes.  A point in
+and the scalar/packed/batched/threaded execution shapes.  A point in
 the lattice is a :class:`FuzzConfig`: *which* differential check to
 run (``check``), on *which* technique, backend, word width, batch
 size, and — for the fault workload — worker count.  The campaign
@@ -93,12 +93,12 @@ class FuzzConfig:
 
     ``batch_size`` chunks the tape for the batched/packed/sequential
     paths (``0`` = the whole tape in one dispatch).  ``workers``
-    applies to the ``"faults"`` check (sharded multiprocess identity).
+    applies to the ``"faults"`` check (threaded screen identity).
     ``probes`` additionally builds the
     technique under test with compiled-in activity counters and
     compares them differentially against the history-derived reference
     (or, for the faults check, asserts good-machine activity identity
-    across the inline and sharded reports and the event-driven
+    across the inline and threaded reports and the event-driven
     reference).
     """
 
@@ -665,7 +665,7 @@ def _check_sequential(
 
 #: Serial (event-driven, one run per fault) reference is only affordable
 #: on small instances; above these bounds the faults check still
-#: validates inline-vs-sharded identity.  The bounds cover every
+#: validates inline-vs-threaded identity.  The bounds cover every
 #: campaign draw: at most 12 vectors, and at most 39 gates (a 3-bit
 #: array multiplier, 36 gates, plus up to three flip-flop D buffers).
 _SERIAL_MAX_GATES = 40
@@ -677,7 +677,7 @@ def _check_faults(
     vectors: Sequence[Sequence[int]],
     config: FuzzConfig,
 ) -> int:
-    """Fault-report identity: inline vs. sharded vs. serial.
+    """Fault-report identity: inline vs. threaded vs. serial.
 
     Every report must be equal — same detected map (fault -> first
     detecting vector) and same undetected list.  On small instances the
@@ -707,18 +707,18 @@ def _check_faults(
     inline = run_fault_simulation(circuit, vectors, **options())
     checks = inline.num_faults
     if config.workers > 1:
-        sharded = run_fault_simulation(
+        threaded = run_fault_simulation(
             circuit, vectors, workers=config.workers, **options()
         )
-        if sharded != inline:
+        if threaded != inline:
             raise Mismatch(
-                f"faults[sharded j{config.workers}]", -1, [],
-                f"  sharded report diverged from inline: "
-                f"{sharded!r} vs {inline!r}",
+                f"faults[threaded j{config.workers}]", -1, [],
+                f"  threaded report diverged from inline: "
+                f"{threaded!r} vs {inline!r}",
             )
-        checks += sharded.num_faults
+        checks += threaded.num_faults
         if config.probes:
-            got = sharded.activity
+            got = threaded.activity
             want = inline.activity
             if (
                 got is None
@@ -727,7 +727,7 @@ def _check_faults(
                 or got.vectors != want.vectors
             ):
                 raise Mismatch(
-                    "faults[activity sharded]", -1, [],
+                    "faults[activity threaded]", -1, [],
                     f"  good-machine activity diverged from the inline "
                     f"grading: {got!r} vs {want!r}",
                 )

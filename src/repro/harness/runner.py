@@ -161,15 +161,11 @@ def grade_faults(
     """Factory-level entry to stuck-at fault grading.
 
     The harness counterpart of :func:`build_simulator` for the fault
-    workload: ``workers=1`` runs the single-process pattern-parallel
-    screen; ``workers > 1`` shards the fault list across a
-    multiprocess pool (:mod:`repro.faults.sharding`) and returns the
-    merged — bit-identical — :class:`ShardedFaultReport`, whose
-    ``sharding_stats()`` carries the worker/shard execution metadata.
+    workload: the pattern-parallel screen, split across ``workers``
+    threads on the C backend, with the same report at every count.
     ``options`` pass through to
     :func:`repro.faults.simulator.run_fault_simulation`
-    (``word_width``, ``backend``, ``shards``, ``mp_start``,
-    ``shard_timeout``, ...).
+    (``word_width``, ``backend``, ``probes``, ...).
     """
     from repro.faults.simulator import run_fault_simulation
 

@@ -262,7 +262,7 @@ class CompiledSimulator:
                 )
             if not self._lane_words:
                 rows = [[value & 1 for value in row] for row in rows]
-                block = b"".join(map(bytes, rows))
+                block = bytearray().join(map(bytes, rows))
         elif counts_lanes:
             rows = [[*row, 1] for row in rows]
         return rows, block

@@ -1,4 +1,4 @@
-"""Pipeline telemetry: phase spans, metrics, cross-process export.
+"""Pipeline telemetry: phase spans, metrics, export.
 
 The paper's whole argument is quantitative — compile time vs. run time
 across techniques — so the library instruments itself end to end:
@@ -15,20 +15,14 @@ across techniques — so the library instruments itself end to end:
   shared no-op singleton (the zero-allocation path).
 - A **MetricsRegistry** of namespaced counters and gauges unifies the
   scattered ad-hoc counters: batched-execution totals
-  (``run.batches``/``run.vectors``), program-cache hits/misses,
-  pattern-packing eligibility and fallback reasons
-  (``packing.fallback.scalar``/``.settled``/``.none``), and
-  sharded-grading events (``events.shard.retry``/``.timeout``/
-  ``.degraded``).  Counter merge is associative and commutative (sum);
-  gauge merge takes the maximum.
-- **Cross-process aggregation**: :func:`snapshot` serializes the whole
-  state to a JSON-able dict, :func:`diff_snapshots` produces the delta
-  a shard worker ships back in its ``ShardOutcome``, and
-  :func:`merge_snapshot` folds child deltas into the parent — so
-  ``workers=N`` runs report exactly what their workers did.
-- **Export**: :func:`format_profile` renders the per-phase table the
-  CLI's ``--profile`` flag and ``profile`` subcommand print;
-  :func:`snapshot` backs ``--metrics-out``.
+  (``run.batches``/``run.vectors``), pattern-packing eligibility and
+  fallback reasons (``packing.fallback.scalar``/``.settled``/
+  ``.none``) and discrete events (``events.*``); program-cache
+  hits/misses are read from the cache itself.
+- **Export**: :func:`snapshot` serializes the whole state to a
+  JSON-able dict and backs ``--metrics-out``; :func:`format_profile`
+  renders the per-phase table the CLI's ``--profile`` flag and
+  ``profile`` subcommand print.
 
 Everything is off by default (set ``REPRO_TELEMETRY=1`` or call
 :func:`enable`), and log output goes to the stdlib ``repro.telemetry``
@@ -36,9 +30,10 @@ logger, which carries a ``NullHandler`` — attach your own handler to
 see span/event records (structured fields ride in ``extra`` under
 ``repro_``-prefixed keys).
 
-The module is intentionally not thread-safe: the concurrency unit of
-this library is the *process* (sharded fault grading), and each process
-owns its private telemetry state.
+The module is intentionally not thread-safe.  The one place the
+library runs threads, a fault screen split across ``workers``
+(:mod:`repro.faults.simulator`), runs nothing but library calls on
+them and records their counters and phases on the calling thread.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from typing import Mapping, Optional
+from typing import Optional
 
 __all__ = [
     "MetricsRegistry",
@@ -68,9 +63,6 @@ __all__ = [
     "phase_totals",
     "format_profile",
     "snapshot",
-    "diff_snapshots",
-    "merge_snapshots",
-    "merge_snapshot",
     "write_metrics",
 ]
 
@@ -79,13 +71,7 @@ logger.addHandler(logging.NullHandler())
 
 
 class MetricsRegistry:
-    """Namespaced counters and gauges with an associative merge.
-
-    Counters accumulate by summation; gauges record a level and merge
-    by maximum — both operations are associative and commutative, so
-    merging per-worker registries is order-independent (the
-    cross-process contract sharded grading relies on).
-    """
+    """Namespaced counters (summed) and gauges (a level each)."""
 
     __slots__ = ("counters", "gauges")
 
@@ -99,27 +85,8 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
 
-    def merge(self, other: "MetricsRegistry | Mapping") -> None:
-        """Fold another registry (or its ``as_dict``) into this one."""
-        if isinstance(other, MetricsRegistry):
-            counters, gauges = other.counters, other.gauges
-        else:
-            counters = other.get("counters", {})
-            gauges = other.get("gauges", {})
-        for name, value in counters.items():
-            self.inc(name, value)
-        for name, value in gauges.items():
-            prior = self.gauges.get(name)
-            self.gauges[name] = value if prior is None else max(prior, value)
-
     def as_dict(self) -> dict:
         return {"counters": dict(self.counters), "gauges": dict(self.gauges)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge(data)
-        return registry
 
     def reset(self) -> None:
         self.counters.clear()
@@ -326,9 +293,8 @@ def gauge(name: str, value: float) -> None:
 def event(name: str, **fields) -> None:
     """Record a discrete occurrence: ``events.<name>`` counter + log.
 
-    This is how silent decisions (packed->scalar fallback, shard
-    retries, pool degradation) become visible; ``fields`` ride in the
-    log record's ``extra``.
+    This is how silent decisions become visible; ``fields`` ride in
+    the log record's ``extra``.
     """
     if not _ENABLED:
         return
@@ -340,16 +306,32 @@ def event(name: str, **fields) -> None:
 
 
 # ----------------------------------------------------------------------
-# snapshots (the cross-process currency)
+# snapshots
 # ----------------------------------------------------------------------
-def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
-    """The convenience sections recomputed from raw counters."""
+def snapshot() -> dict:
+    """The whole telemetry state as one JSON-able dict.
+
+    Beside the raw counters, gauges and phases it carries convenience
+    sections recomputed from the counters, and a ``cache`` section read
+    live from the process-wide
+    :class:`~repro.codegen.runtime.ProgramCache`.
+    """
+    from repro.codegen.runtime import program_cache  # lazy: avoid cycle
+
+    counters = dict(_REGISTRY.counters)
     return {
-        "cache": {
-            "entries": cache.get("entries", 0),
-            "hits": cache.get("hits", 0),
-            "misses": cache.get("misses", 0),
+        "enabled": _ENABLED,
+        "counters": counters,
+        "gauges": dict(_REGISTRY.gauges),
+        "phases": {
+            path: {
+                "count": entry[0],
+                "seconds": entry[1],
+                "self_seconds": entry[2],
+            }
+            for path, entry in _PHASES.items()
         },
+        "cache": program_cache().stats(),
         "packing": {
             "packed_batches": counters.get("packing.packed_batches", 0),
             "fallback": {
@@ -357,11 +339,6 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
                 "settled": counters.get("packing.fallback.settled", 0),
                 "none": counters.get("packing.fallback.none", 0),
             },
-        },
-        "sharding": {
-            "retries": counters.get("events.shard.retry", 0),
-            "timeouts": counters.get("events.shard.timeout", 0),
-            "degraded": counters.get("events.shard.degraded", 0),
         },
         "seq": {
             # Clocked (sequential) execution — see repro.seqsim and
@@ -374,8 +351,6 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
         },
         "activity": {
             # Compiled-in probe counters — see repro.codegen.probes.
-            # All four are summed counters, so the derived section
-            # merges associatively exactly like seq/pack.
             "vectors": counters.get("activity.vectors", 0),
             "toggles": counters.get("activity.toggles", 0),
             "functional": counters.get("activity.functional", 0),
@@ -393,164 +368,6 @@ def _derived_sections(counters: Mapping, cache: Mapping) -> dict:
             },
         },
     }
-
-
-def snapshot() -> dict:
-    """The whole telemetry state as one JSON-able dict.
-
-    Program-cache hits/misses are read live from the process-wide
-    :class:`~repro.codegen.runtime.ProgramCache` and combined with any
-    child-process cache counts previously merged in; the ``cache``
-    section is authoritative and the raw ``counters`` dict never
-    carries ``cache.*`` keys.
-    """
-    from repro.codegen.runtime import program_cache  # lazy: avoid cycle
-
-    counters = {
-        name: value
-        for name, value in _REGISTRY.counters.items()
-        if not name.startswith("cache.")
-    }
-    live = program_cache().stats()
-    cache = {
-        "entries": live["entries"],
-        "hits": live["hits"] + _REGISTRY.counters.get("cache.hits", 0),
-        "misses": live["misses"] + _REGISTRY.counters.get("cache.misses", 0),
-    }
-    snap = {
-        "enabled": _ENABLED,
-        "counters": counters,
-        "gauges": dict(_REGISTRY.gauges),
-        "phases": {
-            path: {
-                "count": entry[0],
-                "seconds": entry[1],
-                "self_seconds": entry[2],
-            }
-            for path, entry in _PHASES.items()
-        },
-    }
-    snap.update(_derived_sections(counters, cache))
-    return snap
-
-
-def diff_snapshots(after: Mapping, before: Mapping) -> dict:
-    """``after - before``: the delta a shard worker ships to the parent.
-
-    Counters, cache counts and phase triples subtract; gauges keep the
-    ``after`` level; ``entries`` (a level, not a flow) keeps the
-    ``after`` value.
-    """
-    counters = {}
-    for name, value in after.get("counters", {}).items():
-        delta = value - before.get("counters", {}).get(name, 0)
-        if delta:
-            counters[name] = delta
-    phases = {}
-    before_phases = before.get("phases", {})
-    for path, entry in after.get("phases", {}).items():
-        prior = before_phases.get(
-            path, {"count": 0, "seconds": 0.0, "self_seconds": 0.0}
-        )
-        count = entry["count"] - prior["count"]
-        if count or entry["seconds"] != prior["seconds"]:
-            phases[path] = {
-                "count": count,
-                "seconds": entry["seconds"] - prior["seconds"],
-                "self_seconds": (
-                    entry["self_seconds"] - prior["self_seconds"]
-                ),
-            }
-    cache_after = after.get("cache", {})
-    cache_before = before.get("cache", {})
-    cache = {
-        "entries": cache_after.get("entries", 0),
-        "hits": cache_after.get("hits", 0) - cache_before.get("hits", 0),
-        "misses": (
-            cache_after.get("misses", 0) - cache_before.get("misses", 0)
-        ),
-    }
-    snap = {
-        "enabled": after.get("enabled", False),
-        "counters": counters,
-        "gauges": dict(after.get("gauges", {})),
-        "phases": phases,
-    }
-    snap.update(_derived_sections(counters, cache))
-    return snap
-
-
-def merge_snapshots(a: Mapping, b: Mapping) -> dict:
-    """Pure associative merge of two snapshot dicts.
-
-    ``merge(a, merge(b, c)) == merge(merge(a, b), c)`` — counters,
-    cache counts and phases sum; gauges and ``entries`` take the
-    maximum.  Shard outcomes can therefore merge in any grouping and
-    produce the same report.
-    """
-    counters = dict(a.get("counters", {}))
-    for name, value in b.get("counters", {}).items():
-        counters[name] = counters.get(name, 0) + value
-    gauges = dict(a.get("gauges", {}))
-    for name, value in b.get("gauges", {}).items():
-        prior = gauges.get(name)
-        gauges[name] = value if prior is None else max(prior, value)
-    phases = {
-        path: dict(entry) for path, entry in a.get("phases", {}).items()
-    }
-    for path, entry in b.get("phases", {}).items():
-        prior = phases.get(path)
-        if prior is None:
-            phases[path] = dict(entry)
-        else:
-            prior["count"] += entry["count"]
-            prior["seconds"] += entry["seconds"]
-            prior["self_seconds"] += entry["self_seconds"]
-    cache_a, cache_b = a.get("cache", {}), b.get("cache", {})
-    cache = {
-        "entries": max(cache_a.get("entries", 0), cache_b.get("entries", 0)),
-        "hits": cache_a.get("hits", 0) + cache_b.get("hits", 0),
-        "misses": cache_a.get("misses", 0) + cache_b.get("misses", 0),
-    }
-    snap = {
-        "enabled": bool(a.get("enabled")) or bool(b.get("enabled")),
-        "counters": counters,
-        "gauges": gauges,
-        "phases": phases,
-    }
-    snap.update(_derived_sections(counters, cache))
-    return snap
-
-
-def merge_snapshot(child: Mapping) -> None:
-    """Fold a child process's snapshot delta into *this* process.
-
-    Child cache counts land in ``cache.hits``/``cache.misses`` registry
-    counters, which :func:`snapshot` adds on top of the live cache —
-    so a parent's export covers its workers' compilations too.
-    """
-    for name, value in child.get("counters", {}).items():
-        if name.startswith("cache."):
-            continue
-        _REGISTRY.inc(name, value)
-    for name, value in child.get("gauges", {}).items():
-        prior = _REGISTRY.gauges.get(name)
-        _REGISTRY.gauges[name] = (
-            value if prior is None else max(prior, value)
-        )
-    for path, entry in child.get("phases", {}).items():
-        local = _PHASES.get(path)
-        if local is None:
-            local = _PHASES[path] = [0, 0.0, 0.0]
-        local[0] += entry["count"]
-        local[1] += entry["seconds"]
-        local[2] += entry["self_seconds"]
-    cache = child.get("cache", {})
-    hits, misses = cache.get("hits", 0), cache.get("misses", 0)
-    if hits:
-        _REGISTRY.inc("cache.hits", hits)
-    if misses:
-        _REGISTRY.inc("cache.misses", misses)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main, resolve_circuit
+from repro.codegen.runtime import have_c_compiler
 from repro.netlist.bench import write_bench
 from repro.netlist.iscas85 import make_circuit
 
@@ -111,6 +112,16 @@ class TestErrors:
         assert captured.err == "repro-sim: error: workers must be >= 1: 0\n"
         assert "Traceback" not in captured.out
 
+    @pytest.mark.parametrize("flag", [
+        ["--shards", "2"], ["--mp-start", "fork"],
+        ["--shard-timeout", "1"],
+    ])
+    def test_process_pool_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["faults", "c432", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestActivityAndVcd:
     def test_activity_command(self, capsys):
@@ -151,6 +162,24 @@ def test_faults_command(capsys):
     assert main(["faults", "rca2", "-n", "30"]) == 0
     out = capsys.readouterr().out
     assert "coverage" in out
+
+
+def test_faults_command_with_workers(capsys):
+    backend = "c" if have_c_compiler() else "python"
+    argv = ["--scale", "0.3", "faults", "c432", "-n", "40", "-b", backend,
+            "--show-undetected"]
+    assert main(argv) == 0
+    inline = capsys.readouterr().out
+    assert main([*argv, "-j", "3"]) == 0
+    threaded = capsys.readouterr().out
+
+    def report_lines(out):
+        return [line for line in out.splitlines()
+                if not line.startswith("throughput:")]
+
+    # The same report, and no line about workers or shards.
+    assert report_lines(threaded) == report_lines(inline)
+    assert len(report_lines(threaded)) == 2
 
 
 class TestEquivCommand:

@@ -5,9 +5,12 @@ examples are syntactically valid, every public module has a docstring.
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,6 +87,22 @@ class TestPublicApi:
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
+
+    def test_import_loads_no_process_pool(self):
+        # Fault grading splits its screen across threads; nothing in
+        # the package starts processes, so a fresh interpreter's
+        # ``import repro`` must not pay for a process pool's modules.
+        probe = (
+            "import sys, repro; print(sorted(name for name in "
+            "('multiprocessing', 'concurrent.futures.process') "
+            "if name in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=env, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestExamplesParse:

@@ -252,11 +252,6 @@ class TestRemovedKnobs:
 
     @staticmethod
     def _graders():
-        from repro.faults.sharding import (
-            GradingConfig,
-            run_sharded_fault_simulation,
-        )
-
         circuit = and_gate()
         vectors = [[1, 1]]
         return {
@@ -269,24 +264,16 @@ class TestRemovedKnobs:
             "run_fault_simulation": lambda **kw: run_fault_simulation(
                 circuit, vectors, **kw
             ),
-            "run_sharded_fault_simulation": (
-                lambda **kw: run_sharded_fault_simulation(
-                    circuit, vectors, workers=1, **kw
-                )
-            ),
-            "GradingConfig": lambda **kw: GradingConfig(
-                circuit, vectors, **kw
-            ),
         }
 
     @pytest.mark.parametrize("entry", [
         "ParallelFaultSimulator", "ParallelFaultSimulator.run",
-        "run_fault_simulation", "run_sharded_fault_simulation",
-        "GradingConfig",
+        "run_fault_simulation",
     ])
     @pytest.mark.parametrize("knob, value", [
         ("patterns", "auto"), ("instrument", "all"),
-        ("drop_detected", True),
+        ("drop_detected", True), ("shards", 2), ("mp_start", "auto"),
+        ("shard_timeout", None),
     ])
     def test_knob_is_a_type_error(self, entry, knob, value):
         # Even the old default value is refused.
@@ -542,8 +529,7 @@ class TestZeroDelayFaultProgram:
         self, backend, width
     ):
         # A caller that grades with one simulator more than once (test
-        # generation does): new vectors, then the same vectors again
-        # (the good-word memo).
+        # generation does): new vectors, then the same vectors again.
         circuit = random_dag_circuit(43, num_inputs=5, num_gates=18)
         first = vectors_for(circuit, width + 5, seed=1)
         second = vectors_for(circuit, 2 * width + 3, seed=2)

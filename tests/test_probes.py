@@ -4,7 +4,7 @@ The contract under test: a simulator built with ``probes=`` counts
 per-net switching *inside the generated program* and its
 ``activity_report()`` is bit-identical to the history-based
 reference — on every backend, word width, and execution shape
-(scalar, batched, packed, prepared, sharded fault grading) — plus
+(scalar, batched, packed, prepared, threaded fault grading) — plus
 the streaming waveform path (``capture_trace``, replay ``--vcd`` with
 byte-identical checkpoint resume).
 """
@@ -239,16 +239,23 @@ class TestFaultGradingActivity:
         from repro.faults.simulator import run_fault_simulation
 
         circuit, vectors = self._workload()
-        single = run_fault_simulation(circuit, vectors, probes=True)
-        sharded = run_fault_simulation(
-            circuit, vectors, workers=2, probes=True
-        )
-        assert sharded == single
-        assert sharded.activity is not None
-        assert sharded.activity.toggles == single.activity.toggles
-        assert (
-            sharded.activity.functional == single.activity.functional
-        )
+        for backend in ("python",) + (("c",) if have_c_compiler() else ()):
+            single = run_fault_simulation(
+                circuit, vectors, backend=backend, probes=True
+            )
+            for workers in (2, 3):
+                threaded = run_fault_simulation(
+                    circuit, vectors, backend=backend, workers=workers,
+                    probes=True,
+                )
+                assert threaded == single
+                assert threaded.activity is not None
+                assert threaded.activity.vectors == len(vectors)
+                assert threaded.activity.toggles == single.activity.toggles
+                assert (
+                    threaded.activity.functional
+                    == single.activity.functional
+                )
 
     def test_no_probes_no_activity(self):
         from repro.faults.simulator import (

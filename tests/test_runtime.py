@@ -371,6 +371,46 @@ def test_tape_block_is_not_copied(tmp_path, width):
     assert len(again) == len(first) == 3 * count
 
 
+@NEED_CC
+@pytest.mark.parametrize("width", WIDTHS)
+def test_bit_block_is_not_copied(width):
+    """``bit_block`` returns a ``bytearray``, which the widening store
+    reads in place, as it does a tape block: a warm call allocates
+    nothing near the block's size."""
+    from repro.codegen.packing import bit_block
+
+    inputs, count = 32, 1024
+    raw = _random_block(count, inputs)
+    rows = [list(raw[i * inputs:(i + 1) * inputs]) for i in range(count)]
+    block = bit_block(rows, inputs)
+    assert isinstance(block, bytearray) and block == raw
+    machine = CMachine(_toggle_program(inputs=inputs, word_width=width))
+    first = machine.run_bit_rows(block, count)
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        again = machine.run_bit_rows(block, count)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < len(block) // 2
+    assert len(again) == len(first) == 3 * count
+
+
+@NEED_CC
+@pytest.mark.parametrize("width", WIDTHS)
+def test_pack_lanes_takes_bytes_and_bytearray(width):
+    inputs, count = 5, 3 * width + 1
+    block = _random_block(count, inputs, seed=width)
+    machine = CMachine(_toggle_program(inputs=inputs, word_width=width))
+    lanes = machine.pack_lanes(bytearray(block), count)
+    assert list(lanes) == list(machine.pack_lanes(block, count))
+    python = PythonMachine(machine.program)
+    assert [
+        word for row in python.pack_lanes(block, count) for word in row
+    ] == list(lanes)
+
+
 def _fold_reference(rows: bytes, prev, start: int, width: int):
     """The fold by its definition: ``fold_outputs`` row by row, and
     per column the rows that differ from the row before."""
@@ -522,6 +562,24 @@ class TestScreen:
             machine.screen(lanes, 2, goods, start[:2], [1], [0])
         with pytest.raises(BackendError, match="needs 2 lane rows"):
             machine.screen(lanes, 9, goods, start, [1], [0])
+
+    def test_values_must_match_pins(self, machine_class):
+        # Before the check, C graded missing values as stuck-at-0 and
+        # the Python loop dropped the pins past the last value.
+        machine = machine_class(_pinned_program())
+        start = machine.dump_state()
+        lanes = machine.pack_lanes(b"\x01\x00\x01", 3)
+        goods = machine.run_lanes(lanes, 3)
+        state = machine.dump_state()
+        batches = machine.counters.batches
+        for values in ([0xFF, 0], [0xFF, 0, 0xFF, 0]):
+            with pytest.raises(BackendError, match="3 pins got"):
+                machine.screen(lanes, 3, goods, start, [1, 1, 1], values)
+        assert machine.dump_state() == state
+        assert machine.counters.batches == batches
+        assert machine.screen(
+            lanes, 3, goods, start, [1, 1, 1], [0xFF, 0, 0xFF]
+        ) == [1, 0, 1]
 
 
 class TestCompileProgram:

@@ -1,11 +1,10 @@
 """Tests for the telemetry layer (repro.telemetry) and its plumbing.
 
 Covers the contracts the instrumentation promises: span nesting and
-self-time bookkeeping, associative registry/snapshot merges, the
-snapshot -> diff -> merge cross-process round trip, the allocation-free
-disabled path, the CLI export surfaces (``--profile``, ``--metrics-out``
-and the ``profile`` subcommand), and merged per-worker counters and
-retry/degradation events in sharded fault grading.
+self-time bookkeeping, the allocation-free disabled path, the snapshot
+sections, the CLI export surfaces (``--profile``, ``--metrics-out`` and
+the ``profile`` subcommand), and deterministic phase counts when a
+fault screen is split across threads.
 """
 
 import json
@@ -16,12 +15,11 @@ import pytest
 from repro import telemetry
 from repro.cli import main
 from repro.codegen.runtime import have_c_compiler
-from repro.faults.sharding import run_sharded_fault_simulation
+from repro.faults.simulator import run_fault_simulation
 from repro.harness.vectors import vectors_for
 from repro.lcc.zerodelay import LCCSimulator
 from repro.netlist.generators import ripple_carry_adder
 from repro.parallel.simulator import ParallelSimulator
-from repro.telemetry import MetricsRegistry
 
 NEED_CC = pytest.mark.skipif(
     have_c_compiler() is None, reason="no C compiler available"
@@ -134,64 +132,12 @@ class TestSpans:
     def test_disabled_recording_is_noop(self):
         telemetry.counter("run.batches")
         telemetry.gauge("depth", 9)
-        telemetry.event("shard.retry")
+        telemetry.event("fuzz.failure")
         telemetry.record_phase("run", 1.0)
         snap = telemetry.snapshot()
         assert snap["counters"] == {}
         assert snap["gauges"] == {}
         assert snap["phases"] == {}
-
-
-class TestMetricsRegistry:
-    def _sample(self, hits, depth):
-        registry = MetricsRegistry()
-        registry.inc("cache.hits", hits)
-        registry.inc("run.batches")
-        registry.set_gauge("depth", depth)
-        return registry
-
-    def test_merge_is_associative(self):
-        parts = [self._sample(1, 5), self._sample(2, 9), self._sample(4, 7)]
-
-        def fold(order):
-            total = MetricsRegistry()
-            for index in order:
-                total.merge(parts[index])
-            return total.as_dict()
-
-        left = fold([0, 1, 2])
-        right = fold([2, 1, 0])
-        assert left == right
-        assert left["counters"]["cache.hits"] == 7
-        assert left["gauges"]["depth"] == 9  # gauges merge by max
-
-    def test_dict_round_trip(self):
-        registry = self._sample(3, 4)
-        clone = MetricsRegistry.from_dict(registry.as_dict())
-        assert clone.as_dict() == registry.as_dict()
-
-    def test_merge_snapshots_associative(self):
-        def snap(n):
-            return {
-                "enabled": True,
-                "counters": {"run.vectors": n, f"only.{n}": 1},
-                "gauges": {"depth": n},
-                "phases": {
-                    "emit": {
-                        "count": 1, "seconds": float(n), "self_seconds": 1.0,
-                    },
-                },
-                "cache": {"entries": n, "hits": n, "misses": 1},
-            }
-
-        a, b, c = snap(1), snap(2), snap(4)
-        left = telemetry.merge_snapshots(telemetry.merge_snapshots(a, b), c)
-        right = telemetry.merge_snapshots(a, telemetry.merge_snapshots(b, c))
-        assert left == right
-        assert left["counters"]["run.vectors"] == 7
-        assert left["phases"]["emit"]["count"] == 3
-        assert left["cache"] == {"entries": 4, "hits": 7, "misses": 3}
-        assert left["gauges"]["depth"] == 4
 
 
 class TestSnapshots:
@@ -201,55 +147,8 @@ class TestSnapshots:
         assert set(snap["packing"]["fallback"]) == {
             "scalar", "settled", "none",
         }
-        assert set(snap["sharding"]) == {"retries", "timeouts", "degraded"}
         assert set(snap["cache"]) == {"entries", "hits", "misses"}
-
-    def test_cross_process_round_trip(self):
-        """snapshot -> diff -> merge reproduces the delta exactly."""
-        telemetry.enable()
-        telemetry.counter("run.batches", 2)
-        with telemetry.span("emit"):
-            pass
-        before = telemetry.snapshot()
-        # "The worker's extra work" happens after the baseline.
-        telemetry.counter("run.batches", 3)
-        telemetry.counter("packing.packed_batches")
-        telemetry.gauge("depth", 17)
-        with telemetry.span("emit"):
-            with telemetry.span("levelize"):
-                pass
-        delta = telemetry.diff_snapshots(telemetry.snapshot(), before)
-
-        assert delta["counters"]["run.batches"] == 3
-        assert delta["counters"]["packing.packed_batches"] == 1
-        assert delta["phases"]["emit"]["count"] == 1
-        assert delta["phases"]["emit/levelize"]["count"] == 1
-        assert "run.batches" not in delta.get("cache", {})
-
-        # A fresh "parent" process folds the delta in.
-        telemetry.reset()
-        telemetry.merge_snapshot(delta)
-        merged = telemetry.snapshot()
-        assert merged["counters"]["run.batches"] == 3
-        assert merged["gauges"]["depth"] == 17
-        assert merged["phases"]["emit"]["count"] == 1
-        assert merged["phases"]["emit/levelize"]["count"] == 1
-
-    def test_child_cache_counts_add_to_live_cache(self):
-        telemetry.enable()
-        base = telemetry.snapshot()["cache"]
-        telemetry.merge_snapshot({
-            "counters": {}, "gauges": {}, "phases": {},
-            "cache": {"entries": 1, "hits": 5, "misses": 2},
-        })
-        cache = telemetry.snapshot()["cache"]
-        assert cache["hits"] == base["hits"] + 5
-        assert cache["misses"] == base["misses"] + 2
-        # Raw counters never expose cache.* (the section is derived).
-        assert not any(
-            name.startswith("cache.")
-            for name in telemetry.snapshot()["counters"]
-        )
+        assert "sharding" not in snap
 
     def test_lcc_scalar_fallback_reaches_packing_section(self):
         circuit = ripple_carry_adder(2)
@@ -294,7 +193,7 @@ class TestSnapshots:
         telemetry.write_metrics(str(path))
         data = json.loads(path.read_text())
         assert data["counters"]["run.batches"] == 1
-        assert "packing" in data and "sharding" in data
+        assert "packing" in data and "cache" in data
 
 
 def _coverage_of(out: str) -> float:
@@ -319,8 +218,8 @@ class TestCLI:
         ]) == 0
         assert f"wrote metrics to {path}" in capsys.readouterr().out
         data = json.loads(path.read_text())
-        for section in ("cache", "packing", "sharding", "counters",
-                        "phases", "gauges"):
+        for section in ("cache", "packing", "counters", "phases",
+                        "gauges"):
             assert section in data
         assert data["phases"], data  # the pipeline was instrumented
 
@@ -355,66 +254,52 @@ class TestCLI:
         assert data["counters"]["run.vectors"] >= 32
 
 
-class TestShardedTelemetry:
+class TestThreadedTelemetry:
+    """A screen split across threads records its counters and phases on
+    the calling thread, after the join."""
+
     def _workload(self):
         circuit = ripple_carry_adder(3)
         return circuit, vectors_for(circuit, 14, seed=5)
 
-    def test_workers4_merges_counters_and_retry_events(self):
+    @NEED_CC
+    def test_workers2_phase_counts_are_deterministic(self):
         circuit, vectors = self._workload()
-        telemetry.enable(reset_state=True)
-        report = run_sharded_fault_simulation(
-            circuit, vectors, workers=4, shards=4, word_width=16,
-            mp_start="fork", _fail_shards={1},
-        )
-        # Satellite: per-worker BatchCounters merge into the report.
-        assert report.counters.batches >= 1
-        assert report.counters.vectors > 0
-        assert report.counters.seconds > 0
-        stats = report.sharding_stats()
-        assert stats["events"]["retries"] >= 1
-        assert stats["events"]["degraded"] == 0
-        # Parent-side events land in the registry...
-        counters = telemetry.registry().counters
-        assert counters["events.shard.retry"] >= 1
-        # ...and worker-shipped phase deltas merge into the parent: the
-        # fault screens ran in worker processes, not here.
-        snap = telemetry.snapshot()
-        screens = [p for p in snap["phases"] if "fault.screen" in p]
-        assert screens, snap["phases"]
-        assert snap["sharding"]["retries"] >= 1
-        # Worker compilations surface through the merged cache section.
-        assert snap["cache"]["misses"] >= 1
+        # Warm the program cache: a compile adds phases of its own.
+        run_fault_simulation(circuit, vectors, word_width=16, backend="c")
+        seen = []
+        for _ in range(3):
+            telemetry.enable(reset_state=True)
+            report = run_fault_simulation(
+                circuit, vectors, word_width=16, backend="c", workers=2,
+            )
+            snap = telemetry.snapshot()
+            seen.append((
+                {path: entry["count"]
+                 for path, entry in snap["phases"].items()},
+                snap["counters"],
+            ))
+            # The pre-pass, then one screen batch per thread.
+            assert report.counters.batches == 3
+        phases, counters = seen[0]
+        assert all(entry == seen[0] for entry in seen)
+        assert phases["fault.good/run"] == 1
+        assert phases["fault.screen/run"] == 2
+        assert phases["fault.screen"] == 1
+        assert counters["run.batches"] == 3
+        assert counters["run.vectors"] == report.counters.vectors
 
-    def test_workers4_disabled_still_reports_events(self):
+    @NEED_CC
+    def test_disabled_threads_leave_the_registry_empty(self):
         circuit, vectors = self._workload()
         assert not telemetry.enabled()
-        report = run_sharded_fault_simulation(
-            circuit, vectors, workers=4, shards=4, word_width=16,
-            mp_start="fork", _fail_shards={1},
+        report = run_fault_simulation(
+            circuit, vectors, word_width=16, backend="c", workers=4,
         )
+        assert report.counters.batches == 5
         assert report.counters.vectors > 0
-        assert report.sharding_stats()["events"]["retries"] >= 1
-        assert telemetry.registry().counters == {}  # nothing leaked
-
-    def test_degraded_pool_records_event(self, monkeypatch):
-        from repro.faults import sharding as sharding_module
-
-        def broken_pool(*args, **kwargs):
-            raise OSError("no process spawning here")
-
-        monkeypatch.setattr(
-            sharding_module, "ProcessPoolExecutor", broken_pool
-        )
-        circuit, vectors = self._workload()
-        telemetry.enable(reset_state=True)
-        report = run_sharded_fault_simulation(
-            circuit, vectors, workers=2, word_width=16,
-        )
-        assert report.degraded
-        assert report.sharding_stats()["events"]["degraded"] == 1
-        assert telemetry.registry().counters["events.shard.degraded"] == 1
-        assert telemetry.snapshot()["sharding"]["degraded"] == 1
+        assert telemetry.registry().counters == {}
+        assert telemetry.snapshot()["phases"] == {}
 
 
 class TestActivityTelemetry:
@@ -443,71 +328,19 @@ class TestActivityTelemetry:
         assert section["functional"] == sum(report.functional.values())
         assert section["glitches"] == report.total_glitch_toggles()
 
-    def test_activity_merge_associative(self):
-        def snap(n):
-            return {
-                "enabled": True,
-                "counters": {
-                    "activity.vectors": n,
-                    "activity.toggles": 3 * n,
-                    "activity.functional": 2 * n,
-                    "activity.glitches": n,
-                },
-                "gauges": {},
-                "phases": {},
-            }
-
-        a, b, c = snap(1), snap(2), snap(4)
-        left = telemetry.merge_snapshots(
-            telemetry.merge_snapshots(a, b), c
-        )
-        right = telemetry.merge_snapshots(
-            a, telemetry.merge_snapshots(b, c)
-        )
-        assert left == right
-        assert left["activity"] == {
-            "vectors": 7, "toggles": 21, "functional": 14, "glitches": 7,
-        }
-
-    def test_activity_cross_process_round_trip(self):
-        """Probe counters survive snapshot -> diff -> merge intact."""
-        from repro.pcset.simulator import PCSetSimulator
-
-        telemetry.enable()
-        circuit = ripple_carry_adder(2)
-        warm = vectors_for(circuit, 6, seed=1)
-        work = vectors_for(circuit, 9, seed=2)
-
-        def probed_run(vectors):
-            sim = PCSetSimulator(circuit, word_width=8, probes=True)
-            sim.reset([0] * len(circuit.inputs))
-            sim.apply_vectors([list(v) for v in vectors])
-            return sim.activity_report()
-
-        probed_run(warm)  # pre-existing parent-side counts
-        before = telemetry.snapshot()
-        report = probed_run(work)  # "the worker's extra work"
-        delta = telemetry.diff_snapshots(telemetry.snapshot(), before)
-        assert delta["activity"]["vectors"] == len(work)
-        assert delta["activity"]["toggles"] == report.total_toggles()
-
-        telemetry.reset()
-        telemetry.merge_snapshot(delta)
-        merged = telemetry.snapshot()["activity"]
-        assert merged == delta["activity"]
-
+    @NEED_CC
     def test_sharded_probe_counters_merge_into_parent(self):
+        # The good machine's probed pass runs once, on the calling
+        # thread, whatever the number of screen threads.
         telemetry.enable()
         circuit = ripple_carry_adder(3)
         vectors = vectors_for(circuit, 8, seed=3)
-        report = run_sharded_fault_simulation(
-            circuit, vectors, workers=2, word_width=16,
-            mp_start="fork", probes=True,
+        report = run_fault_simulation(
+            circuit, vectors, workers=2, word_width=16, backend="c",
+            probes=True,
         )
         assert report.activity is not None
         assert report.activity.vectors == len(vectors)
         section = telemetry.snapshot()["activity"]
-        # Every worker grades its own good machine, so the merged
-        # totals are at least one full instrumented pass.
-        assert section["vectors"] >= report.activity.vectors
-        assert section["toggles"] >= report.activity.total_toggles()
+        assert section["vectors"] == report.activity.vectors
+        assert section["toggles"] == report.activity.total_toggles()
