@@ -36,8 +36,13 @@ from typing import Optional
 
 from repro import telemetry
 from repro.analysis.stats import circuit_report
-from repro.errors import ReproError
-from repro.harness.runner import TECHNIQUES, build_simulator, run_technique
+from repro.errors import ReproError, SimulationError
+from repro.harness.runner import (
+    PROBE_TECHNIQUES,
+    TECHNIQUES,
+    build_simulator,
+    run_technique,
+)
 from repro.harness.tables import format_table
 from repro.harness.timing import time_run
 from repro.harness.vectors import vectors_for
@@ -197,10 +202,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Techniques whose generated programs accept compiled-in probes.
-_PROBE_TECHNIQUES = ("pcset", "parallel", "parallel-trim", "zero-lcc")
-
-
 def _cmd_activity(args: argparse.Namespace) -> int:
     from repro.activity import collect_activity
 
@@ -208,11 +209,11 @@ def _cmd_activity(args: argparse.Namespace) -> int:
     vectors = vectors_for(circuit, args.vectors, args.seed)
     zeros = [0] * len(circuit.inputs)
     if args.probes:
-        if args.technique not in _PROBE_TECHNIQUES:
-            raise SystemExit(
+        if args.technique not in PROBE_TECHNIQUES:
+            raise SimulationError(
                 "--probes compiles counters into the generated "
                 "program and needs a probe-capable technique "
-                f"({', '.join(_PROBE_TECHNIQUES)}), "
+                f"({', '.join(PROBE_TECHNIQUES)}), "
                 f"not {args.technique!r}"
             )
         sim = build_simulator(
@@ -599,7 +600,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="count toggles with probe counters compiled into the "
              "generated program (fast batched path; bit-identical to "
              "the history-based default) — techniques: "
-             + ", ".join(_PROBE_TECHNIQUES),
+             + ", ".join(PROBE_TECHNIQUES),
     )
     p_act.add_argument("-n", "--vectors", type=int, default=100)
     p_act.add_argument("--seed", type=int, default=0)

@@ -29,21 +29,15 @@ Two IR operators cross lanes and disqualify a program:
     already been written earlier in the same pass.  Packed evaluation
     is bit-identical to a scalar pass in every lane, for every emitted
     output and every state word.  Zero-delay LCC programs are of this
-    kind.
-``"settled"``
-    Shift-free but stateful: some variable is read before it is written
-    (the PC-set method's zero-element moves read the *previous*
-    vector's final values).  Lanes still evolve independently, but a
-    lane's intermediate-time values depend on state the scalar chain
-    would have threaded vector-by-vector.  Only the *settled final*
-    values — which in an acyclic circuit depend on the current inputs
-    alone — are reproduced exactly; callers may pack only when they
-    observe nothing else (fault grading does: it compares settled
-    monitored outputs).
+    kind, and so are PC-set programs whose every net settles at a
+    single time (a parity tree).
 ``"none"``
-    The program contains shifts or negates; one word cannot carry
-    multiple lanes, so such *shift programs* (the §3 parallel
-    technique's) run one vector per pass.
+    Everything else.  A shift or negate means one word cannot carry
+    several lanes: the §3 parallel technique's *shift programs* run one
+    vector per pass.  A read before the write (the PC-set method's
+    zero-element moves read the *previous* vector's final values; the
+    clocked program reads its flip-flops) threads state from vector to
+    vector, which independent lanes cannot reproduce.
 
 One pass carries at most ``word_width`` vectors: every net is one
 word.
@@ -140,11 +134,9 @@ def _reads_state_before_write(program: Program) -> bool:
 
 
 def packing_mode(program: Program) -> str:
-    """``"full"``, ``"settled"`` or ``"none"`` (see module docstring)."""
-    if not is_shift_free(program):
+    """``"full"`` or ``"none"`` (see module docstring)."""
+    if not is_shift_free(program) or _reads_state_before_write(program):
         return "none"
-    if _reads_state_before_write(program):
-        return "settled"
     return "full"
 
 
@@ -291,9 +283,8 @@ def packed_bits(
     One compiled pass per ``word_width`` vectors.  Each returned list
     holds the low bit of every emitted output word — the logical values
     a scalar pass would produce in lane 0.  The caller is responsible
-    for eligibility (``packing_mode`` full, or settled with final-value
-    outputs only).  ``block`` is the batch's :func:`bit_block` when the
-    caller already built it.
+    for eligibility (``packing_mode`` full).  ``block`` is the batch's
+    :func:`bit_block` when the caller already built it.
     """
     return _packed_rows(machine, vectors, block, fill=False)
 
@@ -304,8 +295,7 @@ def packed_apply(
 ) -> list[list[int]]:
     """Run ``vectors`` packed; return *scalar-identical* raw output words.
 
-    Requires a ``"full"``-mode program (on a ``"settled"`` one only the
-    low bit of settled values is exact).  A scalar pass on vector ``v``
+    Requires a ``"full"``-mode program.  A scalar pass on vector ``v``
     feeds input words with bit 0 = the input's value and all higher
     bits 0 — exactly a packed pass over lanes ``[v, 0, 0, ...]``.  So
     the raw word a scalar pass emits is the packed lane-``j`` bit in

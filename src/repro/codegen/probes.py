@@ -47,13 +47,8 @@ Parallel technique (§3, optimizations ``none``/``trim``)
     matching the history-based reference, which sees a single-sample
     history for inputs.
 
-PC-set method (§2)
-    The per-net PC-set variables hold the settling samples; counters
-    sum ``(s_i ^ s_(i+1)) & 1`` over the sample chain (start value
-    first: the time-0 variable when the PC-set contains 0, otherwise
-    the final-time variable captured into a temp at the top of the
-    pass, before the body reassigns it).  The ``& 1`` restricts
-    counting to lane 0 — PC-set probes are scalar-path only.
+The §2 PC-set program has no lowering: a probed unit-delay run builds
+the parallel program, whose bit-fields count the same transitions.
 
 Counters are persistent state variables *appended after* the
 technique's own state, so a steady-state encoding extends with zeroed
@@ -88,7 +83,6 @@ __all__ = [
     "ProbeRuntime",
     "instrument_lcc_program",
     "instrument_parallel_program",
-    "instrument_pcset_program",
 ]
 
 
@@ -153,7 +147,7 @@ class ProbePlan:
     Attributes
     ----------
     technique:
-        ``"lcc"``, ``"parallel"`` or ``"pcset"``.
+        ``"lcc"`` or ``"parallel"``.
     nets:
         Counted nets, in declaration order.
     toggle_slots / functional_slots:
@@ -342,8 +336,9 @@ def instrument_lcc_program(
     """Append lane-word toggle counting to a zero-delay LCC program.
 
     Mutates ``program`` in place (declares the ``__probe_en`` input,
-    the per-net ``pv``/``cnt`` state and the probe statements) and
-    must run *before* the program is compiled.  The caller records
+    the per-net ``pv``/``cnt`` state, then the two lane-mask state
+    words, and the probe statements) and must run *before* the program
+    is compiled.  The caller records
     the uninstrumented program's packing mode first — the probe
     statements use shifts and popcounts, which are lane-safe here by
     construction but would classify the program ``"none"``.
@@ -355,8 +350,11 @@ def instrument_lcc_program(
     en_slot = len(program.inputs)
     program.inputs.append("__probe_en")
     en: Expr = Input(en_slot)
-    sel = program.declare_temp("__pr_sel")
-    top = program.declare_temp("__pr_top")
+    # The lane masks are state words, not temporaries: every net's
+    # update reads them, so a temporary would stay live across the
+    # whole probe pass, and the C emitter cuts ``step`` into parts only
+    # where no temporary is live.
+    sel, top = "__pr_sel", "__pr_top"
     diff = program.declare_temp("__pr_d")
     body = program.body
     body.append(Comment("probe pass: lane-occupancy masks"))
@@ -381,6 +379,10 @@ def instrument_lcc_program(
             Bin("&", Var(pv), Un("~", Var(sel))),
             Un("popcount", Bin("&", x, Var(top))),
         )))
+    # Declared after every counter: a steady-state encoding ends with
+    # the counters and leaves the masks zero, as the pass rewrites them.
+    program.declare(sel)
+    program.declare(top)
     plan = ProbePlan(
         "lcc", spec, tuple(nets), toggle_slots, None,
         # Scalar passes count one lane, packed passes up to word_width
@@ -450,69 +452,5 @@ def instrument_parallel_program(
     plan = ProbePlan(
         "parallel", spec, nets, toggle_slots, functional_slots,
         max_increment=max_bits,
-    )
-    return plan
-
-
-# ----------------------------------------------------------------------
-# PC-set method lowering
-# ----------------------------------------------------------------------
-def instrument_pcset_program(
-    program: Program, variables, spec: ProbeSpec
-) -> ProbePlan:
-    """Append sample-chain toggle counting to a PC-set program.
-
-    Every counting expression is masked to bit 0, so the counters
-    observe lane 0 only — the facade keeps PC-set probes on the
-    scalar path (packed lanes carry unrelated vector streams).
-    """
-    pc = variables.pc_sets
-    circuit = pc.circuit
-    nets = spec.resolve(circuit)
-    body = program.body
-    body.append(Comment("probe pass: PC-set sample-chain counters"))
-    toggle_slots: dict[str, int] = {}
-    functional_slots: dict[str, int] = {}
-    prelude: list = []
-    max_samples = 2
-    for index, net in enumerate(nets):
-        raw = pc.raw_net_pc_sets[net]
-        full = pc.net_pc_set(net)
-        if full[0] == 0:
-            # The time-0 variable holds the start value after init
-            # (zero-element move or primary-input read) and the body
-            # never reassigns it.
-            start: Expr = Var(variables.var(net, 0))
-        else:
-            # No time-0 variable: capture the previous final value
-            # before the body overwrites the final-time variable.
-            pf = program.declare_temp(f"__pr_pf{index}")
-            prelude.append(
-                Assign(pf, Var(variables.var(net, raw[-1])))
-            )
-            start = Var(pf)
-        samples: list[Expr] = [start]
-        samples.extend(
-            Var(variables.var(net, time)) for time in raw if time > 0
-        )
-        cnt = program.declare(f"__pr_cnt{index}")
-        toggle_slots[net] = len(program.state_vars) - 1
-        fcnt = program.declare(f"__pr_fn{index}")
-        functional_slots[net] = len(program.state_vars) - 1
-        terms = [
-            _bit(Bin("^", samples[i], samples[i + 1]))
-            for i in range(len(samples) - 1)
-        ]
-        if terms:
-            body.append(_sum_into(cnt, terms))
-            body.append(_sum_into(fcnt, [
-                _bit(Bin("^", samples[0], samples[-1]))
-            ]))
-        max_samples = max(max_samples, len(samples))
-    # Final-value captures run before everything else in the pass.
-    program.init[:0] = prelude
-    plan = ProbePlan(
-        "pcset", spec, nets, toggle_slots, functional_slots,
-        max_increment=max_samples - 1,
     )
     return plan

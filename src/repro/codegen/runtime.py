@@ -62,7 +62,9 @@ generated ``run_block`` routine each backend compiles in:
   call; the Python machine's loop, one ``run_packed_block`` per pass
   and one ``load_state`` per pin, is the reference.
   ``CMachine.screen_call`` splits a C screen into its library call,
-  which may run on another thread, and its bookkeeping, which may not.
+  which may run on another thread, and its bookkeeping, which may not;
+  ``CMachine.sibling`` gives each thread a machine of the one loaded
+  library.
 - ``CMachine.fold_rows(rows, prev, checksum, toggles)`` folds the
   output bits :meth:`run_bit_rows` returned into a replay's rolling
   checksum and per-output toggle counts inside the library
@@ -107,6 +109,7 @@ either way: the pragma is part of the source.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
 import hashlib
@@ -135,6 +138,7 @@ __all__ = [
     "program_fingerprint",
     "compile_program",
     "have_c_compiler",
+    "record_run",
 ]
 
 #: ``bytes.translate`` table keeping bit 0 of every byte.
@@ -280,6 +284,16 @@ def clear_program_cache() -> None:
     _PROGRAM_CACHE.clear()
 
 
+def record_run(vectors: int, seconds: float, batches: int = 1) -> None:
+    """The ``run`` phase and ``run.*`` counters of ``batches`` batches
+    that took ``seconds`` of wall time in all, measured by the caller
+    (side by side on threads when ``batches`` > 1)."""
+    if telemetry.enabled():
+        telemetry.record_phase("run", seconds, batches)
+        telemetry.counter("run.batches", batches)
+        telemetry.counter("run.vectors", vectors)
+
+
 class Machine:
     """A compiled straight-line simulation program, ready to run.
 
@@ -305,17 +319,9 @@ class Machine:
         self.counters = BatchCounters()
 
     def _record_batch(self, vectors: int, seconds: float) -> None:
-        """One hook behind every batch: counters + the ``run`` phase.
-
-        The duration is measured once by the caller; telemetry reuses
-        it (``record_phase``) instead of wrapping a second timer, so
-        the disabled path costs a single flag check.
-        """
+        """One hook behind every batch: counters + the ``run`` phase."""
         self.counters.record(vectors, seconds)
-        if telemetry.enabled():
-            telemetry.record_phase("run", seconds)
-            telemetry.counter("run.batches")
-            telemetry.counter("run.vectors", vectors)
+        record_run(vectors, seconds)
 
     @property
     def num_inputs(self) -> int:
@@ -735,21 +741,35 @@ class CMachine(Machine):
             lib = self._build(compiler, opt_level)
             _PROGRAM_CACHE.put(key, lib)
         self._lib = lib
+        self._num_outputs = self.interface.num_emits
+        self._size = ctypes.sizeof(word)
+        # The byte of a word that holds its low 8 bits.
+        self._low = 0 if sys.byteorder == "little" else self._size - 1
+        self._own_buffers()
+
+    def _own_buffers(self) -> None:
+        """What a machine owns: a fresh state and its own buffers."""
+        word = self._word
+        program = self.program
         self._state = (word * max(1, self.num_state))(*[
             program.state_init[name] for name in program.state_vars
         ])
         self._entry = {
-            name: functools.partial(getattr(lib, name), self._state)
+            name: functools.partial(getattr(self._lib, name), self._state)
             for name in self._KERNELS
         }
-        self._num_outputs = self.interface.num_emits
         self._v_buffer = (word * max(1, self.num_inputs))()
         self._out_buffer = (word * max(1, self._num_outputs))()
-        self._size = ctypes.sizeof(word)
-        # The byte of a word that holds its low 8 bits.
-        self._low = 0 if sys.byteorder == "little" else self._size - 1
         self._in_bytes, self._in_words = self._held_buffer(1)
         self._out_bytes, self._out_words = self._held_buffer(1)
+
+    def sibling(self) -> "CMachine":
+        """A machine of the same loaded library with a fresh state and
+        its own buffers and counters: no render, hash or cache lookup."""
+        twin = copy.copy(self)
+        twin.counters = BatchCounters()
+        twin._own_buffers()
+        return twin
 
     def _build(self, compiler: str, opt_level: str) -> ctypes.CDLL:
         """Compile and load the library; leave nothing on disk.
@@ -970,7 +990,10 @@ class CMachine(Machine):
         call, finish = self.screen_call(
             lanes, count, goods, start, pins, values
         )
-        return finish(call())
+        seconds = call()
+        firsts, vectors = finish(seconds)
+        record_run(vectors, seconds)
+        return firsts
 
     def screen_call(self, lanes, count, goods, start, pins, values):
         """:meth:`screen`, checked and marshalled but not yet run.
@@ -981,8 +1004,10 @@ class CMachine(Machine):
         call, so sibling machines of one program may run theirs on
         other threads at the same time over shared ``lanes`` and
         ``goods``.  ``finish(seconds)`` records the batch in the
-        counters and telemetry, which are not thread-safe, and returns
-        the first detections; it belongs on the calling thread.
+        machine's counters, which are not thread-safe, and returns the
+        first detections and the vectors the passes carried; it belongs
+        on the calling thread, which records the telemetry
+        (:func:`record_run`).
         """
         self._check_screen(
             len(lanes) // max(1, self.num_inputs), count, goods, start,
@@ -1005,18 +1030,16 @@ class CMachine(Machine):
             )
             return time.perf_counter() - begin
 
-        def finish(seconds: float) -> list[int]:
+        def finish(seconds: float) -> tuple[list[int], int]:
             width = self.program.word_width
             firsts = found[:pinned]
-            self._record_batch(
-                sum(
-                    count if first < 0
-                    else min(count, (first // width + 1) * width)
-                    for first in firsts
-                ),
-                seconds,
+            vectors = sum(
+                count if first < 0
+                else min(count, (first // width + 1) * width)
+                for first in firsts
             )
-            return firsts
+            self.counters.record(vectors, seconds)
+            return firsts, vectors
 
         return call, finish
 

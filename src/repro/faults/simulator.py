@@ -63,13 +63,19 @@ to validate the compiled screen and for small jobs.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.packing import bit_block
 from repro.codegen.probes import ProbeSpec
 from repro.codegen.program import Assign, Bin, Program, Var
-from repro.codegen.runtime import BatchCounters, CMachine, compile_program
+from repro.codegen.runtime import (
+    BatchCounters,
+    CMachine,
+    compile_program,
+    record_run,
+)
 from repro.errors import SimulationError
 from repro.eventsim.simulator import EventDrivenSimulator
 from repro.faults.model import Fault, full_fault_list, inject_stuck_at
@@ -229,8 +235,8 @@ class ParallelFaultSimulator:
         """Fault-free per-net switching activity over ``vectors``.
 
         Runs the *good* machine once with compiled-in toggle counters
-        (a probed PC-set simulator seeded from the ``initial`` steady
-        state) and returns its
+        (a probed, trimmed parallel-technique simulator seeded from the
+        ``initial`` steady state) and returns its
         :class:`~repro.activity.ActivityReport`.  The counters are
         fault-independent, like the good pre-pass, so a grading run
         computes them once whatever its ``workers``.
@@ -242,11 +248,12 @@ class ParallelFaultSimulator:
             )
         if initial is None:
             initial = [0] * len(self.circuit.inputs)
-        from repro.pcset.simulator import PCSetSimulator
+        from repro.parallel.simulator import ParallelSimulator
 
         with telemetry.span("fault.activity"):
-            sim = PCSetSimulator(
+            sim = ParallelSimulator(
                 self.circuit,
+                optimization="trim",
                 word_width=self.word_width,
                 backend=self.backend,
                 probes=self.probes,
@@ -402,9 +409,7 @@ class ParallelFaultSimulator:
                 lanes, count, goods, self._start, pins, values
             )
         while len(self._siblings) < parts - 1:
-            self._siblings.append(
-                compile_program(machine.program, self.backend)
-            )
+            self._siblings.append(machine.sibling())
         jobs = [
             part.screen_call(
                 lanes, count, goods, self._start,
@@ -425,17 +430,23 @@ class ParallelFaultSimulator:
             threading.Thread(target=work, args=(k,))
             for k in range(1, parts)
         ]
+        begin = time.perf_counter()
         for thread in threads:
             thread.start()
         work(0)
         for thread in threads:
             thread.join()
+        wall = time.perf_counter() - begin
         for error in errors:
             if error is not None:
                 raise error
         firsts = [0] * len(pins)
+        vectors = 0
         for k, (_call, finish) in enumerate(jobs):
-            firsts[k::parts] = finish(seconds[k])
+            firsts[k::parts], carried = finish(seconds[k])
+            vectors += carried
+        # The parts overlap: the phase takes the split's wall time once.
+        record_run(vectors, wall, parts)
         return firsts
 
 

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 from repro.errors import SimulationError
 from repro.harness.compare import PACKED_TECHNIQUES, Mismatch, cross_validate
+from repro.harness.runner import PROBE_TECHNIQUES as _PROBED
 from repro.netlist.circuit import Circuit
 
 __all__ = [
@@ -76,13 +77,15 @@ HISTORY_TECHNIQUES = (
 
 WORD_WIDTHS = (8, 16, 32, 64)
 
+_HISTORY_PROBED = tuple(t for t in _PROBED if t in HISTORY_TECHNIQUES)
+
 #: Techniques whose compiled fast path accepts ``probes=`` per check.
 #: An empty tuple means the check threads probes regardless of its
 #: technique axis (the faults check grades the good machine itself).
 PROBE_TECHNIQUES = {
-    "history": ("pcset", "parallel", "parallel-trim"),
-    "batched": ("pcset", "parallel", "parallel-trim"),
-    "packed": PACKED_TECHNIQUES,
+    "history": _HISTORY_PROBED,
+    "batched": _HISTORY_PROBED,
+    "packed": tuple(t for t in _PROBED if t in PACKED_TECHNIQUES),
     "faults": (),
 }
 
@@ -357,7 +360,7 @@ def coverage_configs(
         FuzzConfig(check="sequential", technique="lcc",
                    backend=backend, word_width=16, batch_size=2),
         # compiled-in probes
-        FuzzConfig(check="history", technique="pcset",
+        FuzzConfig(check="history", technique="parallel-trim",
                    backend=backend, word_width=8, probes=True),
         # fault-report identity
         FuzzConfig(check="faults", technique="parallel-best",

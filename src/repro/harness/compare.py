@@ -15,9 +15,9 @@ Three execution shapes are checked against the same reference:
   chunks: raw output words and the final machine state must be
   bit-identical to a scalar loop, whose settled values are in turn
   anchored to the reference.
-- ``execution="packed"`` — the pattern-lane paths (``settled_outputs``
-  on the PC-set method, auto-packed ``apply_vectors`` on the LCC
-  program), compared against the reference's settled values.
+- ``execution="packed"`` — the pattern-lane path (auto-packed
+  ``apply_vectors`` on the LCC program), compared against the
+  reference's settled values.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
 History = dict[str, list[tuple[int, int]]]
 
 #: Techniques with a genuinely pattern-packed observation path.
-PACKED_TECHNIQUES = ("pcset", "zero-lcc")
+PACKED_TECHNIQUES = ("zero-lcc",)
 
 
 def value_at(changes: Sequence[tuple[int, int]], time: int) -> int:
@@ -114,7 +114,7 @@ def cross_validate(
     ``apply_vectors`` block path in ``batch_size`` chunks and requires
     bit-identical raw output words and final machine state versus a
     scalar loop whose settled values match the reference;
-    ``"packed"`` drives the pattern-lane observation paths
+    ``"packed"`` drives the pattern-lane observation path
     (:data:`PACKED_TECHNIQUES`) and compares settled values against
     the reference.  Returns the number of per-vector comparisons
     performed; raises :class:`Mismatch` on the first disagreement.
@@ -149,7 +149,7 @@ def cross_validate(
             )
         else:
             checks += _validate_packed(
-                circuit, technique, vectors, zeros,
+                circuit, technique, vectors,
                 reference_histories, backend, word_width, batch_size,
             )
     return checks
@@ -259,22 +259,20 @@ def _validate_packed(
     circuit: Circuit,
     technique: str,
     vectors: Sequence[Sequence[int]],
-    zeros: Sequence[int],
     reference_histories: Sequence[History],
     backend: str,
     word_width: int,
     batch_size: Optional[int],
 ) -> int:
-    """The pattern-lane observation paths vs. reference settled values.
+    """The pattern-lane observation path vs. reference settled values.
 
-    ``pcset`` observes settled values through ``settled_outputs`` (a
-    packed pass when the program is eligible); ``zero-lcc`` auto-packs
-    ``apply_vectors`` and its bit-0 outputs are the settled values of
-    the monitored nets (zero-delay settled == unit-delay settled in an
-    acyclic circuit).  The high bits of those words come from the
-    packed path's fill group, which no settled value shows, so
-    ``zero-lcc``'s full raw words must also equal those of the same
-    simulator built with ``packed=False`` on the same backend.
+    ``zero-lcc`` auto-packs ``apply_vectors``, and its bit-0 outputs
+    are the settled values of the monitored nets (zero-delay settled
+    == unit-delay settled in an acyclic circuit).  The high bits of
+    those words come from the packed path's fill group, which no
+    settled value shows, so the full raw words must also equal those
+    of the same simulator built with ``packed=False`` on the same
+    backend.
     """
     from repro.harness.runner import build_simulator
 
@@ -287,25 +285,19 @@ def _validate_packed(
     sim = build_simulator(
         circuit, technique, backend=backend, word_width=word_width,
     )
-    if technique == "zero-lcc":
-        scalar = build_simulator(
-            circuit, technique, backend=backend, word_width=word_width,
-            packed=False,
-        )
+    scalar = build_simulator(
+        circuit, technique, backend=backend, word_width=word_width,
+        packed=False,
+    )
     checks = 0
     index = 0
     for chunk in _chunks(vectors, batch_size):
-        if technique == "pcset":
-            sim.reset(zeros)
-            rows = sim.settled_outputs(chunk)
-        else:
-            raw = sim.apply_vectors(chunk)
-            expected = scalar.apply_vectors(chunk)
-            rows = [
-                {net: value & 1
-                 for net, value in zip(circuit.outputs, out)}
-                for out in raw
-            ]
+        raw = sim.apply_vectors(chunk)
+        expected = scalar.apply_vectors(chunk)
+        rows = [
+            {net: value & 1 for net, value in zip(circuit.outputs, out)}
+            for out in raw
+        ]
         for offset, row in enumerate(rows):
             bad = [
                 net for net, value in row.items()
@@ -319,7 +311,7 @@ def _validate_packed(
                 )
                 raise Mismatch(f"{technique}[packed]", index, bad, detail)
             checks += 1
-            if technique == "zero-lcc" and raw[offset] != expected[offset]:
+            if raw[offset] != expected[offset]:
                 detail = (
                     f"  raw output words: scalar {expected[offset]} vs "
                     f"packed {raw[offset]}"

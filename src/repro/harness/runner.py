@@ -44,6 +44,7 @@ from repro.pcset.simulator import PCSetSimulator
 
 __all__ = [
     "TECHNIQUES",
+    "PROBE_TECHNIQUES",
     "build_simulator",
     "run_technique",
     "simulate_outputs",
@@ -63,6 +64,11 @@ TECHNIQUES = (
     "zero-interp",
     "zero-lcc",
 )
+
+#: Techniques whose generated program takes compiled-in probes
+#: (``probes=``): the parallel technique on its time-aligned layouts
+#: and the zero-delay LCC program.
+PROBE_TECHNIQUES = ("parallel", "parallel-trim", "zero-lcc")
 
 _PARALLEL_OPT = {
     "parallel": "none",

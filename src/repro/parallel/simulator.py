@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.codegen.packing import packing_mode
 from repro.codegen.probes import ProbeSpec, instrument_parallel_program
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
@@ -114,17 +113,7 @@ class ParallelSimulator(CompiledSimulator):
         self.depth = layout.levels.depth
         spec = ProbeSpec.coerce(probes)
         plan = None
-        base_mode = None
         if spec is not None:
-            if optimization not in ("none", "trim"):
-                raise SimulationError(
-                    "probes require the time-aligned field layout "
-                    "(optimization 'none' or 'trim'), not "
-                    f"{optimization!r}"
-                )
-            base_mode = packing_mode(
-                program if with_outputs else program.without_output()
-            )
             plan = instrument_parallel_program(
                 program, layout, circuit, spec
             )
@@ -134,7 +123,6 @@ class ParallelSimulator(CompiledSimulator):
             backend=backend,
             with_outputs=with_outputs,
             probe_plan=plan,
-            packing_override=base_mode,
             **backend_kwargs,
         )
 

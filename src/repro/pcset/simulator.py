@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.codegen.packing import packing_mode
-from repro.codegen.probes import ProbeSpec, instrument_pcset_program
-from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.pcset.codegen import generate_pcset_program
 from repro.simbase import CompiledSimulator, monitored_nets
@@ -32,11 +29,8 @@ class PCSetSimulator(CompiledSimulator):
     ``backend="c"`` compiles the generated code with the system C
     compiler instead of running it as Python.
 
-    ``probes=`` compiles per-net toggle counters into the generated
-    pass (``True`` for every net, or an iterable of net names / a
-    :class:`~repro.codegen.probes.ProbeSpec`); read them with the
-    inherited ``activity_report()``.  Probe counting observes lane 0
-    only, so probed batches run on the scalar path.
+    Activity counters (``probes=``) live on the parallel technique's
+    facade, and packed settled values on the zero-delay LCC one.
 
     Multi-vector traffic should use the inherited batch API
     (``apply_vectors``, ``run_batch``, ``prepare_batch`` +
@@ -55,7 +49,6 @@ class PCSetSimulator(CompiledSimulator):
         monitored: Optional[list[str]] = None,
         with_outputs: bool = True,
         comments: bool = False,
-        probes=None,
         **backend_kwargs,
     ) -> None:
         self.monitored = monitored_nets(circuit, monitored)
@@ -68,24 +61,12 @@ class PCSetSimulator(CompiledSimulator):
         )
         self.variables = variables
         self.pc_sets = variables.pc_sets
-        spec = ProbeSpec.coerce(probes)
-        plan = None
-        base_mode = None
-        if spec is not None:
-            # Record the uninstrumented program's packing eligibility;
-            # the probe statements would classify it "none".
-            base_mode = packing_mode(
-                program if with_outputs else program.without_output()
-            )
-            plan = instrument_pcset_program(program, variables, spec)
         super().__init__(
             circuit,
             program,
             backend=backend,
             with_outputs=with_outputs,
             checksum_mask=1,
-            probe_plan=plan,
-            packing_override=base_mode,
             **backend_kwargs,
         )
 
@@ -154,46 +135,6 @@ class PCSetSimulator(CompiledSimulator):
         for (net_name, time), value in zip(self.output_labels(), out):
             trace.setdefault(time, {})[net_name] = value & 1
         return sorted(trace.items())
-
-    def settled_outputs(
-        self, vectors: Sequence[Mapping[str, int] | Sequence[int]]
-    ) -> list[dict[str, int]]:
-        """Per-vector settled values of the monitored nets.
-
-        Equivalent to calling :meth:`apply_vector` on each vector and
-        reading :meth:`final_values` after it — but observing *only*
-        settled values, which in an acyclic circuit depend on the
-        current inputs alone.  That is exactly the boundary of
-        ``"settled"`` packing eligibility (see
-        :mod:`repro.codegen.packing`): the PC-set program's
-        intermediate-time samples ride on the vector-to-vector state
-        chain and cannot be packed, but this method never looks at
-        them, so the batch runs pattern-packed — ``word_width``
-        vectors per compiled pass — except its last vector, which runs
-        on the scalar path: afterwards :meth:`final_values` and the
-        next vector's history are the scalar loop's.
-        """
-        if not self.with_outputs:
-            raise SimulationError(
-                "simulator was built without outputs; cannot observe "
-                "settled values"
-            )
-        labels = self.output_labels()
-        final_time = max(time for _net, time in labels)
-        slots = [
-            (net_name, index)
-            for index, (net_name, time) in enumerate(labels)
-            if time == final_time
-        ]
-        rows, block = self._batch(vectors)
-        packed = self._packs(block, modes=("full", "settled"))
-        if not packed and not self._settled:
-            raise SimulationError("call reset() before settled_outputs()")
-        rows = self._run(rows, block, packed)
-        return [
-            {net_name: row[index] & 1 for net_name, index in slots}
-            for row in rows
-        ]
 
     def final_values(self) -> dict[str, int]:
         """Settled values of the monitored nets after the last vector."""

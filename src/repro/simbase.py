@@ -179,16 +179,14 @@ class CompiledSimulator:
             compiled, backend, **backend_kwargs
         )
         #: Pattern-lane packing eligibility of the *compiled* program
-        #: (``"full"``/``"settled"``/``"none"`` — see
-        #: :mod:`repro.codegen.packing`).  Programs with shifts or
-        #: negates (the §3 parallel technique's time-shift code) are
-        #: ``"none"`` and always run scalar; the PC-set method is
-        #: ``"settled"`` (its zero-element moves read previous-vector
-        #: finals), so only settled-value observers may pack it.
-        #: Probe-instrumented programs pass the *uninstrumented*
-        #: program's mode via ``packing_override`` — the probe
-        #: statements use popcounts and shifts that are lane-safe by
-        #: construction but would classify the program ``"none"``.
+        #: (``"full"`` or ``"none"`` — see :mod:`repro.codegen.packing`).
+        #: Programs with shifts or negates (the §3 parallel technique's
+        #: time-shift code) or with state read before it is written
+        #: (the PC-set method's zero-element moves) are ``"none"`` and
+        #: always run scalar.  Only the LCC facade passes
+        #: ``packing_override``: its probe statements use popcounts and
+        #: shifts that are lane-safe by construction but would classify
+        #: the program ``"none"``.
         self.packing_mode = (
             packing_override if packing_override is not None
             else packing_mode(compiled)
@@ -268,31 +266,24 @@ class CompiledSimulator:
         return rows, block
 
     def _packs(
-        self,
-        block: Optional[bytes],
-        *,
-        modes: Sequence[str] = ("full",),
-        required: bool = False,
+        self, block: Optional[bytes], *, required: bool = False
     ) -> bool:
         """The packing decision for one batch.
 
-        A batch packs when the program's packing mode is in ``modes``
-        (``"settled"`` only for observers of settled values), the
-        block is 0/1, the circuit has an input, any probes count lane
-        occupancy, and LCC's ``packed`` allows it.  When packing is
-        ``required`` (or ``packed=True``) a refusal raises instead.
-        The outcome is counted in the ``packing.*`` telemetry.
+        A batch packs when the program's packing mode is ``"full"``,
+        the block is 0/1, the circuit has an input, and LCC's
+        ``packed`` allows it.  When packing is ``required`` (or
+        ``packed=True``) a refusal raises instead.  The outcome is
+        counted in the ``packing.*`` telemetry.
         """
         required = required or self._packed is True
-        plan = self.probe_plan
         refusal = None
-        if self.packing_mode not in modes:
+        if self.packing_mode != "full":
             refusal = (
                 f"program {self.program.name!r} is not pattern-packable "
                 f"(mode {self.packing_mode!r})"
             )
-        elif (block is None or not self._inputs
-                or (plan is not None and plan.en_slot is None)):
+        elif block is None or not self._inputs:
             refusal = (
                 "packing needs plain 0/1 vectors (one lane each) and at "
                 "least one input"
@@ -304,7 +295,7 @@ class CompiledSimulator:
             telemetry.counter("packing.packed_batches")
         else:
             mode = self.packing_mode
-            reason = "scalar" if mode in modes else mode
+            reason = "scalar" if mode == "full" else mode
             telemetry.counter(f"packing.fallback.{reason}")
         return packs
 
@@ -417,9 +408,9 @@ class CompiledSimulator:
         (shift-free *and* memoryless) program packs a 0/1 batch —
         ``word_width`` vectors per compiled pass — and reconstructs
         the exact scalar words on unpacking.  Shift programs (the §3
-        parallel technique) and ``"settled"`` programs (the PC-set
-        method, which emits intermediate-time values with opaque
-        cross-pass state) keep the scalar ``run_block`` loop.  A value
+        parallel technique) and stateful ones (the PC-set method, whose
+        zero-element moves read the previous vector's finals) keep the
+        scalar ``run_block`` loop.  A value
         that is not an ``int`` raises :class:`SimulationError` naming
         the vector and the input.
         """

@@ -16,8 +16,8 @@ across techniques — so the library instruments itself end to end:
 - A **MetricsRegistry** of namespaced counters and gauges unifies the
   scattered ad-hoc counters: batched-execution totals
   (``run.batches``/``run.vectors``), pattern-packing eligibility and
-  fallback reasons (``packing.fallback.scalar``/``.settled``/
-  ``.none``) and discrete events (``events.*``); program-cache
+  fallback reasons (``packing.fallback.scalar``/``.none``) and
+  discrete events (``events.*``); program-cache
   hits/misses are read from the cache itself.
 - **Export**: :func:`snapshot` serializes the whole state to a
   JSON-able dict and backs ``--metrics-out``; :func:`format_profile`
@@ -336,7 +336,6 @@ def snapshot() -> dict:
             "packed_batches": counters.get("packing.packed_batches", 0),
             "fallback": {
                 "scalar": counters.get("packing.fallback.scalar", 0),
-                "settled": counters.get("packing.fallback.settled", 0),
                 "none": counters.get("packing.fallback.none", 0),
             },
         },

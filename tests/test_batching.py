@@ -167,7 +167,6 @@ def _counted(call, vectors):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("method", [
     "parallel.apply_vectors", "pcset.apply_vectors",
-    "pcset.settled_outputs",
 ])
 def test_masked_batch_runs_like_the_premasked_batch(method, backend):
     """A batch that is not 0/1 is masked to bit 0 and gets the block
@@ -185,8 +184,8 @@ def test_masked_batch_runs_like_the_premasked_batch(method, backend):
     expected = _counted(getattr(premasked, name), vectors)
     assert got == expected
     assert masked.machine.dump_state() == premasked.machine.dump_state()
-    # Only settled observers of the PC-set program may pack.
-    assert got[1]["packed_batches"] == (name == "settled_outputs")
+    # Neither unit-delay program packs.
+    assert got[1]["packed_batches"] == 0
 
 
 def test_seqsim_apply_vectors_matches_per_cycle_step():

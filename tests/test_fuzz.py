@@ -67,6 +67,15 @@ class TestFuzzConfig:
         with pytest.raises(SimulationError):
             FuzzConfig(check="packed", technique="parallel-best")
 
+    def test_pcset_is_neither_packed_nor_probed(self):
+        # The PC-set program has no settled-value packing path and no
+        # probe lowering; both lattice axes refuse it by name.
+        with pytest.raises(SimulationError, match="zero-lcc"):
+            FuzzConfig(check="packed", technique="pcset")
+        with pytest.raises(SimulationError, match="parallel-trim"):
+            FuzzConfig(check="history", technique="pcset", probes=True)
+        assert FuzzConfig(check="batched", technique="pcset").technique
+
     def test_sampling_is_deterministic(self):
         a = sample_configs(random.Random(42), 20)
         b = sample_configs(random.Random(42), 20)
@@ -136,7 +145,7 @@ class TestFuzzConfig:
             check="sequential", technique="lcc"
         ).surfaces() == {"replay-restore"}
         assert FuzzConfig(
-            check="history", technique="pcset", probes=True
+            check="history", technique="parallel-trim", probes=True
         ).surfaces() == {"scalar", "probed"}
 
     def test_coverage_configs_span_every_surface(self):
@@ -159,7 +168,7 @@ class TestRunCheck:
         FuzzConfig(check="batched", technique="parallel-cyclebreak",
                    batch_size=2),
         FuzzConfig(check="packed", technique="zero-lcc"),
-        FuzzConfig(check="packed", technique="pcset", batch_size=3),
+        FuzzConfig(check="packed", technique="zero-lcc", batch_size=3),
         FuzzConfig(check="faults", technique="parallel-best",
                    workers=2),
     ], ids=lambda c: c.label())

@@ -113,9 +113,10 @@ class TestPackingMode:
     def test_lcc_is_full(self, fig1_circuit):
         assert packing_mode(generate_lcc_program(fig1_circuit)) == "full"
 
-    def test_pcset_is_settled(self, fig4_circuit):
+    def test_pcset_is_none(self, fig4_circuit):
+        # Its zero-element moves read the previous vector's finals.
         program, _variables = generate_pcset_program(fig4_circuit)
-        assert packing_mode(program) == "settled"
+        assert packing_mode(program) == "none"
 
     @pytest.mark.parametrize(
         "optimization", ["none", "trim", "pathtrace", "pathtrace+trim"]
@@ -324,8 +325,10 @@ class TestEligibilityBoundary:
         run()  # still executes scalar run_block without error
 
     def test_settled_program_not_auto_packed(self, fig4_circuit):
+        # A PC-set program that settles from the previous vector's
+        # finals runs scalar, exactly as the per-vector loop.
         sim = PCSetSimulator(fig4_circuit)
-        assert sim.packing_mode == "settled"
+        assert sim.packing_mode == "none"
         sim.reset([0, 0, 0])
         vectors = vectors_for(fig4_circuit, 10, seed=8)
         expected = []
@@ -362,10 +365,15 @@ class TestSimbaseFullMode:
 class TestSettledOutputs:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_scalar_final_values(self, backend):
+        # Settled values of a batch come from the packed LCC program:
+        # the PC-set method's final values after each scalar vector.
         circuit = random_dag_circuit(num_inputs=5, num_gates=25, seed=13)
         vectors = vectors_for(circuit, 41, seed=14)
-        sim = PCSetSimulator(circuit, backend=backend, word_width=16)
-        packed = sim.settled_outputs(vectors)
+        sim = LCCSimulator(circuit, backend=backend, word_width=16)
+        packed = [
+            {net: word & 1 for net, word in zip(circuit.outputs, out)}
+            for out in sim.apply_vectors(vectors)
+        ]
         ref = PCSetSimulator(circuit, backend=backend, word_width=16)
         ref.reset()
         expected = []
@@ -373,11 +381,6 @@ class TestSettledOutputs:
             ref.apply_vector(list(vector))
             expected.append(ref.final_values())
         assert packed == expected
-
-    def test_requires_outputs(self, fig4_circuit):
-        sim = PCSetSimulator(fig4_circuit, with_outputs=False)
-        with pytest.raises(SimulationError, match="without outputs"):
-            sim.settled_outputs([[0, 0, 0]])
 
 
 class TestChecksumRegression:

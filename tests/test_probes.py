@@ -12,13 +12,17 @@ byte-identical checkpoint resume).
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.activity import collect_activity
 from repro.analysis.levelize import levelize
+from repro.codegen import probes as probes_module
+from repro.codegen.c_emitter import STEP_PART_SIZE
 from repro.codegen.probes import ProbeSpec
+from repro.codegen.program import Assign
 from repro.codegen.runtime import (
     clear_program_cache,
     have_c_compiler,
@@ -26,6 +30,8 @@ from repro.codegen.runtime import (
 )
 from repro.errors import SimulationError
 from repro.eventsim.simulator import EventDrivenSimulator
+from repro.faults.simulator import ParallelFaultSimulator
+from repro.harness.runner import build_simulator
 from repro.harness.vectors import vectors_for
 from repro.lcc.zerodelay import LCCSimulator
 from repro.netlist.builder import CircuitBuilder
@@ -108,9 +114,6 @@ class TestFastPathIdentity:
     @pytest.mark.parametrize(
         "make_sim",
         [
-            lambda c, b, w: PCSetSimulator(
-                c, backend=b, word_width=w, probes=True
-            ),
             lambda c, b, w: ParallelSimulator(
                 c, backend=b, word_width=w, probes=True
             ),
@@ -119,7 +122,7 @@ class TestFastPathIdentity:
                 probes=True,
             ),
         ],
-        ids=["pcset", "parallel", "parallel-trim"],
+        ids=["parallel", "parallel-trim"],
     )
     def test_batched_identity(self, backend, word_width, make_sim):
         circuit = glitchy_circuit()
@@ -141,8 +144,9 @@ class TestFastPathIdentity:
         circuit = glitchy_circuit()
         vectors = [list(v) for v in vectors_for(circuit, 40, seed=9)]
         ref = reference(circuit, vectors)
-        sim = PCSetSimulator(
-            circuit, backend=backend, word_width=16, probes=True
+        sim = ParallelSimulator(
+            circuit, backend=backend, word_width=16, optimization="trim",
+            probes=True,
         )
         sim.reset([0] * len(circuit.inputs))
         sim.run_prepared(sim.prepare_batch(vectors))
@@ -156,7 +160,8 @@ class TestFastPathIdentity:
         circuit = glitchy_circuit()
         vectors = [list(v) for v in vectors_for(circuit, 300, seed=10)]
         ref = reference(circuit, vectors)
-        sim = PCSetSimulator(circuit, word_width=8, probes=True)
+        sim = ParallelSimulator(circuit, word_width=8, probes=True)
+        assert sim.probe_runtime.chunk < len(vectors)
         sim.reset([0] * len(circuit.inputs))
         sim.apply_vectors(vectors)
         assert sim.activity_report().toggles == ref.toggles
@@ -165,7 +170,7 @@ class TestFastPathIdentity:
         circuit = mux_with_hazard()
         vectors = vectors_for(circuit, 25, seed=11)
         ref = reference(circuit, vectors)
-        sim = PCSetSimulator(circuit, probes=["OUT", "SN"])
+        sim = ParallelSimulator(circuit, probes=["OUT", "SN"])
         sim.reset([0] * len(circuit.inputs))
         sim.apply_vectors([list(v) for v in vectors])
         report = sim.activity_report()
@@ -274,7 +279,7 @@ class TestCaptureTrace:
     def test_streams_histories_to_vcd(self):
         circuit = mux_with_hazard()
         vectors = vectors_for(circuit, 9, seed=17)
-        sim = PCSetSimulator(
+        sim = ParallelSimulator(
             circuit,
             probes=ProbeSpec(trace_nets=["OUT", "SN"]),
         )
@@ -293,7 +298,7 @@ class TestCaptureTrace:
 
     def test_trace_defaults_to_all_nets(self):
         circuit = mux_with_hazard()
-        sim = PCSetSimulator(circuit, probes=True)
+        sim = ParallelSimulator(circuit, probes=True)
         sim.reset([0] * len(circuit.inputs))
         stream = io.StringIO()
         writer = VCDWriter(
@@ -444,7 +449,7 @@ class TestErrors:
 
     def test_unknown_probe_nets_rejected(self):
         with pytest.raises(SimulationError, match="not in circuit"):
-            PCSetSimulator(mux_with_hazard(), probes=["ghost"])
+            ParallelSimulator(mux_with_hazard(), probes=["ghost"])
 
 
 class TestCacheFingerprint:
@@ -455,14 +460,14 @@ class TestCacheFingerprint:
         # statements share one.
         circuit = mux_with_hazard()
         clear_program_cache()
-        PCSetSimulator(circuit)
-        PCSetSimulator(circuit, probes=True)
-        PCSetSimulator(circuit, probes=["OUT"])
+        ParallelSimulator(circuit)
+        ParallelSimulator(circuit, probes=True)
+        ParallelSimulator(circuit, probes=["OUT"])
         assert program_cache().stats() == {
             "entries": 3, "hits": 0, "misses": 3,
         }
-        PCSetSimulator(circuit, probes=list(circuit.nets))
-        PCSetSimulator(circuit, probes=ProbeSpec(trace_nets=["OUT"]))
+        ParallelSimulator(circuit, probes=list(circuit.nets))
+        ParallelSimulator(circuit, probes=ProbeSpec(trace_nets=["OUT"]))
         assert program_cache().stats() == {
             "entries": 3, "hits": 2, "misses": 3,
         }
@@ -490,14 +495,20 @@ class TestCLI:
         with pytest.raises(SystemExit, match="--probes"):
             main(["activity", "rca2", "-t", "zero-lcc", "-n", "4"])
 
-    def test_activity_probes_needs_capable_technique(self):
+    def test_activity_probes_needs_capable_technique(self, capsys):
+        # A usage error: argparse's prefix and exit status, naming the
+        # techniques that take probes.
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="probe-capable"):
-            main([
-                "activity", "rca2", "-t", "interp2", "-n", "4",
+        for technique in ("interp2", "pcset"):
+            assert main([
+                "activity", "rca2", "-t", technique, "-n", "4",
                 "--probes",
-            ])
+            ]) == 2
+            err = capsys.readouterr().err
+            assert "probe-capable" in err
+            assert "(parallel, parallel-trim, zero-lcc)" in err
+            assert f"not {technique!r}" in err
 
     def test_replay_vcd_flag(self, tmp_path, capsys):
         from repro.cli import main
@@ -516,3 +527,82 @@ class TestCLI:
         assert "waveform:" in out
         text = Path(vcd).read_text()
         assert "B0" in text and "B2" not in text
+
+
+class TestPCSetHasNoProbes:
+    def test_probes_keyword_is_gone(self):
+        circuit = mux_with_hazard()
+        with pytest.raises(TypeError, match="probes"):
+            PCSetSimulator(circuit, probes=True)
+        with pytest.raises(TypeError, match="probes"):
+            build_simulator(circuit, "pcset", probes=True)
+        assert not hasattr(PCSetSimulator, "settled_outputs")
+        assert not hasattr(probes_module, "instrument_pcset_program")
+
+
+_PART = re.compile(
+    r"static NOINLINE void step_\d+\(struct state \*restrict S,"
+    r" const word \*V\) \{\n(.*?)\n\}\n",
+    re.S,
+)
+
+
+def _part_sizes(program):
+    """Assignments per ``step_<i>`` part of the rendered C source."""
+    return [
+        sum(" = " in line and not line.lstrip().startswith("word ")
+            for line in body.split("\n"))
+        for body in _PART.findall(program.c_source())
+    ]
+
+
+class TestProbedStepParts:
+    """A probed program is cut into ``step`` parts like a plain one: a
+    lowering that kept a temporary live across the pass would render
+    one monolithic part, and compile for minutes on a large circuit."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: LCCSimulator(c, probes=True).program,
+            lambda c: ParallelSimulator(c, probes=True).program,
+            lambda c: ParallelSimulator(
+                c, optimization="trim", probes=True
+            ).program,
+            lambda c: ParallelFaultSimulator(c)._instrumented_program(),
+        ],
+        ids=["lcc", "parallel", "parallel-trim", "fault"],
+    )
+    def test_probed_program_renders_in_parts(self, build):
+        circuit = random_dag_circuit(93, num_inputs=6, num_gates=90)
+        program = build(circuit)
+        assigns = sum(
+            isinstance(stmt, Assign) for stmt in program.init + program.body
+        )
+        assert assigns > 2 * STEP_PART_SIZE
+        sizes = _part_sizes(program)
+        assert len(sizes) >= assigns // (2 * STEP_PART_SIZE)
+        assert max(sizes) <= 2 * STEP_PART_SIZE
+
+
+class TestProbedGradingSkipsPCSet:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_activity_without_the_pcset_program(self, backend, monkeypatch):
+        from repro.faults.simulator import run_fault_simulation
+        from repro.pcset import codegen as pcset_codegen
+        from repro.pcset import simulator as pcset_simulator
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the PC-set program was generated")
+
+        for module in (pcset_codegen, pcset_simulator):
+            monkeypatch.setattr(module, "generate_pcset_program", refuse)
+        circuit = glitchy_circuit()
+        vectors = vectors_for(circuit, 23, seed=19)
+        report = run_fault_simulation(
+            circuit, vectors, backend=backend, word_width=16, probes=True,
+        )
+        assert report == run_fault_simulation(
+            circuit, vectors, backend=backend, word_width=16,
+        )
+        assert vars(report.activity) == vars(reference(circuit, vectors))

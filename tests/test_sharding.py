@@ -11,6 +11,7 @@ faults in the same order, on both backends.
 
 import pytest
 
+from repro.codegen.program import Program
 from repro.codegen.runtime import CMachine, PythonMachine, have_c_compiler
 from repro.errors import SimulationError
 from repro.faults import simulator as fault_simulator
@@ -317,6 +318,28 @@ class TestThreadedGrading:
         assert sim._siblings == siblings
         assert siblings[0]._lib is sim._machine._lib
         assert siblings[0]._state is not sim._machine._state
+
+    @NEED_CC
+    def test_siblings_are_not_rendered_again(self, monkeypatch):
+        # A sibling is made from the loaded library: the program's
+        # source is neither rendered nor hashed again.
+        circuit, vectors, faults = _workload(bits=2, num_vectors=10)
+        sim = ParallelFaultSimulator(circuit, word_width=16, backend="c")
+        inline = sim.run(vectors, faults)
+
+        def refuse(program):
+            raise AssertionError("the source was rendered again")
+
+        monkeypatch.setattr(Program, "c_source", refuse)
+        assert sim.run(vectors, faults, workers=3) == inline
+        machine = sim._machine
+        assert len(sim._siblings) == 2
+        for sibling in sim._siblings:
+            assert sibling._lib is machine._lib
+            assert sibling.source is machine.source
+            assert sibling._state is not machine._state
+            assert sibling._in_bytes is not machine._in_bytes
+            assert sibling.counters is not machine.counters
 
     @NEED_CC
     @pytest.mark.parametrize("failing", [0, 1])

@@ -9,13 +9,17 @@ fault screen is split across threads.
 
 import json
 import re
+import time
 
 import pytest
 
 from repro import telemetry
 from repro.cli import main
 from repro.codegen.runtime import have_c_compiler
-from repro.faults.simulator import run_fault_simulation
+from repro.faults.simulator import (
+    ParallelFaultSimulator,
+    run_fault_simulation,
+)
 from repro.harness.vectors import vectors_for
 from repro.lcc.zerodelay import LCCSimulator
 from repro.netlist.generators import ripple_carry_adder
@@ -144,9 +148,7 @@ class TestSnapshots:
     def test_derived_sections_always_present(self):
         snap = telemetry.snapshot()
         assert set(snap["packing"]) == {"packed_batches", "fallback"}
-        assert set(snap["packing"]["fallback"]) == {
-            "scalar", "settled", "none",
-        }
+        assert set(snap["packing"]["fallback"]) == {"scalar", "none"}
         assert set(snap["cache"]) == {"entries", "hits", "misses"}
         assert "sharding" not in snap
 
@@ -290,6 +292,34 @@ class TestThreadedTelemetry:
         assert counters["run.vectors"] == report.counters.vectors
 
     @NEED_CC
+    def test_split_screen_self_time_is_never_negative(self):
+        # The parts overlap in time: the run phase takes the split's
+        # wall time once, so it never exceeds the screen span, while
+        # each machine's counters keep their own part's seconds.
+        circuit, vectors = self._workload()
+        sim = ParallelFaultSimulator(circuit, word_width=16, backend="c")
+        sim.run(vectors, workers=2)  # builds the sibling
+        machines = (sim._machine, *sim._siblings)
+        before = [machine.counters.seconds for machine in machines]
+        for machine in machines:
+            kernel = machine._entry["screen"]
+
+            def slow(*args, kernel=kernel):
+                time.sleep(0.05)
+                return kernel(*args)
+
+            machine._entry["screen"] = slow
+        telemetry.enable(reset_state=True)
+        sim.run(vectors, workers=2)
+        phases = telemetry.snapshot()["phases"]
+        screen, run = phases["fault.screen"], phases["fault.screen/run"]
+        assert run["count"] == 2
+        assert run["seconds"] <= screen["seconds"]
+        assert screen["self_seconds"] >= 0
+        for machine, seconds in zip(machines, before):
+            assert machine.counters.seconds - seconds >= 0.05
+
+    @NEED_CC
     def test_disabled_threads_leave_the_registry_empty(self):
         circuit, vectors = self._workload()
         assert not telemetry.enabled()
@@ -313,12 +343,12 @@ class TestActivityTelemetry:
         assert all(value == 0 for value in section.values())
 
     def test_probed_run_populates_section(self):
-        from repro.pcset.simulator import PCSetSimulator
+        from repro.parallel.simulator import ParallelSimulator
 
         telemetry.enable()
         circuit = ripple_carry_adder(3)
         vectors = vectors_for(circuit, 20, seed=5)
-        sim = PCSetSimulator(circuit, word_width=16, probes=True)
+        sim = ParallelSimulator(circuit, word_width=16, probes=True)
         sim.reset([0] * len(circuit.inputs))
         sim.apply_vectors([list(v) for v in vectors])
         report = sim.activity_report()
