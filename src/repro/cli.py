@@ -298,11 +298,11 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from repro.harness.runner import grade_faults
+    from repro.faults.simulator import run_fault_simulation
 
     circuit = resolve_circuit(args.circuit, args.scale)
     vectors = vectors_for(circuit, args.vectors, args.seed)
-    report = grade_faults(
+    report = run_fault_simulation(
         circuit, vectors,
         word_width=args.word_width, backend=args.backend,
         workers=args.workers,

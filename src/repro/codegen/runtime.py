@@ -1146,10 +1146,10 @@ class CMachine(Machine):
 
 
 def _chars(data):
-    """A ``bytearray`` as a ``c_char`` array on its own memory, for a
-    ``c_char_p`` argument, which refuses a ``bytearray``; ``bytes`` and
-    ``None`` pass as they are."""
-    if isinstance(data, bytearray):
+    """A ``bytearray`` or a ``memoryview`` of one as a ``c_char`` array
+    on its own memory, for a ``c_char_p`` argument, which refuses
+    both; ``bytes`` and ``None`` pass as they are."""
+    if isinstance(data, (bytearray, memoryview)):
         return (ctypes.c_char * len(data)).from_buffer(data)
     return data
 

@@ -48,7 +48,6 @@ __all__ = [
     "build_simulator",
     "run_technique",
     "simulate_outputs",
-    "grade_faults",
 ]
 
 TECHNIQUES = (
@@ -154,30 +153,6 @@ def run_technique(
     sim.reset(zeros)
     prepared = sim.prepare_batch(vectors)
     return lambda: sim.run_prepared(prepared)
-
-
-def grade_faults(
-    circuit: Circuit,
-    vectors: Sequence[Sequence[int]],
-    faults=None,
-    *,
-    workers: int = 1,
-    **options,
-):
-    """Factory-level entry to stuck-at fault grading.
-
-    The harness counterpart of :func:`build_simulator` for the fault
-    workload: the pattern-parallel screen, split across ``workers``
-    threads on the C backend, with the same report at every count.
-    ``options`` pass through to
-    :func:`repro.faults.simulator.run_fault_simulation`
-    (``word_width``, ``backend``, ``probes``, ...).
-    """
-    from repro.faults.simulator import run_fault_simulation
-
-    return run_fault_simulation(
-        circuit, vectors, faults, workers=workers, **options
-    )
 
 
 def simulate_outputs(

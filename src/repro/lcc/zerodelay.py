@@ -18,12 +18,12 @@ from repro import telemetry
 from repro.analysis.levelize import levelize
 from repro.codegen.gates import gate_expression
 from repro.codegen.naming import NameAllocator
-from repro.codegen.packing import packing_mode, validate_packed_words
+from repro.codegen.packing import validate_packed_words
 from repro.codegen.probes import ProbeSpec, instrument_lcc_program
 from repro.codegen.program import Assign, Emit, Input, Program, Var
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
-from repro.simbase import CompiledSimulator, input_rows
+from repro.simbase import CompiledSimulator, check_pinned, input_rows
 
 __all__ = ["generate_lcc_program", "LCCSimulator"]
 
@@ -120,10 +120,11 @@ class LCCSimulator(CompiledSimulator):
     batches run through the executor every compiled facade shares
     (:class:`~repro.simbase.CompiledSimulator`).
 
-    Pattern-lane packing: the LCC program is shift-free and memoryless
-    (:func:`repro.codegen.packing.packing_mode` returns ``"full"``), so
-    batches of plain 0/1 vectors are automatically transposed into lane
-    words and driven ``word_width`` vectors per compiled pass.
+    Pattern-lane packing: the LCC program is shift-free and memoryless,
+    so the facade declares packing mode ``"full"`` rather than
+    classifying its program, and batches of plain 0/1 vectors are
+    automatically transposed into lane words and driven
+    ``word_width`` vectors per compiled pass.
     ``packed="auto"`` (default) packs whenever the batch is eligible
     (all values 0/1); ``packed=False`` forces the scalar
     ``run_block`` path — the paper's one-vector-per-pass
@@ -135,7 +136,8 @@ class LCCSimulator(CompiledSimulator):
     lanes and run scalar, as given.
 
     ``partitions`` and ``tiles`` must be 1 (see
-    :func:`~repro.simbase.check_pinned`).
+    :func:`~repro.simbase.check_pinned`), checked before the program
+    is generated.
 
     Probes: ``probes=`` compiles per-net toggle counters into the
     generated pass (see :mod:`repro.codegen.probes`).  A pseudo-input
@@ -149,6 +151,14 @@ class LCCSimulator(CompiledSimulator):
 
     _lane_words = True
 
+    #: The generator writes every net, inputs first and gates in level
+    #: order, with ``&``, ``|``, ``^`` and ``~`` only, and
+    #: :meth:`~repro.netlist.circuit.Circuit.validate` rejects an
+    #: undriven net: the program is shift-free and memoryless.  The
+    #: probe statements' shifts and popcounts are lane-safe here but
+    #: would classify it ``"none"``.
+    _packing_mode = "full"
+
     def __init__(
         self,
         circuit: Circuit,
@@ -160,23 +170,18 @@ class LCCSimulator(CompiledSimulator):
         tiles: int = 1,
         probes=None,
     ) -> None:
+        check_pinned(partitions, tiles)
         if packed not in (True, False, "auto"):
             raise SimulationError(
                 f"packed must be True, False or 'auto': {packed!r}"
             )
         spec = ProbeSpec.coerce(probes)
         program = generate_lcc_program(circuit, word_width=word_width)
-        # Classify before instrumenting: the probe statements' shifts
-        # and popcounts are lane-safe here but would make it "none".
-        mode = packing_mode(program)
         plan = (
             instrument_lcc_program(program, circuit, spec)
             if spec is not None else None
         )
-        super().__init__(
-            circuit, program, backend=backend, partitions=partitions,
-            tiles=tiles, probe_plan=plan, packing_override=mode,
-        )
+        super().__init__(circuit, program, backend=backend, probe_plan=plan)
         self.word_width = word_width
         self._packed = packed
         self._outputs = circuit.outputs

@@ -92,9 +92,6 @@ class Alignment:
             1 for _g, _n, shift in self.iter_input_shifts() if shift != 0
         )
 
-    def has_left_shifts(self) -> bool:
-        return any(shift < 0 for _g, _n, shift in self.iter_input_shifts())
-
     # ------------------------------------------------------------------
     def width(self, net_name: str) -> int:
         """Required bit-field width: ``level - alignment + 1`` (§4)."""

@@ -13,7 +13,7 @@ from repro.codegen.probes import ProbeSpec, instrument_parallel_program
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.parallel.codegen import generate_parallel_program
-from repro.simbase import CompiledSimulator, monitored_nets
+from repro.simbase import CompiledSimulator, check_pinned, monitored_nets
 
 __all__ = ["ParallelSimulator", "OPTIMIZATIONS"]
 
@@ -49,11 +49,14 @@ class ParallelSimulator(CompiledSimulator):
         settling history, so counting is a popcount of adjacent-bit
         differences — available on the time-aligned layouts
         (optimization ``"none"`` or ``"trim"``) only.
+    partitions, tiles:
+        Must be 1 (see :func:`~repro.simbase.check_pinned`), checked
+        before the program is generated.
 
     Multi-vector traffic should go through the inherited batch API —
-    ``apply_vectors`` for outputs, ``run_batch``/``prepare_batch`` +
-    ``run_prepared`` for timing — which keeps the vector loop inside
-    the generated code on both backends.  The per-vector methods below
+    ``apply_vectors`` for outputs, ``prepare_batch`` + ``run_prepared``
+    for timing — which keeps the vector loop inside the generated code
+    on both backends.  The per-vector methods below
     (``apply_vector_history``, ``output_trace``) stay scalar because
     they decode the machine *state* between vectors.
     """
@@ -67,10 +70,11 @@ class ParallelSimulator(CompiledSimulator):
         word_width: int = 32,
         monitored: Optional[list[str]] = None,
         with_outputs: bool = True,
-        comments: bool = False,
         probes=None,
-        **backend_kwargs,
+        partitions: int = 1,
+        tiles: int = 1,
     ) -> None:
+        check_pinned(partitions, tiles)
         if optimization not in OPTIMIZATIONS:
             raise SimulationError(
                 f"unknown optimization {optimization!r}; "
@@ -85,7 +89,6 @@ class ParallelSimulator(CompiledSimulator):
                 trimming=(optimization == "trim"),
                 monitored=self.monitored,
                 emit_outputs=with_outputs,
-                comments=comments,
             )
             self.alignment = None
         else:
@@ -106,7 +109,6 @@ class ParallelSimulator(CompiledSimulator):
                 trimming=optimization.endswith("+trim"),
                 monitored=self.monitored,
                 emit_outputs=with_outputs,
-                comments=comments,
             )
             self.alignment = alignment
         self.layout = layout
@@ -123,7 +125,6 @@ class ParallelSimulator(CompiledSimulator):
             backend=backend,
             with_outputs=with_outputs,
             probe_plan=plan,
-            **backend_kwargs,
         )
 
     # ------------------------------------------------------------------

@@ -69,7 +69,6 @@ class MultiVectorPCSetSimulator(CompiledSimulator):
         word_width: int = 32,
         monitored: Optional[list[str]] = None,
         with_outputs: bool = True,
-        **backend_kwargs,
     ) -> None:
         if lanes is None:
             lanes = word_width
@@ -92,8 +91,6 @@ class MultiVectorPCSetSimulator(CompiledSimulator):
             program,
             backend=backend,
             with_outputs=with_outputs,
-            checksum_mask=(1 << lanes) - 1,
-            **backend_kwargs,
         )
 
     # ------------------------------------------------------------------

@@ -33,10 +33,10 @@ class PCSetSimulator(CompiledSimulator):
     facade, and packed settled values on the zero-delay LCC one.
 
     Multi-vector traffic should use the inherited batch API
-    (``apply_vectors``, ``run_batch``, ``prepare_batch`` +
-    ``run_prepared``): one dispatch drives the whole batch through the
-    generated ``run_block`` loop.  ``apply_vector_history`` stays
-    scalar — it reads the persistent state before and after each
+    (``apply_vectors`` for outputs, ``prepare_batch`` +
+    ``run_prepared`` for timing): one dispatch drives the whole batch
+    through the generated ``run_block`` loop.  ``apply_vector_history``
+    stays scalar — it reads the persistent state before and after each
     vector.
     """
 
@@ -48,8 +48,6 @@ class PCSetSimulator(CompiledSimulator):
         word_width: int = 32,
         monitored: Optional[list[str]] = None,
         with_outputs: bool = True,
-        comments: bool = False,
-        **backend_kwargs,
     ) -> None:
         self.monitored = monitored_nets(circuit, monitored)
         program, variables = generate_pcset_program(
@@ -57,7 +55,6 @@ class PCSetSimulator(CompiledSimulator):
             word_width=word_width,
             monitored=self.monitored,
             emit_outputs=with_outputs,
-            comments=comments,
         )
         self.variables = variables
         self.pc_sets = variables.pc_sets
@@ -66,8 +63,6 @@ class PCSetSimulator(CompiledSimulator):
             program,
             backend=backend,
             with_outputs=with_outputs,
-            checksum_mask=1,
-            **backend_kwargs,
         )
 
     # ------------------------------------------------------------------

@@ -136,9 +136,13 @@ class CompiledSimulator:
         When false, the program's output section is dropped before
         compilation — the configuration benchmarks time, matching the
         paper's methodology of excluding output handling from
-        measurements.  Output-decoding APIs then raise.
-    partitions, tiles:
-        Must be 1 (see :func:`check_pinned`).
+        measurements.  Every vector then emits no words.
+    probe_plan:
+        The plan of the probe statements the subclass compiled into
+        ``program``, or ``None``.
+
+    The facades take only their own keywords and check them before
+    generating anything; none reaches the machine.
     """
 
     #: Keep multi-bit input words as given, one lane per bit (the LCC
@@ -151,6 +155,10 @@ class CompiledSimulator:
     #: ``packed=`` argument changes it.
     _packed: "bool | str" = "auto"
 
+    #: The packing mode of a facade whose generator fixes it (LCC's
+    #: ``"full"``); ``None`` classifies the compiled program.
+    _packing_mode: Optional[str] = None
+
     def __init__(
         self,
         circuit: Circuit,
@@ -158,39 +166,22 @@ class CompiledSimulator:
         *,
         backend: str = "python",
         with_outputs: bool = True,
-        checksum_mask: Optional[int] = None,
-        partitions: int = 1,
-        tiles: int = 1,
         probe_plan: Optional[ProbePlan] = None,
-        packing_override: Optional[str] = None,
-        **backend_kwargs,
     ) -> None:
-        check_pinned(partitions, tiles)
         self.circuit = circuit
         self.program = program
         self.backend = backend
         self.with_outputs = with_outputs
-        self.checksum_mask = (
-            checksum_mask if checksum_mask is not None else program.word_mask
-        )
         compiled = program if with_outputs else program.without_output()
-        self._compiled_program = compiled
-        self.machine: Machine = compile_program(
-            compiled, backend, **backend_kwargs
-        )
+        self.machine: Machine = compile_program(compiled, backend)
         #: Pattern-lane packing eligibility of the *compiled* program
         #: (``"full"`` or ``"none"`` — see :mod:`repro.codegen.packing`).
         #: Programs with shifts or negates (the §3 parallel technique's
         #: time-shift code) or with state read before it is written
         #: (the PC-set method's zero-element moves) are ``"none"`` and
-        #: always run scalar.  Only the LCC facade passes
-        #: ``packing_override``: its probe statements use popcounts and
-        #: shifts that are lane-safe by construction but would classify
-        #: the program ``"none"``.
-        self.packing_mode = (
-            packing_override if packing_override is not None
-            else packing_mode(compiled)
-        )
+        #: always run scalar.  LCC declares its mode
+        #: (:attr:`_packing_mode`) instead.
+        self.packing_mode = self._packing_mode or packing_mode(compiled)
         self.probe_plan = probe_plan
         self._probe_runtime = (
             ProbeRuntime(probe_plan, program)
@@ -335,8 +326,10 @@ class CompiledSimulator:
         head = len(rows) - 1
         last = None
         if block is not None:
+            # Views, not copies: the block is as large as the batch.
             split = head * len(self._inputs)
-            block, last = block[:split], block[split:]
+            view = memoryview(block)
+            block, last = view[:split], view[split:]
         out = packed_apply(self.machine, rows[:head], block=block)
         out += self._run_scalar(rows[head:], last)
         return out
@@ -456,31 +449,6 @@ class CompiledSimulator:
                 self.machine.run_block(payload, masked=True)
             if runtime is not None:
                 runtime.note_vectors(self.machine, vectors)
-
-    def run_batch(self, vectors: Sequence[Sequence[int]]) -> None:
-        """Simulate many vectors back to back (the timing fast path)."""
-        self.run_prepared(self.prepare_batch(vectors))
-
-    def run_batch_checksum(self, vectors: Sequence[Sequence[int]]) -> int:
-        """Simulate many vectors and fold all emitted outputs.
-
-        Requires ``with_outputs=True``.  Used to cross-check that two
-        backends (or two techniques with identical output routines)
-        compute the same results.
-        """
-        if not self.with_outputs:
-            raise SimulationError(
-                "simulator was built without outputs; cannot checksum"
-            )
-        checksum = 0
-        mask = self.checksum_mask
-        for out in self.apply_vectors(vectors):
-            folded = 0
-            for value in out:
-                folded = ((folded << 7) | (folded >> 55)) & (2**62 - 1)
-                folded ^= value & mask
-            checksum ^= folded
-        return checksum
 
     # ------------------------------------------------------------------
     # probes and histories

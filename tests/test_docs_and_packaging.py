@@ -133,6 +133,23 @@ class TestBenchmarksParse:
             text = path.read_text()
             assert "write_report(" in text, path.name
 
+    def test_compiled_facades_take_no_keyword_catch_all(self):
+        # A ``**kwargs`` on a facade or on the executor base would let
+        # a private knob (or a typo) through to the machine unchecked.
+        import inspect
+
+        from repro.simbase import CompiledSimulator
+
+        for cls in (CompiledSimulator, repro.LCCSimulator,
+                    repro.ParallelSimulator, repro.PCSetSimulator,
+                    repro.MultiVectorPCSetSimulator):
+            kinds = [
+                parameter.kind for parameter in
+                inspect.signature(cls.__init__).parameters.values()
+            ]
+            assert inspect.Parameter.VAR_KEYWORD not in kinds, cls
+            assert inspect.Parameter.VAR_POSITIONAL not in kinds, cls
+
     def test_benchmark_tracer_targets_resolve(self):
         # Every benchmark run calls trace.import_targets() first, traced
         # or not: renaming or moving any traced function or method fails

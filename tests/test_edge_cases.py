@@ -119,7 +119,7 @@ class TestStateEvolutionAcrossBatches:
         two = PCSetSimulator(fig4_circuit)
         one.reset()
         two.reset()
-        one.run_batch(vectors)
+        one.run_prepared(one.prepare_batch(vectors))
         for vector in vectors:
             two.apply_vector(vector)
         assert one.final_values() == two.final_values()

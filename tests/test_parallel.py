@@ -204,22 +204,26 @@ class TestSimulatorFacade:
         assert trace == [(0, {"E": 0}), (1, {"E": 0}), (2, {"E": 1})]
         assert sim.final_values() == {"E": 1}
 
-    def test_without_outputs_blocks_checksum(self, fig4_circuit):
+    def test_without_outputs_runs_prepared_batches(self, fig4_circuit):
+        vectors = vectors_for(fig4_circuit, 5)
         sim = ParallelSimulator(fig4_circuit, with_outputs=False)
+        full = ParallelSimulator(fig4_circuit)
         sim.reset([0, 0, 0])
-        sim.run_batch(vectors_for(fig4_circuit, 5))
-        with pytest.raises(SimulationError, match="without outputs"):
-            sim.run_batch_checksum([[1, 1, 1]])
+        full.reset([0, 0, 0])
+        sim.run_prepared(sim.prepare_batch(vectors))
+        full.apply_vectors(vectors)
+        assert sim.final_values() == full.final_values()
+        assert sim.apply_vectors([[1, 1, 1]]) == [[]]
 
     @NEED_CC
-    def test_c_backend_checksum_parity(self, fig4_circuit):
+    def test_c_backend_rows_match(self, fig4_circuit):
         vectors = vectors_for(fig4_circuit, 25, seed=1)
         py = ParallelSimulator(fig4_circuit)
         cc = ParallelSimulator(fig4_circuit, backend="c")
         py.reset([0, 0, 0])
         cc.reset([0, 0, 0])
-        assert py.run_batch_checksum(vectors) == \
-            cc.run_batch_checksum(vectors)
+        assert py.apply_vectors(vectors) == cc.apply_vectors(vectors)
+        assert py.final_values() == cc.final_values()
 
     def test_vector_shape_errors(self, fig4_circuit):
         sim = ParallelSimulator(fig4_circuit)

@@ -103,9 +103,8 @@ class TestSimulation:
         vectors = vectors_for(fig4_circuit, 20, seed=2)
         py.reset([0, 0, 0])
         cc.reset([0, 0, 0])
-        assert py.run_batch_checksum(vectors) == cc.run_batch_checksum(
-            vectors
-        )
+        assert py.apply_vectors(vectors) == cc.apply_vectors(vectors)
+        assert py.final_values() == cc.final_values()
 
     def test_output_trace(self, fig4_circuit):
         sim = PCSetSimulator(fig4_circuit)

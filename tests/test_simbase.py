@@ -1,21 +1,28 @@
 """Tests for the shared compiled-simulator facade behaviour."""
 
+import tracemalloc
+
 import pytest
 
+from repro.codegen.packing import packing_mode
 from repro.codegen.runtime import have_c_compiler
 from repro.errors import SimulationError
 from repro.eventsim.simulator import EventDrivenSimulator
 from repro.harness.runner import PROBE_TECHNIQUES, build_simulator
 from repro.harness.vectors import vectors_for
-from repro.lcc.zerodelay import LCCSimulator
+from repro.lcc.zerodelay import LCCSimulator, generate_lcc_program
 from repro.netlist.bench import parse_bench
 from repro.netlist.generators import parity_tree
+from repro.netlist.random_circuits import pin_input
 from repro.parallel.simulator import ParallelSimulator
 from repro.pcset.multivector import MultiVectorPCSetSimulator, pack_lanes
 from repro.pcset.simulator import PCSetSimulator
 
 
 BACKENDS = ("python",) + (("c",) if have_c_compiler() else ())
+NEED_CC = pytest.mark.skipif(
+    have_c_compiler() is None, reason="no C compiler available"
+)
 
 
 class TestReset:
@@ -57,7 +64,7 @@ class TestVectorHandling:
     def test_run_batch_requires_reset(self, fig4_circuit):
         sim = PCSetSimulator(fig4_circuit)
         with pytest.raises(SimulationError, match="reset"):
-            sim.run_batch([[1, 1, 1]])
+            sim.run_prepared(sim.prepare_batch([[1, 1, 1]]))
 
     @pytest.mark.parametrize("facade", [ParallelSimulator, PCSetSimulator])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -89,17 +96,7 @@ class TestChecksums:
         b = PCSetSimulator(fig4_circuit)
         a.reset()
         b.reset()
-        assert a.run_batch_checksum(vectors) == b.run_batch_checksum(
-            vectors
-        )
-
-    def test_checksum_differs_on_different_vectors(self, fig4_circuit):
-        a = PCSetSimulator(fig4_circuit)
-        a.reset()
-        one = a.run_batch_checksum(vectors_for(fig4_circuit, 12, seed=1))
-        a.reset()
-        two = a.run_batch_checksum(vectors_for(fig4_circuit, 12, seed=2))
-        assert one != two
+        assert a.apply_vectors(vectors) == b.apply_vectors(vectors)
 
     def test_source_accessor(self, fig4_circuit):
         sim = PCSetSimulator(fig4_circuit)
@@ -176,6 +173,116 @@ def test_tiles_accepts_only_one(fig4_circuit, run, tiles):
     if run is _run_lcc:
         with pytest.raises(SimulationError, match="tiles must be 1"):
             run(fig4_circuit, vectors, tiles=tiles, probes=True)
+
+
+# ----------------------------------------------------------------------
+# each facade takes only its own keywords
+# ----------------------------------------------------------------------
+#: Facade -> the generators it may call, as ``module.name``.
+FACADE_GENERATORS = {
+    LCCSimulator: ["repro.lcc.zerodelay.generate_lcc_program"],
+    ParallelSimulator: [
+        "repro.parallel.simulator.generate_parallel_program",
+        "repro.parallel.aligned_codegen.generate_aligned_program",
+    ],
+    PCSetSimulator: ["repro.pcset.simulator.generate_pcset_program"],
+    MultiVectorPCSetSimulator: [
+        "repro.pcset.multivector.generate_pcset_program",
+    ],
+}
+
+
+def _refuse_generation(monkeypatch, facade):
+    def generate(*args, **kwargs):
+        raise AssertionError(f"{facade.__name__} generated a program")
+
+    for target in FACADE_GENERATORS[facade]:
+        monkeypatch.setattr(target, generate)
+
+
+#: Keywords no facade takes: an unknown one, the executor's and the
+#: machine's private knobs, and the generators' ``comments``.
+FOREIGN_KEYWORDS = [
+    "no_such_keyword", "packing_override", "checksum_mask", "comments",
+    "opt_level", "probe_plan",
+]
+
+
+@pytest.mark.parametrize("facade, keyword", [
+    pytest.param(facade, keyword, id=f"{facade.__name__}-{keyword}")
+    for facade in FACADE_GENERATORS
+    for keyword in FOREIGN_KEYWORDS + (
+        ["probes"] if facade in (PCSetSimulator, MultiVectorPCSetSimulator)
+        else []
+    )
+])
+def test_foreign_keyword_refused_before_generating(monkeypatch,
+                                                   fig4_circuit, facade,
+                                                   keyword):
+    # No keyword reaches the executor or the machine: the facade's own
+    # signature refuses it, before any program is generated.
+    _refuse_generation(monkeypatch, facade)
+    with pytest.raises(TypeError, match=(
+        rf"^{facade.__name__}\.__init__\(\) got an unexpected keyword "
+        rf"argument '{keyword}'$"
+    )):
+        facade(fig4_circuit, **{keyword: 1})
+
+
+@pytest.mark.parametrize("facade", [LCCSimulator, ParallelSimulator],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("pinned", [{"partitions": 2}, {"tiles": 2}],
+                         ids=["partitions", "tiles"])
+def test_pinned_keywords_checked_before_generating(monkeypatch,
+                                                   fig4_circuit, facade,
+                                                   pinned):
+    _refuse_generation(monkeypatch, facade)
+    with pytest.raises(SimulationError, match="must be 1"):
+        facade(fig4_circuit, **pinned)
+
+
+def test_lcc_declared_packing_mode_holds(small_random_circuit):
+    # LCC declares "full" instead of classifying its program; the
+    # classification of the uninstrumented program must agree, on
+    # constant drivers too.
+    pinned = pin_input(
+        small_random_circuit, small_random_circuit.inputs[0], 1
+    )
+    for circuit in (small_random_circuit, pinned, parity_tree(8)):
+        program = generate_lcc_program(circuit, word_width=8)
+        assert packing_mode(program) == LCCSimulator._packing_mode
+        for probes in (None, True):
+            sim = LCCSimulator(circuit, word_width=8, probes=probes)
+            assert sim.packing_mode == "full"
+    assert PCSetSimulator._packing_mode is None
+    assert ParallelSimulator(
+        small_random_circuit, word_width=8
+    ).packing_mode == "none"
+
+
+@NEED_CC
+def test_packed_batch_block_is_not_copied():
+    """A packed batch hands ``memoryview`` slices of its block to the
+    packed part and the scalar last vector: a warm run allocates
+    nothing near the block's size, only the lane words and the output
+    rows (a few tens of KB here against a 512 KB block)."""
+    inputs, count = 512, 1024
+    sim = LCCSimulator(parity_tree(inputs), backend="c", word_width=64)
+    vectors = vectors_for(sim.circuit, count, seed=23)
+    rows, block = sim._batch(vectors)
+    assert sim._packs(block) and len(block) == inputs * count
+    first = sim._run(rows, block, True)
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        again = sim._run(rows, block, True)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < len(block) // 2
+    assert again == first == [
+        [sum(vector) & 1] for vector in vectors
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -335,9 +442,7 @@ class TestLCCInheritedMethods:
         sim.reset([1, 1, 1])
         assert sim.evaluate_all_nets([1, 1, 1])["D"] == 1
         assert [sim.apply_vector(v) for v in vectors] == want
-        assert sim.run_batch_checksum(vectors) == (
-            scalar.run_batch_checksum(vectors)
-        )
+        assert sim.apply_vectors(vectors) == want
         before = sim.counters.vectors
         sim.run_prepared(sim.prepare_batch(vectors))
         assert sim.counters.vectors == before + len(vectors)
