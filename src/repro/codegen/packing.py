@@ -42,19 +42,18 @@ Two IR operators cross lanes and disqualify a program:
 One pass carries at most ``word_width`` vectors: every net is one
 word.
 
-The byte-level boundary (C backend)
------------------------------------
-On a :class:`~repro.codegen.runtime.CMachine` a packed batch crosses
-the ctypes boundary once each way.  :func:`bit_block` joins the rows
-into one byte per value and decides 0/1 eligibility with a single
-``translate``; the generated library transposes the block into lane
-words, runs ``run_packed_block`` and unpacks the scalar-identical
-words (:meth:`~repro.codegen.runtime.CMachine.run_bit_block`); fault
-grading feeds its pre-pass and its ``screen`` from the same
-transposition (:meth:`~repro.codegen.runtime.CMachine.pack_lanes`).
-Every other machine — and ``prepare_packed``'s pre-packed groups —
-uses the Python transposition below, the reference the tests compare
-the C helpers against.
+The byte-level boundary
+-----------------------
+A packed batch reaches the machine as one byte per value:
+:func:`bit_block` joins the rows and decides 0/1 eligibility with a
+single ``translate``, and the machine transposes the block into lane
+words, runs them and unpacks the scalar-identical words
+(:meth:`~repro.codegen.runtime.Machine.run_bit_block`).  Fault grading
+and prepared batches take the same transposition
+(:meth:`~repro.codegen.runtime.Machine.pack_lanes`).  The C library
+transposes in place, crossing the ctypes boundary once each way; the
+Python machine runs :func:`pack_patterns` below, the reference the
+tests compare the C helpers against.
 
 All packing entry points validate their words against the program's
 word width and raise :class:`~repro.errors.SimulationError` on overflow
@@ -224,8 +223,8 @@ def bit_block(
 ) -> Optional[bytearray]:
     """The batch as one byte per value, or ``None`` when it is not 0/1.
 
-    The byte-level boundary of a packed batch on the C backend
-    (:meth:`~repro.codegen.runtime.CMachine.run_bit_block`): each row
+    The byte-level boundary of a packed batch
+    (:meth:`~repro.codegen.runtime.Machine.run_bit_block`): each row
     becomes ``bytes`` in one call, the rows are joined into one
     ``bytearray``, which the C machine reads in place, and the 0/1
     test is one ``translate`` over the joined block.  Every vector must
@@ -308,42 +307,13 @@ def packed_apply(
 
 
 def _packed_rows(machine, vectors, block, *, fill):
-    """Shared body of both; ``fill`` adds the fill group's high bits.
-
-    A C machine transposes and unpacks inside its library
-    (:meth:`~repro.codegen.runtime.CMachine.run_bit_block`); every
-    other machine runs the Python transposition, the reference the
-    tests hold the C helpers to.
-    """
-    from repro.codegen.runtime import CMachine  # runtime imports us
-
-    if isinstance(machine, CMachine):
+    """Shared body of both: one
+    :meth:`~repro.codegen.runtime.Machine.run_bit_block` call, whose
+    ``fill`` adds the fill group's high bits."""
+    if block is None:
+        block = bit_block(vectors, machine.num_inputs)
         if block is None:
-            block = bit_block(vectors, machine.interface.num_inputs)
-            if block is None:
-                raise SimulationError(
-                    "pattern values must be 0/1 (pack one vector per "
-                    "lane)"
-                )
-        return machine.run_bit_block(block, len(vectors), fill=fill)
-    return _python_rows(machine, vectors, fill)
-
-
-def _python_rows(machine, vectors, fill):
-    groups, lane_counts = pack_patterns(vectors, machine.program.word_width)
-    if not groups:
-        return []
-    if fill:
-        groups.append([0] * len(groups[0]))  # every lane all-zeros
-    flat: list[int] = []
-    machine.run_packed_block(groups, flat, vectors_represented=len(vectors))
-    span = machine.num_outputs
-    words = [flat[g * span:(g + 1) * span] for g in range(len(groups))]
-    high = machine.program.word_mask ^ 1
-    fills = [word & high for word in words[-1]] if fill else [0] * span
-    with telemetry.span("unpack"):
-        return [
-            [((word >> j) & 1) | rest for word, rest in zip(group, fills)]
-            for group, lanes in zip(words, lane_counts)
-            for j in range(lanes)
-        ]
+            raise SimulationError(
+                "pattern values must be 0/1 (pack one vector per lane)"
+            )
+    return machine.run_bit_block(block, len(vectors), fill=fill)

@@ -20,8 +20,14 @@ generated ``run_block`` routine each backend compiles in:
 - ``run_block(vectors, out=None)`` drives the whole batch from inside
   the generated code (the C library's compiled loop, or the Python
   coroutine's in-frame loop); emitted words are appended flat to the
-  caller-supplied list ``out``, or discarded when ``out`` is ``None``
-  (the timing fast path).
+  caller-supplied list ``out``, or discarded when ``out`` is ``None``.
+  It is ``pack_block(vectors)`` (one native word buffer on C, the
+  masked rows on Python) followed by ``run_packed(payload, passes)``
+  (one ``run_block`` call on C, one opcode-3 send on Python); the
+  prepared batches of the timing fast path
+  (:meth:`~repro.simbase.CompiledSimulator.prepare_batch`) make the
+  two calls apart, and ``run_packed`` runs ``pack_lanes`` rows as
+  well.
 - ``step_many(vectors)`` returns per-vector output lists, bit-identical
   to an equivalent per-vector ``step()`` loop.
 - ``run_packed_block(groups, out=None)`` drives *pattern-packed*
@@ -31,10 +37,11 @@ generated ``run_block`` routine each backend compiles in:
   ``run_packed_block``).  Packed words are validated against the word
   width up front (silent ctypes truncation would corrupt whole lanes,
   not just one vector).
-- ``CMachine.run_bit_block(block, count, fill=...)`` takes a whole
-  batch of 0/1 vectors as one byte per value and transposes, runs and
-  unpacks it inside the library, around the same ``run_packed_block``
-  kernel (see :mod:`repro.codegen.packing`).
+- ``run_bit_block(block, count, fill=...)`` takes a whole batch of
+  0/1 vectors as one byte per value and transposes, runs and unpacks
+  it: ``pack_lanes``, one ``run_lanes`` batch, and the unpacking (see
+  :mod:`repro.codegen.packing`).  The C library unpacks in
+  ``unpack_lanes``; the Python machine's loop is the reference.
 - ``run_bit_rows(block, count)`` is its scalar counterpart on both
   machines: one vector per ``run_block`` pass, in order, so passes may
   carry state from one vector to the next (a clocked program's
@@ -378,6 +385,48 @@ class Machine:
         """
         raise NotImplementedError
 
+    def pack_block(self, vectors: Sequence[Sequence[int]]):
+        """Marshal a batch for :meth:`run_packed`, one row per pass.
+
+        Every vector must hold ``num_inputs`` words
+        (:class:`BackendError` otherwise); words are cut to the word
+        width.
+        """
+        raise NotImplementedError
+
+    def run_packed(
+        self, packed, count: int, out_buffer=None,
+        *, vectors_represented: Optional[int] = None,
+    ) -> None:
+        """Run the ``count`` passes of ``packed`` inside the generated
+        ``run_block`` loop.
+
+        ``packed`` comes from :meth:`pack_block` (one vector per pass)
+        or :meth:`pack_lanes` (``word_width`` vectors per pass; give
+        ``vectors_represented`` so the counters record vectors, not
+        passes).  ``out_buffer`` receives the emitted words: a list
+        to extend on the Python machine, a word array of at least
+        ``count * num_outputs`` words on the C machine; ``None``
+        discards them, the timing fast path.
+        """
+        raise NotImplementedError
+
+    def run_bit_block(
+        self, block: bytes, count: int, *, fill: bool
+    ) -> list[list[int]]:
+        """Run ``count`` 0/1 vectors pattern-packed; return output rows.
+
+        ``block`` holds one byte per input value, vector after vector,
+        every byte 0 or 1 (:func:`~repro.codegen.packing.bit_block`
+        builds and checks it).  :meth:`pack_lanes` transposes it into
+        lane words — plus the all-zeros fill group when ``fill`` — one
+        :meth:`run_lanes` batch runs the passes, and each vector's
+        output words are unpacked: the lane bit in bit 0 and, with
+        ``fill``, the fill group's high bits, exactly the words a
+        scalar pass emits (:func:`~repro.codegen.packing.packed_apply`).
+        """
+        raise NotImplementedError
+
     def run_bit_rows(self, block: bytes, count: int) -> bytes:
         """Run ``count`` 0/1 vectors one per pass; return output bits.
 
@@ -569,6 +618,24 @@ class PythonMachine(Machine):
     def step(self, vector: Sequence[int]) -> list[int]:
         return self._gen.send((0, self._marshal(vector)))
 
+    def pack_block(self, vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+        """The masked rows."""
+        return [self._marshal(vector) for vector in vectors]
+
+    def run_packed(
+        self, packed, count: int, out_buffer: Optional[list[int]] = None,
+        *, vectors_represented: Optional[int] = None,
+    ) -> None:
+        """One opcode-3 send: the coroutine's in-frame ``run_block``
+        loop over the rows of ``packed``, ``count`` of them."""
+        sink = [] if out_buffer is None else out_buffer
+        start = time.perf_counter()
+        self._gen.send((3, packed, sink))
+        self._record_batch(
+            count if vectors_represented is None else vectors_represented,
+            time.perf_counter() - start,
+        )
+
     def run_block(
         self,
         vectors: Sequence[Sequence[int]],
@@ -577,11 +644,8 @@ class PythonMachine(Machine):
         masked: bool = False,
     ) -> Optional[list[int]]:
         if not masked:
-            vectors = [self._marshal(vector) for vector in vectors]
-        sink = [] if out is None else out
-        start = time.perf_counter()
-        self._gen.send((3, vectors, sink))
-        self._record_batch(len(vectors), time.perf_counter() - start)
+            vectors = self.pack_block(vectors)
+        self.run_packed(vectors, len(vectors), out)
         return out
 
     def run_packed_block(
@@ -618,6 +682,28 @@ class PythonMachine(Machine):
         out: list[int] = []
         self.run_packed_block(lanes, out, vectors_represented=count)
         return out
+
+    def run_bit_block(
+        self, block: bytes, count: int, *, fill: bool
+    ) -> list[list[int]]:
+        """The reference the C library's transposition is held to."""
+        lanes = self.pack_lanes(block, count)
+        if not lanes:
+            return []
+        if fill:
+            lanes.append([0] * self.num_inputs)  # every lane all-zeros
+        flat = self.run_lanes(lanes, count)
+        span = self.num_outputs
+        words = [flat[g * span:(g + 1) * span] for g in range(len(lanes))]
+        high = self.program.word_mask ^ 1
+        fills = [word & high for word in words[-1]] if fill else [0] * span
+        width = self.program.word_width
+        with telemetry.span("unpack"):
+            return [
+                [((word >> j) & 1) | rest for word, rest in zip(group, fills)]
+                for g, group in enumerate(words)
+                for j in range(min(width, count - g * width))
+            ]
 
     def screen(self, lanes, count, goods, start, pins, values):
         self._check_screen(len(lanes), count, goods, start, pins, values)
@@ -713,12 +799,7 @@ class CMachine(Machine):
     #: ``-Og`` pragma (EXPERIMENTS.md, "Step parts at -Og").
     O0_LINE_THRESHOLD = 60_000
 
-    def __init__(
-        self,
-        program: Program,
-        *,
-        opt_level: Optional[str] = None,
-    ) -> None:
+    def __init__(self, program: Program) -> None:
         super().__init__(program)
         compiler = have_c_compiler()
         if compiler is None:
@@ -726,12 +807,12 @@ class CMachine(Machine):
                 "no C compiler found; use the python backend instead"
             )
         self.source = program.c_source()
-        if opt_level is None:
-            # Stats' source_lines, without walking the expressions.
-            lines = sum(not isinstance(stmt, Comment)
-                        for stmt in program.statements())
-            opt_level = ("-O0" if lines > self.O0_LINE_THRESHOLD
-                         else self.OPT_LEVEL)
+        # Stats' source_lines, without walking the expressions.
+        lines = sum(not isinstance(stmt, Comment)
+                    for stmt in program.statements())
+        opt_level = ("-O0" if lines > self.O0_LINE_THRESHOLD
+                     else self.OPT_LEVEL)
+        #: The level the library was built at (the program cache key's).
         self.opt_level = opt_level
         word = self._CTYPE[program.word_width]
         self._word = word
@@ -931,19 +1012,8 @@ class CMachine(Machine):
     def run_bit_block(
         self, block: bytes, count: int, *, fill: bool
     ) -> list[list[int]]:
-        """Run ``count`` 0/1 vectors pattern-packed; return output rows.
-
-        ``block`` holds one byte per input value, vector after vector,
-        every byte 0 or 1 (:func:`~repro.codegen.packing.bit_block`
-        builds and checks it).  The batch crosses the ctypes boundary
-        once each way: :meth:`pack_lanes` transposes it into lane
-        words — plus the all-zeros fill group when ``fill`` — the
-        unchanged ``run_packed_block`` kernel runs the passes
-        (:meth:`run_lanes`), and ``unpack_lanes`` writes each vector's
-        output words: the lane bit in bit 0 and, with ``fill``, the
-        fill group's high bits, exactly the words a scalar pass emits
-        (:func:`~repro.codegen.packing.packed_apply`).
-        """
+        """The batch crosses the ctypes boundary once each way: the
+        library's ``pack_lanes`` in, its ``unpack_lanes`` out."""
         if count == 0:
             self._check_bit_block(block, count)
             return []
@@ -1154,18 +1224,12 @@ def _chars(data):
     return data
 
 
-def compile_program(
-    program: Program,
-    backend: str = "python",
-    **kwargs,
-) -> Machine:
-    """Compile a program with the chosen backend.
-
-    ``backend`` is ``"python"`` or ``"c"``; ``kwargs`` go to the
-    machine (``opt_level`` on the C backend).
-    """
+def compile_program(program: Program, backend: str = "python") -> Machine:
+    """Compile a program with the chosen backend, ``"python"`` or
+    ``"c"``; a C program's level follows its size
+    (:attr:`CMachine.O0_LINE_THRESHOLD`)."""
     if backend == "python":
-        return PythonMachine(program, **kwargs)
+        return PythonMachine(program)
     if backend == "c":
-        return CMachine(program, **kwargs)
+        return CMachine(program)
     raise BackendError(f"unknown backend: {backend!r}")

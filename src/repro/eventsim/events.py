@@ -6,18 +6,13 @@ overkill: an event scheduled at time ``t`` can only spawn events at
 the set of gates to evaluate now, and the set being accumulated for the
 next instant.  :class:`TimeWheel` implements exactly that, with
 deduplication so a gate fed by several changed nets is evaluated once.
-
-A general multi-delay wheel (:class:`DeltaWheel`) is included as well;
-the unit-delay simulator does not need it, but the sequential-circuit
-example and the tests use it to check that unit delay is the special
-case it should be.
+The multi-delay simulator (:mod:`repro.eventsim.multidelay`) keeps its
+own value wheel.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-__all__ = ["TimeWheel", "DeltaWheel"]
+__all__ = ["TimeWheel"]
 
 
 class TimeWheel:
@@ -70,60 +65,3 @@ class TimeWheel:
         self._current.clear()
         self.time = 0
 
-
-class DeltaWheel:
-    """A ring-buffer time wheel for small bounded gate delays.
-
-    ``schedule(gate_id, delta)`` enqueues an evaluation ``delta`` time
-    units in the future (1 <= delta <= horizon).  With ``horizon == 1``
-    this degenerates to :class:`TimeWheel` behaviour.
-    """
-
-    def __init__(self, num_gates: int, horizon: int) -> None:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self.horizon = horizon
-        self._slots: list[list[int]] = [[] for _ in range(horizon + 1)]
-        self._pending: list[bytearray] = [
-            bytearray(num_gates) for _ in range(horizon + 1)
-        ]
-        self._head = 0
-        self.time = 0
-        self._population = 0
-
-    def _slot_index(self, delta: int) -> int:
-        return (self._head + delta) % (self.horizon + 1)
-
-    def schedule(self, gate_id: int, delta: int = 1) -> None:
-        if not 1 <= delta <= self.horizon:
-            raise ValueError(
-                f"delta {delta} outside wheel horizon 1..{self.horizon}"
-            )
-        idx = self._slot_index(delta)
-        if not self._pending[idx][gate_id]:
-            self._pending[idx][gate_id] = 1
-            self._slots[idx].append(gate_id)
-            self._population += 1
-
-    def advance(self) -> list[int]:
-        """Step one time unit; return (and consume) the gates now due."""
-        self._head = (self._head + 1) % (self.horizon + 1)
-        self.time += 1
-        due = self._slots[self._head]
-        self._slots[self._head] = []
-        pending = self._pending[self._head]
-        for gate_id in due:
-            pending[gate_id] = 0
-        self._population -= len(due)
-        return due
-
-    @property
-    def has_events(self) -> bool:
-        return self._population > 0
-
-    def drain(self) -> Iterator[tuple[int, list[int]]]:
-        """Yield ``(time, due_gates)`` until the wheel empties."""
-        while self.has_events:
-            due = self.advance()
-            if due:
-                yield self.time, due

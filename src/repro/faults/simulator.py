@@ -49,7 +49,10 @@ GIL, so that backend grades the whole list in one call at any
 In an acyclic circuit a net's settled value depends on the current
 inputs alone, and every pass recomputes every net, constant ones
 included, so no pass threads state from the previous vector: the
-pre-pass and every fault's screen start from the fresh state.  A
+pre-pass and every fault's screen start from the fresh state, and no
+grading entry point takes an initial state.  Grading counts no
+switching activity either: that is a probed
+:class:`~repro.parallel.simulator.ParallelSimulator` run.  A
 circuit with no inputs is all constant and grades the same way.  The
 unit-delay PC-set program settles to the same values through several
 assignments per net (3,419 against 443 on c880), so generating,
@@ -68,7 +71,6 @@ from typing import Optional, Sequence
 
 from repro import telemetry
 from repro.codegen.packing import bit_block
-from repro.codegen.probes import ProbeSpec
 from repro.codegen.program import Assign, Bin, Program, Var
 from repro.codegen.runtime import (
     BatchCounters,
@@ -110,10 +112,6 @@ class FaultReport:
 
     #: Throughput counters; attached by the grading entry points.
     counters = None
-    #: Fault-free per-net switching activity
-    #: (:class:`~repro.activity.ActivityReport`); attached by the
-    #: grading entry points when ``probes=`` was requested.
-    activity = None
 
     def __init__(
         self,
@@ -182,7 +180,6 @@ class ParallelFaultSimulator:
         monitored: Optional[list[str]] = None,
         tiles: int = 1,
         partitions: int = 1,
-        probes=None,
     ) -> None:
         check_pinned(partitions, tiles)
         self.circuit = circuit
@@ -206,8 +203,6 @@ class ParallelFaultSimulator:
         self._siblings: list = []
         # The compiled machine's fresh state: every pin unpinned.
         self._start: list[int] = []
-        #: Good-machine switching probes (see :meth:`good_activity`).
-        self.probes = ProbeSpec.coerce(probes)
 
     def warm_up(self) -> None:
         """Build and compile the instrumented machine now, so that a
@@ -226,41 +221,6 @@ class ParallelFaultSimulator:
             total.vectors += machine.counters.vectors
             total.seconds += machine.counters.seconds
         return total
-
-    def good_activity(
-        self,
-        vectors: Sequence[Sequence[int]],
-        initial: Optional[Sequence[int]] = None,
-    ):
-        """Fault-free per-net switching activity over ``vectors``.
-
-        Runs the *good* machine once with compiled-in toggle counters
-        (a probed, trimmed parallel-technique simulator seeded from the
-        ``initial`` steady state) and returns its
-        :class:`~repro.activity.ActivityReport`.  The counters are
-        fault-independent, like the good pre-pass, so a grading run
-        computes them once whatever its ``workers``.
-        """
-        if self.probes is None:
-            raise SimulationError(
-                "fault simulator was built without probes=; no "
-                "good-machine activity to report"
-            )
-        if initial is None:
-            initial = [0] * len(self.circuit.inputs)
-        from repro.parallel.simulator import ParallelSimulator
-
-        with telemetry.span("fault.activity"):
-            sim = ParallelSimulator(
-                self.circuit,
-                optimization="trim",
-                word_width=self.word_width,
-                backend=self.backend,
-                probes=self.probes,
-            )
-            sim.reset(list(initial))
-            sim.apply_vectors([list(vector) for vector in vectors])
-            return sim.activity_report()
 
     def _compiled(self):
         """The instrumented machine, built on first use."""
@@ -504,11 +464,9 @@ def run_fault_simulation(
     *,
     word_width: int = 32,
     backend: str = "python",
-    initial: Optional[Sequence[int]] = None,
     tiles: int = 1,
     workers: int = 1,
     partitions: int = 1,
-    probes=None,
 ) -> FaultReport:
     """Convenience wrapper around :class:`ParallelFaultSimulator`.
 
@@ -521,13 +479,6 @@ def run_fault_simulation(
 
     An explicitly empty fault list short-circuits to an empty report:
     no simulator is built and no program compiled.
-
-    ``probes`` additionally grades *switching activity*: the fault-free
-    machine runs once with compiled-in toggle counters, seeded from the
-    ``initial`` steady state (default all zeros), and the report gains
-    an ``activity`` attribute (:class:`~repro.activity.ActivityReport`).
-    Detection compares settled values only, so ``initial`` never
-    changes which vector detects a fault.
     """
     check_pinned(partitions, tiles)
     _check_workers(workers)
@@ -536,10 +487,8 @@ def run_fault_simulation(
         if not faults:
             return FaultReport({}, [], len(vectors))
     simulator = ParallelFaultSimulator(
-        circuit, word_width=word_width, backend=backend, probes=probes,
+        circuit, word_width=word_width, backend=backend
     )
     report = simulator.run(vectors, faults, workers=workers)
     report.counters = simulator.batch_counters()
-    if simulator.probes is not None:
-        report.activity = simulator.good_activity(vectors, initial)
     return report

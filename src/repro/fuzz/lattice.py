@@ -80,13 +80,10 @@ WORD_WIDTHS = (8, 16, 32, 64)
 _HISTORY_PROBED = tuple(t for t in _PROBED if t in HISTORY_TECHNIQUES)
 
 #: Techniques whose compiled fast path accepts ``probes=`` per check.
-#: An empty tuple means the check threads probes regardless of its
-#: technique axis (the faults check grades the good machine itself).
 PROBE_TECHNIQUES = {
     "history": _HISTORY_PROBED,
     "batched": _HISTORY_PROBED,
     "packed": tuple(t for t in _PROBED if t in PACKED_TECHNIQUES),
-    "faults": (),
 }
 
 
@@ -99,10 +96,7 @@ class FuzzConfig:
     applies to the ``"faults"`` check (threaded screen identity).
     ``probes`` additionally builds the
     technique under test with compiled-in activity counters and
-    compares them differentially against the history-derived reference
-    (or, for the faults check, asserts good-machine activity identity
-    across the inline and threaded reports and the event-driven
-    reference).
+    compares them differentially against the history-derived reference.
     """
 
     check: str = "history"
@@ -151,7 +145,7 @@ class FuzzConfig:
                     f"{tuple(PROBE_TECHNIQUES)} only "
                     f"(check={self.check!r})"
                 )
-            if allowed and self.technique not in allowed:
+            if self.technique not in allowed:
                 raise SimulationError(
                     f"{self.check!r} check supports probes on "
                     f"techniques {allowed} only: {self.technique!r}"
@@ -313,7 +307,7 @@ def sample_configs(
         allowed = PROBE_TECHNIQUES.get(check)
         probes = (
             allowed is not None
-            and (not allowed or technique in allowed)
+            and technique in allowed
             and rng.choice((False, False, True))
         )
         configs.append(FuzzConfig(
@@ -688,10 +682,7 @@ def _check_faults(
     simulator grades the draw twice, the second time with its vectors
     reversed (a caller reusing its simulator, as test generation does,
     with good words it has not memoized) against serial injection on
-    the reversed vectors.  With
-    ``config.probes`` every grading additionally carries good-machine
-    activity, which must be identical across all report shapes and —
-    on small instances — match the event-driven history reference.
+    the reversed vectors.
     """
     from repro.faults.simulator import (
         ParallelFaultSimulator,
@@ -699,19 +690,12 @@ def _check_faults(
         serial_fault_simulation,
     )
 
-    def options():
-        opts = dict(
-            word_width=config.word_width, backend=config.backend
-        )
-        if config.probes:
-            opts["probes"] = True
-        return opts
-
-    inline = run_fault_simulation(circuit, vectors, **options())
+    options = dict(word_width=config.word_width, backend=config.backend)
+    inline = run_fault_simulation(circuit, vectors, **options)
     checks = inline.num_faults
     if config.workers > 1:
         threaded = run_fault_simulation(
-            circuit, vectors, workers=config.workers, **options()
+            circuit, vectors, workers=config.workers, **options
         )
         if threaded != inline:
             raise Mismatch(
@@ -720,21 +704,6 @@ def _check_faults(
                 f"{threaded!r} vs {inline!r}",
             )
         checks += threaded.num_faults
-        if config.probes:
-            got = threaded.activity
-            want = inline.activity
-            if (
-                got is None
-                or got.toggles != want.toggles
-                or got.functional != want.functional
-                or got.vectors != want.vectors
-            ):
-                raise Mismatch(
-                    "faults[activity threaded]", -1, [],
-                    f"  good-machine activity diverged from the inline "
-                    f"grading: {got!r} vs {want!r}",
-                )
-            checks += len(want.toggles)
     if (circuit.num_gates <= _SERIAL_MAX_GATES
             and len(vectors) <= _SERIAL_MAX_VECTORS):
         serial = serial_fault_simulation(circuit, vectors)
@@ -745,9 +714,7 @@ def _check_faults(
                 f"reference: {inline!r} vs {serial!r}",
             )
         checks += serial.num_faults
-        simulator = ParallelFaultSimulator(
-            circuit, word_width=config.word_width, backend=config.backend
-        )
+        simulator = ParallelFaultSimulator(circuit, **options)
         simulator.run(vectors)
         backwards = vectors[::-1]
         again = simulator.run(backwards)
@@ -760,23 +727,4 @@ def _check_faults(
                 f"{again!r} vs {want!r}",
             )
         checks += want.num_faults
-        if config.probes:
-            from repro.activity import collect_activity
-            from repro.eventsim.simulator import EventDrivenSimulator
-
-            ref = collect_activity(
-                EventDrivenSimulator(circuit), vectors
-            )
-            got = inline.activity
-            if (
-                got.toggles != ref.toggles
-                or got.functional != ref.functional
-                or got.vectors != ref.vectors
-            ):
-                raise Mismatch(
-                    "faults[activity serial]", -1, [],
-                    f"  good-machine activity diverged from the "
-                    f"event-driven reference: {got!r} vs {ref!r}",
-                )
-            checks += len(ref.toggles)
     return checks

@@ -126,21 +126,12 @@ def run_technique(
         sim = build_simulator(circuit, technique)
         return lambda: sim.run_batch(vectors)
     if technique == "zero-lcc":
-        # ``packed`` rides through **options to the LCCSimulator:
-        # "auto"/True transposes the batch once, out here, and the
-        # runnable is ceil(n / word_width) pattern-packed compiled
-        # passes; False is the paper's one-vector-per-pass
-        # configuration.
+        # ``packed`` rides through **options to the LCCSimulator: a
+        # 0/1 batch packs unless it is False, the paper's
+        # one-vector-per-pass configuration, and the runnable is then
+        # ceil(n / word_width) pattern-packed compiled passes.
         sim = build_simulator(circuit, technique, **options)
-        if sim.packed is not False:
-            try:
-                prepared = sim.prepare_packed(vectors)
-            except SimulationError:
-                if sim.packed is True:
-                    raise
-                prepared = sim.prepare_batch(vectors)
-        else:
-            prepared = sim.prepare_batch(vectors)
+        prepared = sim.prepare_batch(vectors)
         return lambda: sim.run_prepared(prepared)
     if technique == "pcset-mv":
         sim = build_simulator(

@@ -292,16 +292,6 @@ class LCCSimulator(CompiledSimulator):
             checksum ^= folded
         return checksum
 
-    def prepare_packed(self, vectors: Sequence[Sequence[int]]):
-        """Transpose + marshal a pattern batch outside the timed region.
-
-        The timed :meth:`run_prepared` is then pure compiled passes —
-        ``ceil(len(vectors) / word_width)`` of them.  Raises
-        :class:`SimulationError` when the batch is not packable (the
-        caller asked for the packed configuration explicitly).
-        """
-        return self._prepare(vectors, packed=True)
-
     # ------------------------------------------------------------------
     # probes
     # ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.codegen.gates import gate_expression
 from repro.codegen.program import (
     Assign,
     Bin,
-    Comment,
     Const,
     Emit,
     Expr,
@@ -53,7 +52,6 @@ def generate_aligned_program(
     monitored: Optional[Iterable[str]] = None,
     emit_outputs: bool = True,
     output_mode: str = "words",
-    comments: bool = False,
 ) -> tuple[Program, FieldLayout]:
     """Generate the shift-eliminated program for ``circuit``.
 
@@ -68,7 +66,7 @@ def generate_aligned_program(
         return _generate_aligned_program(
             circuit, alignment, word_width=word_width, trimming=trimming,
             monitored=monitored, emit_outputs=emit_outputs,
-            output_mode=output_mode, comments=comments,
+            output_mode=output_mode,
         )
 
 
@@ -81,7 +79,6 @@ def _generate_aligned_program(
     monitored: Optional[Iterable[str]],
     emit_outputs: bool,
     output_mode: str,
-    comments: bool,
 ) -> tuple[Program, FieldLayout]:
     alignment.validate()
     monitored_list = (
@@ -117,12 +114,8 @@ def _generate_aligned_program(
             program.declare(word, const_nets.get(net_name, 0))
     t_old = program.declare_temp("t_old")
 
-    _generate_init(
-        program, circuit, layout, const_nets, t_old, comments
-    )
-    _generate_body(
-        program, circuit, levels, layout, alignment, const_nets, comments
-    )
+    _generate_init(program, circuit, layout, const_nets, t_old)
+    _generate_body(program, circuit, levels, layout, alignment, const_nets)
     if emit_outputs:
         _generate_outputs(
             program, layout, monitored_list, levels.depth, output_mode
@@ -139,11 +132,8 @@ def _generate_init(
     layout: FieldLayout,
     const_nets: dict[str, int],
     t_old: str,
-    comments: bool,
 ) -> None:
     w = layout.word_width
-    if comments:
-        program.init.append(Comment("primary-input reads"))
     for slot, net_name in enumerate(circuit.inputs):
         spec = layout.field(net_name)
         zero_bit = spec.bitpos(0)  # index of time 0 (= -alignment >= 0)
@@ -171,8 +161,6 @@ def _generate_init(
                 )
     if not layout.trimming:
         return
-    if comments:
-        program.init.append(Comment("trimmed low-word re-initialization"))
     for net_name, net in circuit.nets.items():
         if net.driver is None or net_name in const_nets:
             continue
@@ -242,7 +230,6 @@ def _generate_body(
     layout: FieldLayout,
     alignment: Alignment,
     const_nets: dict[str, int],
-    comments: bool,
 ) -> None:
     w = layout.word_width
     ordered = sorted(
@@ -257,14 +244,6 @@ def _generate_body(
         shifts = [
             alignment.input_shift(gate.name, n) for n in gate.inputs
         ]
-        if comments:
-            shift_note = ",".join(str(s) for s in shifts)
-            program.body.append(
-                Comment(
-                    f"{gate.gate_type.value} {gate.name} -> {gate.output}"
-                    f" (input shifts {shift_note})"
-                )
-            )
         for j in range(out_spec.num_words):
             cls = out_spec.classes[j]
             if cls is WordClass.LOW_FINAL:

@@ -34,7 +34,6 @@ from repro.codegen.gates import gate_expression
 from repro.codegen.program import (
     Assign,
     Bin,
-    Comment,
     Const,
     Emit,
     Expr,
@@ -59,7 +58,6 @@ def generate_parallel_program(
     monitored: Optional[Iterable[str]] = None,
     emit_outputs: bool = True,
     output_mode: str = "words",
-    comments: bool = False,
 ) -> tuple[Program, FieldLayout]:
     """Generate the (un)trimmed parallel-technique program.
 
@@ -75,7 +73,7 @@ def generate_parallel_program(
         return _generate_parallel_program(
             circuit, word_width=word_width, trimming=trimming,
             monitored=monitored, emit_outputs=emit_outputs,
-            output_mode=output_mode, comments=comments,
+            output_mode=output_mode,
         )
 
 
@@ -87,7 +85,6 @@ def _generate_parallel_program(
     monitored: Optional[Iterable[str]],
     emit_outputs: bool,
     output_mode: str,
-    comments: bool,
 ) -> tuple[Program, FieldLayout]:
     monitored_list = (
         list(monitored) if monitored is not None else circuit.outputs
@@ -125,10 +122,8 @@ def _generate_parallel_program(
     num_words = layout.max_words()
     temps = [program.declare_temp(f"tmp{j}") for j in range(num_words)]
 
-    _generate_init(program, circuit, layout, const_nets, comments)
-    _generate_body(
-        program, circuit, levels, layout, pc, temps, const_nets, comments
-    )
+    _generate_init(program, circuit, layout, const_nets)
+    _generate_body(program, circuit, levels, layout, pc, temps, const_nets)
     if emit_outputs:
         _generate_outputs(
             program, layout, monitored_list, levels.depth, output_mode
@@ -141,11 +136,8 @@ def _generate_init(
     circuit: Circuit,
     layout: FieldLayout,
     const_nets: dict[str, int],
-    comments: bool,
 ) -> None:
     w = layout.word_width
-    if comments:
-        program.init.append(Comment("per-vector field initialization"))
     for slot, net_name in enumerate(circuit.inputs):
         spec = layout.field(net_name)
         # Primary inputs change only at time 0: every bit gets the new
@@ -182,7 +174,6 @@ def _generate_body(
     pc,
     temps: list[str],
     const_nets: dict[str, int],
-    comments: bool,
 ) -> None:
     w = layout.word_width
     ordered = sorted(
@@ -194,12 +185,6 @@ def _generate_body(
             continue
         out_spec = layout.field(gate.output)
         in_specs = [layout.field(n) for n in gate.inputs]
-        if comments:
-            program.body.append(
-                Comment(
-                    f"{gate.gate_type.value} {gate.name} -> {gate.output}"
-                )
-            )
 
         def word_expr(j: int) -> Expr:
             return gate_expression(

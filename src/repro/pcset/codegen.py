@@ -20,7 +20,7 @@ from repro import telemetry
 from repro.analysis.levelize import levelize
 from repro.analysis.pcsets import compute_pc_sets
 from repro.codegen.gates import gate_expression
-from repro.codegen.program import Assign, Comment, Emit, Input, Program, Var
+from repro.codegen.program import Assign, Emit, Input, Program, Var
 from repro.logic import GateType
 from repro.netlist.circuit import Circuit
 from repro.pcset.variables import PCSetVariables
@@ -34,7 +34,6 @@ def generate_pcset_program(
     word_width: int = 32,
     monitored: Optional[Iterable[str]] = None,
     emit_outputs: bool = True,
-    comments: bool = False,
 ) -> tuple[Program, PCSetVariables]:
     """Generate the PC-set program for ``circuit``.
 
@@ -49,7 +48,7 @@ def generate_pcset_program(
     with telemetry.span("emit", technique="pcset", circuit=circuit.name):
         return _generate_pcset_program(
             circuit, word_width=word_width, monitored=monitored,
-            emit_outputs=emit_outputs, comments=comments,
+            emit_outputs=emit_outputs,
         )
 
 
@@ -59,7 +58,6 @@ def _generate_pcset_program(
     word_width: int,
     monitored: Optional[Iterable[str]],
     emit_outputs: bool,
-    comments: bool,
 ) -> tuple[Program, PCSetVariables]:
     monitored_list = (
         list(monitored) if monitored is not None else circuit.outputs
@@ -89,8 +87,6 @@ def _generate_pcset_program(
         program.declare(identifier, const_values.get(net_name, 0))
 
     # 1. Initialization: zero-element moves, then primary-input reads.
-    if comments:
-        program.init.append(Comment("previous-vector value retention"))
     for net_name in circuit.nets:
         if net_name in pc.zero_added:
             final_time = pc.raw_net_pc_sets[net_name][-1]
@@ -100,8 +96,6 @@ def _generate_pcset_program(
                     Var(variables.var(net_name, final_time)),
                 )
             )
-    if comments:
-        program.init.append(Comment("primary-input reads"))
     for slot, net_name in enumerate(circuit.inputs):
         program.init.append(
             Assign(variables.var(net_name, 0), Input(slot))
@@ -116,10 +110,6 @@ def _generate_pcset_program(
     for gate in ordered:
         if gate.fan_in == 0:
             continue  # constants: value fixed at declaration
-        if comments:
-            program.body.append(
-                Comment(f"{gate.gate_type.value} {gate.name}")
-            )
         for time in pc.gate_pc_set(gate.name):
             operands = [
                 Var(variables.operand(in_net, time))

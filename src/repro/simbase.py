@@ -16,15 +16,21 @@ vectors become rows (:func:`input_rows`) and one
 :func:`~repro.codegen.packing.bit_block` decides whether they are plain
 0/1; a batch masked to bit 0 gets the block of its masked rows.  One
 decision (:meth:`CompiledSimulator._packs`) picks packed or scalar,
-one run loop (:meth:`CompiledSimulator._run`) chunks it so no probe
-counter can wrap, and one prepared-batch shape
-(:meth:`CompiledSimulator._prepare`) serves the timing fast path.
-A scalar batch with a block hands the block to the machine
+for ``apply_vectors`` and for a prepared batch alike, and one run loop
+(:meth:`CompiledSimulator._run`) chunks it so no probe counter can
+wrap.  A scalar batch with a block hands the block to the machine
 (:meth:`~repro.codegen.runtime.Machine.step_bits`: on C one byte-block
 crossing each way, no per-value loop); lane words and probed chunks
 run their rows through ``step_many``.  A packed batch runs all but its
 last vector pattern-packed and the last one on the scalar path, so the
 machine ends in the state the scalar loop leaves.
+
+The timing fast path (:meth:`CompiledSimulator.prepare_batch`,
+:meth:`CompiledSimulator.run_prepared`) marshals a batch once into one
+machine payload, the lane rows of a packed batch or the input rows of
+a scalar one, and runs it with one
+:meth:`~repro.codegen.runtime.Machine.run_packed` call.  Probe counters
+count on ``apply_vector``/``apply_vectors`` only.
 """
 
 from __future__ import annotations
@@ -32,15 +38,10 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.packing import (
-    bit_block,
-    pack_patterns,
-    packed_apply,
-    packing_mode,
-)
+from repro.codegen.packing import bit_block, packed_apply, packing_mode
 from repro.codegen.probes import ProbePlan, ProbeRuntime
 from repro.codegen.program import Program
-from repro.codegen.runtime import CMachine, Machine, compile_program
+from repro.codegen.runtime import Machine, compile_program
 from repro.errors import SimulationError
 from repro.eventsim.zerodelay import steady_state
 from repro.netlist.circuit import Circuit
@@ -256,18 +257,15 @@ class CompiledSimulator:
             rows = [[*row, 1] for row in rows]
         return rows, block
 
-    def _packs(
-        self, block: Optional[bytes], *, required: bool = False
-    ) -> bool:
+    def _packs(self, block: Optional[bytes]) -> bool:
         """The packing decision for one batch.
 
         A batch packs when the program's packing mode is ``"full"``,
         the block is 0/1, the circuit has an input, and LCC's
-        ``packed`` allows it.  When packing is ``required`` (or
-        ``packed=True``) a refusal raises instead.  The outcome is
-        counted in the ``packing.*`` telemetry.
+        ``packed`` allows it.  With ``packed=True`` a refusal raises
+        instead.  The outcome is counted in the ``packing.*``
+        telemetry.
         """
-        required = required or self._packed is True
         refusal = None
         if self.packing_mode != "full":
             refusal = (
@@ -279,9 +277,9 @@ class CompiledSimulator:
                 "packing needs plain 0/1 vectors (one lane each) and at "
                 "least one input"
             )
-        if refusal is not None and required:
+        if refusal is not None and self._packed is True:
             raise SimulationError(refusal)
-        packs = refusal is None and (required or self._packed is not False)
+        packs = refusal is None and self._packed is not False
         if packs:
             telemetry.counter("packing.packed_batches")
         else:
@@ -348,37 +346,6 @@ class CompiledSimulator:
         rows, block = self._batch(vectors)
         return self._run(rows, block, self._packs(block))
 
-    def _prepare(self, vectors, *, packed: bool):
-        """The one prepared-batch shape: ``(packed, parts)``.
-
-        Each part is ``(payload, passes, vectors)``: its pass rows —
-        pattern groups when ``packed`` — as one native buffer on the C
-        backend, how many passes they are, and how many vectors they
-        carry.  Under probes every part fits the counters' wrap-free
-        budget; an empty batch is one empty part.
-        """
-        with telemetry.span("pack"):
-            rows, block = self._batch(vectors)
-            count = len(rows)
-            lanes = 1
-            if packed:
-                self._packs(block, required=True)
-                lanes = self.program.word_width
-                rows, _lane_counts = pack_patterns(rows, lanes)
-            size = max(1, len(rows))
-            if self._probe_runtime is not None:
-                size = max(1, self._probe_runtime.chunk // lanes)
-            parts = []
-            for start in range(0, max(1, len(rows)), size):
-                part = rows[start:start + size]
-                if isinstance(self.machine, CMachine):
-                    payload = self.machine.pack_block(part)
-                else:
-                    payload = part
-                carried = min(count - start * lanes, len(part) * lanes)
-                parts.append((payload, len(part), carried))
-            return packed, parts
-
     def apply_vector(
         self, vector: Mapping[str, int] | Sequence[int]
     ) -> list[int]:
@@ -410,45 +377,46 @@ class CompiledSimulator:
         return self._apply(vectors)
 
     def prepare_batch(self, vectors: Sequence[Sequence[int]]):
-        """Marshal a scalar batch once, outside any timed region.
+        """Marshal a batch once, outside any timed region.
 
-        On the C backend the batch becomes one contiguous native buffer
-        driven by the generated ``run_block`` loop, so the timed region
-        contains no interpreter work at all (the paper's timing loop
-        was compiled too).  On the Python backend the vectors are
-        pre-marshalled and the timed run is a single batched send into
-        the generated coroutine's in-frame loop.
+        Returns ``(payload, passes, vectors)``.  The batch takes the
+        packing decision :meth:`apply_vectors` takes
+        (:meth:`_packs`): a packed payload is the machine's lane rows
+        (:meth:`~repro.codegen.runtime.Machine.pack_lanes`),
+        ``word_width`` vectors per pass, and a scalar one its input
+        rows (:meth:`~repro.codegen.runtime.Machine.pack_block`).  On
+        the C backend either is one contiguous native buffer, so the
+        timed region contains no interpreter work at all (the paper's
+        timing loop was compiled too); on the Python backend it is one
+        send into the generated coroutine's in-frame loop.  Probe
+        counters count on :meth:`apply_vectors` only: a probed
+        simulator raises :class:`SimulationError`.
         """
-        return self._prepare(vectors, packed=False)
+        if self._probe_runtime is not None:
+            raise SimulationError(
+                "probe counters count on apply_vector/apply_vectors "
+                "only; a probed simulator prepares no batches"
+            )
+        with telemetry.span("pack"):
+            rows, block = self._batch(vectors)
+            count = len(rows)
+            if self._packs(block):
+                passes = -(-count // self.program.word_width)
+                return self.machine.pack_lanes(block, count), passes, count
+            return self.machine.pack_block(rows), count, count
 
     def run_prepared(self, prepared) -> None:
-        """Run a batch from :meth:`prepare_batch` (or LCC's
-        ``prepare_packed``).
+        """Run a batch from :meth:`prepare_batch`: one
+        :meth:`~repro.codegen.runtime.Machine.run_packed` call.
 
         Outputs are discarded — this is the timing fast path; the
-        throughput counters record the vectors simulated either way.
+        throughput counters record the vectors the batch carried.  A
+        packed batch leaves its last pass's lanes in the state.
         """
         if not self._settled:
             raise SimulationError("call reset() before running")
-        packed, parts = prepared
-        runtime = self._probe_runtime
-        for payload, passes, vectors in parts:
-            if runtime is not None:
-                # Zeroed counters give every part the full wrap-free
-                # budget.
-                runtime.drain(self.machine)
-            if isinstance(self.machine, CMachine):
-                self.machine.run_packed(
-                    payload, passes, vectors_represented=vectors
-                )
-            elif packed:
-                self.machine.run_packed_block(
-                    payload, vectors_represented=vectors
-                )
-            else:
-                self.machine.run_block(payload, masked=True)
-            if runtime is not None:
-                runtime.note_vectors(self.machine, vectors)
+        payload, passes, vectors = prepared
+        self.machine.run_packed(payload, passes, vectors_represented=vectors)
 
     # ------------------------------------------------------------------
     # probes and histories

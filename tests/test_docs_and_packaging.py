@@ -159,3 +159,11 @@ class TestBenchmarksParse:
         trace = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(trace)
         trace.import_targets()
+
+    def test_executor_and_packing_know_no_backend(self):
+        # The batch executor and the packed entry points reach a backend
+        # through the Machine interface alone: one machine call, no
+        # type test.
+        for module in ("simbase.py", "codegen/packing.py"):
+            text = (ROOT / "src" / "repro" / module).read_text()
+            assert "CMachine" not in text, module

@@ -29,8 +29,12 @@ from repro.codegen.program import (
     Var,
 )
 from repro.codegen.python_emitter import emit_python, render_expr_python
-from repro.codegen.runtime import compile_program, have_c_compiler
+from repro.codegen.runtime import CMachine, compile_program, have_c_compiler
 from repro.errors import CodegenError
+from repro.faults.simulator import ParallelFaultSimulator
+from repro.harness.runner import build_simulator
+from repro.logic import GateType
+from repro.netlist.circuit import Circuit
 from repro.netlist.generators import array_multiplier
 from repro.parallel.codegen import generate_parallel_program
 
@@ -235,12 +239,16 @@ def _parity_cases():
 @NEED_CC
 @pytest.mark.parametrize("seed,word_width,statements,opt_level",
                          _parity_cases())
-def test_backend_parity_on_random_programs(seed, word_width, statements,
-                                           opt_level):
+def test_backend_parity_on_random_programs(monkeypatch, seed, word_width,
+                                           statements, opt_level):
     program = _random_program(seed * 31 + word_width, word_width,
                               statements)
     py = compile_program(program, "python")
-    cc = compile_program(program, "c", opt_level=opt_level)
+    if opt_level == "-O0":
+        # The level follows the program's size alone.
+        monkeypatch.setattr(CMachine, "O0_LINE_THRESHOLD", 0)
+    cc = compile_program(program, "c")
+    assert cc.opt_level == (opt_level or CMachine.OPT_LEVEL)
     rng = random.Random(seed + 1)
     for step in range(10):
         vector = [rng.randrange(1 << word_width) for _ in range(2)]
@@ -390,3 +398,42 @@ def test_parts_of_generated_program():
                                            word_width=8)
     assert program.temp_vars
     assert _check_parts(emit_c(program)) > 1
+
+
+#: Names that would break out of a C comment or a Python line.
+HOSTILE_NAMES = ("y*/", "g */ int injected; /*", "n\nraise SystemExit(3)",
+                 "h\nraise SystemExit(4)")
+
+
+def _hostile_circuit():
+    y, gate_y, n, gate_n = HOSTILE_NAMES
+    circuit = Circuit("hostile")
+    circuit.add_net("a", is_input=True)
+    circuit.add_net("b", is_input=True)
+    circuit.add_gate(GateType.AND, y, ["a", "b"], name=gate_y)
+    circuit.add_gate(GateType.NOT, n, [y], name=gate_n)
+    circuit.add_gate(GateType.OR, "z", [n, "a"])
+    circuit.add_net(y, is_output=True)
+    circuit.add_net("z", is_output=True)
+    circuit.validate()
+    return circuit
+
+
+@pytest.mark.parametrize("technique", [
+    "pcset", "pcset-mv", "parallel", "parallel-trim", "parallel-pathtrace",
+    "parallel-cyclebreak", "parallel-best", "zero-lcc", "faults",
+])
+def test_names_never_reach_generated_source(technique):
+    # Gate and net names become sanitized identifiers and nothing
+    # else: no raw name lands in a comment or a line of either source.
+    circuit = _hostile_circuit()
+    if technique == "faults":
+        program = ParallelFaultSimulator(circuit)._instrumented_program()
+    else:
+        sim = build_simulator(circuit, technique, word_width=8)
+        program = sim.program
+        sim.reset([1, 1])
+        sim.apply_vectors([[0, 1], [1, 1]])
+    sources = program.c_source() + program.python_source()
+    for name in HOSTILE_NAMES:
+        assert name not in sources

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError, VectorError
-from repro.eventsim.events import DeltaWheel, TimeWheel
+from repro.eventsim.events import TimeWheel
 from repro.eventsim.indexed import IndexedCircuit
 from repro.eventsim.simulator import EventDrivenSimulator
 from repro.logic import X
@@ -35,38 +35,6 @@ class TestTimeWheel:
         wheel.clear()
         wheel.schedule(3)
         assert wheel.advance() == [3]
-
-
-class TestDeltaWheel:
-    def test_unit_delay_degenerates_to_timewheel(self):
-        wheel = DeltaWheel(4, horizon=1)
-        wheel.schedule(1)
-        assert wheel.advance() == [1]
-
-    def test_multi_delay_ordering(self):
-        wheel = DeltaWheel(4, horizon=3)
-        wheel.schedule(0, delta=3)
-        wheel.schedule(1, delta=1)
-        wheel.schedule(2, delta=2)
-        order = [gates for _t, gates in wheel.drain()]
-        assert order == [[1], [2], [0]]
-
-    def test_delta_bounds(self):
-        wheel = DeltaWheel(2, horizon=2)
-        with pytest.raises(ValueError):
-            wheel.schedule(0, delta=0)
-        with pytest.raises(ValueError):
-            wheel.schedule(0, delta=3)
-        with pytest.raises(ValueError):
-            DeltaWheel(2, horizon=0)
-
-    def test_dedup_per_slot(self):
-        wheel = DeltaWheel(4, horizon=2)
-        wheel.schedule(1, delta=1)
-        wheel.schedule(1, delta=1)
-        wheel.schedule(1, delta=2)
-        assert wheel.advance() == [1]
-        assert wheel.advance() == [1]
 
 
 class TestIndexedCircuit:

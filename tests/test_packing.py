@@ -11,6 +11,7 @@ programs must fall back with no behavior change.
 import pytest
 
 from repro.codegen.packing import (
+    bit_block,
     pack_patterns,
     packed_apply,
     packed_bits,
@@ -164,6 +165,28 @@ class TestMachineEntry:
         assert machine.run_bit_block(b"\x00\x01\x01", 1, fill=True) == [
             machine.step([0, 1, 1])
         ]
+
+    @pytest.mark.skipif(not have_c_compiler(), reason="no C compiler")
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("fill", [False, True], ids=["bits", "fill"])
+    def test_run_bit_block_backends_agree(self, width, fill):
+        # The Python machine's transposition is the reference the C
+        # library's pack_lanes/unpack_lanes are held to, at the batch
+        # sizes around one pass; both equal the scalar pass's words
+        # (with ``fill``) or their bit 0 (without).
+        circuit = _both_fill_polarities()
+        program = generate_lcc_program(circuit, word_width=width)
+        python = compile_program(program, "python")
+        c = compile_program(program, "c")
+        scalar = compile_program(program, "python")
+        for count in (0, 1, width - 1, width, width + 1):
+            vectors = vectors_for(circuit, count, seed=count)
+            block = bit_block(vectors, len(circuit.inputs))
+            want = [scalar.step(vector) for vector in vectors]
+            if not fill:
+                want = [[word & 1 for word in row] for row in want]
+            assert python.run_bit_block(block, count, fill=fill) == want
+            assert c.run_bit_block(block, count, fill=fill) == want
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_lane_helper_names_reserved(self, backend):
@@ -422,14 +445,6 @@ class TestHarnessThreading:
             fig1_circuit, "zero-lcc", vectors, packed=packed
         )
         run()
-
-    def test_prepare_packed_counts_groups(self, fig1_circuit):
-        sim = LCCSimulator(fig1_circuit, word_width=8, packed=True)
-        vectors = vectors_for(fig1_circuit, 20, seed=1)
-        prepared = sim.prepare_packed(vectors)
-        sim.run_prepared(prepared)
-        assert sim.machine.counters.vectors == 20
-        assert sim.machine.counters.batches == 1
 
 
 def _program_with_state():

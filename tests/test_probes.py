@@ -4,8 +4,8 @@ The contract under test: a simulator built with ``probes=`` counts
 per-net switching *inside the generated program* and its
 ``activity_report()`` is bit-identical to the history-based
 reference — on every backend, word width, and execution shape
-(scalar, batched, packed, prepared, threaded fault grading) — plus
-the streaming waveform path (``capture_trace``, replay ``--vcd`` with
+(scalar, batched, packed; a probed simulator prepares no batches) —
+plus the streaming waveform path (``capture_trace``, replay ``--vcd`` with
 byte-identical checkpoint resume).
 """
 
@@ -140,19 +140,20 @@ class TestFastPathIdentity:
         assert report.functional == ref.functional
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_prepared_run_batch_identity(self, backend):
+    @pytest.mark.parametrize("facade", [ParallelSimulator, LCCSimulator],
+                             ids=lambda facade: facade.__name__)
+    def test_prepare_batch_refused_under_probes(self, backend, facade):
+        # The counters count on apply_vector/apply_vectors only; the
+        # refusal comes before the batch is marshalled or counted.
         circuit = glitchy_circuit()
         vectors = [list(v) for v in vectors_for(circuit, 40, seed=9)]
-        ref = reference(circuit, vectors)
-        sim = ParallelSimulator(
-            circuit, backend=backend, word_width=16, optimization="trim",
-            probes=True,
-        )
+        sim = facade(circuit, backend=backend, word_width=16, probes=True)
         sim.reset([0] * len(circuit.inputs))
-        sim.run_prepared(sim.prepare_batch(vectors))
-        report = sim.activity_report()
-        assert report.toggles == ref.toggles
-        assert report.functional == ref.functional
+        with pytest.raises(SimulationError, match="apply_vectors"):
+            sim.prepare_batch(vectors)
+        assert sim.counters.vectors == 0
+        sim.apply_vectors(vectors)
+        assert sim.activity_report().vectors == len(vectors)
 
     def test_small_width_chunking_never_wraps(self):
         # w8 leaves tiny per-counter headroom; long batches must drain
@@ -222,57 +223,6 @@ class TestLCCProbes:
         sim.probe_reset(seed_vector)
         sim.apply_vectors(vectors)
         assert sim.activity_report().toggles == want
-
-
-class TestFaultGradingActivity:
-    def _workload(self):
-        circuit = random_dag_circuit(92, num_inputs=4, num_gates=16)
-        return circuit, vectors_for(circuit, 12, seed=16)
-
-    def test_single_process_activity(self):
-        from repro.faults.simulator import run_fault_simulation
-
-        circuit, vectors = self._workload()
-        report = run_fault_simulation(circuit, vectors, probes=True)
-        ref = reference(circuit, vectors)
-        assert report.activity is not None
-        assert report.activity.toggles == ref.toggles
-        assert report.activity.functional == ref.functional
-        assert report.activity.vectors == len(vectors)
-
-    def test_sharded_matches_single_process(self):
-        from repro.faults.simulator import run_fault_simulation
-
-        circuit, vectors = self._workload()
-        for backend in ("python",) + (("c",) if have_c_compiler() else ()):
-            single = run_fault_simulation(
-                circuit, vectors, backend=backend, probes=True
-            )
-            for workers in (2, 3):
-                threaded = run_fault_simulation(
-                    circuit, vectors, backend=backend, workers=workers,
-                    probes=True,
-                )
-                assert threaded == single
-                assert threaded.activity is not None
-                assert threaded.activity.vectors == len(vectors)
-                assert threaded.activity.toggles == single.activity.toggles
-                assert (
-                    threaded.activity.functional
-                    == single.activity.functional
-                )
-
-    def test_no_probes_no_activity(self):
-        from repro.faults.simulator import (
-            ParallelFaultSimulator,
-            run_fault_simulation,
-        )
-
-        circuit, vectors = self._workload()
-        report = run_fault_simulation(circuit, vectors)
-        assert report.activity is None
-        with pytest.raises(SimulationError, match="without probes="):
-            ParallelFaultSimulator(circuit).good_activity(vectors)
 
 
 class TestCaptureTrace:
@@ -588,7 +538,10 @@ class TestProbedStepParts:
 class TestProbedGradingSkipsPCSet:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_activity_without_the_pcset_program(self, backend, monkeypatch):
-        from repro.faults.simulator import run_fault_simulation
+        from repro.faults.simulator import (
+            run_fault_simulation,
+            serial_fault_simulation,
+        )
         from repro.pcset import codegen as pcset_codegen
         from repro.pcset import simulator as pcset_simulator
 
@@ -598,11 +551,19 @@ class TestProbedGradingSkipsPCSet:
         for module in (pcset_codegen, pcset_simulator):
             monkeypatch.setattr(module, "generate_pcset_program", refuse)
         circuit = glitchy_circuit()
-        vectors = vectors_for(circuit, 23, seed=19)
+        vectors = [list(v) for v in vectors_for(circuit, 23, seed=19)]
         report = run_fault_simulation(
-            circuit, vectors, backend=backend, word_width=16, probes=True,
-        )
-        assert report == run_fault_simulation(
             circuit, vectors, backend=backend, word_width=16,
         )
-        assert vars(report.activity) == vars(reference(circuit, vectors))
+        assert report == serial_fault_simulation(circuit, vectors)
+        # Fault-free activity is one probed, trimmed parallel simulator
+        # away, and that one skips the PC-set program too.
+        sim = ParallelSimulator(
+            circuit, optimization="trim", backend=backend, word_width=16,
+            probes=True,
+        )
+        sim.reset([0] * len(circuit.inputs))
+        sim.apply_vectors(vectors)
+        assert vars(sim.activity_report()) == vars(
+            reference(circuit, vectors)
+        )

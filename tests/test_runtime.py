@@ -590,6 +590,13 @@ class TestCompileProgram:
         with pytest.raises(BackendError, match="unknown backend"):
             compile_program(_counter_program(), "fortran")
 
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    def test_level_is_not_a_keyword(self, backend):
+        # The C level follows the program's size; neither the entry
+        # point nor a machine takes one.
+        with pytest.raises(TypeError, match="opt_level"):
+            compile_program(_counter_program(), backend, opt_level="-O0")
+
     @NEED_CC
     def test_c_selection(self):
         assert isinstance(
@@ -710,8 +717,11 @@ class TestProgramCache:
             machines = [
                 CMachine(_counter_program()),
                 CMachine(_counter_program()),
-                CMachine(_counter_program(), opt_level="-O0"),
             ]
+            # Past the threshold every program builds at -O0.
+            CMachine.O0_LINE_THRESHOLD = 0
+            machines.append(CMachine(_counter_program()))
+            assert machines[-1].opt_level == "-O0"
             print(cache.misses, cache.hits, os.listdir(tempfile.gettempdir()))
         """)
         assert out.split() == ["2", "1", "[]"]

@@ -4,7 +4,8 @@ import tracemalloc
 
 import pytest
 
-from repro.codegen.packing import packing_mode
+from repro import telemetry
+from repro.codegen.packing import pack_patterns, packing_mode
 from repro.codegen.runtime import have_c_compiler
 from repro.errors import SimulationError
 from repro.eventsim.simulator import EventDrivenSimulator
@@ -340,7 +341,8 @@ def test_executor_conformance(technique, backend, probes, circuit):
 
     300 vectors at word width 8 split probed batches into several
     wrap-free chunks; the parity tree's PC-set program is "full"-mode,
-    so the PC-set facades pack it.
+    so the PC-set facades pack it.  Probe counters count on
+    ``apply_vectors`` only, so only an unprobed facade prepares.
     """
     vectors = vectors_for(circuit, 300, seed=11)
     loop = _seeded(circuit, technique, backend, probes)
@@ -349,11 +351,12 @@ def test_executor_conformance(technique, backend, probes, circuit):
     assert batched.apply_vectors(vectors) == want
     assert batched.machine.dump_state() == loop.machine.dump_state()
     assert _activity(batched) == _activity(loop)
+    if probes:
+        return
     prepared = _seeded(circuit, technique, backend, probes)
     prepared.run_prepared(prepared.prepare_batch(vectors))
     assert (prepared.machine.counters.vectors
             == batched.machine.counters.vectors == len(vectors))
-    assert _activity(prepared) == _activity(batched)
 
 
 def test_executor_probe_column_is_the_runner_list():
@@ -361,24 +364,65 @@ def test_executor_probe_column_is_the_runner_list():
     assert probed == set(EXECUTOR_TECHNIQUES) & set(PROBE_TECHNIQUES)
 
 
+def _packing_counters(call, vectors):
+    """The ``packing`` telemetry section one ``call(vectors)`` moves,
+    and what the call returned."""
+    prior = telemetry.enabled()
+    telemetry.enable(reset_state=True)
+    try:
+        out = call(vectors)
+        return telemetry.snapshot()["packing"], out
+    finally:
+        telemetry.enable() if prior else telemetry.disable()
+        telemetry.reset()
+
+
+@pytest.mark.parametrize("technique", list(EXECUTOR_TECHNIQUES))
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_lcc_prepare_packed_counts_like_apply_vectors(backend):
-    # More than 255 vectors: at word width 8 the probed pattern groups
-    # split into several wrap-free parts.
+@pytest.mark.parametrize("bits", ["bits", "words"])
+def test_prepare_batch_packs_when_apply_vectors_packs(technique, backend,
+                                                      bits):
+    # The parity tree's PC-set program is "full"-mode, so a 0/1 batch
+    # packs on every facade but the parallel one; multi-bit values are
+    # masked to bit 0, except on the lane-word facades (LCC and
+    # multi-vector), which run them scalar.
     circuit = parity_tree(8)
-    vectors = vectors_for(circuit, 600, seed=12)
-    applied = LCCSimulator(circuit, backend=backend, word_width=8,
-                           probes=True)
-    applied.probe_reset()
-    applied.apply_vectors(vectors)
-    prepared = LCCSimulator(circuit, backend=backend, word_width=8,
-                            probes=True)
-    prepared.probe_reset()
-    prepared.run_prepared(prepared.prepare_packed(vectors))
-    assert prepared.machine.counters.vectors == len(vectors)
-    assert vars(prepared.activity_report()) == vars(
-        applied.activity_report()
-    )
+    vectors = vectors_for(circuit, 21, seed=12)
+    if bits == "words":
+        vectors = [[3 * value for value in row] for row in vectors]
+    applied = _seeded(circuit, technique, backend, False)
+    prepared = _seeded(circuit, technique, backend, False)
+    want, _out = _packing_counters(applied.apply_vectors, vectors)
+    got, batch = _packing_counters(prepared.prepare_batch, vectors)
+    assert got == want
+    prepared.run_prepared(batch)
+    assert prepared.counters.vectors == len(vectors)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_required_packing_refuses_words_from_both(backend):
+    sim = LCCSimulator(parity_tree(8), backend=backend, word_width=8,
+                       packed=True)
+    words = [[3] * 8, [1] * 8]
+    with pytest.raises(SimulationError, match="plain 0/1 vectors"):
+        sim.apply_vectors(words)
+    with pytest.raises(SimulationError, match="plain 0/1 vectors"):
+        sim.prepare_batch(words)
+
+
+@NEED_CC
+@pytest.mark.parametrize("technique", ["zero-lcc", "pcset", "pcset-mv"])
+@pytest.mark.parametrize("count", [0, 1, 8, 21])
+def test_packed_c_payload_is_the_pattern_groups(technique, count):
+    circuit = parity_tree(8)
+    vectors = vectors_for(circuit, count, seed=13)
+    sim = _seeded(circuit, technique, "c", False)
+    payload, passes, carried = sim.prepare_batch(vectors)
+    groups, _lane_counts = pack_patterns(vectors, 8)
+    assert (passes, carried) == (len(groups), count)
+    assert list(payload) == [word for group in groups for word in group]
+    sim.run_prepared((payload, passes, carried))
+    assert sim.counters.vectors == count
 
 
 class TestPackedEndState:

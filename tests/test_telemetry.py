@@ -357,20 +357,3 @@ class TestActivityTelemetry:
         assert section["toggles"] == report.total_toggles()
         assert section["functional"] == sum(report.functional.values())
         assert section["glitches"] == report.total_glitch_toggles()
-
-    @NEED_CC
-    def test_sharded_probe_counters_merge_into_parent(self):
-        # The good machine's probed pass runs once, on the calling
-        # thread, whatever the number of screen threads.
-        telemetry.enable()
-        circuit = ripple_carry_adder(3)
-        vectors = vectors_for(circuit, 8, seed=3)
-        report = run_fault_simulation(
-            circuit, vectors, workers=2, word_width=16, backend="c",
-            probes=True,
-        )
-        assert report.activity is not None
-        assert report.activity.vectors == len(vectors)
-        section = telemetry.snapshot()["activity"]
-        assert section["vectors"] == report.activity.vectors
-        assert section["toggles"] == report.activity.total_toggles()
