@@ -10,9 +10,9 @@ vectors, see :mod:`repro.codegen.packing`), the two helpers around
 it that transpose a batch of 0/1 bytes into lane words and unpack the
 packed outputs (``pack_lanes``/``unpack_lanes``), ``screen``, the
 one-call PPSFP fault screen over packed lane rows (see
-:mod:`repro.faults.simulator`), and ``fold_rows``, which folds a
-replay chunk's output bits into its checksum and toggle counts (see
-:mod:`repro.replay.harness`).
+:mod:`repro.faults.simulator`), and ``fold_rows``, which folds bit 0
+of a replay chunk's output words into its checksum and toggle counts
+(see :mod:`repro.replay.harness`).
 
 The code is reentrant.  The persistent variables are the members of
 one ``struct state``, in declaration order, and every entry point
@@ -378,30 +378,45 @@ def _screen_lines(interface: MachineInterface) -> list[str]:
 
 
 #: ``fold_rows``: a clocked replay's checksum and toggle counts over
-#: ``n`` rows of ``width`` output bits, one byte each (bit 0 counts).
-#: The sum is ``fold_outputs`` (:mod:`repro.replay.harness`) applied
-#: value by value; ``TOGGLES[j]`` counts the rows whose column ``j``
-#: differs from the row before, the first row comparing with ``PREV``
-#: unless it is NULL.  It takes no state and no program-specific size,
-#: so every library carries the same text.
+#: ``n`` rows of ``width`` output words, read in place where
+#: ``run_block`` wrote them (bit 0 counts).  The sum is
+#: ``fold_outputs`` (:mod:`repro.replay.harness`) applied value by
+#: value; ``TOGGLES[j]`` counts the rows whose column ``j`` differs
+#: from the row before, the first row comparing with ``PREV`` (0/1
+#: bytes) unless it is NULL.  ``LAST`` receives the last row's bits
+#: when ``n > 0``; it may be ``PREV``.  One loop does both folds, so
+#: the toggle work overlaps the sum's serial rotate.  It takes no
+#: state and no program-specific size, so every library carries the
+#: same text.
 _FOLD_LINES = [
-    "void fold_rows(const unsigned char *B, long n, long width,",
-    "               const unsigned char *PREV, uint64_t *SUM,"
-    " int64_t *TOGGLES) {",
-    "    const unsigned char *last = PREV, *row = B;",
+    "void fold_rows(const word *W, long n, long width,",
+    "               const unsigned char *PREV, unsigned char *LAST,",
+    "               uint64_t *SUM, int64_t *TOGGLES) {",
+    "    const word *row = W;",
     "    uint64_t sum = *SUM;",
     "    long r, j;",
-    "    for (r = 0; r < n; r++, row += width) {",
-    "        for (j = 0; j < width; j++) {",
-    "            sum = ((sum << 1) | (sum >> 63)) ^ (uint64_t)(row[j] & 1);",
-    "        }",
-    "        if (last) {",
-    "            for (j = 0; j < width; j++) {",
-    "                TOGGLES[j] += (row[j] ^ last[j]) & 1;",
-    "            }",
-    "        }",
-    "        last = row;",
+    "    if (n <= 0) return;",
+    "    for (j = 0; j < width; j++) {",
+    "        sum = ((sum << 1) | (sum >> 63)) ^ (uint64_t)(row[j] & 1);",
+    "        if (PREV) TOGGLES[j] += (row[j] ^ PREV[j]) & 1;",
     "    }",
+    "    for (r = 1; r < n; r++) {",
+    "        row += width;",
+    "        for (j = 0; j + 4 <= width; j += 4) {",
+    "            sum = ((sum << 4) | (sum >> 60))",
+    "                ^ (uint64_t)((row[j] & 1) << 3 | (row[j + 1] & 1) << 2",
+    "                             | (row[j + 2] & 1) << 1 | (row[j + 3] & 1));",
+    "            TOGGLES[j] += (row[j] ^ row[j - width]) & 1;",
+    "            TOGGLES[j + 1] += (row[j + 1] ^ row[j + 1 - width]) & 1;",
+    "            TOGGLES[j + 2] += (row[j + 2] ^ row[j + 2 - width]) & 1;",
+    "            TOGGLES[j + 3] += (row[j + 3] ^ row[j + 3 - width]) & 1;",
+    "        }",
+    "        for (; j < width; j++) {",
+    "            sum = ((sum << 1) | (sum >> 63)) ^ (uint64_t)(row[j] & 1);",
+    "            TOGGLES[j] += (row[j] ^ row[j - width]) & 1;",
+    "        }",
+    "    }",
+    "    for (j = 0; j < width; j++) LAST[j] = (unsigned char)(row[j] & 1);",
     "    *SUM = sum;",
     "}",
     "",

@@ -50,12 +50,13 @@ generated ``run_block`` routine each backend compiles in:
   vector's full output words, as ``step_many`` would.  On C both cross
   the ctypes boundary through one byte-block path: the block is
   widened into an input buffer the machine holds with one
-  extended-slice store, the kernel writes a held output buffer, and
-  one slice (bits) or one ``memoryview.cast(...).tolist()`` (words)
-  reads it back.  No per-value Python loop runs on either side, and
-  a batch allocates no word buffer unless it is the machine's largest
-  so far.  The Python machine runs its ``run_block`` loop, the
-  reference.
+  extended-slice store, the kernel writes a held output buffer
+  (``CMachine.run_held`` returns it), and one slice (bits,
+  ``CMachine.narrow``) or one ``memoryview.cast(...).tolist()``
+  (words) reads it back.  No per-value Python loop runs on either
+  side, and a batch allocates no word buffer unless it is the
+  machine's largest so far.  The Python machine runs its
+  ``run_block`` loop, the reference.
 - ``pack_lanes(block, count)`` transposes such a block into the
   machine's lane rows (the library's ``pack_lanes`` on C,
   :func:`~repro.codegen.packing.pack_patterns` on Python), and
@@ -72,11 +73,14 @@ generated ``run_block`` routine each backend compiles in:
   which may run on another thread, and its bookkeeping, which may not;
   ``CMachine.sibling`` gives each thread a machine of the one loaded
   library.
-- ``CMachine.fold_rows(rows, prev, checksum, toggles)`` folds the
-  output bits :meth:`run_bit_rows` returned into a replay's rolling
-  checksum and per-output toggle counts inside the library
-  (:mod:`repro.replay.harness` holds the Python reference, which
-  every other machine and engine runs).
+- ``CMachine.fold_rows(words, count, prev, checksum, toggles)`` folds
+  bit 0 of the held output words ``run_held`` left into a replay's
+  rolling checksum and per-output toggle counts inside the library,
+  in place (:mod:`repro.replay.harness` holds the Python reference
+  over bytes, which every other machine and engine runs).
+- ``load_state(values)`` writes the whole state: on C as one
+  ``struct.pack`` of native words copied into the state buffer, with
+  values masked to the word width only when one does not fit.
 
 Every batch updates ``machine.counters`` (vectors run, wall time,
 vectors/second) so harness and benchmark reports can quote throughput
@@ -122,6 +126,7 @@ import functools
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -407,7 +412,10 @@ class Machine:
         passes).  ``out_buffer`` receives the emitted words: a list
         to extend on the Python machine, a word array of at least
         ``count * num_outputs`` words on the C machine; ``None``
-        discards them, the timing fast path.
+        discards them, the timing fast path.  A ``count`` outside
+        ``0 .. rows of packed``, or a C ``out_buffer`` too small for
+        the passes, raises :class:`BackendError` before any pass runs:
+        the C loop would read and write past the buffers.
         """
         raise NotImplementedError
 
@@ -521,6 +529,13 @@ class Machine:
                 f"state of {self.num_state} words"
             )
 
+    def _check_passes(self, count: int, rows: int) -> None:
+        """``count`` passes fit a payload of ``rows`` rows."""
+        if not 0 <= count <= rows:
+            raise BackendError(
+                f"run of {count} passes over a payload of {rows} rows"
+            )
+
     def _check_bit_block(self, block: bytes, count: int) -> None:
         if len(block) != count * self.num_inputs:
             raise BackendError(
@@ -627,7 +642,10 @@ class PythonMachine(Machine):
         *, vectors_represented: Optional[int] = None,
     ) -> None:
         """One opcode-3 send: the coroutine's in-frame ``run_block``
-        loop over the rows of ``packed``, ``count`` of them."""
+        loop over the first ``count`` rows of ``packed``."""
+        self._check_passes(count, len(packed))
+        if count < len(packed):
+            packed = packed[:count]
         sink = [] if out_buffer is None else out_buffer
         start = time.perf_counter()
         self._gen.send((3, packed, sink))
@@ -755,9 +773,10 @@ class CMachine(Machine):
     the rest of its C arguments, see :meth:`screen`).  ``dump_state``
     and ``load_state`` read and write that buffer directly.
 
-    Scalar 0/1 batches (:meth:`run_bit_rows`, :meth:`step_bits`) cross
-    the ctypes boundary through two more buffers the machine holds: an
-    input and an output ``bytearray``, each viewed as words.  Each
+    Scalar 0/1 batches (:meth:`run_held`, behind :meth:`run_bit_rows`
+    and :meth:`step_bits`) cross the ctypes boundary through two more
+    buffers the machine holds: an input and an output ``bytearray``,
+    each viewed as words.  Each
     grows, zeroed, only when a batch needs more words than any batch
     before, so it lives as long as the machine and is as large as its
     largest batch: about 1 MB each way for 4096 vectors of 32 inputs
@@ -882,8 +901,8 @@ class CMachine(Machine):
             "unpack_lanes": [word, count, ctypes.c_int, word],
             "screen": [word, word, word, count, word, count, longs, word,
                        longs],
-            "fold_rows": [ctypes.c_char_p, count, count, ctypes.c_char_p,
-                          ctypes.POINTER(ctypes.c_uint64),
+            "fold_rows": [word, count, count, ctypes.c_char_p,
+                          ctypes.c_char_p, ctypes.POINTER(ctypes.c_uint64),
                           ctypes.POINTER(ctypes.c_int64)],
         }
         for symbol, argtypes in signatures.items():
@@ -960,6 +979,14 @@ class CMachine(Machine):
         vectors, pass ``vectors_represented`` so the throughput
         counters record lanes instead of passes.
         """
+        self._check_passes(count, len(packed) // max(1, self.num_inputs))
+        if out_buffer is not None and (
+            len(out_buffer) < count * self._num_outputs
+        ):
+            raise BackendError(
+                f"output buffer of {len(out_buffer)} words is too small "
+                f"for {count} passes of {self._num_outputs} outputs"
+            )
         start = time.perf_counter()
         self._entry["run_block"](packed, count, out_buffer)
         self._record_batch(
@@ -1118,7 +1145,7 @@ class CMachine(Machine):
         raw = bytearray(words * self._size)
         return raw, (self._word * words).from_buffer(raw)
 
-    def _run_bits(self, block: bytes, count: int) -> bytearray:
+    def run_held(self, block: bytes, count: int) -> bytearray:
         """Run a 0/1 block through the held buffers; return the output.
 
         One extended-slice store widens ``block`` into the held input
@@ -1130,9 +1157,11 @@ class CMachine(Machine):
         ``bytearray`` of the block's size.  Nothing else ever
         writes the input buffer, so the other bytes stay zero and it
         is never re-zeroed.  The scalar ``run_block`` kernel then
-        writes the held output words; the first ``count *
-        num_outputs`` of them are this batch's, and they stay valid
-        until the machine's next batch.
+        writes the held output buffer, which is returned: a
+        ``bytearray`` of native words whose first ``count *
+        num_outputs`` are this batch's, valid until the machine's next
+        batch.  :meth:`narrow` cuts bit 0 out of it and
+        :meth:`fold_rows` folds it in place.
         """
         self._check_bit_block(block, count)
         size = self._size
@@ -1152,23 +1181,26 @@ class CMachine(Machine):
         self._record_batch(count, time.perf_counter() - start)
         return self._out_bytes
 
-    def run_bit_rows(self, block: bytes, count: int) -> bytearray:
-        """Run through the held buffers; narrow the outputs to bits.
+    def narrow(self, out: bytearray, count: int) -> bytearray:
+        """Bit 0 of ``count`` vectors' output words in ``out`` (what
+        :meth:`run_held` returned), one byte each.
 
-        The low byte of every output word is cut out of the held
-        output buffer with one bytearray slice and reduced to bit 0
-        with ``translate``.
+        The low byte of every word is cut out with one ``bytearray``
+        slice and reduced to bit 0 with ``translate``.
         """
-        out = self._run_bits(block, count)
         size = self._size
         with telemetry.span("unpack"):
             return out[
                 self._low:count * self._num_outputs * size:size
             ].translate(_BIT0)
 
+    def run_bit_rows(self, block: bytes, count: int) -> bytearray:
+        """Run through the held buffers; narrow the outputs to bits."""
+        return self.narrow(self.run_held(block, count), count)
+
     def step_bits(self, block: bytes, count: int) -> list[list[int]]:
         """Run through the held buffers; return each vector's words."""
-        out = self._run_bits(block, count)
+        out = self.run_held(block, count)
         emits = self._num_outputs
         with telemetry.span("unpack"):
             if not count * emits:
@@ -1178,41 +1210,60 @@ class CMachine(Machine):
                 self._FORMAT[self.program.word_width], (count, emits)
             ).tolist()
 
-    def fold_rows(self, rows, prev, checksum, toggles) -> None:
-        """Fold output rows into a replay's checksum and toggle counts.
+    def fold_rows(self, words, count, prev, checksum, toggles):
+        """Fold output words into a replay's checksum and toggle counts.
 
         The library's ``fold_rows`` with the arguments of its Python
-        reference, ``repro.replay.harness._fold_rows``: ``rows``
-        holds rows of ``len(toggles)`` 0/1 bytes, ``prev`` the row
-        before them or ``None``; ``checksum`` (a ``c_uint64``) and
+        reference, ``repro.replay.harness._fold_rows``, on words
+        instead of bytes: ``words`` is a ``bytearray`` of native words
+        (:meth:`run_held`'s held output buffer) holding ``count`` rows
+        of ``len(toggles)`` words first, read in place, and only bit 0
+        of each word counts.  ``prev`` holds the row before them as
+        0/1 bytes, or is ``None``; ``checksum`` (a ``c_uint64``) and
         ``toggles`` (a ``c_int64`` array, one count per column) are
-        updated in place.  A ``bytearray``, which :meth:`run_bit_rows`
-        returns, is read in place (:func:`_chars`), so no row is copied.
+        updated in place.  Returns the last row's bits: a
+        ``bytearray`` of ``len(toggles)`` bytes, ``prev`` itself when
+        it is one (the call overwrites it), or ``prev`` when
+        ``count`` is 0.
         """
         width = len(toggles)
-        count = len(rows) // width if width else 0
-        if len(rows) != count * width:
+        if count < 0 or len(words) < count * width * self._size:
             raise BackendError(
-                f"{len(rows)} row bytes are not whole rows of {width}"
+                f"{len(words)} bytes do not hold {count} rows of "
+                f"{width} words"
             )
         if prev is not None and len(prev) != width:
             raise BackendError(
                 f"previous row has {len(prev)} bytes, expected {width}"
             )
+        if not count:
+            return prev
+        last = prev if isinstance(prev, bytearray) else bytearray(width)
         self._lib.fold_rows(
-            _chars(rows), count, width, _chars(prev), checksum, toggles
+            (self._word * (count * width)).from_buffer(words), count, width,
+            _chars(prev), _chars(last), checksum, toggles,
         )
+        return last
 
     def dump_state(self) -> list[int]:
         return self._state[: self.num_state]
 
     def load_state(self, values: Sequence[int]) -> None:
+        """Write the state with one copy: the values packed as native
+        words, masked to the word width only when one does not fit."""
         if len(values) != self.num_state:
             raise BackendError(
                 f"state has {self.num_state} words, got {len(values)}"
             )
-        mask = self.program.word_mask
-        self._state[: self.num_state] = [value & mask for value in values]
+        layout = f"={len(values)}{self._FORMAT[self.program.word_width]}"
+        try:
+            words = struct.pack(layout, *values)
+        except struct.error:
+            # A negative or too-wide value is masked; a non-integer
+            # raises the ``&`` operator's TypeError.
+            mask = self.program.word_mask
+            words = struct.pack(layout, *[value & mask for value in values])
+        ctypes.memmove(self._state, words, len(words))
 
 
 def _chars(data):

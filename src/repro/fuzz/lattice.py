@@ -644,6 +644,19 @@ def _check_sequential(
                 f"chunks of {chunk}",
             )
             checks += 1
+            # Written outputs come from the one branch that narrows a
+            # chunk to bytes; they must be the reference's rows.
+            written = os.path.join(work, "outputs.tape")
+            check(
+                replay_tape(make_sim(), tape, chunk_cycles=chunk,
+                            outputs_path=written),
+                f"chunks of {chunk}, outputs written",
+            )
+            got_rows = Tape(written).read(0, len(rows))
+            for cycle, (got, want) in enumerate(zip(got_rows, ref_outputs)):
+                compare(cycle, dict(zip(outputs, got)), want,
+                        "replay_tape written outputs")
+            checks += 2
             if len(rows) >= 2:
                 head = replay_tape(
                     make_sim(), tape, chunk_cycles=chunk,

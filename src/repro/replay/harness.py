@@ -2,20 +2,25 @@
 
 ``replay_tape`` clocks a :class:`CompiledSequentialSimulator` through a
 stimulus :class:`Tape` in bounded-memory chunks, optionally writing a
-checkpoint every N cycles and/or resuming from one.  A chunk stays
-bytes from end to end: the tape's validated byte reader hands it to
-``sim.apply_bits``, which returns one 0/1 byte per external output per
-cycle.  From those bytes the outputs stream to an output tape (same
+checkpoint every N cycles and/or resuming from one.  The tape's
+validated byte reader hands each chunk to the simulator as bytes.
+From its outputs the run keeps per-output toggle counts (coverage)
+and a rolling checksum over every output of every cycle — the
+one-number bit-identity witness used by the tests — folded in one
+step per chunk, and it may stream the outputs to an output tape (same
 fixed-width line format as the stimulus, so runs are compared with a
-byte compare), per-output toggle counts accumulate as coverage, and a
-rolling checksum folds every output of every cycle — the one-number
-bit-identity witness used by the tests — in one step per chunk.
+byte compare) and a waveform.
 
-Two implementations of that fold take the same arguments.  On a
-clocked C machine the library's ``fold_rows``
-(:meth:`~repro.codegen.runtime.CMachine.fold_rows`) reads the output
-bytes in place; every other machine and engine runs :func:`_fold_rows`,
-the Python reference it is tested against.  Either way the checksum
+The machine's type picks how a chunk runs and folds; both folds take
+the same arguments.  On a clocked C machine ``sim.run_held`` leaves
+the outputs in the machine's held word buffer and the library's
+``fold_rows`` (:meth:`~repro.codegen.runtime.CMachine.fold_rows`)
+reads bit 0 of those words in place, carrying the last row's bits to
+the next chunk in a small byte buffer; the words are narrowed to bytes
+(:meth:`~repro.codegen.runtime.CMachine.narrow`) only for a writer.
+Every other machine and engine runs ``sim.apply_bits``, one 0/1 byte
+per output per cycle, and :func:`_fold_rows`, the Python reference
+the library's helper is tested against.  Either way the checksum
 lives in a ``c_uint64`` and the counts in a ``c_int64`` array across
 chunks, and the ``toggles`` dict is built only for a checkpoint and
 the result.
@@ -80,19 +85,20 @@ def _fold_digits(checksum: int, digits: bytes) -> int:
     return checksum ^ value
 
 
-def _fold_rows(rows, prev, checksum, toggles) -> None:
+def _fold_rows(rows, count, prev, checksum, toggles):
     """Fold a chunk's output rows into the checksum and toggle counts.
 
     The reference of the C library's ``fold_rows``
     (:meth:`~repro.codegen.runtime.CMachine.fold_rows`), with the same
-    arguments: ``rows`` holds rows of ``len(toggles)`` 0/1 bytes,
-    ``prev`` the row before them or ``None``.  ``checksum`` (a
-    ``c_uint64``) folds every bit as :func:`fold_outputs` would, and
-    ``toggles[j]`` gains the rows whose column ``j`` differs from the
-    row before.
+    arguments, on bytes: ``rows`` holds ``count`` rows of
+    ``len(toggles)`` 0/1 bytes, ``prev`` the row before them or
+    ``None``.  ``checksum`` (a ``c_uint64``) folds every bit as
+    :func:`fold_outputs` would, and ``toggles[j]`` gains the rows
+    whose column ``j`` differs from the row before.  Returns the last
+    row (``prev`` when ``count`` is 0), the next chunk's ``prev``.
     """
-    if not rows:
-        return
+    if not count:
+        return prev
     width = len(toggles)
     checksum.value = _fold_digits(checksum.value, rows.translate(_DIGIT))
     # Row r's bytes XOR row r-1's: 1 where an output toggled.
@@ -103,6 +109,7 @@ def _fold_rows(rows, prev, checksum, toggles) -> None:
     ).to_bytes(len(both) - width, "big")
     for j in range(width):
         toggles[j] += changed[j::width].count(1)
+    return rows[len(rows) - width:]
 
 
 class ReplayResult:
@@ -285,9 +292,14 @@ def replay_tape(
         prev = None
         start = 0
         resumed_from = None
-    # The machine's type picks the fold, as it picks the fault screen.
+    # The machine's type picks the fold, as it picks the fault screen:
+    # a C machine folds its held output words where the kernel wrote
+    # them and narrows them to bytes only for a writer.
     machine = sim.machine
-    fold = machine.fold_rows if isinstance(machine, CMachine) else _fold_rows
+    if isinstance(machine, CMachine):
+        run, fold, narrow = sim.run_held, machine.fold_rows, machine.narrow
+    else:
+        run, fold, narrow = sim.apply_bits, _fold_rows, None
 
     end = tape.cycles if limit is None else min(start + limit, tape.cycles)
     checkpoints: list[str] = []
@@ -338,22 +350,25 @@ def replay_tape(
                         (cursor // checkpoint_every) + 1
                     ) * checkpoint_every
                     n = min(n, boundary - cursor)
-                out = sim.apply_bits(tape.read_bits(cursor, n), n)
-                fold(out, prev, checksum, toggles)
-                prev = out[len(out) - width:]
-                if out_stream is not None:
-                    digits = out.translate(_DIGIT)
-                    # Column j of every line, then the newlines between.
-                    lines = bytearray(b"\n") * (n * (width + 1))
-                    for j in range(width):
-                        lines[j::width + 1] = digits[j::width]
-                    out_stream.write(lines)
-                    del digits, lines
-                if vcd_writer is not None:
-                    for row in range(0, n * width, width):
-                        vcd_writer.add_vector({
-                            o: ((0, out[row + j]),) for o, j in vcd_slots
-                        })
+                out = run(tape.read_bits(cursor, n), n)
+                prev = fold(out, n, prev, checksum, toggles)
+                if out_stream is not None or vcd_writer is not None:
+                    rows = out if narrow is None else narrow(out, n)
+                    if out_stream is not None:
+                        digits = rows.translate(_DIGIT)
+                        # Column j of every line, then the newlines.
+                        lines = bytearray(b"\n") * (n * (width + 1))
+                        for j in range(width):
+                            lines[j::width + 1] = digits[j::width]
+                        out_stream.write(lines)
+                        del digits, lines
+                    if vcd_writer is not None:
+                        for row in range(0, n * width, width):
+                            vcd_writer.add_vector({
+                                o: ((0, rows[row + j]),)
+                                for o, j in vcd_slots
+                            })
+                    del rows
                 # prev is a copy: free this chunk before the next runs.
                 del out
                 cursor += n

@@ -17,7 +17,9 @@ one 0/1 byte per external input per cycle in, one 0/1 byte per
 external output per cycle out.  ``step`` and ``apply_vectors`` encode
 their rows into such a block once per batch, which is where a bad row
 is reported; :func:`~repro.replay.harness.replay_tape` hands over tape
-bytes as they are.
+bytes as they are, and on the C backend takes the zero-delay engine's
+outputs as the machine's held words (:meth:`run_held`), which it
+folds in place.
 
 Partial-progress contract
 -------------------------
@@ -35,7 +37,12 @@ import time
 from typing import Mapping, Optional, Sequence
 
 from repro import telemetry
-from repro.codegen.runtime import BatchCounters, Machine, compile_program
+from repro.codegen.runtime import (
+    BatchCounters,
+    CMachine,
+    Machine,
+    compile_program,
+)
 from repro.errors import SimulationError
 from repro.lcc.zerodelay import generate_lcc_program
 from repro.netlist.sequential import SequentialCircuit
@@ -315,6 +322,30 @@ class CompiledSequentialSimulator:
         :class:`BatchCounters` record *completed* cycles even when a
         mid-batch cycle raises.
         """
+        if self.machine is None:
+            return self._clock(self._cycles, block, count)
+        return self._clock(self.machine.run_bit_rows, block, count)
+
+    def run_held(self, block: bytes, count: int) -> bytearray:
+        """:meth:`apply_bits` on a C machine, minus the narrowing.
+
+        The zero-delay engine on the C backend only: the block runs
+        through :meth:`~repro.codegen.runtime.CMachine.run_held`, and
+        the result is the machine's held output buffer, a
+        ``bytearray`` of native words (``count`` rows of one word per
+        external output first, bit 0 the output's value), valid until
+        the machine's next batch.  The cycle count, the counters and
+        the ``seq.run`` span record the batch as :meth:`apply_bits`
+        does.
+        """
+        if not isinstance(self.machine, CMachine):
+            raise SimulationError(
+                "run_held needs the lcc engine on the c backend"
+            )
+        return self._clock(self.machine.run_held, block, count)
+
+    def _clock(self, run, block, count: int):
+        """``run(block, count)`` with the batch's checks and records."""
         width = len(self._inputs)
         if len(block) != count * width:
             raise SimulationError(
@@ -325,20 +356,23 @@ class CompiledSequentialSimulator:
         t0 = time.perf_counter()
         try:
             with telemetry.span("seq.run", engine=self.engine):
-                if self.machine is not None:
-                    out = self.machine.run_bit_rows(block, count)
-                    self.cycle += count
-                    return out
-                return b"".join([
-                    self._cycle(block[i * width:(i + 1) * width])[0]
-                    for i in range(count)
-                ])
+                out = run(block, count)
+                self.cycle = started + count
+                return out
         finally:
             completed = self.cycle - started
             self.counters.record(completed, time.perf_counter() - t0)
             if telemetry.enabled():
                 telemetry.counter("seq.batches")
                 telemetry.counter("seq.cycles", completed)
+
+    def _cycles(self, block: bytes, count: int) -> bytes:
+        """The unit-delay engines' batch: one :meth:`_cycle` per row."""
+        width = len(self._inputs)
+        return b"".join([
+            self._cycle(block[i * width:(i + 1) * width])[0]
+            for i in range(count)
+        ])
 
     # ------------------------------------------------------------------
     def step(

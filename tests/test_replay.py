@@ -598,12 +598,15 @@ class TestCompiledFold:
             with pytest.raises(_PythonFoldRan):
                 replay_tape(CompiledSequentialSimulator(seq, **options), tape)
 
-    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 300])
     def test_c_replay_equals_python_replay(self, tmp_path, chunk):
-        """The same outputs file, checksum and toggles on both backends:
-        a whole tape, a ``limit``ed head that checkpoints at cycle 100
-        (off the chunk grid), and the tail resumed from that checkpoint
-        in a fresh simulator."""
+        """The same outputs file, checksum and toggles on both backends,
+        with and without an outputs file (the only C branch that narrows
+        the held words to bytes): a whole tape, a ``limit``ed head that
+        checkpoints at cycle 100 (off the grid of chunks of 7 and 64),
+        and the tail resumed from that checkpoint in a fresh simulator.
+        23 outputs, not a multiple of 64; chunks of 1 cycle up to the
+        whole tape."""
         seq = _wide_sequential(outputs=23, inputs=3)
         tape = random_tape(
             str(tmp_path / "stim.tape"), seq.external_inputs, 300, seed=4
@@ -613,35 +616,49 @@ class TestCompiledFold:
             def sim():
                 return CompiledSequentialSimulator(seq, backend=backend)
 
-            work = tmp_path / backend
-            work.mkdir()
-            full = replay_tape(
-                sim(), tape, chunk_cycles=chunk,
-                outputs_path=str(work / "full.out"),
-            )
-            head = replay_tape(
-                sim(), tape, chunk_cycles=chunk, checkpoint_every=100,
-                checkpoint_dir=str(work), limit=150,
-                outputs_path=str(work / "head.out"),
-            )
-            assert head.cycle == 150
-            assert head.checkpoints[-1].endswith("000000000100.json")
-            tail = replay_tape(
-                sim(), tape, chunk_cycles=chunk,
-                resume_from=head.checkpoints[-1],
-                outputs_path=str(work / "tail.out"),
-            )
-            assert (tail.checksum, tail.toggles) == (
-                full.checksum, full.toggles
-            )
-            runs[backend] = [
-                (run.checksum, run.toggles, (work / name).read_bytes())
-                for run, name in (
-                    (full, "full.out"), (head, "head.out"), (tail, "tail.out")
+            for write in (True, False):
+                work = tmp_path / f"{backend}-{write}"
+                work.mkdir()
+
+                def path(name):
+                    return str(work / name) if write else None
+
+                full = replay_tape(
+                    sim(), tape, chunk_cycles=chunk,
+                    outputs_path=path("full.out"),
                 )
-            ]
-        assert runs["c"] == runs["python"]
-        assert len(set(runs["c"][0][1].values())) > 1
+                head = replay_tape(
+                    sim(), tape, chunk_cycles=chunk, checkpoint_every=100,
+                    checkpoint_dir=str(work), limit=150,
+                    outputs_path=path("head.out"),
+                )
+                assert head.cycle == 150
+                assert head.checkpoints[-1].endswith("000000000100.json")
+                tail = replay_tape(
+                    sim(), tape, chunk_cycles=chunk,
+                    resume_from=head.checkpoints[-1],
+                    outputs_path=path("tail.out"),
+                )
+                assert (tail.checksum, tail.toggles) == (
+                    full.checksum, full.toggles
+                )
+                runs[backend, write] = [
+                    (
+                        run.checksum, run.toggles,
+                        (work / name).read_bytes() if write else None,
+                    )
+                    for run, name in (
+                        (full, "full.out"), (head, "head.out"),
+                        (tail, "tail.out"),
+                    )
+                ]
+        assert runs["c", True] == runs["python", True]
+        summaries = [run[:2] for run in runs["python", True]]
+        assert [run[:2] for run in runs["c", False]] == summaries
+        assert [run[:2] for run in runs["python", False]] == summaries
+        assert len(set(runs["c", True][0][1].values())) > 1
+        lines = runs["c", True][0][2].decode().split("\n")
+        assert len(lines) == 2 + 300 + 1 and lines[-1] == ""
 
     @staticmethod
     def _warm_c_peak(tmp_path, **options):
@@ -668,11 +685,14 @@ class TestCompiledFold:
         return peak - before
 
     def test_warm_c_replay_peak(self, tmp_path):
-        """A warm C ``replay_tape`` peaks at about two chunks of output
-        bytes: the narrowed new one and the slice it is cut from.  The
-        last chunk's is freed before the next runs, and the Python
-        fold's temporaries took eight."""
-        assert self._warm_c_peak(tmp_path) < 3 * 1024 * 100
+        """A warm C ``replay_tape`` makes no chunk-sized buffer: the
+        kernel writes the machine's held words and ``fold_rows`` reads
+        them in place.  The peak, 17.6 KB measured, is the tape chunk
+        being read (6 KB of lines and the 5 KB of bits decoded from
+        them) plus small objects; the bound adds 6.4 KB of margin and
+        stays below a quarter of one chunk's output bytes (100 KB),
+        which the byte-row fold peaked at two of."""
+        assert self._warm_c_peak(tmp_path) < 24 * 1024
 
     def test_warm_c_replay_peak_with_outputs(self, tmp_path):
         """Writing the outputs adds one chunk's digits and its lines,

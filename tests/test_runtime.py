@@ -174,6 +174,64 @@ class TestCMachine:
         with pytest.raises(BackendError):
             machine.load_state([])
 
+    def test_run_packed_checks_passes_and_output_buffer(self):
+        """A pass count past the payload or an output buffer too small
+        for the passes raises before the library reads or writes past
+        either buffer."""
+        import ctypes
+
+        machine = CMachine(_counter_program())
+        packed = machine.pack_block([[1], [2]])
+        for count in (3, 10_000_000, -1):
+            with pytest.raises(
+                BackendError, match=f"{count} passes over a payload of 2"
+            ):
+                machine.run_packed(packed, count)
+        with pytest.raises(BackendError, match="1 words is too small"):
+            machine.run_packed(packed, 2, (ctypes.c_uint16 * 1)())
+        assert machine.dump_state() == [0]
+        assert machine.counters.vectors == 0
+        out = (ctypes.c_uint16 * 2)()
+        machine.run_packed(packed, 2, out)
+        assert list(out) == [1, 3]
+        machine.run_packed(packed, 1)
+        assert machine.dump_state() == [3]
+
+
+def _state_program(word_width: int) -> Program:
+    """Four state words, each emitted as it was loaded."""
+    p = Program("state", word_width=word_width, inputs=["IN"])
+    for k in range(4):
+        p.declare(f"s{k}", k)
+        p.output.append(Emit(Var(f"s{k}"), (f"s{k}",)))
+    return p
+
+
+@pytest.mark.parametrize("width", (8, 16, 32, 64))
+@pytest.mark.parametrize("machine_class", [PythonMachine] + (
+    [CMachine] if have_c_compiler() else []
+))
+def test_load_state_masks_and_raises(machine_class, width):
+    """Values that do not fit are cut to the word width, a sequence of
+    any kind loads, and a value that is not an integer raises the
+    ``TypeError`` of ``&`` and leaves the state as it was."""
+    machine = machine_class(_state_program(width))
+    mask = (1 << width) - 1
+    for values in (
+        [-1, 1 << width, (1 << width) + 5, True],
+        (mask, 0, 7, -(1 << 70)),
+        [3, 2, 1, 0],
+    ):
+        machine.load_state(values)
+        assert machine.dump_state() == [value & mask for value in values]
+        assert machine.step([0]) == [value & mask for value in values]
+    for bad in ("1", 1.5, None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            machine.load_state([1, bad, 2, 3])
+        assert machine.dump_state() == [3, 2, 1, 0]
+    with pytest.raises(BackendError, match="state has 4 words, got 5"):
+        machine.load_state([0] * 5)
+
 
 def _toggle_program(
     inputs: int = 2, emits: bool = True, word_width: int = 32
@@ -429,7 +487,9 @@ def _fold_reference(rows: bytes, prev, start: int, width: int):
 
 #: ``(columns, rows)`` shapes of the fold tests.
 FOLD_SHAPES = [
-    (width, rows) for width in (0, 1, 7, 64, 187) for rows in (0, 1, 2, 1000)
+    (width, rows)
+    for width in (0, 1, 7, 63, 64, 65, 187)
+    for rows in (0, 1, 2, 1000)
 ]
 
 
@@ -441,49 +501,98 @@ def _fold_case(width: int, rows: int, seed: int):
     return block, prev, starts
 
 
-def _fold_with(fold, rows, prev, start: int, width: int):
+def _fold_with(fold, rows, count, prev, start: int, width: int):
+    """``(sum, toggles gained, bits of the row it returns)``."""
     import ctypes
 
     checksum = ctypes.c_uint64(start)
     toggles = (ctypes.c_int64 * width)(*range(width))
-    fold(rows, prev, checksum, toggles)
-    return checksum.value, [t - j for j, t in enumerate(toggles)]
+    last = fold(rows, count, prev, checksum, toggles)
+    return (
+        checksum.value,
+        [t - j for j, t in enumerate(toggles)],
+        None if last is None else bytes(last),
+    )
 
 
 @pytest.mark.parametrize(
     "width,rows", [(w, r) for w, r in FOLD_SHAPES if w * r <= 7000]
 )
 def test_reference_fold_matches_definition(width, rows):
-    """The harness's chunk fold equals the row-by-row definition."""
+    """The harness's chunk fold equals the row-by-row definition and
+    returns the row the next chunk compares with."""
     from repro.replay.harness import _fold_rows
 
     block, prev, starts = _fold_case(width, rows, seed=1)
     for start in starts:
         for before in (None, prev):
             want = _fold_reference(block, before, start, width)
-            assert _fold_with(_fold_rows, block, before, start,
-                              width) == want
+            last = block[len(block) - width:] if rows else before
+            assert _fold_with(_fold_rows, block, rows, before, start,
+                              width) == (*want, last)
+
+
+def _word_rows(bits: bytes, word_width: int, seed: int) -> bytearray:
+    """Native words whose bit 0 is ``bits`` and whose other bits are
+    random, followed by one row's worth of all-ones words that no fold
+    of ``len(bits)`` values may read."""
+    from array import array
+
+    rng = random.Random(seed)
+    high = ((1 << word_width) - 1) ^ 1
+    words = [(rng.getrandbits(word_width) & high) | bit for bit in bits]
+    tail = [(1 << word_width) - 1] * 200
+    return bytearray(array(CMachine._FORMAT[word_width], words + tail))
 
 
 @NEED_CC
 @pytest.mark.parametrize("word_width", WIDTHS)
 def test_compiled_fold_matches_reference(word_width):
-    """The library's ``fold_rows`` equals the Python reference at every
-    shape, with and without a previous row, from any starting sum, in
-    every word width's library, on ``bytes`` and ``bytearray`` rows."""
+    """The library's ``fold_rows`` over words equals the Python
+    reference over the same rows' bit-0 bytes at every shape, with and
+    without a previous row (``bytes`` or ``bytearray``), from any
+    starting sum, in every word width's library, and leaves the last
+    row's bits for the next chunk; the words' high bits and the words
+    past the rows change nothing."""
     from repro.replay.harness import _fold_rows
 
     machine = CMachine(_toggle_program(word_width=word_width))
     for width, rows in FOLD_SHAPES:
         block, prev, starts = _fold_case(width, rows, seed=word_width)
+        words = _word_rows(block, word_width, seed=width * rows)
         for start in starts:
             for before in (None, prev):
-                want = _fold_with(_fold_rows, block, before, start, width)
-                for kind in (bytes, bytearray):
-                    given = None if before is None else kind(before)
-                    got = _fold_with(machine.fold_rows, kind(block),
-                                     given, start, width)
+                want = _fold_with(_fold_rows, block, rows, before, start,
+                                  width)
+                kinds = (bytes, bytearray) if before is not None else (None,)
+                for kind in kinds:
+                    given = None if kind is None else kind(before)
+                    got = _fold_with(machine.fold_rows, words, rows, given,
+                                     start, width)
                     assert got == want, (width, rows, start, kind)
+
+
+@NEED_CC
+def test_compiled_fold_carries_the_previous_row_in_place():
+    """A ``bytearray`` previous row is the buffer the helper writes the
+    last row into, so consecutive chunks fold as one."""
+    import ctypes
+
+    machine = CMachine(_toggle_program(word_width=64))
+    width, rows = 65, 40
+    block, _prev, _starts = _fold_case(width, rows, seed=5)
+    words = _word_rows(block, 64, seed=6)
+    whole = _fold_with(machine.fold_rows, words, rows, None, 9, width)
+    checksum, toggles = ctypes.c_uint64(9), (ctypes.c_int64 * width)()
+    prev = None
+    size = width * 8
+    for first, count in ((0, 1), (1, 0), (1, 16), (17, 23)):
+        chunk = bytearray(words[first * size:(first + count) * size])
+        last = machine.fold_rows(chunk, count, prev, checksum, toggles)
+        if isinstance(prev, bytearray) and count:
+            assert last is prev
+        prev = last
+    assert (checksum.value, list(toggles), bytes(prev)) == whole
 
 
 @NEED_CC
@@ -492,12 +601,15 @@ def test_compiled_fold_checks_sizes_and_text_is_shared():
 
     machine = CMachine(_toggle_program())
     checksum, toggles = ctypes.c_uint64(0), (ctypes.c_int64 * 3)()
-    with pytest.raises(BackendError, match="not whole rows of 3"):
-        machine.fold_rows(b"\x01" * 4, None, checksum, toggles)
-    with pytest.raises(BackendError, match="not whole rows of 0"):
-        machine.fold_rows(b"\x01", None, checksum, toggles[:0])
+    words = bytearray(2 * 3 * 4)
+    with pytest.raises(BackendError, match="do not hold 3 rows of 3 words"):
+        machine.fold_rows(words, 3, None, checksum, toggles)
+    with pytest.raises(BackendError, match="do not hold 2 rows of 3 words"):
+        machine.fold_rows(words[:-1], 2, None, checksum, toggles)
+    with pytest.raises(BackendError, match="do not hold -1 rows"):
+        machine.fold_rows(words, -1, None, checksum, toggles)
     with pytest.raises(BackendError, match="has 2 bytes, expected 3"):
-        machine.fold_rows(b"\x01" * 3, b"\x00\x01", checksum, toggles)
+        machine.fold_rows(words, 2, b"\x00\x01", checksum, toggles)
     assert (checksum.value, list(toggles)) == (0, [0, 0, 0])
     # No program-specific size: every library carries the same text.
     def helper(source):

@@ -270,3 +270,39 @@ def test_clocked_program_clocks_a_batch_in_one_call(backend):
     )
     with pytest.raises(SimulationError, match="bit block"):
         sim.apply_bits(b"\x01", 2)
+
+
+@pytest.mark.skipif(not have_c_compiler(), reason="no C compiler")
+def test_run_held_clocks_and_records_as_apply_bits():
+    """``run_held`` leaves the words ``apply_bits`` narrows in the
+    machine's held buffer, and counts the batch the same way."""
+    from repro import telemetry
+    from repro.codegen.runtime import CMachine
+
+    block = bytes(random.Random(3).getrandbits(1) for _ in range(40))
+    bits = CompiledSequentialSimulator(counter(), backend="c")
+    held = CompiledSequentialSimulator(counter(), backend="c")
+    prior = telemetry.enabled()
+    telemetry.enable(reset_state=True)
+    try:
+        want = bits.apply_bits(block, 40)
+        out = held.run_held(block, 40)
+        snap = telemetry.snapshot()
+    finally:
+        telemetry.disable() if not prior else None
+        telemetry.reset()
+    assert isinstance(held.machine, CMachine)
+    assert held.machine.narrow(out, 40) == want
+    assert (held.cycle, held.state) == (bits.cycle, bits.state)
+    assert held.cycle == 40
+    assert held.counters.vectors == bits.counters.vectors == 40
+    assert snap["counters"]["seq.cycles"] == 80
+    assert snap["counters"]["seq.batches"] == 2
+    with pytest.raises(SimulationError, match="bit block"):
+        held.run_held(b"\x01", 2)
+    assert held.cycle == 40
+    for options in ({"backend": "python"}, {"engine": "parallel"}):
+        with pytest.raises(SimulationError, match="c backend"):
+            CompiledSequentialSimulator(counter(), **options).run_held(
+                b"\x01", 1
+            )

@@ -7,7 +7,7 @@ import pytest
 from repro import telemetry
 from repro.codegen.packing import pack_patterns, packing_mode
 from repro.codegen.runtime import have_c_compiler
-from repro.errors import SimulationError
+from repro.errors import BackendError, SimulationError
 from repro.eventsim.simulator import EventDrivenSimulator
 from repro.harness.runner import PROBE_TECHNIQUES, build_simulator
 from repro.harness.vectors import vectors_for
@@ -423,6 +423,30 @@ def test_packed_c_payload_is_the_pattern_groups(technique, count):
     assert list(payload) == [word for group in groups for word in group]
     sim.run_prepared((payload, passes, carried))
     assert sim.counters.vectors == count
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_prepared_refuses_passes_past_the_payload(backend):
+    """A pass count the payload does not hold raises ``BackendError``
+    before any pass runs (the C loop used to read past the buffer and
+    crash the process); fewer passes run the payload's first rows."""
+    circuit = parity_tree(8)
+    vectors = vectors_for(circuit, 4, seed=14)
+    sim = LCCSimulator(circuit, backend=backend, packed=False)
+    sim.reset()
+    payload, passes, count = sim.prepare_batch(vectors)
+    assert (passes, count) == (4, 4)
+    state = sim.machine.dump_state()
+    for bad in (10_000_000, 5, -1):
+        with pytest.raises(BackendError, match="over a payload of 4 rows"):
+            sim.run_prepared((payload, bad, count))
+    assert sim.machine.dump_state() == state
+    assert sim.counters.vectors == 0
+    sim.run_prepared((payload, 3, 3))
+    head = LCCSimulator(circuit, backend=backend, packed=False)
+    head.reset()
+    head.apply_vectors(vectors[:3])
+    assert sim.machine.dump_state() == head.machine.dump_state()
 
 
 class TestPackedEndState:
